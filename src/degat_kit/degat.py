@@ -9,6 +9,7 @@ the (non-differentiable) Top-K graph topology.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import NeighborGraph, build_knn_graph
 from .numerics import as_matrix, as_vector, elu, elu_grad, leaky_relu, leaky_relu_grad
@@ -28,7 +29,7 @@ __all__ = [
 
 @dataclass
 class DeGatParams:
-    w_proj: np.ndarray  # (C', 2C), applied to [x_i || x_j]
+    w_proj: np.ndarray  # (C', 2C), applied to [x_i || x_j] as W_c x_i + W_n x_j
     a: np.ndarray  # (C',)
     w_val: np.ndarray  # (C, C)
     leaky_slope: float = 0.2
@@ -70,8 +71,7 @@ def init_degat_params(c, c_proj=None, leaky_slope=0.2, rng=None):
 class DeGatCache:
     x: np.ndarray  # (L, C) input features
     graph: NeighborGraph
-    h: np.ndarray  # (L, K, 2C) concatenated pair features
-    z: np.ndarray  # (L, K, C') pre-LeakyReLU
+    z: np.ndarray  # (L, K, C') pre-LeakyReLU, W_proj [x_i || x_j]
     e: np.ndarray  # (L, K, C') post-LeakyReLU
     logits: np.ndarray  # (L, K)
     alpha: np.ndarray  # (L, K)
@@ -96,10 +96,9 @@ def degat_forward(tokens, params, k, metric="cosine"):
     g = build_knn_graph(x, k, metric)
     nb = g.neighbors  # (L, K)
 
-    h = np.concatenate(
-        [np.broadcast_to(x[:, None, :], (x.shape[0], k, c)), x[nb]], axis=2
-    )  # (L, K, 2C)
-    z = h @ params.w_proj.T
+    # W_proj [x_i || x_j] = W_c x_i + W_n x_j: project the nodes, then gather
+    w_c, w_n = params.w_proj[:, :c], params.w_proj[:, c:]
+    z = (x @ w_c.T)[:, None, :] + (x @ w_n.T)[nb]  # (L, K, C')
     e = leaky_relu(z, params.leaky_slope)
     logits = e @ params.a  # (L, K)
 
@@ -112,7 +111,7 @@ def degat_forward(tokens, params, k, metric="cosine"):
     x_out = x + elu(messages)
 
     cache = DeGatCache(
-        x=x, graph=g, h=h, z=z, e=e, logits=logits, alpha=alpha,
+        x=x, graph=g, z=z, e=e, logits=logits, alpha=alpha,
         values=values, messages=messages,
     )
     return x_out, cache
@@ -122,8 +121,8 @@ def degat_backward(cache, params, upstream):
     """Gradients of a scalar loss given d(loss)/d(x_out).
 
     Covers every path: residual, ELU, the alpha-weighted value sum, the
-    neighbor softmax, LeakyReLU, and both halves of the concatenation
-    (x as center, as neighbor value, and as neighbor inside h_ij).
+    neighbor softmax, LeakyReLU, and both halves of the projection
+    (x as center, as neighbor value, and as neighbor inside z_ij).
     """
     upstream = as_matrix(upstream, "upstream")
     if upstream.shape != cache.x.shape:
@@ -132,8 +131,14 @@ def degat_backward(cache, params, upstream):
         )
     x = cache.x
     nb = cache.graph.neighbors
+    n, k = nb.shape
     c = x.shape[1]
     alpha = cache.alpha
+    # (L, L*K) incidence, one column per edge (i, k) with a 1 in row nb[i, k]:
+    # to_neighbor @ per-edge rows sums them into their neighbor node
+    to_neighbor = sp.csc_array(
+        (np.ones(n * k), nb.ravel(), np.arange(n * k + 1)), shape=(n, n * k)
+    )
 
     d_x = upstream.copy()  # residual path
     u = upstream * elu_grad(cache.messages)  # (L, C) = dL/dm_i
@@ -142,8 +147,7 @@ def degat_backward(cache, params, upstream):
 
     # value path: m_i = sum_j alpha_ij v_j
     d_alpha = np.einsum("lc,lkc->lk", u, v_nb)
-    d_v = np.zeros_like(cache.values)
-    np.add.at(d_v, nb, alpha[:, :, None] * u[:, None, :])
+    d_v = to_neighbor @ (alpha[:, :, None] * u[:, None, :]).reshape(n * k, c)
     d_w_val = d_v.T @ x
     d_x += d_v @ params.w_val
 
@@ -151,13 +155,13 @@ def degat_backward(cache, params, upstream):
     inner = np.sum(alpha * d_alpha, axis=1, keepdims=True)
     d_logits = alpha * (d_alpha - inner)  # (L, K)
 
-    # logits l_ij = a . LeakyReLU(W_proj h_ij)
-    d_a = np.einsum("lk,lkp->p", d_logits, cache.e)
+    # logits l_ij = a . LeakyReLU(W_c x_i + W_n x_j)
+    d_a = d_logits.ravel() @ cache.e.reshape(n * k, -1)
     d_z = d_logits[:, :, None] * params.a * leaky_relu_grad(cache.z, params.leaky_slope)
-    d_w_proj = np.einsum("lkp,lkq->pq", d_z, cache.h)
-    d_h = d_z @ params.w_proj  # (L, K, 2C)
-    d_x += d_h[:, :, :c].sum(axis=1)
-    np.add.at(d_x, nb, d_h[:, :, c:])
+    d_center = d_z.sum(axis=1)  # (L, C'), node i as center
+    d_neighbor = to_neighbor @ d_z.reshape(n * k, -1)  # (L, C'), node j as neighbor
+    d_w_proj = np.hstack([d_center.T @ x, d_neighbor.T @ x])
+    d_x += d_center @ params.w_proj[:, :c] + d_neighbor @ params.w_proj[:, c:]
 
     return DeGatGrads(d_w_proj=d_w_proj, d_a=d_a, d_w_val=d_w_val, d_x=d_x)
 

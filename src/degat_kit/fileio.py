@@ -2,7 +2,7 @@
 
 PFM is written little-endian with scale -1.0. PPM/PGM use the binary
 (P6/P5) variants with maxval 255; values round-trip as float arrays in
-[0, 1].
+[0, 1]. Reading also accepts 16-bit PPM/PGM (maxval up to 65535).
 """
 
 import re
@@ -99,11 +99,16 @@ def read_pnm(path):
     magic, w, h, maxval = tokens[0], int(tokens[1]), int(tokens[2]), int(tokens[3])
     if magic not in (b"P5", b"P6"):
         raise ValueError(f"unsupported PNM magic {magic!r} in {path}")
+    if not 1 <= maxval <= 65535:
+        raise ValueError(f"PNM maxval {maxval} outside [1, 65535] in {path}")
     channels = 3 if magic == b"P6" else 1
     count = w * h * channels
-    data = np.frombuffer(raw[pos:pos + count], dtype=np.uint8)
-    if data.size != count:
+    # Netpbm: one byte per sample up to maxval 255, else two, big-endian
+    dtype = np.dtype(np.uint8) if maxval <= 255 else np.dtype(">u2")
+    payload = raw[pos:pos + count * dtype.itemsize]
+    if len(payload) != count * dtype.itemsize:
         raise ValueError(f"truncated PNM payload in {path}")
+    data = np.frombuffer(payload, dtype=dtype)
     shape = (h, w) if channels == 1 else (h, w, 3)
     return data.reshape(shape).astype(np.float64) / float(maxval)
 

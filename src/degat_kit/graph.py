@@ -1,12 +1,17 @@
 """Dynamic K-nearest-neighbor graphs over token features.
 
-The graph is rebuilt from the current features on every forward pass;
-brute-force O(L^2 C) search is deliberate (L stays small at desk scale).
-Ties are broken by ascending node index so the Top-K operator is
-deterministic, which the permutation-equivariance property relies on.
+The graph is rebuilt from the current features on every forward pass
+from the full L x L score matrix. Top-K selection avoids sorting whole
+rows: a partition finds each row's K-th key, every entry at or below it
+is a candidate, and rows with more candidates than places keep only the
+lowest-index entries tied at the K-th key. The K survivors are then
+sorted stably by key. Neighbors are ordered by descending similarity or
+ascending distance, and exact ties go to the lower node index, so the
+Top-K operator is deterministic; the permutation-equivariance property
+relies on that rule.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,6 +76,41 @@ def _features_of(tokens):
     return as_matrix(tokens, "features")
 
 
+def _select_top_k(key, k):
+    """The k smallest entries of each row of ``key`` in stable-argsort order
+    (ascending key, ties toward the lower column), as (columns, keys).
+    """
+    n = key.shape[0]
+    kth = np.partition(key, k - 1, axis=1)[:, k - 1]
+    if not np.isfinite(kth).all():
+        # finite features give inf or NaN keys off the diagonal only when
+        # their distances overflow; such a row would pick itself or nothing
+        raise ValueError("features too large: pairwise distances overflow float64")
+    rows, cols = np.nonzero(key <= kth[:, None])  # row-major, ascending columns
+    vals = key[rows, cols]
+    if rows.size > n * k:
+        # Rows with more candidates than places tie at the K-th key; they
+        # keep every smaller key and only their lowest-index tied entries.
+        counts = np.bincount(rows, minlength=n)
+        over = counts > k
+        at = np.flatnonzero(over[rows])  # candidates of those rows, grouped by row
+        per_row = counts[over]
+        first = np.cumsum(per_row) - per_row  # offset of each row's first candidate
+        tied = vals[at] == kth[rows[at]]
+        tied_upto = np.cumsum(tied)  # ties up to and including each candidate
+        tied_before_row = tied_upto[first] - tied[first]
+        tied_in_row = tied_upto[first + per_row - 1] - tied_before_row
+        room = k - (per_row - tied_in_row)  # places left for tied entries
+        rank = tied_upto - np.repeat(tied_before_row, per_row)  # 1-based among ties
+        keep = np.ones(rows.size, dtype=bool)
+        keep[at] = ~tied | (rank <= np.repeat(room, per_row))
+        cols, vals = cols[keep], vals[keep]
+    cols, vals = cols.reshape(n, k), vals.reshape(n, k)
+    order = np.argsort(vals, axis=1, kind="stable")
+    r = np.arange(n)[:, None]
+    return cols[r, order], vals[r, order]
+
+
 def build_knn_graph(tokens, k, metric="cosine"):
     """Select the Top-K neighbors of every node, excluding the node itself.
 
@@ -90,20 +130,21 @@ def build_knn_graph(tokens, k, metric="cosine"):
         norms = np.linalg.norm(x, axis=1)
         safe = np.where(norms == 0.0, 1.0, norms)
         xn = x / safe[:, None]
-        score = xn @ xn.T  # zero rows give similarity 0 with everyone
-        # stable sort on the negated score keeps ascending-index tie order
-        key = -score
+        key = xn @ xn.T  # zero rows give similarity 0 with everyone
+        np.negative(key, out=key)  # ascending key = descending similarity
     else:
         sq = np.sum(x * x, axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-        np.maximum(d2, 0.0, out=d2)
-        key = np.sqrt(d2)
-        score = key
+        key = sq[:, None] + sq[None, :]
+        key -= 2.0 * (x @ x.T)
+        np.maximum(key, 0.0, out=key)
+        # select on the distance itself: sqrt can merge distinct d^2 values,
+        # and those merged keys must tie exactly as they always have
+        np.sqrt(key, out=key)
 
     np.fill_diagonal(key, np.inf)  # self always sorts last
-    order = np.argsort(key, axis=1, kind="stable")
-    nb = order[:, :k]
-    sims = np.take_along_axis(score, nb, axis=1)
+    nb, sims = _select_top_k(key, k)
+    if metric == "cosine":
+        np.negative(sims, out=sims)
     return NeighborGraph(neighbors=nb, similarities=sims, metric=metric)
 
 

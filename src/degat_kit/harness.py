@@ -251,11 +251,36 @@ def save_checkpoint(path, cfg, params):
 
 
 def load_checkpoint(path):
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    The manifest must list exactly the parameters, with the shapes, that
+    ``init_model_params`` makes for its config; anything else raises
+    ValueError. A blob whose size does not match its shape raises OSError.
+    """
     with open(os.path.join(path, "manifest.json"), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    shapes = manifest.get("params") if isinstance(manifest, dict) else None
+    if not isinstance(shapes, dict) or "config" not in manifest:
+        raise ValueError(f"checkpoint manifest in {path} lacks 'config' or 'params'")
     cfg = ModelConfig(**manifest["config"])
+    unsafe = sorted(k for k in shapes if "/" in k or "\\" in k)
+    if unsafe:
+        raise ValueError(f"checkpoint parameter names contain path separators: {unsafe}")
+    expected = {k: v.shape for k, v in init_model_params(cfg).items()}
+    missing = sorted(expected.keys() - shapes.keys())
+    extra = sorted(shapes.keys() - expected.keys())
+    if missing or extra:
+        raise ValueError(
+            f"checkpoint parameters do not match its config: missing {missing}, unexpected {extra}"
+        )
+    reshaped = sorted(k for k, shape in shapes.items() if tuple(shape) != expected[k])
+    if reshaped:
+        raise ValueError(f"checkpoint parameter shapes do not match its config: {reshaped}")
     params = {}
-    for k, shape in manifest["params"].items():
-        blob = np.fromfile(os.path.join(path, f"{k}.bin"), dtype="<f8")
-        params[k] = blob.reshape(shape).astype(np.float64)
+    for k in shapes:
+        blob_path = os.path.join(path, f"{k}.bin")
+        size, need = os.path.getsize(blob_path), 8 * int(np.prod(expected[k]))
+        if size != need:
+            raise OSError(f"{blob_path} has {size} bytes, shape {expected[k]} needs {need}")
+        params[k] = np.fromfile(blob_path, dtype="<f8").reshape(expected[k]).astype(np.float64)
     return cfg, params

@@ -5,6 +5,8 @@ import pytest
 
 from degat_kit.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from degat_kit.fileio import write_pfm, write_pnm
+from degat_kit.harness import save_checkpoint
+from degat_kit.toy_model import ModelConfig, init_model_params
 
 
 @pytest.fixture
@@ -70,6 +72,60 @@ class TestTrainEvalCommands:
         path.write_text("{not json")
         assert main(["train", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == EXIT_IO
+
+
+class TestEvalCheckpointValidation:
+    @pytest.fixture
+    def ckpt(self, tmp_path):
+        cfg = ModelConfig(image_h=16, image_w=16, patch_size=4, embed_dim=8, n_blocks=1,
+                          n_heads=2, k_neighbors=3, cond_hidden=4, bias_hidden=4, cam_hidden=4)
+        path = tmp_path / "ckpt"
+        save_checkpoint(str(path), cfg, init_model_params(cfg))
+        return path
+
+    @staticmethod
+    def edit_manifest(path, edit):
+        manifest = json.loads((path / "manifest.json").read_text())
+        edit(manifest["params"])
+        (path / "manifest.json").write_text(json.dumps(manifest))
+
+    def run_eval(self, path, capsys):
+        code = main(["eval", "--checkpoint", str(path), "--n-frames", "1"])
+        err = capsys.readouterr().err
+        return code, err
+
+    def test_intact(self, ckpt, capsys):
+        assert self.run_eval(ckpt, capsys)[0] == EXIT_OK
+
+    @pytest.mark.parametrize("edit,needle", [
+        (lambda p: p.pop("degat.a"), "missing ['degat.a']"),
+        (lambda p: p.update({"extra.w": [2]}), "unexpected ['extra.w']"),
+        (lambda p: p.update({"degat.a": [4, 2]}), "shapes"),
+        (lambda p: p.update({"../outside": [1]}), "path separators"),
+        (lambda p: p.update({"..\\outside": [1]}), "path separators"),
+    ], ids=["missing", "extra", "reshaped", "slash", "backslash"])
+    def test_tampered_manifest_is_validation_error(self, ckpt, capsys, edit, needle):
+        self.edit_manifest(ckpt, edit)
+        code, err = self.run_eval(ckpt, capsys)
+        assert code == EXIT_VALIDATION
+        assert needle in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("manifest", [{"config": {}}, {"config": {}, "params": []}, []])
+    def test_malformed_manifest(self, ckpt, capsys, manifest):
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        assert self.run_eval(ckpt, capsys)[0] == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("cut", [8, 3])
+    def test_truncated_blob_is_io_error(self, ckpt, capsys, cut):
+        blob = ckpt / "degat.w_val.bin"
+        blob.write_bytes(blob.read_bytes()[:-cut])
+        code, err = self.run_eval(ckpt, capsys)
+        assert code == EXIT_IO
+        assert "degat.w_val.bin" in err and len(err.strip().splitlines()) == 1
+
+    def test_missing_blob_is_io_error(self, ckpt, capsys):
+        (ckpt / "cam_head.b2.bin").unlink()
+        assert self.run_eval(ckpt, capsys)[0] == EXIT_IO
 
 
 class TestBackprojectCommand:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from degat_kit.degat import (
+    DeGatGrads,
     DeGatParams,
     affinity_to_log_bias,
     degat_backward,
@@ -10,6 +11,8 @@ from degat_kit.degat import (
     init_degat_params,
     pooled_prior,
 )
+from degat_kit.graph import build_knn_graph
+from degat_kit.numerics import elu, elu_grad, leaky_relu, leaky_relu_grad
 
 
 def slow_forward(x, params, k, metric="cosine"):
@@ -45,6 +48,40 @@ def slow_forward(x, params, k, metric="cosine"):
             m += a_ij * (params.w_val @ x[j])
         out[i] = x[i] + np.where(m > 0, m, np.expm1(m))
     return out, dense
+
+
+def concat_hop(x, params, k, metric, upstream):
+    """Forward and backward of the first vectorised hop, kept as a reference:
+    the (L, K, 2C) concatenated pair tensor h, einsum contractions and
+    np.add.at scatters."""
+    g = build_knn_graph(x, k, metric)
+    nb = g.neighbors
+    c = x.shape[1]
+    h = np.concatenate([np.broadcast_to(x[:, None, :], (x.shape[0], k, c)), x[nb]], axis=2)
+    z = h @ params.w_proj.T
+    e = leaky_relu(z, params.leaky_slope)
+    logits = e @ params.a
+    expv = np.exp(logits - logits.max(axis=1, keepdims=True))
+    alpha = expv / expv.sum(axis=1, keepdims=True)
+    values = x @ params.w_val.T
+    messages = np.einsum("lk,lkc->lc", alpha, values[nb])
+    x_out = x + elu(messages)
+
+    d_x = upstream.copy()
+    u = upstream * elu_grad(messages)
+    d_alpha = np.einsum("lc,lkc->lk", u, values[nb])
+    d_v = np.zeros_like(values)
+    np.add.at(d_v, nb, alpha[:, :, None] * u[:, None, :])
+    d_w_val = d_v.T @ x
+    d_x += d_v @ params.w_val
+    d_logits = alpha * (d_alpha - np.sum(alpha * d_alpha, axis=1, keepdims=True))
+    d_a = np.einsum("lk,lkp->p", d_logits, e)
+    d_z = d_logits[:, :, None] * params.a * leaky_relu_grad(z, params.leaky_slope)
+    d_w_proj = np.einsum("lkp,lkq->pq", d_z, h)
+    d_h = d_z @ params.w_proj
+    d_x += d_h[:, :, :c].sum(axis=1)
+    np.add.at(d_x, nb, d_h[:, :, c:])
+    return x_out, DeGatGrads(d_w_proj=d_w_proj, d_a=d_a, d_w_val=d_w_val, d_x=d_x)
 
 
 def fd_grad(f, arr, eps=1e-6):
@@ -156,6 +193,54 @@ class TestBackward:
         grads = degat_backward(cache, params, up)
         np.testing.assert_array_equal(grads.d_x, up)
         np.testing.assert_array_equal(grads.d_a, np.zeros(3))
+
+
+def hub_tokens(n, c, rng):
+    """Token 0 is a hub: every other token sits at the same small offset
+    from it in a spread-out direction, so each one's nearest neighbor is
+    the hub and its in-degree is far above K. The last token is a far
+    outlier that no token picks (in-degree 0). Tokens 1 and 2 are an exact
+    duplicate pair and token n-2 is a zero row."""
+    e = np.zeros(c)
+    e[0] = 1.0
+    q = rng.standard_normal((n, c))
+    q[:, 0] = 0.0
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    x = e + 0.1 * q
+    x[0] = e
+    x[2] = x[1]
+    x[-2] = 0.0
+    x[-1] = -100.0 * e
+    return x
+
+
+class TestMatchesConcatReference:
+    """The split projection and the sparse scatters against the concatenated
+    h / einsum / np.add.at hop, to float-reordering tolerance."""
+
+    @staticmethod
+    def assert_close(got, want):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    @pytest.mark.parametrize("n,c,cp,k", [(6, 3, 3, 1), (24, 8, 6, 5), (300, 16, 8, 9)])
+    def test_forward_and_grads(self, metric, n, c, cp, k):
+        rng = np.random.default_rng(n + k)
+        x = hub_tokens(n, c, rng)
+        params = init_degat_params(c, c_proj=cp, leaky_slope=0.1, rng=n)
+        params.w_proj *= 4.0  # peaked attention, both LeakyReLU branches
+        up = rng.standard_normal((n, c))
+
+        x_out, cache = degat_forward(x, params, k, metric)
+        grads = degat_backward(cache, params, up)
+        ref_out, ref = concat_hop(x, params, k, metric, up)
+
+        in_degree = np.bincount(cache.graph.neighbors.ravel(), minlength=n)
+        assert in_degree[-1] == 0 and in_degree[0] >= min(3 * k, n - 4)
+        self.assert_close(x_out, ref_out)
+        for name in ("d_w_proj", "d_a", "d_w_val", "d_x"):
+            self.assert_close(getattr(grads, name), getattr(ref, name))
 
 
 class TestDerivedQuantities:

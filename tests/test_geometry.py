@@ -220,6 +220,26 @@ class TestFileIo:
         write_pnm(path, np.array([[-1.0, 2.0]]))
         np.testing.assert_array_equal(read_pnm(path), [[0.0, 1.0]])
 
+    def test_pnm_16bit_big_endian(self, tmp_path):
+        path = tmp_path / "deep.pgm"
+        path.write_bytes(b"P5\n2 1\n65535\n" + np.array([65535, 32768], ">u2").tobytes())
+        np.testing.assert_array_equal(read_pnm(path), [[1.0, 32768 / 65535]])
+
+    def test_pnm_16bit_color_truncated(self, tmp_path):
+        path = tmp_path / "deep.ppm"
+        path.write_bytes(b"P6\n1 1\n1023\n" + b"\0" * 5)
+        with pytest.raises(ValueError, match="truncated"):
+            read_pnm(path)
+        path.write_bytes(b"P6\n1 1\n1023\n" + np.array([1023, 0, 512], ">u2").tobytes())
+        np.testing.assert_array_equal(read_pnm(path), [[[1.0, 0.0, 512 / 1023]]])
+
+    @pytest.mark.parametrize("maxval", [b"0", b"65536", b"-1"])
+    def test_pnm_maxval_out_of_range(self, tmp_path, maxval):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(b"P5\n1 1\n" + maxval + b"\n" + b"\0\0")
+        with pytest.raises(ValueError, match="maxval"):
+            read_pnm(path)
+
     def test_dispatch(self, tmp_path):
         data = np.ones((3, 3)) * 0.25
         for ext in ("pfm", "pgm"):

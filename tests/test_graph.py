@@ -27,6 +27,54 @@ def brute_force_topk(features, k, metric):
     return nb
 
 
+def argsort_top_k(features, k, metric):
+    """The first selection, kept as the reference: a full stable argsort of
+    every row of the same key matrix."""
+    x = np.asarray(features, dtype=np.float64)
+    if metric == "cosine":
+        norms = np.linalg.norm(x, axis=1)
+        safe = np.where(norms == 0.0, 1.0, norms)
+        xn = x / safe[:, None]
+        score = xn @ xn.T
+        key = -score
+    else:
+        sq = np.sum(x * x, axis=1)
+        d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+        np.maximum(d2, 0.0, out=d2)
+        key = np.sqrt(d2)
+        score = key
+    np.fill_diagonal(key, np.inf)
+    nb = np.argsort(key, axis=1, kind="stable")[:, :k]
+    return nb, np.take_along_axis(score, nb, axis=1)
+
+
+def oracle_inputs(n, rng):
+    """Random rows; patch-like rows with a block of up to 128 exact
+    duplicates, like the occluder bar in patch tokens, where most cosine
+    rows tie at the K-th key; scattered all-zero rows; constant features;
+    rows drawn from a few integer points, where a tie group at the K-th key
+    follows smaller keys."""
+    c = 64
+    random_rows = rng.standard_normal((n, c))
+    # equal mean and spread in every row: the duplicated flat rows then
+    # outscore the noisy rows in cosine similarity
+    noise = rng.standard_normal((n, c))
+    noise -= noise.mean(axis=1, keepdims=True)
+    noise /= noise.std(axis=1, keepdims=True)
+    patches = 0.55 + 0.05 * noise
+    start = n // 4
+    patches[start:start + min(128, n // 2)] = 0.95
+    zeros = random_rows.copy()
+    zeros[rng.choice(n, size=max(2, n // 8), replace=False)] = 0.0
+    return {
+        "random": random_rows,
+        "duplicate_block": patches,
+        "zero_rows": zeros,
+        "constant": np.full((n, c), 0.95),
+        "few_points": rng.integers(0, 3, size=(n, 3)).astype(np.float64),
+    }
+
+
 class TestBuildKnnGraph:
     def test_three_token_tie_break(self):
         feats = np.array([[1.0, 0.0], [0.0, 1.0], [1.0 / math.sqrt(2)] * 2])
@@ -93,6 +141,36 @@ class TestBuildKnnGraph:
             assert set(g2.neighbors[inv[i]].tolist()) == {
                 int(inv[j]) for j in g.neighbors[i]
             }
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    @pytest.mark.parametrize("n", [8, 64, 65, 300, 1024])
+    def test_bit_identical_to_argsort(self, n, metric):
+        rng = np.random.default_rng(n)
+        for name, feats in oracle_inputs(n, rng).items():
+            for k in (1, 5, n - 2):
+                g = build_knn_graph(feats, k, metric)
+                nb, sims = argsort_top_k(feats, k, metric)
+                assert np.array_equal(g.neighbors, nb), (name, k)
+                assert np.array_equal(g.similarities, sims), (name, k)
+
+    def test_duplicate_block_exercises_tie_path(self):
+        # in the oracle input above, most cosine rows have more entries
+        # tied at the K-th key than places left
+        feats = oracle_inputs(1024, np.random.default_rng(1024))["duplicate_block"]
+        xn = feats / np.linalg.norm(feats, axis=1, keepdims=True)
+        key = -(xn @ xn.T)
+        np.fill_diagonal(key, np.inf)
+        kth = np.partition(key, 8, axis=1)[:, 8:9]
+        assert np.mean(np.count_nonzero(key <= kth, axis=1) > 9) > 0.9
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_distances_rejected(self):
+        # squared norms overflow to inf: the keys turn inf or NaN, and a row
+        # would otherwise select itself
+        feats = np.array([[1e200, 0.0], [0.0, 1e200], [1e200, 1e200], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="overflow"):
+            build_knn_graph(feats, 1, "euclidean")
+        build_knn_graph(feats, 1, "cosine")
 
     def test_unknown_metric(self):
         with pytest.raises(ValueError):
