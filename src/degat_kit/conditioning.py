@@ -11,7 +11,7 @@ a constant during backprop; only the table / MLP parameters receive
 gradients.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf

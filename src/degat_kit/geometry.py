@@ -98,9 +98,12 @@ def depth_to_pointcloud(depth_map, cam, image=None):
     """One world point per valid pixel, in row-major pixel order.
 
     Pixels with non-positive depth are skipped (counted, not errored) so
-    occluder-invalidated depth can pass through unharmed.
+    occluder-invalidated depth can pass through unharmed. Non-finite depth
+    or image values raise ValueError.
     """
     d = depth_map.depth if isinstance(depth_map, DepthMap) else np.asarray(depth_map, dtype=np.float64)
+    if not np.isfinite(d).all():
+        raise ValueError("depth contains non-finite values")
     h, w = d.shape
     f = cam.focal
     cx, cy = cam.principal
@@ -114,6 +117,8 @@ def depth_to_pointcloud(depth_map, cam, image=None):
     colors = None
     if image is not None:
         img = np.asarray(image, dtype=np.float64)
+        if not np.isfinite(img).all():
+            raise ValueError("image contains non-finite values")
         if img.ndim == 2:
             img = np.repeat(img[:, :, None], 3, axis=2)
         if img.shape[:2] != (h, w):
@@ -155,17 +160,20 @@ def write_ply(cloud, path):
             "property uchar green",
             "property uchar blue",
         ]
-    lines.append("end_header")
+    lines.append("end_header\n")
+    # One %-format over Python floats: repr(float) is the same shortest
+    # round-trip text that str() gives for each np.float64.
     if has_color:
         rgb = np.clip(np.asarray(cloud.colors, dtype=np.float64), 0.0, 1.0)
         rgb = np.rint(rgb * 255.0).astype(np.int64)
-        for p, c in zip(points, rgb):
-            lines.append(f"{p[0]} {p[1]} {p[2]} {c[0]} {c[1]} {c[2]}")
+        row = "%r %r %r %d %d %d\n"
+        values = np.hstack([points.astype(object), rgb.astype(object)])
     else:
-        for p in points:
-            lines.append(f"{p[0]} {p[1]} {p[2]}")
+        row = "%r %r %r\n"
+        values = points
+    body = (row * points.shape[0]) % tuple(values.ravel().tolist())
     try:
         with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("\n".join(lines) + body)
     except OSError as exc:
         raise OSError(f"failed to write PLY to {path}: {exc}") from exc

@@ -46,10 +46,10 @@ DEFAULT_TRAINER = {"steps": 300, "lr": 0.02, "n_frames": 4, "scene_seed": 0}
 
 
 class NumericAbort(RuntimeError):
-    """Raised when training produces a non-finite loss."""
+    """Raised when a training step produces a non-finite loss or gradient."""
 
-    def __init__(self, step, loss):
-        super().__init__(f"non-finite loss at step {step}: {loss}")
+    def __init__(self, step, what):
+        super().__init__(f"non-finite {what} at step {step}")
         self.step = step
 
 
@@ -143,7 +143,7 @@ def _normalized(depth):
     return (depth - lo) / (hi - lo)
 
 
-def evaluate(params, cfg, scene, weights=LossWeights()):
+def evaluate(params, cfg, scene):
     """Depth error, camera loss, and PSNR/SSIM on normalized depth images."""
     depth_maps, cams, _ = forward(params, cfg, scene.frames)
     abs_err = float(
@@ -171,21 +171,25 @@ def evaluate(params, cfg, scene, weights=LossWeights()):
 
 
 def train(cfg, scene, steps, lr, weights=LossWeights(), params=None):
-    """Plain gradient descent on the base loss; aborts on non-finite loss."""
+    """Plain gradient descent on the base loss; aborts on a non-finite loss
+    or gradient."""
     t0 = time.perf_counter()
     if params is None:
         params = init_model_params(cfg)
-    initial_metrics = evaluate(params, cfg, scene, weights)
+    initial_metrics = evaluate(params, cfg, scene)
     history = []
     for step in range(steps):
         breakdown, grads = loss_and_grads(
             params, cfg, scene.frames, scene.gt_depth, scene.gt_cameras, weights
         )
         if not np.isfinite(breakdown.total):
-            raise NumericAbort(step, breakdown.total)
+            raise NumericAbort(step, f"loss {breakdown.total}")
+        bad = sorted(k for k, g in grads.items() if not np.isfinite(g).all())
+        if bad:
+            raise NumericAbort(step, f"gradient for {bad}")
         history.append(breakdown)
         params = sgd_step(params, grads, lr)
-    final_metrics = evaluate(params, cfg, scene, weights)
+    final_metrics = evaluate(params, cfg, scene)
     report = RunReport(
         history=history,
         initial_metrics=initial_metrics,

@@ -10,7 +10,7 @@ Forward and backward are written by hand against explicit caches; the
 finite-difference checker validates every parameter gradient.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

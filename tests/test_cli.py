@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from degat_kit.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+import degat_kit
+from degat_kit import harness
+from degat_kit.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from degat_kit.fileio import write_pfm, write_pnm
 from degat_kit.harness import save_checkpoint
 from degat_kit.toy_model import ModelConfig, init_model_params
@@ -60,6 +65,20 @@ class TestTrainEvalCommands:
                      "--n-frames", "1"]) == EXIT_OK
         metrics = json.loads(capsys.readouterr().out)
         assert "mean_abs_depth_error" in metrics
+
+    def test_nonfinite_gradient_is_numeric_abort(self, tmp_path, tiny_config, capsys, monkeypatch):
+        real = harness.loss_and_grads
+
+        def nan_grad(*args, **kwargs):
+            breakdown, grads = real(*args, **kwargs)
+            grads["degat.a"][0] = np.nan
+            return breakdown, grads
+
+        monkeypatch.setattr(harness, "loss_and_grads", nan_grad)
+        assert main(["train", "--config", str(tiny_config),
+                     "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "non-finite gradient" in err and len(err.strip().splitlines()) == 1
 
     def test_bad_config_key(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -129,9 +148,8 @@ class TestEvalCheckpointValidation:
 
 
 class TestBackprojectCommand:
-    def test_writes_ply(self, tmp_path, capsys):
-        depth = np.full((4, 4), 2.0)
-        depth[0, 0] = -1.0
+    @staticmethod
+    def run_backproject(tmp_path, depth):
         dpath = tmp_path / "d.pfm"
         write_pfm(dpath, depth)
         pose = tmp_path / "pose.json"
@@ -142,10 +160,26 @@ class TestBackprojectCommand:
         out = tmp_path / "cloud.ply"
         code = main(["backproject", "--depth", str(dpath),
                      "--pose", str(pose), "--out", str(out)])
+        return code, out
+
+    def test_writes_ply(self, tmp_path, capsys):
+        depth = np.full((4, 4), 2.0)
+        depth[0, 0] = -1.0
+        code, out = self.run_backproject(tmp_path, depth)
         assert code == EXIT_OK
         summary = json.loads(capsys.readouterr().out)
         assert summary == {"points": 15, "skipped": 1}
         assert out.read_text().splitlines()[2] == "element vertex 15"
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_depth_is_validation_error(self, tmp_path, capsys, bad):
+        depth = np.full((4, 4), 2.0)
+        depth[2, 1] = bad
+        code, out = self.run_backproject(tmp_path, depth)
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "non-finite" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_with_colors(self, tmp_path, capsys):
         depth = np.ones((4, 4))
@@ -202,6 +236,18 @@ class TestAblateCommand:
         assert len(lines) == 3
         assert lines[1].split(",")[0] == "2"
         assert lines[2].split(",")[0] == "3"
+
+
+def test_import_does_not_load_scipy_signal():
+    # scipy.signal alone costs most of a second at every CLI start
+    src = os.path.dirname(os.path.dirname(degat_kit.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    code = ("import sys, degat_kit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'signal']))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 class TestCheckCommand:

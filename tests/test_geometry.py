@@ -12,6 +12,7 @@ from degat_kit.fileio import (
 from degat_kit.geometry import (
     CameraParams,
     DepthMap,
+    PointCloud,
     backproject_pixel,
     depth_to_pointcloud,
     intrinsic_matrix,
@@ -25,6 +26,27 @@ def random_rotation(rng):
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def reference_ply_bytes(cloud):
+    """Per-row PLY writer that f-formats np.float64 scalars: the oracle for
+    the vectorised ``write_ply`` body."""
+    points = np.asarray(cloud.points, dtype=np.float64).reshape(-1, 3)
+    has_color = cloud.colors is not None
+    lines = ["ply", "format ascii 1.0", f"element vertex {points.shape[0]}",
+             "property float x", "property float y", "property float z"]
+    if has_color:
+        lines += ["property uchar red", "property uchar green", "property uchar blue"]
+    lines.append("end_header")
+    if has_color:
+        rgb = np.clip(np.asarray(cloud.colors, dtype=np.float64), 0.0, 1.0)
+        rgb = np.rint(rgb * 255.0).astype(np.int64)
+        for p, c in zip(points, rgb):
+            lines.append(f"{p[0]} {p[1]} {p[2]} {c[0]} {c[1]} {c[2]}")
+    else:
+        for p in points:
+            lines.append(f"{p[0]} {p[1]} {p[2]}")
+    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def identity_cam(f=1.0, principal=(0.0, 0.0)):
@@ -129,6 +151,22 @@ class TestPointCloud:
                 DepthMap(depth, depth), identity_cam(), np.zeros((3, 3, 3))
             )
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_nonfinite_depth(self, bad):
+        # inf at the principal column once made a nan vertex; nan was "skipped"
+        depth = np.ones((3, 3))
+        depth[1, 1] = bad
+        with pytest.raises(ValueError, match="depth contains non-finite"):
+            depth_to_pointcloud(DepthMap(depth, np.ones_like(depth)), identity_cam(principal=(1.0, 1.0)))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_nonfinite_image(self, bad):
+        depth = np.ones((2, 2))
+        img = np.full((2, 2, 3), 0.5)
+        img[0, 1, 2] = bad
+        with pytest.raises(ValueError, match="image contains non-finite"):
+            depth_to_pointcloud(DepthMap(depth, depth), identity_cam(), img)
+
 
 class TestValidation:
     def test_camera_params(self):
@@ -165,12 +203,44 @@ class TestPly:
 
     def test_color_quantization(self, tmp_path):
         path = tmp_path / "c.ply"
-        from degat_kit.geometry import PointCloud
-
         cloud = PointCloud(points=np.zeros((1, 3)), colors=np.array([[0.0, 0.5, 1.0]]))
         write_ply(cloud, path)
         last = path.read_text().splitlines()[-1].split()
         assert last[3:] == ["0", "128", "255"]
+
+    @staticmethod
+    def reference_clouds():
+        rng = np.random.default_rng(11)
+        extremes = np.array([
+            [-0.0, 1e16, 1e-5],
+            [5e-324, 1.7976931348623157e308, -1.7976931348623157e308],
+            [0.1, -2.5e-300, 123456789012345.6],
+        ])
+        signs = rng.choice([-1.0, 1.0], (500, 3))
+        magnitudes = signs * 10.0 ** rng.uniform(-8.0, 20.0, (500, 3))
+        colors = rng.uniform(-0.5, 1.5, (500, 3))
+        return {
+            "empty": PointCloud(points=np.zeros((0, 3))),
+            "empty_colored": PointCloud(points=np.zeros((0, 3)), colors=np.zeros((0, 3))),
+            "one": PointCloud(points=np.array([[1.0, -2.0, 3.25]])),
+            "one_colored": PointCloud(points=np.array([[1.0, -2.0, 3.25]]),
+                                      colors=np.array([[0.2, 0.7, 1.0]])),
+            "extremes": PointCloud(points=extremes),
+            "extremes_colored": PointCloud(points=extremes, colors=np.array(
+                [[-1.0, 0.5, 2.0], [0.0, 1.0, 0.998], [0.001, 0.5019, 3.0]])),
+            "magnitudes": PointCloud(points=magnitudes),
+            "magnitudes_colored": PointCloud(points=magnitudes, colors=colors),
+        }
+
+    @pytest.mark.parametrize("name", [
+        "empty", "empty_colored", "one", "one_colored", "extremes",
+        "extremes_colored", "magnitudes", "magnitudes_colored",
+    ])
+    def test_bytes_match_reference(self, tmp_path, name):
+        cloud = self.reference_clouds()[name]
+        path = tmp_path / "cloud.ply"
+        write_ply(cloud, path)
+        assert path.read_bytes() == reference_ply_bytes(cloud)
 
 
 class TestFileIo:

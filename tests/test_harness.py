@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from degat_kit import harness
 from degat_kit.harness import (
     DEFAULT_TRAINER,
     NumericAbort,
@@ -105,6 +106,25 @@ class TestTrainEvaluate:
         with np.errstate(all="ignore"), pytest.raises(NumericAbort) as exc:
             train(cfg, scene, 5, 0.01, params=params)
         assert exc.value.step == 0
+
+    def test_numeric_abort_on_nonfinite_gradient(self, monkeypatch):
+        cfg = tiny_cfg()
+        scene = generate_scene(0, 1, 16, 16)
+        real = harness.loss_and_grads
+        calls = []
+
+        def nan_grad_at_step_one(*args, **kwargs):
+            breakdown, grads = real(*args, **kwargs)
+            if calls:
+                grads["embed.w"][0, 0] = np.nan
+            calls.append(breakdown.total)
+            return breakdown, grads
+
+        monkeypatch.setattr(harness, "loss_and_grads", nan_grad_at_step_one)
+        with pytest.raises(NumericAbort, match=r"non-finite gradient for \['embed.w'\] at step 1") as exc:
+            train(cfg, scene, 5, 0.01)
+        assert exc.value.step == 1
+        assert all(np.isfinite(calls))
 
     def test_evaluate_keys(self):
         cfg = tiny_cfg()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import correlate2d
 
 from degat_kit.metrics import SsimConfig, mse, psnr, ssim
 
@@ -37,6 +38,33 @@ def slow_ssim_gray(x, y, cfg):
                 ((2 * mx * my + c1) * (2 * sxy + c2))
                 / ((mx * mx + my * my + c1) * (sxx + syy + c2))
             )
+    return float(np.mean(scores))
+
+
+def correlate2d_ssim(a, b, cfg):
+    """SSIM by 2-D correlation with the outer-product Gaussian window: the
+    oracle for the separable filter in ``metrics``."""
+    half = cfg.window // 2
+    coords = np.arange(-half, half + 1, dtype=np.float64)
+    g = np.exp(-(coords**2) / (2.0 * cfg.sigma**2))
+    win = np.outer(g, g)
+    win /= win.sum()
+    c1 = (cfg.k1 * cfg.dynamic_range) ** 2
+    c2 = (cfg.k2 * cfg.dynamic_range) ** 2
+    a = a.reshape(a.shape[0], a.shape[1], -1)
+    b = b.reshape(a.shape)
+    scores = []
+    for c in range(a.shape[2]):
+        x, y = a[:, :, c], b[:, :, c]
+        mu_x = correlate2d(x, win, mode="valid")
+        mu_y = correlate2d(y, win, mode="valid")
+        sig_xx = correlate2d(x * x, win, mode="valid") - mu_x**2
+        sig_yy = correlate2d(y * y, win, mode="valid") - mu_y**2
+        sig_xy = correlate2d(x * y, win, mode="valid") - mu_x * mu_y
+        score = ((2 * mu_x * mu_y + c1) * (2 * sig_xy + c2)) / (
+            (mu_x**2 + mu_y**2 + c1) * (sig_xx + sig_yy + c2)
+        )
+        scores.append(float(score.mean()))
     return float(np.mean(scores))
 
 
@@ -114,6 +142,16 @@ class TestSsim:
             s = ssim(a, b)
             assert -1.0 <= s <= 1.0
             assert s == pytest.approx(ssim(b, a), abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(11, 11), (14, 15), (128, 128), (20, 17, 3)])
+    @pytest.mark.parametrize("window,sigma", [(3, 0.8), (5, 1.0), (11, 1.5)])
+    def test_matches_correlate2d(self, shape, window, sigma):
+        rng = np.random.default_rng(sum(shape) + window)
+        cfg = SsimConfig(window=window, sigma=sigma, dynamic_range=2.0)
+        for noise in (0.02, 0.5):
+            a = rng.uniform(0, 2, shape)
+            b = np.clip(a + rng.normal(0, noise, shape), 0, 2)
+            assert abs(ssim(a, b, cfg) - correlate2d_ssim(a, b, cfg)) <= 1e-12
 
     def test_image_too_small(self):
         with pytest.raises(ValueError):
