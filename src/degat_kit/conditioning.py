@@ -9,6 +9,10 @@ derived from pairwise semantic distances, injected additively into
 pre-softmax attention logits. The distance pipeline itself is treated as
 a constant during backprop; only the table / MLP parameters receive
 gradients.
+
+All attention is ``multi_head_attention`` around the one kernel
+``biased_attention``: self-attention in the model's blocks, and
+cross-attention conditioning with the camera token as the single query.
 """
 
 from dataclasses import dataclass
@@ -16,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .numerics import as_matrix, as_vector
+from .graph import pairwise_distances
+from .numerics import as_matrix, as_vector, softmax, softmax_backward
 
 __all__ = [
     "Mlp2",
@@ -29,6 +34,8 @@ __all__ = [
     "condition_film",
     "CrossAttnParams",
     "init_cross_attn",
+    "multi_head_attention",
+    "multi_head_attention_backward",
     "condition_cross_attention",
     "BiasTable",
     "bucket_indices",
@@ -132,32 +139,21 @@ def mlp2_backward(mlp, cache, d_y):
     x, pre, hid = cache
     _, act_grad = _ACTIVATIONS[mlp.activation]
     d_y = np.asarray(d_y, dtype=np.float64)
-    if d_y.ndim == 1:
-        d_w2 = np.outer(d_y, hid)
-        d_b2 = d_y.copy()
-        d_hid = d_y @ mlp.w2
-    else:
-        flat_dy = d_y.reshape(-1, mlp.out_dim)
-        flat_hid = hid.reshape(-1, hid.shape[-1])
-        d_w2 = flat_dy.T @ flat_hid
-        d_b2 = flat_dy.sum(axis=0)
-        d_hid = d_y @ mlp.w2
-    d_pre = d_hid * act_grad(pre)
-    if d_y.ndim == 1:
-        d_w1 = np.outer(d_pre, x)
-        d_b1 = d_pre.copy()
-    else:
-        flat_dpre = d_pre.reshape(-1, d_pre.shape[-1])
-        flat_x = x.reshape(-1, x.shape[-1])
-        d_w1 = flat_dpre.T @ flat_x
-        d_b1 = flat_dpre.sum(axis=0)
-    d_x = d_pre @ mlp.w1
-    return Mlp2Grads(d_w1=d_w1, d_b1=d_b1, d_w2=d_w2, d_b2=d_b2), d_x
+    d_pre = (d_y @ mlp.w2) * act_grad(pre)
+    # a single vector is one row: its outer products and sums are exact
+    flat_dy = d_y.reshape(-1, mlp.out_dim)
+    flat_dpre = d_pre.reshape(-1, d_pre.shape[-1])
+    grads = Mlp2Grads(
+        d_w1=flat_dpre.T @ x.reshape(-1, x.shape[-1]),
+        d_b1=flat_dpre.sum(axis=0),
+        d_w2=flat_dy.T @ hid.reshape(-1, hid.shape[-1]),
+        d_b2=flat_dy.sum(axis=0),
+    )
+    return grads, d_pre @ mlp.w1
 
 
 @dataclass
 class CameraToken:
-    base: np.ndarray
     conditioned: np.ndarray
 
 
@@ -171,7 +167,7 @@ def condition_additive(base, g, mlp):
             f"g {g.shape[0]}, base {base.shape[0]}"
         )
     delta, cache = mlp2_forward(mlp, g)
-    return CameraToken(base=base, conditioned=base + delta), cache
+    return CameraToken(conditioned=base + delta), cache
 
 
 def condition_additive_backward(mlp, cache, d_cond):
@@ -193,7 +189,7 @@ def condition_film(base, g, mlp):
     out, cache = mlp2_forward(mlp, g)
     c = base.shape[0]
     gamma, beta = out[:c], out[c:]
-    return CameraToken(base=base, conditioned=base * (1.0 + gamma) + beta), (cache, gamma)
+    return CameraToken(conditioned=base * (1.0 + gamma) + beta), (cache, gamma)
 
 
 def condition_film_backward(mlp, film_cache, base, d_cond):
@@ -206,7 +202,8 @@ def condition_film_backward(mlp, film_cache, base, d_cond):
 
 @dataclass
 class CrossAttnParams:
-    """Multi-head cross-attention (camera token query over patch tokens)."""
+    """Multi-head attention projections: the camera-token cross-attention and
+    the self-attention blocks."""
 
     w_q: np.ndarray  # (C, C)
     w_k: np.ndarray
@@ -242,6 +239,42 @@ def init_cross_attn(c, n_heads, rng=None, zero_output=True):
     )
 
 
+def _split_heads(m, n_heads):
+    """(N, C) rows -> (H, N, C / H) per-head blocks."""
+    n, c = m.shape
+    return m.reshape(n, n_heads, c // n_heads).transpose(1, 0, 2)
+
+
+def _merge_heads(m):
+    """(H, N, d) per-head blocks -> (N, H * d) rows."""
+    h, n, d = m.shape
+    return m.transpose(1, 0, 2).reshape(n, h * d)
+
+
+def multi_head_attention(x_q, x_kv, attn, bias=None):
+    """W_o concat_h attention(x_q W_q^T, x_kv W_k^T, x_kv W_v^T)_h; returns (out, cache).
+
+    x_q is (N, C), x_kv (M, C) and the optional bias (H, N, M).
+    """
+    h = attn.n_heads
+    q = _split_heads(x_q @ attn.w_q.T, h)
+    k = _split_heads(x_kv @ attn.w_k.T, h)
+    v = _split_heads(x_kv @ attn.w_v.T, h)
+    ctx, kernel_cache = biased_attention(q, k, v, bias)
+    ctx = _merge_heads(ctx)
+    return ctx @ attn.w_o.T, (x_q, x_kv, ctx, kernel_cache)
+
+
+def multi_head_attention_backward(attn, cache, d_out):
+    """Returns (weight grads dict, d_x_q, d_x_kv, d_bias)."""
+    x_q, x_kv, ctx, kernel_cache = cache
+    d_ctx = _split_heads(d_out @ attn.w_o, attn.n_heads)
+    d_q, d_k, d_v, d_bias = biased_attention_backward(kernel_cache, d_ctx)
+    d_q, d_k, d_v = _merge_heads(d_q), _merge_heads(d_k), _merge_heads(d_v)
+    grads = {"w_q": d_q.T @ x_q, "w_k": d_k.T @ x_kv, "w_v": d_v.T @ x_kv, "w_o": d_out.T @ ctx}
+    return grads, d_q @ attn.w_q, d_k @ attn.w_k + d_v @ attn.w_v, d_bias
+
+
 def condition_cross_attention(base, tokens, attn, ffn):
     """c' = c + MHA(q=c, kv=tokens); out = c' + FFN(c').
 
@@ -250,61 +283,23 @@ def condition_cross_attention(base, tokens, attn, ffn):
     """
     base = as_vector(base, "base")
     tokens = as_matrix(tokens, "tokens")
-    c = attn.dim
-    if base.shape[0] != c or tokens.shape[1] != c:
+    if base.shape[0] != attn.dim or tokens.shape[1] != attn.dim:
         raise ValueError("cross-attention dimension mismatch")
-    h = attn.n_heads
-    d = c // h
-
-    q = (base @ attn.w_q.T).reshape(h, d)  # (H, d)
-    k = (tokens @ attn.w_k.T).reshape(-1, h, d).transpose(1, 0, 2)  # (H, L, d)
-    v = (tokens @ attn.w_v.T).reshape(-1, h, d).transpose(1, 0, 2)
-    scores = np.einsum("hd,hld->hl", q, k) / np.sqrt(d)
-    scores -= scores.max(axis=1, keepdims=True)
-    expv = np.exp(scores)
-    attn_w = expv / expv.sum(axis=1, keepdims=True)  # (H, L)
-    ctx = np.einsum("hl,hld->hd", attn_w, v).reshape(c)
-    attn_out = ctx @ attn.w_o.T
-    c1 = base + attn_out
+    attn_out, attn_cache = multi_head_attention(base[None, :], tokens, attn)
+    c1 = base + attn_out[0]
     ffn_out, ffn_cache = mlp2_forward(ffn, c1)
-    out = c1 + ffn_out
-    cache = (base, tokens, q, k, v, attn_w, ctx, c1, ffn_cache)
-    return CameraToken(base=base, conditioned=out), cache
+    return CameraToken(conditioned=c1 + ffn_out), (attn_cache, ffn_cache)
 
 
 def condition_cross_attention_backward(attn, ffn, cache, d_out):
     """Returns (attn grads dict, ffn Mlp2Grads, d_base, d_tokens)."""
-    base, tokens, q, k, v, attn_w, ctx, c1, ffn_cache = cache
-    c = attn.dim
-    h = attn.n_heads
-    d = c // h
-
+    attn_cache, ffn_cache = cache
     ffn_grads, d_c1_ffn = mlp2_backward(ffn, ffn_cache, d_out)
     d_c1 = d_out + d_c1_ffn
-
-    d_attn_out = d_c1
-    d_w_o = np.outer(d_attn_out, ctx)
-    d_ctx = (d_attn_out @ attn.w_o).reshape(h, d)
-
-    d_attn_w = np.einsum("hd,hld->hl", d_ctx, v)
-    d_v = attn_w[:, :, None] * d_ctx[:, None, :]  # (H, L, d)
-    inner = np.sum(attn_w * d_attn_w, axis=1, keepdims=True)
-    d_scores = attn_w * (d_attn_w - inner) / np.sqrt(d)
-    d_q = np.einsum("hl,hld->hd", d_scores, k)
-    d_k = d_scores[:, :, None] * q[:, None, :]
-
-    d_base = d_c1.copy()
-    d_base += d_q.reshape(c) @ attn.w_q
-    d_w_q = np.outer(d_q.reshape(c), base)
-
-    d_k_rows = d_k.transpose(1, 0, 2).reshape(-1, c)
-    d_v_rows = d_v.transpose(1, 0, 2).reshape(-1, c)
-    d_tokens = d_k_rows @ attn.w_k + d_v_rows @ attn.w_v
-    d_w_k = d_k_rows.T @ tokens
-    d_w_v = d_v_rows.T @ tokens
-
-    attn_grads = {"w_q": d_w_q, "w_k": d_w_k, "w_v": d_w_v, "w_o": d_w_o}
-    return attn_grads, ffn_grads, d_base, d_tokens
+    attn_grads, d_query, d_tokens, _ = multi_head_attention_backward(
+        attn, attn_cache, d_c1[None, :]
+    )
+    return attn_grads, ffn_grads, d_c1 + d_query[0], d_tokens
 
 
 @dataclass
@@ -327,19 +322,9 @@ class BiasTable:
         return self.table.shape[1]
 
 
-def _pairwise_distances(features):
-    x = as_matrix(features, "features")
-    sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.maximum(d2, 0.0, out=d2)
-    d = np.sqrt(d2)
-    np.fill_diagonal(d, 0.0)
-    return d
-
-
 def bucket_indices(features, n_buckets, eps=BUCKET_RATIO_EPS):
     """Quantize log-scaled pairwise distances into [0, n_buckets - 1]."""
-    d = _pairwise_distances(features)
+    d = pairwise_distances(features)
     dl = np.log1p(d)
     ratio = dl / (dl.max() + eps)
     idx = np.clip(np.floor(ratio * n_buckets).astype(np.intp), 0, n_buckets - 1)
@@ -370,7 +355,7 @@ def bias_table_gradient(delta, idx, n_buckets):
 
 def mlp_bias_coords(features):
     """Continuous distance coordinate x_ij in [-1, 1] (log-normalized)."""
-    d = _pairwise_distances(features)
+    d = pairwise_distances(features)
     dl = np.log1p(d)
     d_max = d.max()
     if d_max == 0.0:
@@ -401,36 +386,39 @@ def mlp_bias_backward(mlp, cache, delta):
 
 
 def biased_attention(q, k, v, bias=None):
-    """softmax(Q K^T / sqrt(d) + B) V for one head; returns (out, cache)."""
-    q = as_matrix(q, "Q")
-    k = as_matrix(k, "K")
-    v = as_matrix(v, "V")
-    if q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
+    """softmax(Q K^T / sqrt(d) + B) V over the last two axes; returns (out, cache).
+
+    q is (..., N, d), k (..., M, d), v (..., M, d_v) and bias (..., N, M);
+    the leading (head) axes must be the same on all of them.
+    """
+    q, k, v = (np.asarray(a, dtype=np.float64) for a in (q, k, v))
+    if (
+        min(q.ndim, k.ndim, v.ndim) < 2
+        or q.shape[-1] != k.shape[-1]
+        or k.shape[-2] != v.shape[-2]
+        or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
+    ):
         raise ValueError(
             f"attention shape mismatch: Q {q.shape}, K {k.shape}, V {v.shape}"
         )
-    d = q.shape[1]
-    scores = q @ k.T / np.sqrt(d)
+    if not all(np.isfinite(a).all() for a in (q, k, v)):
+        raise ValueError("attention Q, K or V contains non-finite entries")
+    scores = q @ k.swapaxes(-1, -2) / np.sqrt(q.shape[-1])
     if bias is not None:
         bias = np.asarray(bias, dtype=np.float64)
         if bias.shape != scores.shape:
             raise ValueError(f"bias shape {bias.shape} != logits {scores.shape}")
-        scores = scores + bias
-    scores_shifted = scores - scores.max(axis=1, keepdims=True)
-    expv = np.exp(scores_shifted)
-    attn_w = expv / expv.sum(axis=1, keepdims=True)
-    out = attn_w @ v
-    return out, (q, k, v, attn_w)
+        scores += bias
+    attn_w = softmax(scores)
+    return attn_w @ v, (q, k, v, attn_w)
 
 
 def biased_attention_backward(cache, d_out):
-    """Returns (d_q, d_k, d_v, d_bias) for one head."""
+    """Returns (d_q, d_k, d_v, d_bias), shaped like the forward inputs."""
     q, k, v, attn_w = cache
-    d = q.shape[1]
-    d_v = attn_w.T @ d_out
-    d_attn = d_out @ v.T
-    inner = np.sum(attn_w * d_attn, axis=1, keepdims=True)
-    d_scores = attn_w * (d_attn - inner)
-    d_q = d_scores @ k / np.sqrt(d)
-    d_k = d_scores.T @ q / np.sqrt(d)
+    scale = np.sqrt(q.shape[-1])
+    d_v = attn_w.swapaxes(-1, -2) @ d_out
+    d_scores = softmax_backward(attn_w, d_out @ v.swapaxes(-1, -2))
+    d_q = d_scores @ k / scale
+    d_k = d_scores.swapaxes(-1, -2) @ q / scale
     return d_q, d_k, d_v, d_scores

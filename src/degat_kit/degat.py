@@ -12,7 +12,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import NeighborGraph, build_knn_graph
-from .numerics import as_matrix, as_vector, elu, elu_grad, leaky_relu, leaky_relu_grad
+from .numerics import (
+    as_matrix, as_vector, elu, elu_grad, leaky_relu, leaky_relu_grad, softmax, softmax_backward,
+)
 
 __all__ = [
     "DeGatParams",
@@ -101,10 +103,7 @@ def degat_forward(tokens, params, k, metric="cosine"):
     z = (x @ w_c.T)[:, None, :] + (x @ w_n.T)[nb]  # (L, K, C')
     e = leaky_relu(z, params.leaky_slope)
     logits = e @ params.a  # (L, K)
-
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expv = np.exp(shifted)
-    alpha = expv / expv.sum(axis=1, keepdims=True)
+    alpha = softmax(logits)
 
     values = x @ params.w_val.T  # row j is W_val x_j
     messages = np.einsum("lk,lkc->lc", alpha, values[nb])
@@ -151,9 +150,7 @@ def degat_backward(cache, params, upstream):
     d_w_val = d_v.T @ x
     d_x += d_v @ params.w_val
 
-    # softmax over the neighbor support
-    inner = np.sum(alpha * d_alpha, axis=1, keepdims=True)
-    d_logits = alpha * (d_alpha - inner)  # (L, K)
+    d_logits = softmax_backward(alpha, d_alpha)  # (L, K), over the neighbor support
 
     # logits l_ij = a . LeakyReLU(W_c x_i + W_n x_j)
     d_a = d_logits.ravel() @ cache.e.reshape(n * k, -1)

@@ -85,9 +85,9 @@ def intrinsic_matrix(f, cx=0.0, cy=0.0):
 
 
 def backproject_pixel(u, v, depth, cam):
-    """World-frame 3-D point of one pixel at the given depth."""
-    if depth <= 0.0:
-        raise ValueError(f"depth must be > 0, got {depth}")
+    """World-frame 3-D point of one pixel at the given finite depth."""
+    if not 0.0 < depth < np.inf:
+        raise ValueError(f"depth must be finite and > 0, got {depth}")
     f = cam.focal
     cx, cy = cam.principal
     x_cam = depth * np.array([(u - cx) / f, (v - cy) / f, 1.0])

@@ -17,7 +17,10 @@ import numpy as np
 
 from .numerics import as_matrix
 
-__all__ = ["TokenGrid", "NeighborGraph", "build_knn_graph", "edge_count", "dump_neighbors"]
+__all__ = [
+    "TokenGrid", "NeighborGraph", "pairwise_distances", "build_knn_graph", "edge_count",
+    "dump_neighbors",
+]
 
 METRICS = ("cosine", "euclidean")
 
@@ -74,6 +77,22 @@ def _features_of(tokens):
     if isinstance(tokens, TokenGrid):
         return tokens.features
     return as_matrix(tokens, "features")
+
+
+def pairwise_distances(tokens):
+    """(L, L) Euclidean distances between feature rows, with a zero diagonal.
+
+    Computed as sqrt(max(|x_i|^2 + |x_j|^2 - 2 x_i . x_j, 0)); the bias
+    generators and the euclidean K-NN graph share these exact values.
+    """
+    x = _features_of(tokens)
+    sq = np.sum(x * x, axis=1)
+    d = sq[:, None] + sq[None, :]
+    d -= 2.0 * (x @ x.T)
+    np.maximum(d, 0.0, out=d)
+    np.sqrt(d, out=d)
+    np.fill_diagonal(d, 0.0)
+    return d
 
 
 def _select_top_k(key, k):
@@ -133,13 +152,9 @@ def build_knn_graph(tokens, k, metric="cosine"):
         key = xn @ xn.T  # zero rows give similarity 0 with everyone
         np.negative(key, out=key)  # ascending key = descending similarity
     else:
-        sq = np.sum(x * x, axis=1)
-        key = sq[:, None] + sq[None, :]
-        key -= 2.0 * (x @ x.T)
-        np.maximum(key, 0.0, out=key)
         # select on the distance itself: sqrt can merge distinct d^2 values,
         # and those merged keys must tie exactly as they always have
-        np.sqrt(key, out=key)
+        key = pairwise_distances(x)
 
     np.fill_diagonal(key, np.inf)  # self always sorts last
     nb, sims = _select_top_k(key, k)

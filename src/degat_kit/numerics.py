@@ -1,7 +1,9 @@
-"""Dense float64 array helpers and activation functions.
+"""Float64 validation, ELU/LeakyReLU, and the softmax with its backward.
 
 Everything here is a pure function of its inputs; arrays are treated as
-immutable and all arithmetic is done in 64-bit floating point.
+immutable and all arithmetic is done in 64-bit floating point. The
+softmax pair is the only one in the package: the DeGAT neighbor softmax
+and the attention kernel in ``conditioning`` both call it.
 """
 
 import numpy as np
@@ -9,15 +11,12 @@ import numpy as np
 __all__ = [
     "as_matrix",
     "as_vector",
-    "matmul",
     "elu",
     "elu_grad",
     "leaky_relu",
     "leaky_relu_grad",
-    "softmax_masked",
-    "l2_norm",
-    "cosine_similarity",
-    "euclidean_distance",
+    "softmax",
+    "softmax_backward",
 ]
 
 
@@ -40,14 +39,6 @@ def as_vector(a, name="vector"):
         raise ValueError(f"{name} contains non-finite entries")
     return v
 
-
-def matmul(a, b):
-    """Matrix product with an explicit shape check."""
-    a = as_matrix(a, "A")
-    b = as_matrix(b, "B")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def elu(x):
@@ -76,47 +67,18 @@ def leaky_relu_grad(x, slope=0.2):
     return np.where(x >= 0.0, 1.0, slope)
 
 
-def softmax_masked(logits, support):
-    """Softmax restricted to an index set; entries off the support are 0.
+def softmax(logits):
+    """Softmax over the last axis, shifted by the row maximum for overflow safety.
 
-    Uses the max-shift trick for overflow safety; the result is
-    mathematically identical to the plain exponential form.
+    Logits at -inf get probability 0, so a row may be masked that way as
+    long as one entry stays finite.
     """
-    logits = as_vector(logits, "logits")
-    support = np.asarray(support, dtype=np.intp)
-    if support.size == 0:
-        raise ValueError("softmax_masked requires a non-empty support")
-    sel = logits[support]
-    e = np.exp(sel - sel.max())
-    out = np.zeros_like(logits)
-    out[support] = e / e.sum()
-    return out
+    e = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
-def l2_norm(v):
-    """Euclidean norm of a vector."""
-    return float(np.linalg.norm(as_vector(v)))
-
-
-def cosine_similarity(x, y):
-    """Cosine similarity; returns 0 when either vector is zero.
-
-    The zero-vector convention keeps graph construction total: a token
-    with an all-zero feature row is simply "similar to nothing".
-    """
-    x = as_vector(x, "x")
-    y = as_vector(y, "y")
-    nx = np.linalg.norm(x)
-    ny = np.linalg.norm(y)
-    if nx == 0.0 or ny == 0.0:
-        return 0.0
-    return float(np.dot(x, y) / (nx * ny))
-
-
-def euclidean_distance(x, y):
-    """Euclidean distance between two vectors."""
-    x = as_vector(x, "x")
-    y = as_vector(y, "y")
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    return float(np.linalg.norm(x - y))
+def softmax_backward(p, d_p):
+    """d(loss)/d(logits) from the softmax output p and d(loss)/dp."""
+    return p * (d_p - np.sum(p * d_p, axis=-1, keepdims=True))

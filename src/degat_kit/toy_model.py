@@ -6,6 +6,8 @@ blocks (optionally bias-injected) -> one global cross-frame block when
 several frames are given -> optional post-transformer graph-attention
 hop -> linear per-patch depth/confidence head and an MLP camera head.
 
+Every attention layer is ``conditioning.multi_head_attention``, and the
+conditioning and bias kinds are the keys of two (forward, backward) tables.
 Forward and backward are written by hand against explicit caches; the
 finite-difference checker validates every parameter gradient.
 """
@@ -31,8 +33,6 @@ __all__ = [
 ]
 
 PLACEMENTS = ("none", "pre", "post")
-CONDITIONINGS = ("none", "additive", "film", "cross_attn")
-BIASES = ("none", "bucket", "mlp_bias", "log_affinity")
 
 FOCAL_EPS = 1e-6
 
@@ -69,10 +69,10 @@ class ModelConfig:
             )
         if self.degat_placement not in PLACEMENTS:
             raise ValueError(f"degat_placement must be one of {PLACEMENTS}")
-        if self.token_conditioning not in CONDITIONINGS:
-            raise ValueError(f"token_conditioning must be one of {CONDITIONINGS}")
-        if self.attention_bias not in BIASES:
-            raise ValueError(f"attention_bias must be one of {BIASES}")
+        if self.token_conditioning not in TOKEN_CONDITIONING:
+            raise ValueError(f"token_conditioning must be one of {tuple(TOKEN_CONDITIONING)}")
+        if self.attention_bias not in ATTENTION_BIAS:
+            raise ValueError(f"attention_bias must be one of {tuple(ATTENTION_BIAS)}")
         if not 1 <= self.k_neighbors <= self.n_tokens - 1:
             raise ValueError(
                 f"k_neighbors={self.k_neighbors} invalid for {self.n_tokens} tokens"
@@ -179,12 +179,30 @@ def _accum_mlp(grads, prefix, g):
     grads[f"{prefix}.b2"] += g.d_b2
 
 
+def _attn_view(params, prefix, n_heads):
+    w_q, w_k, w_v, w_o = (params[f"{prefix}.{w}"] for w in ("w_q", "w_k", "w_v", "w_o"))
+    return cond.CrossAttnParams(w_q=w_q, w_k=w_k, w_v=w_v, w_o=w_o, n_heads=n_heads)
+
+
+def _accum_attn(grads, prefix, g):
+    for w, gw in g.items():
+        grads[f"{prefix}.{w}"] += gw
+
+
 def _degat_view(params):
     return dg.DeGatParams(
         w_proj=params["degat.w_proj"],
         a=params["degat.a"],
         w_val=params["degat.w_val"],
     )
+
+
+def _degat_backward(grads, degat_params, cache, d_out):
+    dgrads = dg.degat_backward(cache, degat_params, d_out)
+    grads["degat.w_proj"] += dgrads.d_w_proj
+    grads["degat.a"] += dgrads.d_a
+    grads["degat.w_val"] += dgrads.d_w_val
+    return dgrads.d_x
 
 
 # ---------------------------------------------------------------------------
@@ -211,70 +229,33 @@ def _unpatchify(tokens, cfg):
 
 
 # ---------------------------------------------------------------------------
-# multi-head self-attention + FFN block
+# self-attention + FFN block
 
 
-def _mha_forward(x, params, name, n_heads, bias=None):
-    n, c = x.shape
-    d = c // n_heads
-    q = (x @ params[f"{name}.w_q"].T).reshape(n, n_heads, d).transpose(1, 0, 2)
-    k = (x @ params[f"{name}.w_k"].T).reshape(n, n_heads, d).transpose(1, 0, 2)
-    v = (x @ params[f"{name}.w_v"].T).reshape(n, n_heads, d).transpose(1, 0, 2)
-    scores = q @ k.transpose(0, 2, 1) / np.sqrt(d)
-    if bias is not None:
-        scores = scores + bias
-    scores -= scores.max(axis=2, keepdims=True)
-    expv = np.exp(scores)
-    attn = expv / expv.sum(axis=2, keepdims=True)  # (H, N, N)
-    ctx = (attn @ v).transpose(1, 0, 2).reshape(n, c)
-    out = ctx @ params[f"{name}.w_o"].T
-    return out, (x, q, k, v, attn, ctx)
+def _block_view(params, name, n_heads):
+    """The block's (attention, FFN) weights, viewed once per forward pass."""
+    return _attn_view(params, name, n_heads), _mlp_view(params, f"{name}_ffn", "gelu")
 
 
-def _mha_backward(params, grads, name, n_heads, cache, d_out):
-    x, q, k, v, attn, ctx = cache
-    n, c = x.shape
-    d = c // n_heads
-    grads[f"{name}.w_o"] += d_out.T @ ctx
-    d_ctx = (d_out @ params[f"{name}.w_o"]).reshape(n, n_heads, d).transpose(1, 0, 2)
-    d_attn = d_ctx @ v.transpose(0, 2, 1)
-    d_v = attn.transpose(0, 2, 1) @ d_ctx
-    inner = np.sum(attn * d_attn, axis=2, keepdims=True)
-    d_scores = attn * (d_attn - inner)
-    d_bias = d_scores  # (H, N, N)
-    d_q = d_scores @ k / np.sqrt(d)
-    d_k = d_scores.transpose(0, 2, 1) @ q / np.sqrt(d)
-    d_qm = d_q.transpose(1, 0, 2).reshape(n, c)
-    d_km = d_k.transpose(1, 0, 2).reshape(n, c)
-    d_vm = d_v.transpose(1, 0, 2).reshape(n, c)
-    grads[f"{name}.w_q"] += d_qm.T @ x
-    grads[f"{name}.w_k"] += d_km.T @ x
-    grads[f"{name}.w_v"] += d_vm.T @ x
-    d_x = (
-        d_qm @ params[f"{name}.w_q"]
-        + d_km @ params[f"{name}.w_k"]
-        + d_vm @ params[f"{name}.w_v"]
-    )
-    return d_x, d_bias
-
-
-def _block_forward(x, params, name, n_heads, bias=None):
-    attn_out, attn_cache = _mha_forward(x, params, name, n_heads, bias)
+def _block_forward(x, view, bias=None):
+    attn, ffn = view
+    attn_out, attn_cache = cond.multi_head_attention(x, x, attn, bias)
     y = x + attn_out
-    ffn = _mlp_view(params, f"{name}_ffn", "gelu")
     ffn_out, ffn_cache = cond.mlp2_forward(ffn, y)
     z = y + ffn_out
-    return z, (attn_cache, ffn_cache)
+    return z, (attn, attn_cache, ffn, ffn_cache)
 
 
-def _block_backward(params, grads, name, n_heads, cache, d_z):
-    attn_cache, ffn_cache = cache
-    ffn = _mlp_view(params, f"{name}_ffn", "gelu")
+def _block_backward(grads, name, cache, d_z):
+    attn, attn_cache, ffn, ffn_cache = cache
     ffn_grads, d_y_ffn = cond.mlp2_backward(ffn, ffn_cache, d_z)
     _accum_mlp(grads, f"{name}_ffn", ffn_grads)
     d_y = d_z + d_y_ffn
-    d_x_attn, d_bias = _mha_backward(params, grads, name, n_heads, attn_cache, d_y)
-    return d_y + d_x_attn, d_bias
+    attn_grads, d_x_q, d_x_kv, d_bias = cond.multi_head_attention_backward(
+        attn, attn_cache, d_y
+    )
+    _accum_attn(grads, name, attn_grads)
+    return d_y + (d_x_q + d_x_kv), d_bias
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +319,124 @@ def _heads_backward(params, grads, cfg, head_cache, up):
 
 
 # ---------------------------------------------------------------------------
+# token conditioning and attention bias: one (forward, backward) pair per kind
+#
+# Conditioning: (params, cfg, x1) -> (camera token, cache); the backward adds
+# its token path into d_x1 in place and returns d(loss)/d(camera_token).
+# Bias: (params, cfg, x1, pre-DeGAT cache) -> (patch-block bias, cache); the
+# backward takes the patch block of d(loss)/d(bias).
+
+
+def _cond_none(params, cfg, x1):
+    return params["camera_token"], None
+
+
+def _cond_none_backward(params, grads, cfg, cache, d_cond, d_x1):
+    return d_cond
+
+
+def _cond_additive(params, cfg, x1):
+    tok, cache = cond.condition_additive(
+        params["camera_token"], dg.pooled_prior(x1), _mlp_view(params, "cond_add", "gelu")
+    )
+    return tok.conditioned, cache
+
+
+def _cond_additive_backward(params, grads, cfg, cache, d_cond, d_x1):
+    mg, d_base, d_g = cond.condition_additive_backward(
+        _mlp_view(params, "cond_add", "gelu"), cache, d_cond
+    )
+    _accum_mlp(grads, "cond_add", mg)
+    d_x1 += d_g / d_x1.shape[0]  # the pooled prior is the token mean
+    return d_base
+
+
+def _cond_film(params, cfg, x1):
+    tok, cache = cond.condition_film(
+        params["camera_token"], dg.pooled_prior(x1), _mlp_view(params, "cond_film", "gelu")
+    )
+    return tok.conditioned, cache
+
+
+def _cond_film_backward(params, grads, cfg, cache, d_cond, d_x1):
+    mg, d_base, d_g = cond.condition_film_backward(
+        _mlp_view(params, "cond_film", "gelu"), cache, params["camera_token"], d_cond
+    )
+    _accum_mlp(grads, "cond_film", mg)
+    d_x1 += d_g / d_x1.shape[0]
+    return d_base
+
+
+def _cond_cross_attn(params, cfg, x1):
+    tok, cache = cond.condition_cross_attention(
+        params["camera_token"], x1, _attn_view(params, "cond_xattn", cfg.n_heads),
+        _mlp_view(params, "cond_xattn_ffn", "gelu"),
+    )
+    return tok.conditioned, cache
+
+
+def _cond_cross_attn_backward(params, grads, cfg, cache, d_cond, d_x1):
+    ag, fg, d_base, d_tokens = cond.condition_cross_attention_backward(
+        _attn_view(params, "cond_xattn", cfg.n_heads),
+        _mlp_view(params, "cond_xattn_ffn", "gelu"), cache, d_cond,
+    )
+    _accum_attn(grads, "cond_xattn", ag)
+    _accum_mlp(grads, "cond_xattn_ffn", fg)
+    d_x1 += d_tokens
+    return d_base
+
+
+def _bias_none(params, cfg, x1, pre_cache):
+    return 0.0, None
+
+
+def _bias_bucket(params, cfg, x1, pre_cache):
+    return cond.bucket_bias(x1, cond.BiasTable(table=params["bias_table"]))
+
+
+def _bias_bucket_backward(params, grads, cfg, idx, d_bias):
+    grads["bias_table"] += cond.bias_table_gradient(d_bias, idx, cfg.n_buckets)
+
+
+def _bias_mlp(params, cfg, x1, pre_cache):
+    return cond.mlp_bias(x1, _mlp_view(params, "bias_mlp", "relu"))
+
+
+def _bias_mlp_backward(params, grads, cfg, cache, d_bias):
+    bg = cond.mlp_bias_backward(_mlp_view(params, "bias_mlp", "relu"), cache, d_bias)
+    _accum_mlp(grads, "bias_mlp", bg)
+
+
+def _bias_log_affinity(params, cfg, x1, pre_cache):
+    # affinities of a DeGAT pass over the current tokens; treated as a
+    # constant during backprop (parameter-free integration)
+    if pre_cache is None:
+        _, pre_cache = dg.degat_forward(
+            x1, _degat_view(params), cfg.k_neighbors, cfg.knn_metric
+        )
+    return dg.affinity_to_log_bias(pre_cache), None
+
+
+def _no_bias_gradient(params, grads, cfg, cache, d_bias):
+    pass  # no bias, or a stop-gradient one: no parameter path
+
+
+TOKEN_CONDITIONING = {
+    "none": (_cond_none, _cond_none_backward),
+    "additive": (_cond_additive, _cond_additive_backward),
+    "film": (_cond_film, _cond_film_backward),
+    "cross_attn": (_cond_cross_attn, _cond_cross_attn_backward),
+}
+
+ATTENTION_BIAS = {
+    "none": (_bias_none, _no_bias_gradient),
+    "bucket": (_bias_bucket, _bias_bucket_backward),
+    "mlp_bias": (_bias_mlp, _bias_mlp_backward),
+    "log_affinity": (_bias_log_affinity, _no_bias_gradient),
+}
+
+
+# ---------------------------------------------------------------------------
 # full model
 
 
@@ -347,9 +446,7 @@ class FrameCache:
     x0: np.ndarray
     pre_degat: object  # DeGatCache or None
     x1: np.ndarray
-    cond_kind: str
     cond_cache: object
-    bias_kind: str
     bias_cache: object
     seq_caches: list
     post_degat: object
@@ -373,6 +470,10 @@ def forward(params, cfg, frames):
     if len(frames) == 0:
         raise ValueError("forward requires at least one frame")
     degat_params = _degat_view(params)
+    condition, _ = TOKEN_CONDITIONING[cfg.token_conditioning]
+    attention_bias, _ = ATTENTION_BIAS[cfg.attention_bias]
+    blocks = [_block_view(params, f"block{i}", cfg.n_heads) for i in range(cfg.n_blocks)]
+    n = cfg.n_tokens + 1
     frame_caches = []
     seqs = []
     for frame in frames:
@@ -386,71 +487,15 @@ def forward(params, cfg, frames):
                 x0, degat_params, cfg.k_neighbors, cfg.knn_metric
             )
 
-        base = params["camera_token"]
-        kind = cfg.token_conditioning
-        if kind == "none":
-            cond_cache = None
-            c_tok = base
-        elif kind == "additive":
-            g = dg.pooled_prior(x1)
-            tok, mcache = cond.condition_additive(
-                base, g, _mlp_view(params, "cond_add", "gelu")
-            )
-            cond_cache = mcache
-            c_tok = tok.conditioned
-        elif kind == "film":
-            g = dg.pooled_prior(x1)
-            tok, fcache = cond.condition_film(
-                base, g, _mlp_view(params, "cond_film", "gelu")
-            )
-            cond_cache = fcache
-            c_tok = tok.conditioned
-        else:  # cross_attn
-            attn = cond.CrossAttnParams(
-                w_q=params["cond_xattn.w_q"],
-                w_k=params["cond_xattn.w_k"],
-                w_v=params["cond_xattn.w_v"],
-                w_o=params["cond_xattn.w_o"],
-                n_heads=cfg.n_heads,
-            )
-            tok, xcache = cond.condition_cross_attention(
-                base, x1, attn, _mlp_view(params, "cond_xattn_ffn", "gelu")
-            )
-            cond_cache = xcache
-            c_tok = tok.conditioned
-
-        bias_kind = cfg.attention_bias
-        bias = None
-        bias_cache = None
-        if bias_kind == "bucket":
-            table = cond.BiasTable(table=params["bias_table"])
-            bias_patch, idx = cond.bucket_bias(x1, table)
-            bias_cache = idx
-        elif bias_kind == "mlp_bias":
-            bias_patch, bias_cache = cond.mlp_bias(
-                x1, _mlp_view(params, "bias_mlp", "relu")
-            )
-        elif bias_kind == "log_affinity":
-            # affinities of a DeGAT pass over the current tokens; treated
-            # as a constant during backprop (parameter-free integration)
-            src = pre_cache
-            if src is None:
-                _, src = dg.degat_forward(
-                    x1, degat_params, cfg.k_neighbors, cfg.knn_metric
-                )
-            shared = dg.affinity_to_log_bias(src)
-            bias_patch = np.broadcast_to(
-                shared, (cfg.n_heads,) + shared.shape
-            ).copy()
-        if bias_kind != "none":
-            n = x1.shape[0] + 1
-            bias = np.zeros((cfg.n_heads, n, n))
-            bias[:, 1:, 1:] = bias_patch
+        c_tok, cond_cache = condition(params, cfg, x1)
+        bias_patch, bias_cache = attention_bias(params, cfg, x1, pre_cache)
+        bias = np.zeros((cfg.n_heads, n, n))  # the camera token's row and column stay 0
+        bias[:, 1:, 1:] = bias_patch
 
         seq = np.vstack([c_tok, x1])
         seq_caches = []
-        for i in range(cfg.n_blocks):
-            seq, bc = _block_forward(seq, params, f"block{i}", cfg.n_heads, bias)
+        for view in blocks:
+            seq, bc = _block_forward(seq, view, bias)
             seq_caches.append(bc)
         seqs.append(seq)
         frame_caches.append(
@@ -459,9 +504,7 @@ def forward(params, cfg, frames):
                 x0=x0,
                 pre_degat=pre_cache,
                 x1=x1,
-                cond_kind=kind,
                 cond_cache=cond_cache,
-                bias_kind=bias_kind,
                 bias_cache=bias_cache,
                 seq_caches=seq_caches,
                 post_degat=None,
@@ -472,8 +515,9 @@ def forward(params, cfg, frames):
     global_cache = None
     if len(frames) > 1:
         stacked = np.vstack(seqs)
-        stacked, global_cache = _block_forward(stacked, params, "global", cfg.n_heads)
-        n = cfg.n_tokens + 1
+        stacked, global_cache = _block_forward(
+            stacked, _block_view(params, "global", cfg.n_heads)
+        )
         seqs = [stacked[i * n:(i + 1) * n] for i in range(len(frames))]
 
     depth_maps = []
@@ -507,6 +551,8 @@ def backward(params, cfg, cache, upstream):
         )
     grads = zero_grads(params)
     degat_params = _degat_view(params)
+    _, condition_backward = TOKEN_CONDITIONING[cfg.token_conditioning]
+    _, bias_backward = ATTENTION_BIAS[cfg.attention_bias]
     n = cfg.n_tokens + 1
 
     # heads (and post-DeGAT) backward, producing per-frame sequence grads
@@ -514,90 +560,28 @@ def backward(params, cfg, cache, upstream):
     for fc, up in zip(cache.frames, upstream):
         d_patch, d_cam_tok = _heads_backward(params, grads, cfg, fc.head_cache, up)
         if cfg.degat_placement == "post":
-            dgrads = dg.degat_backward(fc.post_degat, degat_params, d_patch)
-            grads["degat.w_proj"] += dgrads.d_w_proj
-            grads["degat.a"] += dgrads.d_a
-            grads["degat.w_val"] += dgrads.d_w_val
-            d_patch = dgrads.d_x
-        d_seq = np.vstack([d_cam_tok, d_patch])
-        d_seqs.append(d_seq)
+            d_patch = _degat_backward(grads, degat_params, fc.post_degat, d_patch)
+        d_seqs.append(np.vstack([d_cam_tok, d_patch]))
 
     if cache.global_cache is not None:
-        d_stacked, _ = _block_backward(
-            params, grads, "global", cfg.n_heads, cache.global_cache,
-            np.vstack(d_seqs),
-        )
+        d_stacked, _ = _block_backward(grads, "global", cache.global_cache, np.vstack(d_seqs))
         d_seqs = [d_stacked[i * n:(i + 1) * n] for i in range(len(cache.frames))]
 
     for fc, d_seq in zip(cache.frames, d_seqs):
-        d_bias_total = None
+        d_bias = np.zeros((cfg.n_heads, n, n))
         for i in reversed(range(cfg.n_blocks)):
-            d_seq, d_bias = _block_backward(
-                params, grads, f"block{i}", cfg.n_heads, fc.seq_caches[i], d_seq
-            )
-            if fc.bias_kind != "none":
-                d_bias_total = d_bias if d_bias_total is None else d_bias_total + d_bias
+            d_seq, d_block_bias = _block_backward(grads, f"block{i}", fc.seq_caches[i], d_seq)
+            d_bias += d_block_bias
+        bias_backward(params, grads, cfg, fc.bias_cache, d_bias[:, 1:, 1:])
 
-        if fc.bias_kind == "bucket" and d_bias_total is not None:
-            grads["bias_table"] += cond.bias_table_gradient(
-                d_bias_total[:, 1:, 1:], fc.bias_cache, cfg.n_buckets
-            )
-        elif fc.bias_kind == "mlp_bias" and d_bias_total is not None:
-            bg = cond.mlp_bias_backward(
-                _mlp_view(params, "bias_mlp", "relu"),
-                fc.bias_cache,
-                d_bias_total[:, 1:, 1:],
-            )
-            _accum_mlp(grads, "bias_mlp", bg)
-        # log_affinity is a stop-gradient input: no parameter path
-
-        d_cond = d_seq[0]
         d_x1 = d_seq[1:].copy()
-        kind = fc.cond_kind
-        if kind == "none":
-            grads["camera_token"] += d_cond
-        elif kind == "additive":
-            mg, d_base, d_g = cond.condition_additive_backward(
-                _mlp_view(params, "cond_add", "gelu"), fc.cond_cache, d_cond
-            )
-            _accum_mlp(grads, "cond_add", mg)
-            grads["camera_token"] += d_base
-            d_x1 += d_g[None, :] / fc.x1.shape[0]
-        elif kind == "film":
-            mg, d_base, d_g = cond.condition_film_backward(
-                _mlp_view(params, "cond_film", "gelu"),
-                fc.cond_cache,
-                params["camera_token"],
-                d_cond,
-            )
-            _accum_mlp(grads, "cond_film", mg)
-            grads["camera_token"] += d_base
-            d_x1 += d_g[None, :] / fc.x1.shape[0]
-        else:  # cross_attn
-            attn = cond.CrossAttnParams(
-                w_q=params["cond_xattn.w_q"],
-                w_k=params["cond_xattn.w_k"],
-                w_v=params["cond_xattn.w_v"],
-                w_o=params["cond_xattn.w_o"],
-                n_heads=cfg.n_heads,
-            )
-            ag, fg, d_base, d_tokens = cond.condition_cross_attention_backward(
-                attn, _mlp_view(params, "cond_xattn_ffn", "gelu"),
-                fc.cond_cache, d_cond,
-            )
-            for w, g in ag.items():
-                grads[f"cond_xattn.{w}"] += g
-            _accum_mlp(grads, "cond_xattn_ffn", fg)
-            grads["camera_token"] += d_base
-            d_x1 += d_tokens
+        grads["camera_token"] += condition_backward(
+            params, grads, cfg, fc.cond_cache, d_seq[0], d_x1
+        )
 
         d_x0 = d_x1
         if cfg.degat_placement == "pre":
-            dgrads = dg.degat_backward(fc.pre_degat, degat_params, d_x1)
-            grads["degat.w_proj"] += dgrads.d_w_proj
-            grads["degat.a"] += dgrads.d_a
-            grads["degat.w_val"] += dgrads.d_w_val
-            d_x0 = dgrads.d_x
+            d_x0 = _degat_backward(grads, degat_params, fc.pre_degat, d_x1)
 
         grads["embed.w"] += d_x0.T @ fc.patches
         grads["embed.b"] += d_x0.sum(axis=0)

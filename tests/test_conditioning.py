@@ -306,22 +306,55 @@ class TestBiasedAttention:
 
     def test_backward_fd(self):
         rng = np.random.default_rng(23)
-        q = rng.standard_normal((3, 4))
-        k = rng.standard_normal((5, 4))
-        v = rng.standard_normal((5, 4))
-        bias = rng.standard_normal((3, 5))
-        w = rng.standard_normal((3, 4))
-        _, cache = biased_attention(q, k, v, bias)
-        d_q, d_k, d_v, d_bias = biased_attention_backward(cache, w)
+        for heads in [(), (2,)]:  # one head, then a leading head axis
+            q = rng.standard_normal(heads + (3, 4))
+            k = rng.standard_normal(heads + (5, 4))
+            v = rng.standard_normal(heads + (5, 4))
+            bias = rng.standard_normal(heads + (3, 5))
+            w = rng.standard_normal(heads + (3, 4))
+            _, cache = biased_attention(q, k, v, bias)
+            d_q, d_k, d_v, d_bias = biased_attention_backward(cache, w)
 
-        def loss():
-            out, _ = biased_attention(q, k, v, bias)
-            return float(np.sum(w * out))
+            def loss():
+                out, _ = biased_attention(q, k, v, bias)
+                return float(np.sum(w * out))
 
-        np.testing.assert_allclose(d_q, fd_grad(loss, q), atol=1e-7)
-        np.testing.assert_allclose(d_k, fd_grad(loss, k), atol=1e-7)
-        np.testing.assert_allclose(d_v, fd_grad(loss, v), atol=1e-7)
-        np.testing.assert_allclose(d_bias, fd_grad(loss, bias), atol=1e-7)
+            np.testing.assert_allclose(d_q, fd_grad(loss, q), atol=1e-7)
+            np.testing.assert_allclose(d_k, fd_grad(loss, k), atol=1e-7)
+            np.testing.assert_allclose(d_v, fd_grad(loss, v), atol=1e-7)
+            np.testing.assert_allclose(d_bias, fd_grad(loss, bias), atol=1e-7)
+
+    def test_head_axis_matches_per_head_calls(self):
+        rng = np.random.default_rng(24)
+        h, n, m, d = 3, 4, 6, 5
+        q, k, v = (rng.standard_normal((h, rows, d)) for rows in (n, m, m))
+        bias = rng.standard_normal((h, n, m))
+        w = rng.standard_normal((h, n, d))
+        out, cache = biased_attention(q, k, v, bias)
+        grads = biased_attention_backward(cache, w)
+        assert out.shape == (h, n, d)
+        for i in range(h):
+            out_i, cache_i = biased_attention(q[i], k[i], v[i], bias[i])
+            np.testing.assert_allclose(out[i], out_i, rtol=0, atol=1e-15)
+            for g, g_i in zip(grads, biased_attention_backward(cache_i, w[i])):
+                np.testing.assert_allclose(g[i], g_i, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_inputs(self, which, bad):
+        qkv = [np.ones((2, 3, 4)), np.ones((2, 5, 4)), np.ones((2, 5, 4))]
+        qkv[which][1, 2, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            biased_attention(*qkv)
+
+    def test_leading_axis_mismatch(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            biased_attention(np.zeros((2, 3, 4)), np.zeros((3, 5, 4)), np.zeros((3, 5, 4)))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            biased_attention(np.zeros((2, 3, 4)), np.zeros((2, 5, 4)), np.zeros((5, 4)))
+        with pytest.raises(ValueError, match="bias shape"):
+            biased_attention(np.zeros((2, 3, 4)), np.zeros((2, 5, 4)), np.zeros((2, 5, 4)),
+                             np.zeros((3, 5)))
 
     def test_bias_shape_check(self):
         with pytest.raises(ValueError):

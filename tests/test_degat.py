@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from degat_kit.degat import (
     DeGatGrads,
@@ -282,3 +285,45 @@ class TestDerivedQuantities:
         v_norm_max = np.max(np.linalg.norm(cache.values, axis=1))
         delta = np.linalg.norm(out - x, axis=1)
         assert np.all(delta <= np.sqrt(6) * v_norm_max + 1e-9)
+
+
+@st.composite
+def hop_inputs(draw):
+    """Features on a coarse grid, so exact ties are common, with one row
+    copied onto another and one row zeroed."""
+    n = draw(st.integers(3, 12))
+    c = draw(st.integers(1, 4))
+    x = draw(arrays(np.float64, (n, c), elements=st.integers(-4, 4).map(lambda v: v / 2.0)))
+    x[draw(st.integers(0, n - 1))] = x[draw(st.integers(0, n - 1))]
+    x[draw(st.integers(0, n - 1))] = 0.0
+    k = draw(st.integers(1, n - 1))
+    metric = draw(st.sampled_from(["cosine", "euclidean"]))
+    return x, k, metric, draw(st.integers(0, 2**16))
+
+
+class TestHopProperties:
+    @settings(max_examples=40)
+    @given(hop_inputs())
+    def test_row_stochastic_and_gradients(self, inputs):
+        x, k, metric, seed = inputs
+        rng = np.random.default_rng(seed)
+        params = init_degat_params(x.shape[1], rng=rng)
+        upstream = rng.standard_normal(x.shape)
+        _, cache = degat_forward(x, params, k, metric)
+        assert np.all(cache.alpha >= 0.0)
+        np.testing.assert_allclose(dense_affinity(cache).sum(axis=1), 1.0, atol=1e-12)
+
+        grads = degat_backward(cache, params, upstream)
+        for g in (grads.d_w_proj, grads.d_a, grads.d_w_val, grads.d_x):
+            assert np.all(np.isfinite(g))
+
+        def loss():
+            out, _ = degat_forward(x, params, k, metric)
+            return float(np.sum(upstream * out))
+
+        # Top-K is piecewise constant in x and the duplicate rows sit on its
+        # ties, so the finite differences are taken in the parameters
+        for analytic, arr in [
+            (grads.d_w_proj, params.w_proj), (grads.d_a, params.a), (grads.d_w_val, params.w_val)
+        ]:
+            np.testing.assert_allclose(analytic, fd_grad(loss, arr), rtol=0, atol=1e-6)

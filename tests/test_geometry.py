@@ -78,6 +78,12 @@ class TestBackprojection:
         with pytest.raises(ValueError):
             backproject_pixel(0.0, 0.0, 0.0, identity_cam())
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_depth(self, bad):
+        # nan <= 0 is False, so nan once passed the positivity check
+        with pytest.raises(ValueError, match="finite"):
+            backproject_pixel(1.0, 2.0, bad, identity_cam())
+
     def test_matrix_form_agrees(self):
         rng = np.random.default_rng(0)
         cam = CameraParams(random_rotation(rng), rng.standard_normal(3), 1.7, (0.3, -0.2))

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from degat_kit.graph import TokenGrid, build_knn_graph, dump_neighbors, edge_count
+from degat_kit.graph import (
+    TokenGrid, build_knn_graph, dump_neighbors, edge_count, pairwise_distances,
+)
 
 
 def brute_force_topk(features, k, metric):
@@ -175,6 +177,27 @@ class TestBuildKnnGraph:
     def test_unknown_metric(self):
         with pytest.raises(ValueError):
             build_knn_graph(np.zeros((3, 2)), 1, "manhattan")
+
+
+class TestPairwiseDistances:
+    def test_hand_value(self):
+        d = pairwise_distances([[1.0, 1.0], [4.0, 5.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(d, [[0.0, 5.0, 0.0], [5.0, 0.0, 5.0], [0.0, 5.0, 0.0]])
+
+    def test_matches_norm_with_zero_diagonal(self):
+        x = np.random.default_rng(30).standard_normal((9, 4)) * 3.0
+        d = pairwise_distances(x)
+        assert np.all(np.diag(d) == 0.0)
+        np.testing.assert_array_equal(d, d.T)
+        np.testing.assert_allclose(
+            d, np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2), rtol=0, atol=1e-12
+        )
+
+    def test_euclidean_graph_uses_the_same_values(self):
+        x = np.random.default_rng(31).standard_normal((12, 3))
+        g = build_knn_graph(x, 4, "euclidean")
+        rows = np.arange(12)[:, None]
+        np.testing.assert_array_equal(g.similarities, pairwise_distances(x)[rows, g.neighbors])
 
 
 class TestEdgeCount:

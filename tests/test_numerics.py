@@ -3,38 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from degat_kit.numerics import (
-    cosine_similarity,
-    elu,
-    euclidean_distance,
-    l2_norm,
-    leaky_relu,
-    matmul,
-    softmax_masked,
-)
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(matmul(np.eye(2), m), m)
-
-    def test_hand_product(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[0.0], [1.0]])
-        np.testing.assert_array_equal(matmul(a, b), np.array([[2.0], [4.0]]))
-
-    def test_zero_matrix(self):
-        m = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_array_equal(matmul(np.zeros((2, 2)), m), np.zeros((2, 3)))
-
-    def test_dimension_mismatch_names_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            matmul(np.array([[np.nan, 0.0]]), np.zeros((2, 1)))
+from degat_kit.numerics import elu, leaky_relu, softmax, softmax_backward
 
 
 class TestActivations:
@@ -59,65 +28,51 @@ class TestActivations:
 
 
 class TestSoftmaxMasked:
+    """numerics.softmax; an entry is masked out by giving it a -inf logit."""
+
     def test_single_support(self):
-        out = softmax_masked(np.array([5.0, -1.0, 2.0]), [1])
+        out = softmax(np.array([-np.inf, -1.0, -np.inf]))
         np.testing.assert_array_equal(out, [0.0, 1.0, 0.0])
 
     def test_equal_logits(self):
-        out = softmax_masked(np.array([2.0, 2.0, 99.0]), [0, 1])
+        out = softmax(np.array([2.0, 2.0, -np.inf]))
         np.testing.assert_allclose(out[:2], [0.5, 0.5], atol=1e-15)
         assert out[2] == 0.0
 
     def test_derived_quarter_three_quarters(self):
-        out = softmax_masked(np.array([0.0, math.log(3.0)]), [0, 1])
+        out = softmax(np.array([0.0, math.log(3.0)]))
         np.testing.assert_allclose(out, [0.25, 0.75], atol=1e-15)
-
-    def test_empty_support_errors(self):
-        with pytest.raises(ValueError):
-            softmax_masked(np.array([1.0]), [])
 
     def test_sums_to_one_random(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             n = rng.integers(2, 20)
-            logits = rng.uniform(-500.0, 500.0, n)
-            support = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
-            out = softmax_masked(logits, support)
+            logits = rng.uniform(-500.0, 500.0, (3, n))
+            for row in logits:  # mask a random subset, keeping at least one
+                row[rng.choice(n, size=rng.integers(0, n), replace=False)] = -np.inf
+            out = softmax(logits)
             assert np.all(out >= 0.0)
-            assert abs(out.sum() - 1.0) <= 1e-12
+            assert np.all(out[np.isneginf(logits)] == 0.0)
+            assert np.all(np.abs(out.sum(axis=-1) - 1.0) <= 1e-12)
 
     def test_overflow_safe(self):
-        out = softmax_masked(np.array([1e4, 1e4 - 1.0]), [0, 1])
+        out = softmax(np.array([[1e4, 1e4 - 1.0], [-1e4, -1e4 - 1.0]]))
         assert np.all(np.isfinite(out))
-        assert abs(out.sum() - 1.0) <= 1e-12
+        assert np.all(np.abs(out.sum(axis=-1) - 1.0) <= 1e-12)
+        np.testing.assert_allclose(out[0], out[1], atol=1e-15)
 
-
-class TestSimilarity:
-    def test_cosine_self(self):
-        x = np.array([3.0, -1.0, 2.0])
-        assert cosine_similarity(x, x) == pytest.approx(1.0, abs=1e-15)
-
-    def test_cosine_orthogonal(self):
-        assert cosine_similarity([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_cosine_derived(self):
-        assert cosine_similarity([1.0, 1.0], [1.0, 0.0]) == pytest.approx(
-            1.0 / math.sqrt(2.0), abs=1e-15
-        )
-
-    def test_cosine_zero_vector_convention(self):
-        assert cosine_similarity([0.0, 0.0], [1.0, 2.0]) == 0.0
-
-    def test_cosine_symmetry_and_scale_invariance(self):
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            x = rng.standard_normal(5)
-            y = rng.standard_normal(5)
-            a, b = rng.uniform(0.1, 10.0, 2) * rng.choice([-1.0, 1.0], 2)
-            c = cosine_similarity(x, y)
-            assert abs(c - cosine_similarity(y, x)) <= 1e-12
-            assert abs(cosine_similarity(a * x, b * y) - c * np.sign(a * b)) <= 1e-12
-
-    def test_norm_and_distance(self):
-        assert l2_norm([3.0, 4.0]) == pytest.approx(5.0, abs=1e-15)
-        assert euclidean_distance([1.0, 1.0], [4.0, 5.0]) == pytest.approx(5.0, abs=1e-15)
+    def test_backward_finite_difference(self):
+        rng = np.random.default_rng(3)
+        logits = rng.standard_normal((2, 3, 5))
+        w = rng.standard_normal((2, 3, 5))
+        analytic = softmax_backward(softmax(logits), w)
+        numeric = np.zeros_like(logits)
+        eps = 1e-6
+        for idx in np.ndindex(logits.shape):
+            step = np.zeros_like(logits)
+            step[idx] = eps
+            numeric[idx] = (np.sum(w * softmax(logits + step))
+                            - np.sum(w * softmax(logits - step))) / (2 * eps)
+        np.testing.assert_allclose(analytic, numeric, atol=1e-9)
+        # the gradient of a softmax is orthogonal to the all-ones direction
+        np.testing.assert_allclose(analytic.sum(axis=-1), 0.0, atol=1e-15)
