@@ -10,6 +10,11 @@ pre-softmax attention logits. The distance pipeline itself is treated as
 a constant during backprop; only the table / MLP parameters receive
 gradients.
 
+Everything takes one frame or a leading frame axis: a prior g (F, C) or
+tokens (F, L, C) give one conditioned token per frame, and the backward
+passes sum d(base) over the frames; the bias generators normalise each
+frame's distances by that frame's maximum and return (F, H, L, L).
+
 All attention is ``multi_head_attention`` around the one kernel
 ``biased_attention``: self-attention in the model's blocks, and
 cross-attention conditioning with the camera token as the single query.
@@ -21,7 +26,7 @@ import numpy as np
 from scipy.special import erf
 
 from .graph import pairwise_distances
-from .numerics import as_matrix, as_vector, softmax, softmax_backward
+from .numerics import as_finite, as_matrix, as_vector, softmax, softmax_backward
 
 __all__ = [
     "Mlp2",
@@ -65,6 +70,11 @@ _ACTIVATIONS = {
 }
 
 
+def _rows(m):
+    """All leading axes folded into one: (..., C) -> (N, C)."""
+    return m.reshape(-1, m.shape[-1])
+
+
 @dataclass
 class Mlp2:
     """Two-layer perceptron y = W2 act(W1 x + b1) + b2."""
@@ -95,10 +105,6 @@ class Mlp2:
     @property
     def out_dim(self):
         return self.w2.shape[0]
-
-    def __call__(self, x):
-        y, _ = mlp2_forward(self, x)
-        return y
 
 
 @dataclass
@@ -141,30 +147,27 @@ def mlp2_backward(mlp, cache, d_y):
     d_y = np.asarray(d_y, dtype=np.float64)
     d_pre = (d_y @ mlp.w2) * act_grad(pre)
     # a single vector is one row: its outer products and sums are exact
-    flat_dy = d_y.reshape(-1, mlp.out_dim)
-    flat_dpre = d_pre.reshape(-1, d_pre.shape[-1])
+    flat_dy, flat_dpre = _rows(d_y), _rows(d_pre)
     grads = Mlp2Grads(
-        d_w1=flat_dpre.T @ x.reshape(-1, x.shape[-1]),
-        d_b1=flat_dpre.sum(axis=0),
-        d_w2=flat_dy.T @ hid.reshape(-1, hid.shape[-1]),
-        d_b2=flat_dy.sum(axis=0),
+        d_w1=flat_dpre.T @ _rows(x), d_b1=flat_dpre.sum(axis=0),
+        d_w2=flat_dy.T @ _rows(hid), d_b2=flat_dy.sum(axis=0),
     )
     return grads, d_pre @ mlp.w1
 
 
 @dataclass
 class CameraToken:
-    conditioned: np.ndarray
+    conditioned: np.ndarray  # (C,), or (F, C) with one token per frame
 
 
 def condition_additive(base, g, mlp):
     """c' = c + MLP(g); returns (CameraToken, cache)."""
     base = as_vector(base, "base")
-    g = as_vector(g, "g")
-    if mlp.in_dim != g.shape[0] or mlp.out_dim != base.shape[0]:
+    g = as_finite(g, "g", (1, 2))
+    if mlp.in_dim != g.shape[-1] or mlp.out_dim != base.shape[0]:
         raise ValueError(
             f"additive conditioning shape mismatch: mlp {mlp.in_dim}->{mlp.out_dim}, "
-            f"g {g.shape[0]}, base {base.shape[0]}"
+            f"g {g.shape[-1]}, base {base.shape[0]}"
         )
     delta, cache = mlp2_forward(mlp, g)
     return CameraToken(conditioned=base + delta), cache
@@ -173,13 +176,13 @@ def condition_additive(base, g, mlp):
 def condition_additive_backward(mlp, cache, d_cond):
     """Returns (mlp grads, d_base, d_g)."""
     grads, d_g = mlp2_backward(mlp, cache, d_cond)
-    return grads, d_cond.copy(), d_g
+    return grads, _rows(d_cond).sum(axis=0), d_g
 
 
 def condition_film(base, g, mlp):
     """c' = (1 + gamma) * c + beta with [gamma, beta] = MLP(g)."""
     base = as_vector(base, "base")
-    g = as_vector(g, "g")
+    g = as_finite(g, "g", (1, 2))
     if mlp.out_dim % 2 != 0:
         raise ValueError(f"FiLM MLP output length {mlp.out_dim} must be even")
     if mlp.out_dim != 2 * base.shape[0]:
@@ -188,14 +191,14 @@ def condition_film(base, g, mlp):
         )
     out, cache = mlp2_forward(mlp, g)
     c = base.shape[0]
-    gamma, beta = out[:c], out[c:]
+    gamma, beta = out[..., :c], out[..., c:]
     return CameraToken(conditioned=base * (1.0 + gamma) + beta), (cache, gamma)
 
 
 def condition_film_backward(mlp, film_cache, base, d_cond):
     mlp_cache, gamma = film_cache
-    d_base = d_cond * (1.0 + gamma)
-    d_out = np.concatenate([d_cond * base, d_cond])
+    d_base = _rows(d_cond * (1.0 + gamma)).sum(axis=0)
+    d_out = np.concatenate([d_cond * base, d_cond], axis=-1)
     grads, d_g = mlp2_backward(mlp, mlp_cache, d_out)
     return grads, d_base, d_g
 
@@ -240,21 +243,22 @@ def init_cross_attn(c, n_heads, rng=None, zero_output=True):
 
 
 def _split_heads(m, n_heads):
-    """(N, C) rows -> (H, N, C / H) per-head blocks."""
-    n, c = m.shape
-    return m.reshape(n, n_heads, c // n_heads).transpose(1, 0, 2)
+    """(..., N, C) rows -> (..., H, N, C / H) per-head blocks."""
+    *lead, n, c = m.shape
+    return m.reshape(*lead, n, n_heads, c // n_heads).swapaxes(-2, -3)
 
 
 def _merge_heads(m):
-    """(H, N, d) per-head blocks -> (N, H * d) rows."""
-    h, n, d = m.shape
-    return m.transpose(1, 0, 2).reshape(n, h * d)
+    """(..., H, N, d) per-head blocks -> (..., N, H * d) rows."""
+    *lead, h, n, d = m.shape
+    return m.swapaxes(-2, -3).reshape(*lead, n, h * d)
 
 
 def multi_head_attention(x_q, x_kv, attn, bias=None):
     """W_o concat_h attention(x_q W_q^T, x_kv W_k^T, x_kv W_v^T)_h; returns (out, cache).
 
-    x_q is (N, C), x_kv (M, C) and the optional bias (H, N, M).
+    x_q is (..., N, C), x_kv (..., M, C) and the optional bias (..., H, N, M),
+    with the same leading (frame) axes on all of them.
     """
     h = attn.n_heads
     q = _split_heads(x_q @ attn.w_q.T, h)
@@ -271,22 +275,27 @@ def multi_head_attention_backward(attn, cache, d_out):
     d_ctx = _split_heads(d_out @ attn.w_o, attn.n_heads)
     d_q, d_k, d_v, d_bias = biased_attention_backward(kernel_cache, d_ctx)
     d_q, d_k, d_v = _merge_heads(d_q), _merge_heads(d_k), _merge_heads(d_v)
-    grads = {"w_q": d_q.T @ x_q, "w_k": d_k.T @ x_kv, "w_v": d_v.T @ x_kv, "w_o": d_out.T @ ctx}
+    grads = {
+        "w_q": _rows(d_q).T @ _rows(x_q), "w_k": _rows(d_k).T @ _rows(x_kv),
+        "w_v": _rows(d_v).T @ _rows(x_kv), "w_o": _rows(d_out).T @ _rows(ctx),
+    }
     return grads, d_q @ attn.w_q, d_k @ attn.w_k + d_v @ attn.w_v, d_bias
 
 
 def condition_cross_attention(base, tokens, attn, ffn):
     """c' = c + MHA(q=c, kv=tokens); out = c' + FFN(c').
 
-    With zero-initialized output projection and FFN final layer, the
+    tokens is (L, C), or (F, L, C) with the base token as one query per
+    frame. With zero-initialized output projection and FFN final layer, the
     whole block is the identity on the base token.
     """
     base = as_vector(base, "base")
-    tokens = as_matrix(tokens, "tokens")
-    if base.shape[0] != attn.dim or tokens.shape[1] != attn.dim:
+    tokens = as_finite(tokens, "tokens", (2, 3))
+    if base.shape[0] != attn.dim or tokens.shape[-1] != attn.dim:
         raise ValueError("cross-attention dimension mismatch")
-    attn_out, attn_cache = multi_head_attention(base[None, :], tokens, attn)
-    c1 = base + attn_out[0]
+    query = np.broadcast_to(base, tokens.shape[:-2] + (1, attn.dim))
+    attn_out, attn_cache = multi_head_attention(query, tokens, attn)
+    c1 = base + attn_out[..., 0, :]
     ffn_out, ffn_cache = mlp2_forward(ffn, c1)
     return CameraToken(conditioned=c1 + ffn_out), (attn_cache, ffn_cache)
 
@@ -297,9 +306,9 @@ def condition_cross_attention_backward(attn, ffn, cache, d_out):
     ffn_grads, d_c1_ffn = mlp2_backward(ffn, ffn_cache, d_out)
     d_c1 = d_out + d_c1_ffn
     attn_grads, d_query, d_tokens, _ = multi_head_attention_backward(
-        attn, attn_cache, d_c1[None, :]
+        attn, attn_cache, d_c1[..., None, :]
     )
-    return attn_grads, ffn_grads, d_c1 + d_query[0], d_tokens
+    return attn_grads, ffn_grads, _rows(d_c1 + d_query[..., 0, :]).sum(axis=0), d_tokens
 
 
 @dataclass
@@ -326,30 +335,30 @@ def bucket_indices(features, n_buckets, eps=BUCKET_RATIO_EPS):
     """Quantize log-scaled pairwise distances into [0, n_buckets - 1]."""
     d = pairwise_distances(features)
     dl = np.log1p(d)
-    ratio = dl / (dl.max() + eps)
+    ratio = dl / (dl.max(axis=(-2, -1), keepdims=True) + eps)
     idx = np.clip(np.floor(ratio * n_buckets).astype(np.intp), 0, n_buckets - 1)
     return idx
 
 
 def bucket_bias(features, table, eps=BUCKET_RATIO_EPS):
-    """Per-head (H, L, L) bias looked up from the quantized distance bucket."""
+    """Per-head (..., H, L, L) bias looked up from the quantized distance bucket."""
     idx = bucket_indices(features, table.n_buckets, eps)
-    bias = table.table[idx]  # (L, L, H)
-    return np.ascontiguousarray(bias.transpose(2, 0, 1)), idx
+    bias = table.table[idx]  # (..., L, L, H)
+    return np.ascontiguousarray(np.moveaxis(bias, -1, -3)), idx
 
 
 def bias_table_gradient(delta, idx, n_buckets):
     """Sum per-pair bias gradients into their buckets.
 
-    delta: (H, L, L) upstream gradient w.r.t. the injected bias;
-    idx: (L, L) bucket index per pair. Returns (K_b, H).
+    delta: (..., H, L, L) upstream gradient w.r.t. the injected bias;
+    idx: (..., L, L) bucket index per pair. Returns (K_b, H).
     """
     delta = np.asarray(delta, dtype=np.float64)
-    h = delta.shape[0]
+    h = delta.shape[-3]
     grad = np.zeros((n_buckets, h))
     flat_idx = idx.ravel()
     for head in range(h):
-        np.add.at(grad[:, head], flat_idx, delta[head].ravel())
+        np.add.at(grad[:, head], flat_idx, delta[..., head, :, :].ravel())
     return grad
 
 
@@ -357,31 +366,24 @@ def mlp_bias_coords(features):
     """Continuous distance coordinate x_ij in [-1, 1] (log-normalized)."""
     d = pairwise_distances(features)
     dl = np.log1p(d)
-    d_max = d.max()
-    if d_max == 0.0:
-        delta = np.zeros_like(dl)  # all tokens identical: defined as 0
-    else:
-        delta = dl / np.log1p(d_max)
+    d_max = d.max(axis=(-2, -1), keepdims=True)
+    # a frame of identical tokens (d_max = 0) is defined as 0
+    delta = np.divide(dl, np.log1p(d_max), out=np.zeros_like(dl), where=d_max > 0.0)
     return 2.0 * np.clip(delta, 0.0, 1.0) - 1.0
 
 
 def mlp_bias(features, mlp):
-    """Per-head (H, L, L) bias from a 1 -> H MLP of the distance coordinate."""
+    """Per-head (..., H, L, L) bias from a 1 -> H MLP of the distance coordinate."""
     if mlp.in_dim != 1:
         raise ValueError(f"bias MLP must map 1 -> H, got input dim {mlp.in_dim}")
     x = mlp_bias_coords(features)
-    n = x.shape[0]
-    flat = x.reshape(-1, 1)
-    out, cache = mlp2_forward(mlp, flat)  # (L*L, H)
-    bias = out.T.reshape(mlp.out_dim, n, n)
-    return bias, cache
+    out, cache = mlp2_forward(mlp, x.reshape(-1, 1))  # (... * L * L, H)
+    return np.moveaxis(out.reshape(*x.shape, mlp.out_dim), -1, -3), cache
 
 
 def mlp_bias_backward(mlp, cache, delta):
-    """MLP parameter gradients given (H, L, L) upstream bias gradient."""
-    h = delta.shape[0]
-    d_out = delta.reshape(h, -1).T  # (L*L, H)
-    grads, _ = mlp2_backward(mlp, cache, d_out)
+    """MLP parameter gradients given (..., H, L, L) upstream bias gradient."""
+    grads, _ = mlp2_backward(mlp, cache, _rows(np.moveaxis(delta, -3, -1)))
     return grads
 
 

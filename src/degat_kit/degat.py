@@ -13,7 +13,8 @@ import scipy.sparse as sp
 
 from .graph import NeighborGraph, build_knn_graph
 from .numerics import (
-    as_matrix, as_vector, elu, elu_grad, leaky_relu, leaky_relu_grad, softmax, softmax_backward,
+    as_finite, as_matrix, as_vector, elu, elu_grad, leaky_relu, leaky_relu_grad, softmax,
+    softmax_backward,
 )
 
 __all__ = [
@@ -75,7 +76,6 @@ class DeGatCache:
     graph: NeighborGraph
     z: np.ndarray  # (L, K, C') pre-LeakyReLU, W_proj [x_i || x_j]
     e: np.ndarray  # (L, K, C') post-LeakyReLU
-    logits: np.ndarray  # (L, K)
     alpha: np.ndarray  # (L, K)
     values: np.ndarray  # (L, C) v_j = W_val x_j per node
     messages: np.ndarray  # (L, C) pre-ELU m_i
@@ -102,16 +102,14 @@ def degat_forward(tokens, params, k, metric="cosine"):
     w_c, w_n = params.w_proj[:, :c], params.w_proj[:, c:]
     z = (x @ w_c.T)[:, None, :] + (x @ w_n.T)[nb]  # (L, K, C')
     e = leaky_relu(z, params.leaky_slope)
-    logits = e @ params.a  # (L, K)
-    alpha = softmax(logits)
+    alpha = softmax(e @ params.a)  # (L, K)
 
     values = x @ params.w_val.T  # row j is W_val x_j
     messages = np.einsum("lk,lkc->lc", alpha, values[nb])
     x_out = x + elu(messages)
 
     cache = DeGatCache(
-        x=x, graph=g, z=z, e=e, logits=logits, alpha=alpha,
-        values=values, messages=messages,
+        x=x, graph=g, z=z, e=e, alpha=alpha, values=values, messages=messages,
     )
     return x_out, cache
 
@@ -164,11 +162,11 @@ def degat_backward(cache, params, upstream):
 
 
 def pooled_prior(x_out):
-    """Global geometric prior: column-wise mean of the refined tokens."""
-    x_out = as_matrix(x_out, "x_out")
-    if x_out.shape[0] == 0:
+    """Global geometric prior: the mean of the refined (L, C) tokens of each frame."""
+    x_out = as_finite(x_out, "x_out", (2, 3))
+    if x_out.shape[-2] == 0:
         raise ValueError("pooled_prior requires at least one token")
-    return x_out.mean(axis=0)
+    return x_out.mean(axis=-2)
 
 
 def affinity_to_log_bias(cache, eps=1e-12):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_matrix
+from .numerics import as_finite, as_matrix
 
 __all__ = [
     "TokenGrid", "NeighborGraph", "pairwise_distances", "build_knn_graph", "edge_count",
@@ -73,25 +73,21 @@ class NeighborGraph:
         return self.neighbors.shape[1]
 
 
-def _features_of(tokens):
-    if isinstance(tokens, TokenGrid):
-        return tokens.features
-    return as_matrix(tokens, "features")
-
-
 def pairwise_distances(tokens):
-    """(L, L) Euclidean distances between feature rows, with a zero diagonal.
+    """(..., L, L) Euclidean distances between feature rows, with a zero diagonal.
 
-    Computed as sqrt(max(|x_i|^2 + |x_j|^2 - 2 x_i . x_j, 0)); the bias
-    generators and the euclidean K-NN graph share these exact values.
+    Computed as sqrt(max(|x_i|^2 + |x_j|^2 - 2 x_i . x_j, 0)) for each
+    (L, C) frame of ``tokens``; the bias generators and the euclidean K-NN
+    graph share these exact values.
     """
-    x = _features_of(tokens)
-    sq = np.sum(x * x, axis=1)
-    d = sq[:, None] + sq[None, :]
-    d -= 2.0 * (x @ x.T)
+    x = tokens.features if isinstance(tokens, TokenGrid) else as_finite(tokens, "features", (2, 3))
+    sq = np.sum(x * x, axis=-1)
+    d = sq[..., :, None] + sq[..., None, :]
+    d -= 2.0 * (x @ x.swapaxes(-1, -2))
     np.maximum(d, 0.0, out=d)
     np.sqrt(d, out=d)
-    np.fill_diagonal(d, 0.0)
+    diag = np.arange(x.shape[-2])
+    d[..., diag, diag] = 0.0
     return d
 
 
@@ -136,7 +132,7 @@ def build_knn_graph(tokens, k, metric="cosine"):
     Ordering is by descending similarity (cosine) or ascending distance
     (euclidean); exact ties are resolved toward the lower node index.
     """
-    x = _features_of(tokens)
+    x = tokens.features if isinstance(tokens, TokenGrid) else as_matrix(tokens, "features")
     n = x.shape[0]
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")

@@ -11,7 +11,7 @@ per seed.
 import json
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -35,12 +35,7 @@ __all__ = [
 
 TRAINER_KEYS = {"steps", "lr", "n_frames", "scene_seed"}
 WEIGHT_KEYS = {"alpha", "gamma"}
-MODEL_KEYS = {
-    "image_h", "image_w", "patch_size", "embed_dim", "n_blocks", "n_heads",
-    "k_neighbors", "degat_placement", "token_conditioning", "attention_bias",
-    "seed", "knn_metric", "cond_hidden", "bias_hidden", "n_buckets",
-    "ffn_mult", "cam_hidden",
-}
+MODEL_KEYS = {f.name for f in fields(ModelConfig)}
 
 DEFAULT_TRAINER = {"steps": 300, "lr": 0.02, "n_frames": 4, "scene_seed": 0}
 
@@ -258,8 +253,9 @@ def load_checkpoint(path):
     """Read a checkpoint written by ``save_checkpoint``.
 
     The manifest must list exactly the parameters, with the shapes, that
-    ``init_model_params`` makes for its config; anything else raises
-    ValueError. A blob whose size does not match its shape raises OSError.
+    ``init_model_params`` makes for its config, and every value must be
+    finite; anything else raises ValueError. A blob whose size does not
+    match its shape raises OSError.
     """
     with open(os.path.join(path, "manifest.json"), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
@@ -287,4 +283,7 @@ def load_checkpoint(path):
         if size != need:
             raise OSError(f"{blob_path} has {size} bytes, shape {expected[k]} needs {need}")
         params[k] = np.fromfile(blob_path, dtype="<f8").reshape(expected[k]).astype(np.float64)
+    non_finite = sorted(k for k, v in params.items() if not np.isfinite(v).all())
+    if non_finite:
+        raise ValueError(f"checkpoint parameters contain non-finite values: {non_finite}")
     return cfg, params

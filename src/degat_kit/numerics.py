@@ -9,6 +9,7 @@ and the attention kernel in ``conditioning`` both call it.
 import numpy as np
 
 __all__ = [
+    "as_finite",
     "as_matrix",
     "as_vector",
     "elu",
@@ -20,25 +21,26 @@ __all__ = [
 ]
 
 
-def as_matrix(a, name="matrix"):
-    """Coerce to a finite float64 2-D array, raising on anything else."""
+def as_finite(a, name, ndims):
+    """Coerce to a finite float64 array whose rank is one of ``ndims``, raising
+    on anything else."""
     m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if m.ndim not in ndims:
+        ranks = " or ".join(f"{d}-D" for d in ndims)
+        raise ValueError(f"{name} must be {ranks}, got shape {m.shape}")
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
 
+def as_matrix(a, name="matrix"):
+    """Coerce to a finite float64 2-D array, raising on anything else."""
+    return as_finite(a, name, (2,))
+
+
 def as_vector(a, name="vector"):
     """Coerce to a finite float64 1-D array, raising on anything else."""
-    v = np.asarray(a, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return v
-
+    return as_finite(a, name, (1,))
 
 
 def elu(x):

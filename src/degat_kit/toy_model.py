@@ -1,10 +1,14 @@
 """Toy patch-token transformer with selectable graph-attention integration.
 
-Pipeline per frame: linear patch embedding -> optional pre-transformer
-graph-attention hop -> camera-token conditioning -> N self-attention
-blocks (optionally bias-injected) -> one global cross-frame block when
-several frames are given -> optional post-transformer graph-attention
-hop -> linear per-patch depth/confidence head and an MLP camera head.
+The F frames run as one (F, L, C) batch of patch tokens: linear patch
+embedding -> optional pre-transformer graph-attention hop -> camera-token
+conditioning, one token per frame -> N self-attention blocks over each
+frame's camera token and patches (optionally bias-injected) -> one global
+block over the (F * (L + 1), C) tokens of all frames when several frames
+are given -> optional post-transformer graph-attention hop -> linear
+per-patch depth/confidence head and an MLP camera head. Only the
+graph-attention hop runs frame by frame, since each frame builds its own
+K-NN graph.
 
 Every attention layer is ``conditioning.multi_head_attention``, and the
 conditioning and bias kinds are the keys of two (forward, backward) tables.
@@ -20,6 +24,7 @@ from . import degat as dg
 from . import conditioning as cond
 from .geometry import CameraParams
 from .geometry import DepthMap
+from .graph import METRICS
 from .objective import LossBreakdown, LossWeights, camera_loss, depth_loss, depth_loss_backward
 
 __all__ = [
@@ -73,6 +78,8 @@ class ModelConfig:
             raise ValueError(f"token_conditioning must be one of {tuple(TOKEN_CONDITIONING)}")
         if self.attention_bias not in ATTENTION_BIAS:
             raise ValueError(f"attention_bias must be one of {tuple(ATTENTION_BIAS)}")
+        if self.knn_metric not in METRICS:
+            raise ValueError(f"knn_metric must be one of {METRICS}")
         if not 1 <= self.k_neighbors <= self.n_tokens - 1:
             raise ValueError(
                 f"k_neighbors={self.k_neighbors} invalid for {self.n_tokens} tokens"
@@ -163,20 +170,13 @@ def zero_grads(params):
 
 
 def _mlp_view(params, prefix, activation):
-    return cond.Mlp2(
-        w1=params[f"{prefix}.w1"],
-        b1=params[f"{prefix}.b1"],
-        w2=params[f"{prefix}.w2"],
-        b2=params[f"{prefix}.b2"],
-        activation=activation,
-    )
+    w1, b1, w2, b2 = (params[f"{prefix}.{w}"] for w in ("w1", "b1", "w2", "b2"))
+    return cond.Mlp2(w1=w1, b1=b1, w2=w2, b2=b2, activation=activation)
 
 
 def _accum_mlp(grads, prefix, g):
-    grads[f"{prefix}.w1"] += g.d_w1
-    grads[f"{prefix}.b1"] += g.d_b1
-    grads[f"{prefix}.w2"] += g.d_w2
-    grads[f"{prefix}.b2"] += g.d_b2
+    for w in ("w1", "b1", "w2", "b2"):
+        grads[f"{prefix}.{w}"] += getattr(g, f"d_{w}")
 
 
 def _attn_view(params, prefix, n_heads):
@@ -190,42 +190,43 @@ def _accum_attn(grads, prefix, g):
 
 
 def _degat_view(params):
-    return dg.DeGatParams(
-        w_proj=params["degat.w_proj"],
-        a=params["degat.a"],
-        w_val=params["degat.w_val"],
-    )
+    w_proj, a, w_val = (params[f"degat.{w}"] for w in ("w_proj", "a", "w_val"))
+    return dg.DeGatParams(w_proj=w_proj, a=a, w_val=w_val)
 
 
-def _degat_backward(grads, degat_params, cache, d_out):
-    dgrads = dg.degat_backward(cache, degat_params, d_out)
-    grads["degat.w_proj"] += dgrads.d_w_proj
-    grads["degat.a"] += dgrads.d_a
-    grads["degat.w_val"] += dgrads.d_w_val
-    return dgrads.d_x
+def _degat_frames(x, degat_params, cfg):
+    """One DeGAT hop per (L, C) frame of x, each over its own K-NN graph;
+    returns (x_out, per-frame caches)."""
+    hops = [dg.degat_forward(xf, degat_params, cfg.k_neighbors, cfg.knn_metric) for xf in x]
+    return np.stack([x_out for x_out, _ in hops]), [cache for _, cache in hops]
+
+
+def _degat_backward(grads, degat_params, caches, d_out):
+    runs = [dg.degat_backward(cache, degat_params, d) for cache, d in zip(caches, d_out)]
+    for w in ("w_proj", "a", "w_val"):
+        grads[f"degat.{w}"] += sum(getattr(r, f"d_{w}") for r in runs)
+    return np.stack([r.d_x for r in runs])
 
 
 # ---------------------------------------------------------------------------
 # patchify / unpatchify
 
 
-def _patchify(frame, cfg):
+def _patchify(frames, cfg):
+    """(F, H, W) frames -> (F, L, P^2) patch rows."""
     p = cfg.patch_size
     gh, gw = cfg.grid_h, cfg.grid_w
-    f = np.asarray(frame, dtype=np.float64)
-    if f.shape != (cfg.image_h, cfg.image_w):
-        raise ValueError(f"frame shape {f.shape} != ({cfg.image_h}, {cfg.image_w})")
-    return (
-        f.reshape(gh, p, gw, p).transpose(0, 2, 1, 3).reshape(gh * gw, p * p)
-    )
+    f = np.asarray(frames, dtype=np.float64)
+    if f.shape[1:] != (cfg.image_h, cfg.image_w):
+        raise ValueError(f"frame shape {f.shape[1:]} != ({cfg.image_h}, {cfg.image_w})")
+    return f.reshape(-1, gh, p, gw, p).transpose(0, 1, 3, 2, 4).reshape(-1, gh * gw, p * p)
 
 
 def _unpatchify(tokens, cfg):
+    """(F, L, P^2) patch rows -> (F, H, W) grids."""
     p = cfg.patch_size
     gh, gw = cfg.grid_h, cfg.grid_w
-    return (
-        tokens.reshape(gh, gw, p, p).transpose(0, 2, 1, 3).reshape(gh * p, gw * p)
-    )
+    return tokens.reshape(-1, gh, gw, p, p).transpose(0, 1, 3, 2, 4).reshape(-1, gh * p, gw * p)
 
 
 # ---------------------------------------------------------------------------
@@ -262,56 +263,47 @@ def _block_backward(grads, name, cache, d_z):
 # heads
 
 
-def _softplus(x):
-    return np.logaddexp(0.0, x)
-
-
-def _sigmoid(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
-def _heads_forward(params, cfg, patch_tokens, cam_token):
+def _heads_forward(params, cfg, patch_tokens, cam_tokens):
+    """Depth maps and cameras of the (F, L, C) patch and (F, C) camera tokens."""
     p2 = cfg.patch_size**2
     raw = patch_tokens @ params["depth_head.w"].T + params["depth_head.b"]
-    depth_raw = _unpatchify(raw[:, :p2], cfg)
-    conf_raw = _unpatchify(raw[:, p2:], cfg)
-    depth = np.exp(depth_raw)
-    conf = np.exp(conf_raw)
+    depth = np.exp(_unpatchify(raw[..., :p2], cfg))
+    conf = np.exp(_unpatchify(raw[..., p2:], cfg))
 
     cam_mlp = _mlp_view(params, "cam_head", "gelu")
-    y, cam_cache = cond.mlp2_forward(cam_mlp, cam_token)
-    rotation = y[:9].reshape(3, 3)
-    translation = y[9:12]
-    focal = float(_softplus(y[12]) + FOCAL_EPS)
-    cam = CameraParams(
-        rotation=rotation,
-        translation=translation,
-        focal=focal,
-        principal=((cfg.image_w - 1) / 2.0, (cfg.image_h - 1) / 2.0),
-    )
-    dm = DepthMap(depth=depth, confidence=conf)
-    head_cache = (patch_tokens, depth, conf, cam_cache, y[12])
-    return dm, cam, head_cache
+    y, cam_cache = cond.mlp2_forward(cam_mlp, cam_tokens)
+    focal = np.logaddexp(0.0, y[:, 12]) + FOCAL_EPS  # softplus
+    principal = ((cfg.image_w - 1) / 2.0, (cfg.image_h - 1) / 2.0)
+    cams = [
+        CameraParams(rotation=yf[:9].reshape(3, 3), translation=yf[9:12], focal=float(ff),
+                     principal=principal)
+        for yf, ff in zip(y, focal)
+    ]
+    dms = [DepthMap(depth=d, confidence=c) for d, c in zip(depth, conf)]
+    return dms, cams, (patch_tokens, depth, conf, cam_cache, y[:, 12])
 
 
-def _heads_backward(params, grads, cfg, head_cache, up):
-    """up: dict with depth, confidence, rotation, translation, focal grads."""
+def _heads_backward(params, grads, cfg, head_cache, upstream):
+    """upstream: one dict per frame with depth, confidence, rotation,
+    translation and focal grads."""
     patch_tokens, depth, conf, cam_cache, f_raw = head_cache
-    p2 = cfg.patch_size**2
+    up = {
+        key: np.array([u[key] for u in upstream], dtype=np.float64)
+        for key in ("depth", "confidence", "rotation", "translation", "focal")
+    }
 
-    d_depth_raw = up["depth"] * depth
-    d_conf_raw = up["confidence"] * conf
     d_raw = np.concatenate(
-        [_patchify(d_depth_raw, cfg), _patchify(d_conf_raw, cfg)], axis=1
+        [_patchify(up["depth"] * depth, cfg), _patchify(up["confidence"] * conf, cfg)], axis=-1
     )
-    grads["depth_head.w"] += d_raw.T @ patch_tokens
-    grads["depth_head.b"] += d_raw.sum(axis=0)
+    flat_d_raw = d_raw.reshape(-1, d_raw.shape[-1])
+    grads["depth_head.w"] += flat_d_raw.T @ patch_tokens.reshape(-1, cfg.embed_dim)
+    grads["depth_head.b"] += flat_d_raw.sum(axis=0)
     d_patch = d_raw @ params["depth_head.w"]
 
-    d_y = np.zeros(13)
-    d_y[:9] = np.asarray(up["rotation"]).ravel()
-    d_y[9:12] = np.asarray(up["translation"])
-    d_y[12] = up["focal"] * _sigmoid(f_raw)
+    d_focal = up["focal"] * (0.5 * (1.0 + np.tanh(0.5 * f_raw)))  # softplus' = sigmoid
+    d_y = np.concatenate(
+        [up["rotation"].reshape(-1, 9), up["translation"], d_focal[:, None]], axis=1
+    )
     cam_mlp = _mlp_view(params, "cam_head", "gelu")
     cam_grads, d_cam_tok = cond.mlp2_backward(cam_mlp, cam_cache, d_y)
     _accum_mlp(grads, "cam_head", cam_grads)
@@ -321,18 +313,20 @@ def _heads_backward(params, grads, cfg, head_cache, up):
 # ---------------------------------------------------------------------------
 # token conditioning and attention bias: one (forward, backward) pair per kind
 #
-# Conditioning: (params, cfg, x1) -> (camera token, cache); the backward adds
-# its token path into d_x1 in place and returns d(loss)/d(camera_token).
-# Bias: (params, cfg, x1, pre-DeGAT cache) -> (patch-block bias, cache); the
-# backward takes the patch block of d(loss)/d(bias).
+# Conditioning: (params, cfg, x1) -> ((F, C) camera tokens, cache); the
+# backward adds its token path into d_x1 in place and returns
+# d(loss)/d(camera_token).
+# Bias: (params, cfg, x1, pre-DeGAT caches) -> (patch-block bias, broadcast
+# to (F, H, L, L), cache); the backward takes the patch block of
+# d(loss)/d(bias).
 
 
 def _cond_none(params, cfg, x1):
-    return params["camera_token"], None
+    return np.broadcast_to(params["camera_token"], (len(x1), cfg.embed_dim)), None
 
 
 def _cond_none_backward(params, grads, cfg, cache, d_cond, d_x1):
-    return d_cond
+    return d_cond.sum(axis=0)
 
 
 def _cond_additive(params, cfg, x1):
@@ -347,7 +341,7 @@ def _cond_additive_backward(params, grads, cfg, cache, d_cond, d_x1):
         _mlp_view(params, "cond_add", "gelu"), cache, d_cond
     )
     _accum_mlp(grads, "cond_add", mg)
-    d_x1 += d_g / d_x1.shape[0]  # the pooled prior is the token mean
+    d_x1 += d_g[:, None] / d_x1.shape[1]  # the pooled prior is the token mean
     return d_base
 
 
@@ -363,7 +357,7 @@ def _cond_film_backward(params, grads, cfg, cache, d_cond, d_x1):
         _mlp_view(params, "cond_film", "gelu"), cache, params["camera_token"], d_cond
     )
     _accum_mlp(grads, "cond_film", mg)
-    d_x1 += d_g / d_x1.shape[0]
+    d_x1 += d_g[:, None] / d_x1.shape[1]
     return d_base
 
 
@@ -386,11 +380,11 @@ def _cond_cross_attn_backward(params, grads, cfg, cache, d_cond, d_x1):
     return d_base
 
 
-def _bias_none(params, cfg, x1, pre_cache):
+def _bias_none(params, cfg, x1, pre_caches):
     return 0.0, None
 
 
-def _bias_bucket(params, cfg, x1, pre_cache):
+def _bias_bucket(params, cfg, x1, pre_caches):
     return cond.bucket_bias(x1, cond.BiasTable(table=params["bias_table"]))
 
 
@@ -398,7 +392,7 @@ def _bias_bucket_backward(params, grads, cfg, idx, d_bias):
     grads["bias_table"] += cond.bias_table_gradient(d_bias, idx, cfg.n_buckets)
 
 
-def _bias_mlp(params, cfg, x1, pre_cache):
+def _bias_mlp(params, cfg, x1, pre_caches):
     return cond.mlp_bias(x1, _mlp_view(params, "bias_mlp", "relu"))
 
 
@@ -407,14 +401,15 @@ def _bias_mlp_backward(params, grads, cfg, cache, d_bias):
     _accum_mlp(grads, "bias_mlp", bg)
 
 
-def _bias_log_affinity(params, cfg, x1, pre_cache):
+def _bias_log_affinity(params, cfg, x1, pre_caches):
     # affinities of a DeGAT pass over the current tokens; treated as a
     # constant during backprop (parameter-free integration)
-    if pre_cache is None:
-        _, pre_cache = dg.degat_forward(
-            x1, _degat_view(params), cfg.k_neighbors, cfg.knn_metric
-        )
-    return dg.affinity_to_log_bias(pre_cache), None
+    if pre_caches is None:
+        pre_caches = []
+        for x in x1:
+            _, cache = dg.degat_forward(x, _degat_view(params), cfg.k_neighbors, cfg.knn_metric)
+            pre_caches.append(cache)
+    return np.stack([dg.affinity_to_log_bias(c) for c in pre_caches])[:, None], None
 
 
 def _no_bias_gradient(params, grads, cfg, cache, d_bias):
@@ -441,23 +436,15 @@ ATTENTION_BIAS = {
 
 
 @dataclass
-class FrameCache:
-    patches: np.ndarray
-    x0: np.ndarray
-    pre_degat: object  # DeGatCache or None
-    x1: np.ndarray
+class ModelCache:
+    patches: np.ndarray  # (F, L, P^2)
+    pre_degat: object  # per-frame DeGatCaches or None
     cond_cache: object
     bias_cache: object
-    seq_caches: list
-    post_degat: object
-    head_cache: tuple
-
-
-@dataclass
-class ModelCache:
-    frames: list  # FrameCache per frame
+    block_caches: list
     global_cache: object  # block cache or None
-    n_tokens: int
+    post_degat: object  # per-frame DeGatCaches or None
+    head_cache: tuple
 
 
 def forward(params, cfg, frames):
@@ -472,70 +459,40 @@ def forward(params, cfg, frames):
     degat_params = _degat_view(params)
     condition, _ = TOKEN_CONDITIONING[cfg.token_conditioning]
     attention_bias, _ = ATTENTION_BIAS[cfg.attention_bias]
-    blocks = [_block_view(params, f"block{i}", cfg.n_heads) for i in range(cfg.n_blocks)]
-    n = cfg.n_tokens + 1
-    frame_caches = []
-    seqs = []
-    for frame in frames:
-        patches = _patchify(frame, cfg)
-        x0 = patches @ params["embed.w"].T + params["embed.b"]
+    patches = _patchify(frames, cfg)
+    nf, n = len(patches), cfg.n_tokens + 1
 
-        pre_cache = None
-        x1 = x0
-        if cfg.degat_placement == "pre":
-            x1, pre_cache = dg.degat_forward(
-                x0, degat_params, cfg.k_neighbors, cfg.knn_metric
-            )
+    x1 = x0 = patches @ params["embed.w"].T + params["embed.b"]
+    pre_degat = post_degat = global_cache = None
+    if cfg.degat_placement == "pre":
+        x1, pre_degat = _degat_frames(x0, degat_params, cfg)
 
-        c_tok, cond_cache = condition(params, cfg, x1)
-        bias_patch, bias_cache = attention_bias(params, cfg, x1, pre_cache)
-        bias = np.zeros((cfg.n_heads, n, n))  # the camera token's row and column stay 0
-        bias[:, 1:, 1:] = bias_patch
+    c_tok, cond_cache = condition(params, cfg, x1)
+    bias_patch, bias_cache = attention_bias(params, cfg, x1, pre_degat)
+    bias = np.zeros((nf, cfg.n_heads, n, n))  # the camera token's row and column stay 0
+    bias[:, :, 1:, 1:] = bias_patch
 
-        seq = np.vstack([c_tok, x1])
-        seq_caches = []
-        for view in blocks:
-            seq, bc = _block_forward(seq, view, bias)
-            seq_caches.append(bc)
-        seqs.append(seq)
-        frame_caches.append(
-            FrameCache(
-                patches=patches,
-                x0=x0,
-                pre_degat=pre_cache,
-                x1=x1,
-                cond_cache=cond_cache,
-                bias_cache=bias_cache,
-                seq_caches=seq_caches,
-                post_degat=None,
-                head_cache=None,
-            )
+    seq = np.concatenate([c_tok[:, None], x1], axis=1)  # (F, L + 1, C)
+    block_caches = []
+    for i in range(cfg.n_blocks):
+        seq, bc = _block_forward(seq, _block_view(params, f"block{i}", cfg.n_heads), bias)
+        block_caches.append(bc)
+
+    if nf > 1:
+        flat, global_cache = _block_forward(
+            seq.reshape(-1, cfg.embed_dim), _block_view(params, "global", cfg.n_heads)
         )
+        seq = flat.reshape(seq.shape)
 
-    global_cache = None
-    if len(frames) > 1:
-        stacked = np.vstack(seqs)
-        stacked, global_cache = _block_forward(
-            stacked, _block_view(params, "global", cfg.n_heads)
-        )
-        seqs = [stacked[i * n:(i + 1) * n] for i in range(len(frames))]
-
-    depth_maps = []
-    cams = []
-    for fc, seq in zip(frame_caches, seqs):
-        cam_tok = seq[0]
-        patch_out = seq[1:]
-        if cfg.degat_placement == "post":
-            patch_out, fc.post_degat = dg.degat_forward(
-                patch_out, degat_params, cfg.k_neighbors, cfg.knn_metric
-            )
-        dm, cam, head_cache = _heads_forward(params, cfg, patch_out, cam_tok)
-        fc.head_cache = head_cache
-        depth_maps.append(dm)
-        cams.append(cam)
+    patch_out = seq[:, 1:]
+    if cfg.degat_placement == "post":
+        patch_out, post_degat = _degat_frames(patch_out, degat_params, cfg)
+    depth_maps, cams, head_cache = _heads_forward(params, cfg, patch_out, seq[:, 0])
 
     return depth_maps, cams, ModelCache(
-        frames=frame_caches, global_cache=global_cache, n_tokens=cfg.n_tokens
+        patches=patches, pre_degat=pre_degat, cond_cache=cond_cache, bias_cache=bias_cache,
+        block_caches=block_caches, global_cache=global_cache, post_degat=post_degat,
+        head_cache=head_cache,
     )
 
 
@@ -545,47 +502,44 @@ def backward(params, cfg, cache, upstream):
     ``upstream`` is a list (one dict per frame) with keys depth,
     confidence (H x W grids), rotation (3x3), translation (3,), focal.
     """
-    if len(upstream) != len(cache.frames):
-        raise ValueError(
-            f"{len(upstream)} upstream entries for {len(cache.frames)} frames"
-        )
+    nf = len(cache.patches)
+    if len(upstream) != nf:
+        raise ValueError(f"{len(upstream)} upstream entries for {nf} frames")
     grads = zero_grads(params)
     degat_params = _degat_view(params)
     _, condition_backward = TOKEN_CONDITIONING[cfg.token_conditioning]
     _, bias_backward = ATTENTION_BIAS[cfg.attention_bias]
-    n = cfg.n_tokens + 1
 
-    # heads (and post-DeGAT) backward, producing per-frame sequence grads
-    d_seqs = []
-    for fc, up in zip(cache.frames, upstream):
-        d_patch, d_cam_tok = _heads_backward(params, grads, cfg, fc.head_cache, up)
-        if cfg.degat_placement == "post":
-            d_patch = _degat_backward(grads, degat_params, fc.post_degat, d_patch)
-        d_seqs.append(np.vstack([d_cam_tok, d_patch]))
+    d_patch, d_cam_tok = _heads_backward(params, grads, cfg, cache.head_cache, upstream)
+    if cfg.degat_placement == "post":
+        d_patch = _degat_backward(grads, degat_params, cache.post_degat, d_patch)
+    d_seq = np.concatenate([d_cam_tok[:, None], d_patch], axis=1)
 
     if cache.global_cache is not None:
-        d_stacked, _ = _block_backward(grads, "global", cache.global_cache, np.vstack(d_seqs))
-        d_seqs = [d_stacked[i * n:(i + 1) * n] for i in range(len(cache.frames))]
-
-    for fc, d_seq in zip(cache.frames, d_seqs):
-        d_bias = np.zeros((cfg.n_heads, n, n))
-        for i in reversed(range(cfg.n_blocks)):
-            d_seq, d_block_bias = _block_backward(grads, f"block{i}", fc.seq_caches[i], d_seq)
-            d_bias += d_block_bias
-        bias_backward(params, grads, cfg, fc.bias_cache, d_bias[:, 1:, 1:])
-
-        d_x1 = d_seq[1:].copy()
-        grads["camera_token"] += condition_backward(
-            params, grads, cfg, fc.cond_cache, d_seq[0], d_x1
+        d_flat, _ = _block_backward(
+            grads, "global", cache.global_cache, d_seq.reshape(-1, cfg.embed_dim)
         )
+        d_seq = d_flat.reshape(d_seq.shape)
 
-        d_x0 = d_x1
-        if cfg.degat_placement == "pre":
-            d_x0 = _degat_backward(grads, degat_params, fc.pre_degat, d_x1)
+    n = cfg.n_tokens + 1
+    d_bias = np.zeros((nf, cfg.n_heads, n, n))
+    for i in reversed(range(cfg.n_blocks)):
+        d_seq, d_block_bias = _block_backward(grads, f"block{i}", cache.block_caches[i], d_seq)
+        d_bias += d_block_bias
+    bias_backward(params, grads, cfg, cache.bias_cache, d_bias[:, :, 1:, 1:])
 
-        grads["embed.w"] += d_x0.T @ fc.patches
-        grads["embed.b"] += d_x0.sum(axis=0)
+    d_x1 = d_seq[:, 1:].copy()
+    grads["camera_token"] += condition_backward(
+        params, grads, cfg, cache.cond_cache, d_seq[:, 0], d_x1
+    )
 
+    d_x0 = d_x1
+    if cfg.degat_placement == "pre":
+        d_x0 = _degat_backward(grads, degat_params, cache.pre_degat, d_x1)
+
+    flat_d_x0 = d_x0.reshape(-1, cfg.embed_dim)
+    grads["embed.w"] += flat_d_x0.T @ cache.patches.reshape(-1, cache.patches.shape[-1])
+    grads["embed.b"] += flat_d_x0.sum(axis=0)
     return grads
 
 

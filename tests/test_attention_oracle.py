@@ -4,7 +4,8 @@ The references below are the earlier implementations: the per-model
 multi-head self-attention with its own softmax and softmax backward, and
 the einsum cross-attention conditioning. Patched in for the shared
 ``multi_head_attention`` layer, they must give the same outputs, loss and
-parameter gradients on every model variant.
+parameter gradients on every model variant. The model runs its frames as
+one batch, so per-frame adapters call the 2-D references once per frame.
 """
 
 import itertools
@@ -104,6 +105,38 @@ def ref_cross_attention_backward(attn, ffn, cache, d_out):
     return attn_grads, ffn_grads, d_base, d_tokens
 
 
+def per_frame_mha_forward(x_q, x_kv, attn, bias=None):
+    """ref_mha_forward over a leading frame axis; 2-D inputs go straight through."""
+    if x_q.ndim == 2:
+        return ref_mha_forward(x_q, x_kv, attn, bias)
+    biases = [None] * len(x_q) if bias is None else bias
+    runs = [ref_mha_forward(q, kv, attn, b) for q, kv, b in zip(x_q, x_kv, biases)]
+    return np.stack([out for out, _ in runs]), [cache for _, cache in runs]
+
+
+def per_frame_mha_backward(attn, cache, d_out):
+    if d_out.ndim == 2:
+        return ref_mha_backward(attn, cache, d_out)
+    runs = [ref_mha_backward(attn, c, d) for c, d in zip(cache, d_out)]
+    grads = {w: sum(r[0][w] for r in runs) for w in runs[0][0]}
+    return (grads, *(np.stack([r[i] for r in runs]) for i in (1, 2, 3)))
+
+
+def per_frame_cross_attention(base, tokens, attn, ffn):
+    runs = [ref_cross_attention(base, t, attn, ffn) for t in tokens]
+    conditioned = np.stack([tok.conditioned for tok, _ in runs])
+    return cond.CameraToken(conditioned=conditioned), [cache for _, cache in runs]
+
+
+def per_frame_cross_attention_backward(attn, ffn, cache, d_out):
+    runs = [ref_cross_attention_backward(attn, ffn, c, d) for c, d in zip(cache, d_out)]
+    attn_grads = {w: sum(r[0][w] for r in runs) for w in runs[0][0]}
+    ffn_grads = cond.Mlp2Grads(*(
+        sum(getattr(r[1], f) for r in runs) for f in ("d_w1", "d_b1", "d_w2", "d_b2")
+    ))
+    return attn_grads, ffn_grads, sum(r[2] for r in runs), np.stack([r[3] for r in runs])
+
+
 VARIANTS = list(itertools.product(
     toy_model.PLACEMENTS, toy_model.TOKEN_CONDITIONING, toy_model.ATTENTION_BIAS
 ))
@@ -152,10 +185,10 @@ def test_matches_pre_kernel_attention(monkeypatch, placement, conditioning, bias
         mp.setattr(cond, name, spy)
 
     with monkeypatch.context() as mp:
-        patch(mp, "multi_head_attention", ref_mha_forward)
-        patch(mp, "multi_head_attention_backward", ref_mha_backward)
-        patch(mp, "condition_cross_attention", ref_cross_attention)
-        patch(mp, "condition_cross_attention_backward", ref_cross_attention_backward)
+        patch(mp, "multi_head_attention", per_frame_mha_forward)
+        patch(mp, "multi_head_attention_backward", per_frame_mha_backward)
+        patch(mp, "condition_cross_attention", per_frame_cross_attention)
+        patch(mp, "condition_cross_attention_backward", per_frame_cross_attention_backward)
         ref_outputs, ref_grads = run_model(cfg)
 
     expect_used = {"multi_head_attention", "multi_head_attention_backward"}

@@ -146,6 +146,18 @@ class TestEvalCheckpointValidation:
         (ckpt / "cam_head.b2.bin").unlink()
         assert self.run_eval(ckpt, capsys)[0] == EXIT_IO
 
+    @pytest.mark.parametrize("name,bad", [
+        ("depth_head.w", np.nan), ("embed.b", np.inf), ("embed.b", -np.inf),
+    ], ids=["nan", "inf", "-inf"])
+    def test_non_finite_value_is_validation_error(self, ckpt, capsys, name, bad):
+        blob = ckpt / f"{name}.bin"
+        values = np.fromfile(blob, dtype="<f8")
+        values[1] = bad
+        values.tofile(blob)
+        code, err = self.run_eval(ckpt, capsys)
+        assert code == EXIT_VALIDATION
+        assert f"non-finite values: ['{name}']" in err and len(err.strip().splitlines()) == 1
+
 
 class TestBackprojectCommand:
     @staticmethod

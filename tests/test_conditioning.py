@@ -23,6 +23,8 @@ from degat_kit.conditioning import (
     mlp_bias,
     mlp_bias_backward,
     mlp_bias_coords,
+    multi_head_attention,
+    multi_head_attention_backward,
 )
 
 
@@ -254,6 +256,11 @@ class TestMlpBias:
         assert np.all(np.diag(x) == -1.0)
         # identical tokens: d_max = 0 convention gives coordinate -1 everywhere
         np.testing.assert_array_equal(mlp_bias_coords(np.ones((4, 2))), -np.ones((4, 4)))
+        # ... also for one frame of identical tokens next to a frame that is not
+        frames = np.stack([np.ones((4, 2)), rng.standard_normal((4, 2))])
+        x = mlp_bias_coords(frames)
+        np.testing.assert_array_equal(x[0], -np.ones((4, 4)))
+        np.testing.assert_array_equal(x[1], mlp_bias_coords(frames[1]))
 
     def test_zero_final_gives_zero_bias(self):
         mlp = init_mlp2(1, 4, 3, rng=18, zero_final=True)
@@ -360,3 +367,101 @@ class TestBiasedAttention:
         with pytest.raises(ValueError):
             biased_attention(np.zeros((2, 3)), np.zeros((4, 3)), np.zeros((4, 3)),
                              np.zeros((2, 5)))
+
+
+def three_frames(rng, shape):
+    """Frames at different scales (frame 1 is 10 x frame 0), so that a max or
+    mean taken over the whole batch instead of per frame shows."""
+    x0 = rng.standard_normal(shape)
+    return np.stack([x0, 10.0 * x0, rng.standard_normal(shape)])
+
+
+def assert_close(batched, per_frame):
+    np.testing.assert_allclose(batched, per_frame, rtol=1e-13, atol=1e-14)
+
+
+class TestFrameAxis:
+    """A leading frame axis gives the stacked per-frame calls, and weight
+    and base gradients summed over the frames."""
+
+    def test_multi_head_attention(self):
+        rng = np.random.default_rng(30)
+        attn = init_cross_attn(6, 2, rng=30, zero_output=False)
+        x = three_frames(rng, (5, 6))
+        bias = three_frames(rng, (2, 5, 5))
+        d_out = three_frames(rng, (5, 6))
+        out, cache = multi_head_attention(x, x, attn, bias)
+        grads, d_q, d_kv, d_bias = multi_head_attention_backward(attn, cache, d_out)
+        runs = []
+        for f in range(3):
+            out_f, cache_f = multi_head_attention(x[f], x[f], attn, bias[f])
+            runs.append((out_f, *multi_head_attention_backward(attn, cache_f, d_out[f])))
+        for i, batched in [(0, out), (2, d_q), (3, d_kv), (4, d_bias)]:
+            assert_close(batched, np.stack([r[i] for r in runs]))
+        for w in ("w_q", "w_k", "w_v", "w_o"):
+            assert_close(grads[w], sum(r[1][w] for r in runs))
+
+    @pytest.mark.parametrize("kind", ["additive", "film", "cross_attn"])
+    def test_conditioning(self, kind):
+        rng = np.random.default_rng(31)
+        c = 4
+        base = rng.standard_normal(c)
+        attn = init_cross_attn(c, 2, rng=31, zero_output=False)
+        mlp = init_mlp2(c, 6, 2 * c if kind == "film" else c, rng=31)
+        prior = three_frames(rng, (5, c) if kind == "cross_attn" else (c,))
+        d_cond = three_frames(rng, (c,))
+
+        def run(prior, d_cond):
+            if kind == "additive":
+                tok, cache = condition_additive(base, prior, mlp)
+                grads, d_base, d_prior = condition_additive_backward(mlp, cache, d_cond)
+                return tok.conditioned, d_base, d_prior, vars(grads)
+            if kind == "film":
+                tok, cache = condition_film(base, prior, mlp)
+                grads, d_base, d_prior = condition_film_backward(mlp, cache, base, d_cond)
+                return tok.conditioned, d_base, d_prior, vars(grads)
+            tok, cache = condition_cross_attention(base, prior, attn, mlp)
+            ag, fg, d_base, d_prior = condition_cross_attention_backward(attn, mlp, cache, d_cond)
+            return tok.conditioned, d_base, d_prior, {**ag, **vars(fg)}
+
+        cond, d_base, d_prior, grads = run(prior, d_cond)
+        runs = [run(prior[f], d_cond[f]) for f in range(3)]
+        assert cond.shape == (3, c) and d_base.shape == base.shape
+        assert_close(cond, np.stack([r[0] for r in runs]))
+        assert_close(d_base, sum(r[1] for r in runs))
+        assert_close(d_prior, np.stack([r[2] for r in runs]))
+        for name, g in grads.items():
+            assert_close(g, sum(r[3][name] for r in runs))
+
+    def test_bias_generators(self):
+        rng = np.random.default_rng(32)
+        feats = three_frames(rng, (6, 3))
+        table = BiasTable(table=rng.standard_normal((8, 2)))
+        mlp = init_mlp2(1, 4, 2, rng=32)
+        delta = three_frames(rng, (2, 6, 6))
+
+        idx = bucket_indices(feats, 8)
+        np.testing.assert_array_equal(idx, np.stack([bucket_indices(f, 8) for f in feats]))
+        assert len(np.unique(idx[0])) > 1  # frame 0 is not squeezed by frame 1's scale
+        bias, idx = bucket_bias(feats, table)
+        np.testing.assert_array_equal(bias, np.stack([bucket_bias(f, table)[0] for f in feats]))
+        assert_close(
+            bias_table_gradient(delta, idx, 8),
+            sum(bias_table_gradient(d, i, 8) for d, i in zip(delta, idx)),
+        )
+
+        assert_close(mlp_bias_coords(feats), np.stack([mlp_bias_coords(f) for f in feats]))
+        bias, cache = mlp_bias(feats, mlp)
+        grads = mlp_bias_backward(mlp, cache, delta)
+        runs = [mlp_bias(f, mlp) for f in feats]
+        assert_close(bias, np.stack([b for b, _ in runs]))
+        for name, g in vars(grads).items():
+            per_frame = [vars(mlp_bias_backward(mlp, c, d)) for (_, c), d in zip(runs, delta)]
+            assert_close(g, sum(p[name] for p in per_frame))
+
+    def test_rejects_frames_of_unsupported_rank(self):
+        mlp = init_mlp2(2, 3, 2, rng=33)
+        with pytest.raises(ValueError, match="g must be 1-D or 2-D"):
+            condition_additive(np.zeros(2), np.zeros((1, 2, 2)), mlp)
+        with pytest.raises(ValueError, match="tokens must be 2-D or 3-D"):
+            condition_cross_attention(np.zeros(2), np.zeros(2), init_cross_attn(2, 1, rng=33), mlp)

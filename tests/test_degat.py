@@ -251,6 +251,14 @@ class TestDerivedQuantities:
         x = np.array([[1.0, 2.0], [3.0, 6.0]])
         np.testing.assert_array_equal(pooled_prior(x), [2.0, 4.0])
 
+    def test_pooled_prior_per_frame(self):
+        rng = np.random.default_rng(40)
+        x0 = rng.standard_normal((5, 3))
+        frames = np.stack([x0, 10.0 * x0])
+        np.testing.assert_array_equal(pooled_prior(frames), [pooled_prior(f) for f in frames])
+        with pytest.raises(ValueError):
+            pooled_prior(np.zeros((2, 0, 3)))
+
     def test_pooled_prior_empty(self):
         with pytest.raises(ValueError):
             pooled_prior(np.zeros((0, 3)))

@@ -193,6 +193,16 @@ class TestPairwiseDistances:
             d, np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2), rtol=0, atol=1e-12
         )
 
+    def test_frame_axis_matches_per_frame_calls(self):
+        rng = np.random.default_rng(32)
+        x0 = rng.standard_normal((7, 3))
+        frames = np.stack([x0, 10.0 * x0, rng.standard_normal((7, 3))])
+        d = pairwise_distances(frames)
+        np.testing.assert_array_equal(d, np.stack([pairwise_distances(f) for f in frames]))
+        assert np.all(np.diagonal(d, axis1=1, axis2=2) == 0.0)
+        with pytest.raises(ValueError, match="2-D or 3-D"):
+            pairwise_distances(np.zeros(3))
+
     def test_euclidean_graph_uses_the_same_values(self):
         x = np.random.default_rng(31).standard_normal((12, 3))
         g = build_knn_graph(x, 4, "euclidean")

@@ -3,7 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from degat_kit.numerics import elu, leaky_relu, softmax, softmax_backward
+from degat_kit.numerics import (
+    as_finite, as_matrix, as_vector, elu, leaky_relu, softmax, softmax_backward,
+)
+
+
+class TestValidation:
+    def test_ranks(self):
+        assert as_finite([[1, 2]], "x", (2, 3)).dtype == np.float64
+        assert as_finite(np.zeros((1, 2, 3)), "x", (2, 3)).shape == (1, 2, 3)
+        with pytest.raises(ValueError, match="x must be 2-D or 3-D, got shape"):
+            as_finite(np.zeros(3), "x", (2, 3))
+        with pytest.raises(ValueError, match="m must be 2-D, got shape"):
+            as_matrix(np.zeros((1, 2, 3)), "m")
+        with pytest.raises(ValueError, match="v must be 1-D, got shape"):
+            as_vector(np.zeros((2, 2)), "v")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite(self, bad):
+        with pytest.raises(ValueError, match="x contains non-finite entries"):
+            as_finite(np.array([[[0.0, bad]]]), "x", (2, 3))
 
 
 class TestActivations:

@@ -65,6 +65,8 @@ class TestConfig:
             small_cfg(degat_placement="mid")
         with pytest.raises(ValueError):
             small_cfg(attention_bias="table")
+        with pytest.raises(ValueError, match="knn_metric"):
+            small_cfg(knn_metric="manhattan")
 
     def test_grid_derivation(self):
         cfg = ModelConfig(image_h=32, image_w=64, patch_size=8, k_neighbors=9)
@@ -122,6 +124,15 @@ class TestForward:
         cfg = small_cfg()
         with pytest.raises(ValueError):
             forward(init_model_params(cfg), cfg, [])
+
+    @pytest.mark.parametrize("shape", [(8, 16), (16, 16, 1)])
+    def test_frame_shape_checked(self, shape):
+        cfg = small_cfg()
+        frames = [np.zeros((16, 16)), np.zeros(shape)]
+        with pytest.raises(ValueError):
+            forward(init_model_params(cfg), cfg, frames)
+        with pytest.raises(ValueError, match="frame shape"):
+            forward(init_model_params(cfg), cfg, [np.zeros(shape)])
 
     def test_conditioning_identity_at_init(self):
         # zero-initialized conditioning heads: outputs match the "none" variant
