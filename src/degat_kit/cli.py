@@ -53,6 +53,9 @@ def _cmd_graph(args):
         img = img.mean(axis=2)
     h, w = img.shape
     p = args.patch_size
+    if p < 1:
+        print(f"error: patch size must be >= 1, got {p}", file=sys.stderr)
+        return EXIT_VALIDATION
     if h % p or w % p:
         print(f"error: patch size {p} does not divide image {h}x{w}", file=sys.stderr)
         return EXIT_VALIDATION

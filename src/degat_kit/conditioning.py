@@ -134,9 +134,11 @@ def mlp2_forward(mlp, x):
     """Apply the MLP to rows of x (or a single vector); returns (y, cache)."""
     x = np.asarray(x, dtype=np.float64)
     act, _ = _ACTIVATIONS[mlp.activation]
-    pre = x @ mlp.w1.T + mlp.b1
+    pre = x @ mlp.w1.T
+    pre += mlp.b1
     hid = act(pre)
-    y = hid @ mlp.w2.T + mlp.b2
+    y = hid @ mlp.w2.T
+    y += mlp.b2
     return y, (x, pre, hid)
 
 
@@ -354,12 +356,12 @@ def bias_table_gradient(delta, idx, n_buckets):
     idx: (..., L, L) bucket index per pair. Returns (K_b, H).
     """
     delta = np.asarray(delta, dtype=np.float64)
-    h = delta.shape[-3]
-    grad = np.zeros((n_buckets, h))
     flat_idx = idx.ravel()
-    for head in range(h):
-        np.add.at(grad[:, head], flat_idx, delta[..., head, :, :].ravel())
-    return grad
+    per_head = [
+        np.bincount(flat_idx, weights=delta[..., head, :, :].ravel(), minlength=n_buckets)
+        for head in range(delta.shape[-3])
+    ]
+    return np.stack(per_head, axis=1)
 
 
 def mlp_bias_coords(features):

@@ -51,18 +51,19 @@ class CameraParams:
 
 @dataclass
 class DepthMap:
-    """Per-pixel depth with its paired positive confidence map."""
+    """Per-pixel depth with its paired positive confidence map, for one
+    frame or for F frames stacked on a leading axis."""
 
-    depth: np.ndarray  # (H, W)
-    confidence: np.ndarray  # (H, W)
+    depth: np.ndarray  # (H, W) or (F, H, W)
+    confidence: np.ndarray  # same shape as depth
 
     def __post_init__(self):
         self.depth = np.asarray(self.depth, dtype=np.float64)
         self.confidence = np.asarray(self.confidence, dtype=np.float64)
-        if self.depth.shape != self.confidence.shape or self.depth.ndim != 2:
+        if self.depth.shape != self.confidence.shape or self.depth.ndim not in (2, 3):
             raise ValueError(
                 f"depth {self.depth.shape} and confidence {self.confidence.shape} "
-                "must be matching 2-D grids"
+                "must be matching 2-D grids or (F, H, W) stacks"
             )
 
     @property
@@ -102,6 +103,8 @@ def depth_to_pointcloud(depth_map, cam, image=None):
     or image values raise ValueError.
     """
     d = depth_map.depth if isinstance(depth_map, DepthMap) else np.asarray(depth_map, dtype=np.float64)
+    if d.ndim != 2:
+        raise ValueError(f"depth_to_pointcloud takes one (H, W) depth grid, got {d.shape}")
     if not np.isfinite(d).all():
         raise ValueError("depth contains non-finite values")
     h, w = d.shape

@@ -18,7 +18,10 @@ import numpy as np
 from .geometry import CameraParams
 from .metrics import SsimConfig, psnr, ssim
 from .objective import LossWeights, camera_loss
-from .toy_model import ModelConfig, forward, init_model_params, loss_and_grads, sgd_step
+from .toy_model import (
+    ModelConfig, check_param_shapes, check_params, forward, init_model_params, loss_and_grads,
+    param_shapes, sgd_step,
+)
 
 __all__ = [
     "SyntheticScene",
@@ -139,7 +142,8 @@ def _normalized(depth):
 
 
 def evaluate(params, cfg, scene):
-    """Depth error, camera loss, and PSNR/SSIM on normalized depth images."""
+    """Depth error, camera loss, and PSNR/SSIM on normalized depth images;
+    PSNR and SSIM read nan when a predicted depth map is not finite."""
     depth_maps, cams, _ = forward(params, cfg, scene.frames)
     abs_err = float(
         np.mean([np.abs(dm.depth - gt).mean() for dm, gt in zip(depth_maps, scene.gt_depth)])
@@ -152,9 +156,10 @@ def evaluate(params, cfg, scene):
     for dm, gt in zip(depth_maps, scene.gt_depth):
         a = _normalized(dm.depth)
         b = _normalized(np.asarray(gt))
-        psnrs.append(psnr(a, b, 1.0))
+        finite = np.isfinite(a).all()  # an overflowed prediction has no fidelity score
+        psnrs.append(psnr(a, b, 1.0) if finite else np.nan)
         if min(a.shape) >= ssim_cfg.window:
-            ssims.append(ssim(a, b, ssim_cfg))
+            ssims.append(ssim(a, b, ssim_cfg) if finite else np.nan)
     out = {
         "mean_abs_depth_error": abs_err,
         "camera_loss": cam_err,
@@ -223,6 +228,8 @@ def load_config(path):
     """Read a flat JSON config; unknown keys are errors (catches typos)."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"config {path} must hold a JSON object, got {type(raw).__name__}")
     allowed = MODEL_KEYS | WEIGHT_KEYS | TRAINER_KEYS
     unknown = set(raw) - allowed
     if unknown:
@@ -253,9 +260,9 @@ def load_checkpoint(path):
     """Read a checkpoint written by ``save_checkpoint``.
 
     The manifest must list exactly the parameters, with the shapes, that
-    ``init_model_params`` makes for its config, and every value must be
-    finite; anything else raises ValueError. A blob whose size does not
-    match its shape raises OSError.
+    ``param_shapes`` gives for its config, and every value must be finite;
+    anything else raises ValueError. A blob whose size does not match its
+    shape raises OSError.
     """
     with open(os.path.join(path, "manifest.json"), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
@@ -266,16 +273,8 @@ def load_checkpoint(path):
     unsafe = sorted(k for k in shapes if "/" in k or "\\" in k)
     if unsafe:
         raise ValueError(f"checkpoint parameter names contain path separators: {unsafe}")
-    expected = {k: v.shape for k, v in init_model_params(cfg).items()}
-    missing = sorted(expected.keys() - shapes.keys())
-    extra = sorted(shapes.keys() - expected.keys())
-    if missing or extra:
-        raise ValueError(
-            f"checkpoint parameters do not match its config: missing {missing}, unexpected {extra}"
-        )
-    reshaped = sorted(k for k, shape in shapes.items() if tuple(shape) != expected[k])
-    if reshaped:
-        raise ValueError(f"checkpoint parameter shapes do not match its config: {reshaped}")
+    check_param_shapes(shapes, cfg)
+    expected = param_shapes(cfg)
     params = {}
     for k in shapes:
         blob_path = os.path.join(path, f"{k}.bin")
@@ -283,7 +282,5 @@ def load_checkpoint(path):
         if size != need:
             raise OSError(f"{blob_path} has {size} bytes, shape {expected[k]} needs {need}")
         params[k] = np.fromfile(blob_path, dtype="<f8").reshape(expected[k]).astype(np.float64)
-    non_finite = sorted(k for k, v in params.items() if not np.isfinite(v).all())
-    if non_finite:
-        raise ValueError(f"checkpoint parameters contain non-finite values: {non_finite}")
+    check_params(params, cfg)
     return cfg, params

@@ -25,6 +25,8 @@ class SsimConfig:
             raise ValueError(f"window must be odd and >= 3, got {self.window}")
         if self.k1 <= 0.0 or self.k2 <= 0.0:
             raise ValueError("k1 and k2 must be positive")
+        if not 0.0 < self.dynamic_range < np.inf:
+            raise ValueError(f"dynamic_range must be finite and > 0, got {self.dynamic_range}")
 
 
 def _check_pair(a, b):
@@ -32,6 +34,8 @@ def _check_pair(a, b):
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"image shape mismatch: {a.shape} vs {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("images contain non-finite pixels")
     return a, b
 
 
@@ -43,8 +47,8 @@ def mse(a, b):
 
 def psnr(a, b, max_val=1.0):
     """10 log10(MAX^2 / MSE); identical images give +inf."""
-    if max_val <= 0.0:
-        raise ValueError(f"max_val must be > 0, got {max_val}")
+    if not 0.0 < max_val < np.inf:
+        raise ValueError(f"max_val must be finite and > 0, got {max_val}")
     err = mse(a, b)
     if err == 0.0:
         return float("inf")

@@ -3,7 +3,10 @@ closed-form optimal-confidence utilities, plus a generic central
 finite-difference gradient checker.
 
 All pixel losses are means over pixels so the loss scale is independent
-of resolution.
+of resolution. The camera and depth losses take one frame or F frames
+stacked on a leading axis: depth grids (F, H, W), and rotations (F, 3, 3),
+translations (F, 3) and focals (F,). A stack gives the mean over frames of
+the per-frame losses, and its gradients are those of that mean.
 """
 
 from dataclasses import dataclass
@@ -46,24 +49,40 @@ class LossBreakdown:
         return self.cam + self.reg + self.unc + self.grad
 
 
+def _frame_average(per_frame):
+    """Mean of per-frame values, or the value itself for one frame."""
+    return float(per_frame.sum() / per_frame.size)
+
+
 def camera_loss(pred, gt):
-    """L1 over translation (3), flattened rotation (9), and focal (1)."""
-    return float(
-        np.abs(pred.translation - gt.translation).sum()
-        + np.abs(pred.rotation - gt.rotation).sum()
-        + abs(pred.focal - gt.focal)
+    """L1 over translation (3), flattened rotation (9), and focal (1).
+
+    ``pred`` and ``gt`` are ``CameraParams``, or objects with the same
+    fields stacked over a leading frame axis; a stack gives the mean over
+    frames.
+    """
+    if np.shape(pred.rotation) != np.shape(gt.rotation):
+        raise ValueError(
+            f"camera shapes differ: {np.shape(pred.rotation)} vs {np.shape(gt.rotation)}"
+        )
+    per_frame = (
+        np.abs(pred.translation - gt.translation).sum(axis=-1)
+        + np.abs(pred.rotation - gt.rotation).sum(axis=(-2, -1))
+        + np.abs(pred.focal - gt.focal)
     )
+    return _frame_average(per_frame)
 
 
 def spatial_gradient(d):
-    """Forward differences in x and y; the replicated edge has gradient 0."""
+    """Forward differences in x and y over the last two axes; the replicated
+    edge has gradient 0."""
     d = np.asarray(d, dtype=np.float64)
-    if d.ndim != 2 or d.shape[0] < 2 or d.shape[1] < 2:
+    if d.ndim < 2 or d.shape[-2] < 2 or d.shape[-1] < 2:
         raise ValueError(f"spatial_gradient needs an H>=2, W>=2 grid, got {d.shape}")
-    gx = np.zeros_like(d)
-    gy = np.zeros_like(d)
-    gx[:, :-1] = d[:, 1:] - d[:, :-1]
-    gy[:-1, :] = d[1:, :] - d[:-1, :]
+    gx = np.zeros(d.shape)
+    gy = np.zeros(d.shape)
+    gx[..., :-1] = d[..., 1:] - d[..., :-1]
+    gy[..., :-1, :] = d[..., 1:, :] - d[..., :-1, :]
     return gx, gy
 
 
@@ -73,6 +92,9 @@ def depth_loss(pred, gt_depth, weights):
     reg  = mean (Dhat - D)^2
     unc  = mean (gamma (Dhat - D)^2 * C - alpha log C)
     grad = mean (|dx Dhat - dx D| + |dy Dhat - dy D|)
+
+    Each mean is over one frame's pixels; with (F, H, W) grids each term is
+    the mean of the F per-frame values.
     """
     d_hat = pred.depth
     conf = pred.confidence
@@ -82,20 +104,23 @@ def depth_loss(pred, gt_depth, weights):
     if np.any(conf <= 0.0):
         raise ValueError("confidence map must be strictly positive")
     r_sq = (d_hat - gt_depth) ** 2
-    reg = float(r_sq.mean())
-    unc = float((weights.gamma * r_sq * conf - weights.alpha * np.log(conf)).mean())
+    reg = _frame_average(r_sq.mean(axis=(-2, -1)))
+    unc = _frame_average(
+        (weights.gamma * r_sq * conf - weights.alpha * np.log(conf)).mean(axis=(-2, -1))
+    )
     gx_p, gy_p = spatial_gradient(d_hat)
     gx_g, gy_g = spatial_gradient(gt_depth)
-    grad = float((np.abs(gx_p - gx_g) + np.abs(gy_p - gy_g)).mean())
+    grad = _frame_average((np.abs(gx_p - gx_g) + np.abs(gy_p - gy_g)).mean(axis=(-2, -1)))
     return LossBreakdown(cam=0.0, reg=reg, unc=unc, grad=grad)
 
 
 def depth_loss_backward(pred, gt_depth, weights):
-    """Gradients of (reg + unc + grad) w.r.t. predicted depth and confidence."""
+    """Gradients of (reg + unc + grad) w.r.t. predicted depth and confidence,
+    shaped like them."""
     d_hat = pred.depth
     conf = pred.confidence
     gt_depth = np.asarray(gt_depth, dtype=np.float64)
-    n = d_hat.size
+    n = d_hat.shape[-2] * d_hat.shape[-1]  # pixels per frame
     resid = d_hat - gt_depth
 
     d_depth = 2.0 * resid / n  # reg
@@ -107,10 +132,14 @@ def depth_loss_backward(pred, gt_depth, weights):
     sx = np.sign(gx_p - gx_g) / n
     sy = np.sign(gy_p - gy_g) / n
     # adjoint of the forward-difference operators
-    d_depth[:, 1:] += sx[:, :-1]
-    d_depth[:, :-1] -= sx[:, :-1]
-    d_depth[1:, :] += sy[:-1, :]
-    d_depth[:-1, :] -= sy[:-1, :]
+    d_depth[..., 1:] += sx[..., :-1]
+    d_depth[..., :-1] -= sx[..., :-1]
+    d_depth[..., 1:, :] += sy[..., :-1, :]
+    d_depth[..., :-1, :] -= sy[..., :-1, :]
+    n_frames = d_hat.size // n
+    if n_frames > 1:  # the gradient of the mean over frames
+        d_depth /= n_frames
+        d_conf /= n_frames
     return d_depth, d_conf
 
 

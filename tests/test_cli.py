@@ -48,6 +48,14 @@ class TestGraphCommand:
         write_pnm(path, img)
         assert main(["graph", "--input", str(path), "--patch-size", "5"]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("size", ["0", "-4"])
+    def test_non_positive_patch_size(self, tmp_path, capsys, size):
+        path = tmp_path / "img.pgm"
+        write_pnm(path, np.zeros((16, 16)))
+        assert main(["graph", "--input", str(path), "--patch-size", size]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "patch size must be >= 1" in err and len(err.strip().splitlines()) == 1
+
 
 class TestTrainEvalCommands:
     def test_train_then_eval(self, tmp_path, tiny_config, capsys):
@@ -85,6 +93,28 @@ class TestTrainEvalCommands:
         path.write_text(json.dumps({"momentum": 0.9}))
         assert main(["train", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("edit,needle", [
+        ({"patch_size": 0}, "patch_size=0"),
+        ({"n_heads": 0}, "n_heads=0"),
+    ], ids=["patch_size", "n_heads"])
+    def test_non_positive_size_in_config(self, tmp_path, tiny_config, capsys, edit, needle):
+        raw = json.loads(tiny_config.read_text())
+        tiny_config.write_text(json.dumps({**raw, **edit}))
+        assert main(["train", "--config", str(tiny_config),
+                     "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert needle in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("body,kind", [([1, 2], "list"), ("steps", "str"), (3, "int")])
+    def test_config_must_be_an_object(self, tmp_path, capsys, body, kind):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(body))
+        assert main(["train", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"must hold a JSON object, got {kind}" in err
+        assert "unknown config keys" not in err and len(err.strip().splitlines()) == 1
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -231,6 +261,27 @@ class TestMetricsCommand:
         out = json.loads(capsys.readouterr().out)
         assert "ssim" not in out
         assert out["psnr"] == float("inf") or out["psnr"] == "Infinity" or out["psnr"] is not None
+
+    def test_nan_pixel_is_validation_error(self, tmp_path, capsys):
+        a = np.full((16, 16), 0.5)
+        b = a.copy()
+        b[2, 3] = np.nan
+        pa, pb = tmp_path / "a.pfm", tmp_path / "b.pfm"
+        write_pfm(pa, a)
+        write_pfm(pb, b)
+        assert main(["metrics", "--a", str(pa), "--b", str(pb)]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and "non-finite" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("max_val", ["nan", "inf", "0"])
+    def test_bad_max_val_is_validation_error(self, tmp_path, capsys, max_val):
+        pa, pb = tmp_path / "a.pfm", tmp_path / "b.pfm"
+        write_pfm(pa, np.zeros((16, 16)))
+        write_pfm(pb, np.full((16, 16), 0.25))
+        assert main(["metrics", "--a", str(pa), "--b", str(pb),
+                     "--max-val", max_val]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and "max_val" in err and len(err.strip().splitlines()) == 1
 
     def test_shape_mismatch(self, tmp_path):
         pa, pb = tmp_path / "a.pfm", tmp_path / "b.pfm"

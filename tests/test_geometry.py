@@ -184,6 +184,12 @@ class TestValidation:
     def test_depth_map(self):
         with pytest.raises(ValueError):
             DepthMap(np.ones((2, 2)), np.ones((3, 2)))
+        with pytest.raises(ValueError):
+            DepthMap(np.ones((1, 2, 2, 2)), np.ones((1, 2, 2, 2)))
+        stack = DepthMap(np.ones((3, 2, 2)), np.ones((3, 2, 2)))  # F frames for the loss
+        assert stack.shape == (3, 2, 2)
+        with pytest.raises(ValueError, match="one"):
+            depth_to_pointcloud(stack, CameraParams(np.eye(3), np.zeros(3), 1.0))
 
     def test_intrinsics(self):
         k = intrinsic_matrix(2.0, 0.5, 0.25)

@@ -105,6 +105,20 @@ class TestPsnr:
     def test_max_val_validation(self):
         with pytest.raises(ValueError):
             psnr(np.zeros((2, 2)), np.ones((2, 2)), 0.0)
+        for bad in (np.nan, np.inf, -1.0):
+            with pytest.raises(ValueError, match="max_val"):
+                psnr(np.zeros((2, 2)), np.ones((2, 2)), bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_pixels(self, bad):
+        a = np.zeros((12, 12))
+        b = a.copy()
+        b[3, 4] = bad
+        for fn in (mse, psnr, ssim):
+            with pytest.raises(ValueError, match="non-finite"):
+                fn(a, b)
+            with pytest.raises(ValueError, match="non-finite"):
+                fn(b, a)
 
 
 class TestSsim:
@@ -162,3 +176,6 @@ class TestSsim:
             SsimConfig(window=4)
         with pytest.raises(ValueError):
             SsimConfig(k1=0.0)
+        for bad in (np.nan, np.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="dynamic_range"):
+                SsimConfig(dynamic_range=bad)

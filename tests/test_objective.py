@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -100,6 +101,60 @@ class TestDepthLoss:
 
         assert finite_diff_check(f_depth, d_depth, depth) < 1e-6
         assert finite_diff_check(f_conf, d_conf, conf) < 1e-6
+
+
+class TestFrameAxis:
+    """F frames stacked on a leading axis give the mean of the per-frame
+    losses; frame 1 is 10 x frame 0, so any mixing across frames shows, and
+    F = 3 is no power of two, so dividing by F rounds."""
+
+    @staticmethod
+    def stacked(frame0):
+        return np.stack([frame0, 10.0 * frame0, frame0**2])
+
+    def test_spatial_gradient(self):
+        d = np.random.default_rng(4).standard_normal((5, 6))
+        gx, gy = spatial_gradient(self.stacked(d))
+        per_frame = [spatial_gradient(f) for f in self.stacked(d)]
+        np.testing.assert_array_equal(gx, np.stack([g for g, _ in per_frame]))
+        np.testing.assert_array_equal(gy, np.stack([g for _, g in per_frame]))
+        with pytest.raises(ValueError):
+            spatial_gradient(np.ones((2, 1, 5)))
+
+    def test_depth_loss_and_backward(self):
+        rng = np.random.default_rng(5)
+        depth, conf, gt = (self.stacked(rng.uniform(0.5, 2.0, (5, 6))) for _ in range(3))
+        w = LossWeights(alpha=0.3, gamma=1.7)
+        frames = [DepthMap(d, c) for d, c in zip(depth, conf)]
+        parts = [depth_loss(f, g, w) for f, g in zip(frames, gt)]
+        got = depth_loss(DepthMap(depth, conf), gt, w)
+        for name in ("reg", "unc", "grad"):
+            assert getattr(got, name) == pytest.approx(
+                np.mean([getattr(p, name) for p in parts]), rel=1e-14
+            )
+        d_depth, d_conf = depth_loss_backward(DepthMap(depth, conf), gt, w)
+        per_frame = [depth_loss_backward(f, g, w) for f, g in zip(frames, gt)]
+        np.testing.assert_array_equal(d_depth, np.stack([d for d, _ in per_frame]) / 3)
+        np.testing.assert_array_equal(d_conf, np.stack([c for _, c in per_frame]) / 3)
+
+    def test_camera_loss(self):
+        rng = np.random.default_rng(6)
+        pred = [CameraParams(rng.standard_normal((3, 3)), rng.standard_normal(3), 0.7)]
+        gt = [CameraParams(rng.standard_normal((3, 3)), rng.standard_normal(3), 1.3)]
+        for cams in (pred, gt):
+            c = cams[0]
+            cams.append(CameraParams(10.0 * c.rotation, 10.0 * c.translation, 10.0 * c.focal))
+
+        def stack(cams):
+            return SimpleNamespace(**{
+                f: np.array([getattr(c, f) for c in cams])
+                for f in ("rotation", "translation", "focal")
+            })
+
+        expect = np.mean([camera_loss(p, g) for p, g in zip(pred, gt)])
+        assert camera_loss(stack(pred), stack(gt)) == pytest.approx(expect, rel=1e-14)
+        with pytest.raises(ValueError, match="camera shapes differ"):
+            camera_loss(stack(pred), stack(gt[:1]))
 
 
 class TestOptimalConfidence:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from degat_kit import conditioning as cond
+from degat_kit import degat as dg
 from degat_kit.geometry import CameraParams
 from degat_kit.objective import LossWeights, finite_diff_check
 from degat_kit.toy_model import (
@@ -9,6 +11,7 @@ from degat_kit.toy_model import (
     forward,
     init_model_params,
     loss_and_grads,
+    param_shapes,
     sgd_step,
     zero_grads,
 )
@@ -67,6 +70,12 @@ class TestConfig:
             small_cfg(attention_bias="table")
         with pytest.raises(ValueError, match="knn_metric"):
             small_cfg(knn_metric="manhattan")
+        # non-positive sizes are rejected before any modulo divides by them
+        for kw in (dict(patch_size=0), dict(n_heads=0), dict(embed_dim=0), dict(image_h=-16),
+                   dict(n_buckets=0), dict(n_blocks=-1)):
+            with pytest.raises(ValueError, match="model sizes"):
+                small_cfg(**kw)
+        assert small_cfg(n_blocks=0).n_blocks == 0
 
     def test_grid_derivation(self):
         cfg = ModelConfig(image_h=32, image_w=64, patch_size=8, k_neighbors=9)
@@ -97,6 +106,15 @@ class TestInit:
             for k in base:
                 np.testing.assert_array_equal(other[k], base[k])
 
+    def test_param_shapes_match_init(self):
+        cfg = small_cfg(n_blocks=2)
+        params = init_model_params(cfg)
+        shapes = param_shapes(cfg)
+        assert list(shapes) == list(params)
+        assert all(params[k].shape == s for k, s in shapes.items())
+        shapes["embed.w"] = (1, 1)  # a copy: the config's table is unchanged
+        assert param_shapes(cfg)["embed.w"] == params["embed.w"].shape
+
     def test_zero_init_layers(self):
         p = init_model_params(small_cfg())
         for k in ("cond_add.w2", "cond_film.w2", "cond_xattn.w_o",
@@ -119,6 +137,35 @@ class TestForward:
             assert np.all(dm.confidence > 0.0)
         for cam in cams:
             assert cam.focal > 0.0
+
+    @pytest.mark.parametrize("edit,needle", [
+        (lambda p: p["depth_head.w"].__setitem__((0, 0), np.nan), "non-finite values: ['depth_head.w']"),
+        (lambda p: [p[k].__setitem__(0, np.inf) for k in ("embed.b", "cam_head.b2")],
+         "non-finite values: ['cam_head.b2', 'embed.b']"),
+        (lambda p: p.update({"embed.w": p["embed.w"].T}), "shapes do not match the config: ['embed.w']"),
+        (lambda p: p.pop("degat.a"), "missing ['degat.a']"),
+        (lambda p: p.update({"extra.w": np.zeros(2)}), "unexpected ['extra.w']"),
+    ], ids=["nan", "inf-two-keys", "reshaped", "missing", "extra"])
+    def test_params_checked_on_entry(self, edit, needle):
+        cfg = small_cfg()
+        params = init_model_params(cfg)
+        edit(params)
+        frames = make_frames(np.random.default_rng(0), cfg)
+        with pytest.raises(ValueError) as exc:
+            forward(params, cfg, frames)
+        assert needle in str(exc.value)
+
+    @pytest.mark.parametrize("make", [
+        lambda w: cond.Mlp2(w1=w, b1=np.zeros(2), w2=np.ones((1, 2)), b2=np.zeros(1)),
+        lambda w: cond.CrossAttnParams(w_q=w, w_k=np.eye(2), w_v=np.eye(2), w_o=np.eye(2),
+                                       n_heads=1),
+        lambda w: dg.DeGatParams(w_proj=np.ones((2, 4)), a=np.ones(2), w_val=w),
+        lambda w: cond.BiasTable(table=w),
+    ], ids=["Mlp2", "CrossAttnParams", "DeGatParams", "BiasTable"])
+    def test_direct_construction_still_validates(self, make):
+        make(np.eye(2))
+        with pytest.raises(ValueError, match="non-finite"):
+            make(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
     def test_empty_frames_rejected(self):
         cfg = small_cfg()
@@ -216,10 +263,51 @@ class TestGradients:
     def test_upstream_length_check(self):
         cfg = small_cfg()
         params = init_model_params(cfg)
-        frames = make_frames(np.random.default_rng(5), cfg)
+        frames = make_frames(np.random.default_rng(5), cfg, 2)
         _, _, cache = forward(params, cfg, frames)
-        with pytest.raises(ValueError):
-            backward(params, cfg, cache, [])
+        hw = (cfg.image_h, cfg.image_w)
+        upstream = {"depth": np.ones((2, *hw)), "confidence": np.ones((2, *hw)),
+                    "rotation": np.ones((2, 3, 3)), "translation": np.ones((2, 3)),
+                    "focal": np.ones(2)}
+        backward(params, cfg, cache, upstream)
+        for key in upstream:
+            wrong = dict(upstream, **{key: upstream[key][:1]})  # one frame instead of two
+            with pytest.raises(ValueError, match=f"upstream \\['{key}'\\]"):
+                backward(params, cfg, cache, wrong)
+        with pytest.raises(ValueError, match="'focal'"):
+            backward(params, cfg, cache, {k: v for k, v in upstream.items() if k != "focal"})
+        with pytest.raises(ValueError, match="dict"):
+            backward(params, cfg, cache, [upstream])
+
+    @pytest.mark.parametrize("n_gt", [3, 5])
+    def test_ground_truth_count_check(self, n_gt):
+        rng = np.random.default_rng(6)
+        cfg = small_cfg()
+        params = init_model_params(cfg)
+        frames = make_frames(rng, cfg, 4)
+        gt_depths, gt_cams = make_gt(rng, cfg, n_gt)
+        with pytest.raises(ValueError, match=f"{n_gt} ground-truth depths"):
+            loss_and_grads(params, cfg, frames, gt_depths, gt_cams)
+        with pytest.raises(ValueError, match="4 ground-truth depths"):
+            loss_and_grads(params, cfg, frames, gt_depths[:1] * 4, gt_cams)
+
+    def test_every_key_present_and_unused_keys_zero(self):
+        rng = np.random.default_rng(7)
+        cfg = small_cfg()  # no graph hop, conditioning or bias; one frame: no global block
+        params = {k: v + 0.05 * rng.standard_normal(v.shape)
+                  for k, v in init_model_params(cfg).items()}
+        frames = make_frames(rng, cfg)
+        _, grads = loss_and_grads(params, cfg, frames, *make_gt(rng, cfg))
+        assert list(grads) == list(params)
+        unused = ("degat.", "cond_", "bias_", "global")
+        for k, g in grads.items():
+            assert g.shape == params[k].shape and g.dtype == np.float64
+            if k.startswith(unused):
+                assert np.all(g == 0.0), k
+            else:
+                assert np.any(g != 0.0), k
+        # every array is its own: writing one leaves the others alone
+        assert len({id(g) for g in grads.values()}) == len(grads)
 
 
 class TestTraining:
