@@ -13,12 +13,10 @@ from dataclasses import asdict
 import numpy as np
 
 from . import fileio
-from .degat import init_degat_params, degat_forward
 from .geometry import CameraParams, DepthMap, depth_to_pointcloud, write_ply
 from .graph import TokenGrid, build_knn_graph, dump_neighbors
 from .harness import (
     NumericAbort,
-    RunReport,
     ablate_k,
     generate_scene,
     load_checkpoint,
@@ -97,7 +95,14 @@ def _cmd_train(args):
 def _cmd_eval(args):
     cfg, params = load_checkpoint(args.checkpoint)
     scene = generate_scene(args.scene_seed, args.n_frames, cfg.image_h, cfg.image_w)
-    print(json.dumps(evaluate(params, cfg, scene), indent=2))
+    with np.errstate(all="ignore"):  # an overflowed prediction is reported below
+        scores = evaluate(params, cfg, scene)
+    # PSNR is +inf for an exact prediction; any other inf, and any nan, is not a score
+    bad = sorted(k for k, v in scores.items() if np.isnan(v) or (np.isinf(v) and k != "psnr"))
+    if bad:
+        print(f"error: non-finite scores {bad}", file=sys.stderr)
+        return EXIT_NUMERIC
+    print(json.dumps(scores, indent=2))
     return EXIT_OK
 
 

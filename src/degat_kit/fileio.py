@@ -32,27 +32,35 @@ def write_pfm(path, data):
         raise OSError(f"failed to write PFM to {path}: {exc}") from exc
 
 
-def read_pfm(path):
-    """Read a PFM file into a float64 array (H, W) or (H, W, 3)."""
+def _read_header(path, kind, pattern=rb"\s*(\S+)"):
+    """Read a Netpbm-style file: its bytes, magic, width, height, fourth header
+    token and the offset of the payload, rejecting an empty size."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        raise OSError(f"failed to read PFM from {path}: {exc}") from exc
+        raise OSError(f"failed to read {kind} from {path}: {exc}") from exc
     tokens = []
     pos = 0
     while len(tokens) < 4:
-        m = re.match(rb"\s*(\S+)", raw[pos:])
+        m = re.match(pattern, raw[pos:])
         if m is None:
-            raise ValueError(f"truncated PFM header in {path}")
+            raise ValueError(f"truncated {kind} header in {path}")
         tokens.append(m.group(1))
         pos += m.end()
-    pos += 1  # single whitespace after the scale line
-    magic, w, h, scale = tokens[0], int(tokens[1]), int(tokens[2]), float(tokens[3])
+    magic, w, h, last = tokens[0], int(tokens[1]), int(tokens[2]), tokens[3]
+    if w < 1 or h < 1:
+        raise ValueError(f"{kind} size {w}x{h} is empty in {path}")
+    return raw, magic, w, h, last, pos + 1  # single whitespace after the last token
+
+
+def read_pfm(path):
+    """Read a PFM file into a float64 array (H, W) or (H, W, 3)."""
+    raw, magic, w, h, scale, pos = _read_header(path, "PFM")
     if magic not in (b"Pf", b"PF"):
         raise ValueError(f"not a PFM file: {path}")
     channels = 3 if magic == b"PF" else 1
-    endian = "<" if scale < 0 else ">"
+    endian = "<" if float(scale) < 0 else ">"
     count = w * h * channels
     data = np.frombuffer(raw[pos:pos + 4 * count], dtype=endian + "f4")
     if data.size != count:
@@ -82,21 +90,8 @@ def write_pnm(path, data):
 
 def read_pnm(path):
     """Read binary PGM/PPM into a float64 array scaled to [0, 1]."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise OSError(f"failed to read PNM from {path}: {exc}") from exc
-    tokens = []
-    pos = 0
-    while len(tokens) < 4:
-        m = re.match(rb"\s*(?:#[^\n]*\n\s*)*(\S+)", raw[pos:])
-        if m is None:
-            raise ValueError(f"truncated PNM header in {path}")
-        tokens.append(m.group(1))
-        pos += m.end()
-    pos += 1  # single whitespace after maxval
-    magic, w, h, maxval = tokens[0], int(tokens[1]), int(tokens[2]), int(tokens[3])
+    raw, magic, w, h, maxval, pos = _read_header(path, "PNM", rb"\s*(?:#[^\n]*\n\s*)*(\S+)")
+    maxval = int(maxval)
     if magic not in (b"P5", b"P6"):
         raise ValueError(f"unsupported PNM magic {magic!r} in {path}")
     if not 1 <= maxval <= 65535:

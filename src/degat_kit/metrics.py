@@ -34,6 +34,8 @@ def _check_pair(a, b):
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"image shape mismatch: {a.shape} vs {b.shape}")
+    if a.size == 0:
+        raise ValueError(f"images are empty: shape {a.shape}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("images contain non-finite pixels")
     return a, b

@@ -1,6 +1,5 @@
 """Training objective: L1 camera loss, three-part depth loss, and the
-closed-form optimal-confidence utilities, plus a generic central
-finite-difference gradient checker.
+closed-form optimal-confidence utilities.
 
 All pixel losses are means over pixels so the loss scale is independent
 of resolution. The camera and depth losses take one frame or F frames
@@ -22,8 +21,6 @@ __all__ = [
     "optimal_confidence",
     "marginal_penalty",
     "confidence_objective",
-    "finite_diff_grad",
-    "finite_diff_check",
 ]
 
 
@@ -168,32 +165,3 @@ def marginal_penalty(r_sq, weights):
         weights.alpha / (weights.gamma * r_sq)
     )
 
-
-def finite_diff_grad(f, point, step=1e-5):
-    """Central finite-difference gradient of a scalar function."""
-    point = np.asarray(point, dtype=np.float64)
-    grad = np.zeros_like(point)
-    flat = grad.ravel()
-    p = point.copy().ravel()
-    for i in range(p.size):
-        orig = p[i]
-        p[i] = orig + step
-        f_plus = f(p.reshape(point.shape))
-        p[i] = orig - step
-        f_minus = f(p.reshape(point.shape))
-        p[i] = orig
-        if not np.isfinite(f_plus) or not np.isfinite(f_minus):
-            raise FloatingPointError(f"non-finite evaluation at coordinate {i}")
-        flat[i] = (f_plus - f_minus) / (2.0 * step)
-    return grad
-
-
-def finite_diff_check(f, analytic_grad, point, step=1e-5):
-    """Max relative error of an analytic gradient vs central differences.
-
-    Error is measured relative to max(1, |analytic|) per coordinate.
-    """
-    analytic = np.asarray(analytic_grad, dtype=np.float64)
-    numeric = finite_diff_grad(f, point, step)
-    denom = np.maximum(1.0, np.abs(analytic))
-    return float(np.max(np.abs(analytic - numeric) / denom))

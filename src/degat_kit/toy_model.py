@@ -20,8 +20,8 @@ variant does not use get zero gradients.
 
 Every attention layer is ``conditioning.multi_head_attention``, and the
 conditioning and bias kinds are the keys of two (forward, backward) tables.
-Forward and backward are written by hand against explicit caches; the
-finite-difference checker validates every parameter gradient.
+Forward and backward are written by hand against explicit caches, and
+whole-model finite differences in the tests check every parameter gradient.
 """
 
 import functools
@@ -33,8 +33,7 @@ import numpy as np
 
 from . import degat as dg
 from . import conditioning as cond
-from .geometry import CameraParams
-from .geometry import DepthMap
+from .geometry import CameraParams, DepthMap
 from .graph import METRICS
 from .objective import LossBreakdown, LossWeights, camera_loss, depth_loss, depth_loss_backward
 

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -189,6 +190,17 @@ class TestEvalCheckpointValidation:
         assert f"non-finite values: ['{name}']" in err and len(err.strip().splitlines()) == 1
 
 
+    def test_overflowing_prediction_is_numeric_error(self, ckpt, capsys):
+        # finite parameters, but exp() of the depth head overflows
+        blob = ckpt / "depth_head.b.bin"
+        (np.fromfile(blob, dtype="<f8") + 1e4).tofile(blob)
+        code = main(["eval", "--checkpoint", str(ckpt), "--n-frames", "1"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_NUMERIC and out == ""
+        assert "non-finite scores ['mean_abs_depth_error', 'psnr', 'ssim']" in err
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestBackprojectCommand:
     @staticmethod
     def run_backproject(tmp_path, depth):
@@ -283,6 +295,15 @@ class TestMetricsCommand:
         out, err = capsys.readouterr()
         assert out == "" and "max_val" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("name,header", [("a.pfm", b"Pf\n0 0\n-1.0\n"),
+                                             ("a.pgm", b"P5\n0 3\n255\n")])
+    def test_empty_image_is_validation_error(self, tmp_path, capsys, name, header):
+        path = tmp_path / name
+        path.write_bytes(header)
+        assert main(["metrics", "--a", str(path), "--b", str(path)]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and "empty" in err and len(err.strip().splitlines()) == 1
+
     def test_shape_mismatch(self, tmp_path):
         pa, pb = tmp_path / "a.pfm", tmp_path / "b.pfm"
         write_pfm(pa, np.zeros((4, 4)))
@@ -323,3 +344,9 @@ class TestCheckCommand:
         assert main(["check", "--fast", "--json"]) == EXIT_OK
         results = json.loads(capsys.readouterr().out)
         assert all(r["passed"] for r in results)
+        # the benchmark tracer times each check by its result name
+        tracer_path = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "tracer.py")
+        spec = importlib.util.spec_from_file_location("tracer", tracer_path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        assert [r["name"] for r in results] == list(tracer.PROPERTY_CHECKS)

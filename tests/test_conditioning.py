@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,6 @@ from degat_kit.conditioning import (
     condition_film_backward,
     init_cross_attn,
     init_mlp2,
-    mlp2_backward,
     mlp2_forward,
     mlp_bias,
     mlp_bias_backward,
@@ -26,22 +23,7 @@ from degat_kit.conditioning import (
     multi_head_attention,
     multi_head_attention_backward,
 )
-
-
-def fd_grad(f, arr, eps=1e-6):
-    g = np.zeros_like(arr)
-    it = np.nditer(arr, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        old = arr[idx]
-        arr[idx] = old + eps
-        fp = f()
-        arr[idx] = old - eps
-        fm = f()
-        arr[idx] = old
-        g[idx] = (fp - fm) / (2 * eps)
-        it.iternext()
-    return g
+from degat_kit.properties import finite_diff_grad
 
 
 class TestMlp2:
@@ -76,26 +58,6 @@ class TestMlp2:
         for i in range(5):
             yi, _ = mlp2_forward(mlp, x[i])
             np.testing.assert_allclose(y[i], yi, atol=1e-14)
-
-    @pytest.mark.parametrize("act", ["relu", "gelu"])
-    def test_backward_finite_difference(self, act):
-        rng = np.random.default_rng(4)
-        mlp = init_mlp2(3, 4, 2, activation=act, rng=4)
-        x = rng.standard_normal(3) + 0.1  # keep relu kinks away
-        w = rng.standard_normal(2)
-        _, cache = mlp2_forward(mlp, x)
-        grads, d_x = mlp2_backward(mlp, cache, w)
-
-        def loss():
-            y, _ = mlp2_forward(mlp, x)
-            return float(w @ y)
-
-        for analytic, arr in [
-            (grads.d_w1, mlp.w1), (grads.d_b1, mlp.b1),
-            (grads.d_w2, mlp.w2), (grads.d_b2, mlp.b2), (d_x, x),
-        ]:
-            numeric = fd_grad(loss, arr)
-            assert np.max(np.abs(analytic - numeric)) < 1e-7
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -143,65 +105,6 @@ class TestTokenConditioning:
         tok, _ = condition_cross_attention(base, tokens, attn, ffn)
         np.testing.assert_array_equal(tok.conditioned, base)
 
-    def test_additive_backward_fd(self):
-        rng = np.random.default_rng(11)
-        mlp = init_mlp2(3, 4, 3, rng=11)
-        base = rng.standard_normal(3)
-        g = rng.standard_normal(3)
-        w = rng.standard_normal(3)
-        _, cache = condition_additive(base, g, mlp)
-        grads, d_base, d_g = condition_additive_backward(mlp, cache, w)
-
-        def loss():
-            tok, _ = condition_additive(base, g, mlp)
-            return float(w @ tok.conditioned)
-
-        np.testing.assert_allclose(d_base, fd_grad(loss, base), atol=1e-7)
-        np.testing.assert_allclose(d_g, fd_grad(loss, g), atol=1e-7)
-        np.testing.assert_allclose(grads.d_w2, fd_grad(loss, mlp.w2), atol=1e-7)
-
-    def test_film_backward_fd(self):
-        rng = np.random.default_rng(12)
-        mlp = init_mlp2(3, 4, 6, rng=12)
-        base = rng.standard_normal(3)
-        g = rng.standard_normal(3)
-        w = rng.standard_normal(3)
-        _, cache = condition_film(base, g, mlp)
-        grads, d_base, d_g = condition_film_backward(mlp, cache, base, w)
-
-        def loss():
-            tok, _ = condition_film(base, g, mlp)
-            return float(w @ tok.conditioned)
-
-        np.testing.assert_allclose(d_base, fd_grad(loss, base), atol=1e-7)
-        np.testing.assert_allclose(d_g, fd_grad(loss, g), atol=1e-7)
-        np.testing.assert_allclose(grads.d_w1, fd_grad(loss, mlp.w1), atol=1e-7)
-
-    def test_cross_attention_backward_fd(self):
-        rng = np.random.default_rng(13)
-        attn = init_cross_attn(6, 2, rng=13, zero_output=False)
-        ffn = init_mlp2(6, 8, 6, rng=13)
-        base = rng.standard_normal(6)
-        tokens = rng.standard_normal((4, 6))
-        w = rng.standard_normal(6)
-        _, cache = condition_cross_attention(base, tokens, attn, ffn)
-        attn_grads, ffn_grads, d_base, d_tokens = condition_cross_attention_backward(
-            attn, ffn, cache, w
-        )
-
-        def loss():
-            tok, _ = condition_cross_attention(base, tokens, attn, ffn)
-            return float(w @ tok.conditioned)
-
-        np.testing.assert_allclose(d_base, fd_grad(loss, base), atol=1e-6)
-        np.testing.assert_allclose(d_tokens, fd_grad(loss, tokens), atol=1e-6)
-        for name in ("w_q", "w_k", "w_v", "w_o"):
-            np.testing.assert_allclose(
-                attn_grads[name], fd_grad(loss, getattr(attn, name)), atol=1e-6
-            )
-        np.testing.assert_allclose(ffn_grads.d_w2, fd_grad(loss, ffn.w2), atol=1e-6)
-
-
 class TestBucketBias:
     def test_indices_range_and_diagonal(self):
         rng = np.random.default_rng(14)
@@ -233,21 +136,6 @@ class TestBucketBias:
         grad = bias_table_gradient(delta, idx, 3)
         np.testing.assert_array_equal(grad[:, 0], [5.0, 5.0, 0.0])
 
-    def test_gradient_fd(self):
-        rng = np.random.default_rng(16)
-        feats = rng.standard_normal((5, 3))
-        table = BiasTable(table=rng.standard_normal((4, 2)))
-        w = rng.standard_normal((2, 5, 5))
-        _, idx = bucket_bias(feats, table)
-        grad = bias_table_gradient(w, idx, 4)
-
-        def loss():
-            b, _ = bucket_bias(feats, table)
-            return float(np.sum(w * b))
-
-        np.testing.assert_allclose(grad, fd_grad(loss, table.table), atol=1e-7)
-
-
 class TestMlpBias:
     def test_coords_range_and_degenerate(self):
         rng = np.random.default_rng(17)
@@ -266,24 +154,6 @@ class TestMlpBias:
         mlp = init_mlp2(1, 4, 3, rng=18, zero_final=True)
         bias, _ = mlp_bias(np.random.default_rng(18).standard_normal((5, 2)), mlp)
         np.testing.assert_array_equal(bias, np.zeros((3, 5, 5)))
-
-    def test_backward_fd(self):
-        rng = np.random.default_rng(19)
-        feats = rng.standard_normal((5, 3))
-        mlp = init_mlp2(1, 4, 2, rng=19)
-        w = rng.standard_normal((2, 5, 5))
-        _, cache = mlp_bias(feats, mlp)
-        grads = mlp_bias_backward(mlp, cache, w)
-
-        def loss():
-            b, _ = mlp_bias(feats, mlp)
-            return float(np.sum(w * b))
-
-        for analytic, arr in [
-            (grads.d_w1, mlp.w1), (grads.d_b1, mlp.b1),
-            (grads.d_w2, mlp.w2), (grads.d_b2, mlp.b2),
-        ]:
-            np.testing.assert_allclose(analytic, fd_grad(loss, arr), atol=1e-7)
 
     def test_requires_scalar_input(self):
         mlp = init_mlp2(2, 3, 2, rng=20)
@@ -326,10 +196,9 @@ class TestBiasedAttention:
                 out, _ = biased_attention(q, k, v, bias)
                 return float(np.sum(w * out))
 
-            np.testing.assert_allclose(d_q, fd_grad(loss, q), atol=1e-7)
-            np.testing.assert_allclose(d_k, fd_grad(loss, k), atol=1e-7)
-            np.testing.assert_allclose(d_v, fd_grad(loss, v), atol=1e-7)
-            np.testing.assert_allclose(d_bias, fd_grad(loss, bias), atol=1e-7)
+            for analytic, arr in [(d_q, q), (d_k, k), (d_v, v), (d_bias, bias)]:
+                numeric = finite_diff_grad(loss, arr, step=1e-6)
+                np.testing.assert_allclose(analytic, numeric, atol=1e-7)
 
     def test_head_axis_matches_per_head_calls(self):
         rng = np.random.default_rng(24)

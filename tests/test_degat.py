@@ -16,6 +16,7 @@ from degat_kit.degat import (
 )
 from degat_kit.graph import build_knn_graph
 from degat_kit.numerics import elu, elu_grad, leaky_relu, leaky_relu_grad
+from degat_kit.properties import finite_diff_grad
 
 
 def slow_forward(x, params, k, metric="cosine"):
@@ -87,22 +88,6 @@ def concat_hop(x, params, k, metric, upstream):
     return x_out, DeGatGrads(d_w_proj=d_w_proj, d_a=d_a, d_w_val=d_w_val, d_x=d_x)
 
 
-def fd_grad(f, arr, eps=1e-6):
-    g = np.zeros_like(arr)
-    it = np.nditer(arr, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        old = arr[idx]
-        arr[idx] = old + eps
-        fp = f()
-        arr[idx] = old - eps
-        fm = f()
-        arr[idx] = old
-        g[idx] = (fp - fm) / (2 * eps)
-        it.iternext()
-    return g
-
-
 class TestForward:
     def test_zero_weights_identity(self):
         rng = np.random.default_rng(0)
@@ -156,30 +141,6 @@ class TestForward:
 
 
 class TestBackward:
-    def test_gradients_match_finite_difference(self):
-        rng = np.random.default_rng(4)
-        n, c, k = 8, 3, 4
-        x = rng.standard_normal((n, c))
-        params = init_degat_params(c, rng=4)
-        w = rng.standard_normal((n, c))  # fixed projection defines a scalar loss
-
-        out, cache = degat_forward(x, params, k)
-        grads = degat_backward(cache, params, w)
-
-        def loss():
-            o, _ = degat_forward(x, params, k)
-            return float(np.sum(w * o))
-
-        for analytic, arr in [
-            (grads.d_w_proj, params.w_proj),
-            (grads.d_a, params.a),
-            (grads.d_w_val, params.w_val),
-            (grads.d_x, x),
-        ]:
-            numeric = fd_grad(loss, arr)
-            denom = max(1.0, float(np.max(np.abs(analytic))))
-            assert np.max(np.abs(analytic - numeric)) / denom < 1e-7
-
     def test_upstream_shape_check(self):
         x = np.random.default_rng(5).standard_normal((5, 3))
         params = init_degat_params(3, rng=5)
@@ -334,4 +295,5 @@ class TestHopProperties:
         for analytic, arr in [
             (grads.d_w_proj, params.w_proj), (grads.d_a, params.a), (grads.d_w_val, params.w_val)
         ]:
-            np.testing.assert_allclose(analytic, fd_grad(loss, arr), rtol=0, atol=1e-6)
+            numeric = finite_diff_grad(loss, arr, step=1e-6)
+            np.testing.assert_allclose(analytic, numeric, rtol=0, atol=1e-6)

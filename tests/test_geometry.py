@@ -322,6 +322,22 @@ class TestFileIo:
         with pytest.raises(ValueError, match="maxval"):
             read_pnm(path)
 
+    @pytest.mark.parametrize("header", [b"Pf\n0 0\n-1.0\n", b"PF\n0 3\n-1.0\n",
+                                        b"Pf\n2 0\n-1.0\n", b"Pf\n-1 -1\n-1.0\n"])
+    def test_pfm_empty_size(self, tmp_path, header):
+        path = tmp_path / "empty.pfm"
+        path.write_bytes(header)
+        with pytest.raises(ValueError, match="empty"):
+            read_pfm(path)
+
+    @pytest.mark.parametrize("header", [b"P5\n0 3\n255\n", b"P6\n3 0\n255\n",
+                                        b"P5\n0 0\n65535\n", b"P5\n-1 -1\n255\n"])
+    def test_pnm_empty_size(self, tmp_path, header):
+        path = tmp_path / "empty.pgm"
+        path.write_bytes(header)
+        with pytest.raises(ValueError, match="empty"):
+            read_pnm(path)
+
     def test_dispatch(self, tmp_path):
         data = np.ones((3, 3)) * 0.25
         for ext in ("pfm", "pgm"):

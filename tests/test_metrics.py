@@ -121,6 +121,13 @@ class TestPsnr:
                 fn(b, a)
 
 
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 12), (12, 0, 3)])
+    def test_rejects_empty_images(self, shape):
+        for fn in (mse, psnr, ssim):
+            with pytest.raises(ValueError, match="empty"):
+                fn(np.zeros(shape), np.zeros(shape))
+
+
 class TestSsim:
     def test_identical_images(self):
         a = np.random.default_rng(3).uniform(0, 1, (16, 16))

@@ -6,6 +6,7 @@ import pytest
 from degat_kit.numerics import (
     as_finite, as_matrix, as_vector, elu, leaky_relu, softmax, softmax_backward,
 )
+from degat_kit.properties import finite_diff_grad
 
 
 class TestValidation:
@@ -85,13 +86,7 @@ class TestSoftmaxMasked:
         logits = rng.standard_normal((2, 3, 5))
         w = rng.standard_normal((2, 3, 5))
         analytic = softmax_backward(softmax(logits), w)
-        numeric = np.zeros_like(logits)
-        eps = 1e-6
-        for idx in np.ndindex(logits.shape):
-            step = np.zeros_like(logits)
-            step[idx] = eps
-            numeric[idx] = (np.sum(w * softmax(logits + step))
-                            - np.sum(w * softmax(logits - step))) / (2 * eps)
+        numeric = finite_diff_grad(lambda: np.sum(w * softmax(logits)), logits, step=1e-6)
         np.testing.assert_allclose(analytic, numeric, atol=1e-9)
         # the gradient of a softmax is orthogonal to the all-ones direction
         np.testing.assert_allclose(analytic.sum(axis=-1), 0.0, atol=1e-15)

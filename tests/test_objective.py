@@ -12,12 +12,11 @@ from degat_kit.objective import (
     confidence_objective,
     depth_loss,
     depth_loss_backward,
-    finite_diff_check,
-    finite_diff_grad,
     marginal_penalty,
     optimal_confidence,
     spatial_gradient,
 )
+from degat_kit.properties import finite_diff_grad
 
 
 class TestCameraLoss:
@@ -82,25 +81,6 @@ class TestDepthLoss:
     def test_total_sums_parts(self):
         lb = LossBreakdown(cam=1.0, reg=2.0, unc=0.5, grad=0.25)
         assert lb.total == 3.75
-
-    def test_backward_matches_finite_difference(self):
-        rng = np.random.default_rng(2)
-        gt = rng.uniform(0.5, 2.0, (5, 6))
-        depth = gt + rng.uniform(0.05, 0.3, (5, 6))  # keep |.| away from kinks
-        conf = rng.uniform(0.5, 2.0, (5, 6))
-        w = LossWeights(alpha=0.3, gamma=1.7)
-        d_depth, d_conf = depth_loss_backward(DepthMap(depth, conf), gt, w)
-
-        def f_depth(d):
-            lb = depth_loss(DepthMap(d, conf), gt, w)
-            return lb.reg + lb.unc + lb.grad
-
-        def f_conf(c):
-            lb = depth_loss(DepthMap(depth, c), gt, w)
-            return lb.reg + lb.unc + lb.grad
-
-        assert finite_diff_check(f_depth, d_depth, depth) < 1e-6
-        assert finite_diff_check(f_conf, d_conf, conf) < 1e-6
 
 
 class TestFrameAxis:
@@ -193,27 +173,9 @@ class TestOptimalConfidence:
         w = LossWeights(alpha=0.4, gamma=3.0)
         r_sq = 0.8
         c_star = optimal_confidence(r_sq, w)
-        g = finite_diff_grad(lambda c: confidence_objective(float(c[0]), r_sq, w),
-                             np.array([c_star]))
+        c = np.array([c_star])
+        g = finite_diff_grad(lambda: confidence_objective(float(c[0]), r_sq, w), c)
         assert abs(g[0]) < 1e-8
-
-
-class TestFiniteDiff:
-    def test_quadratic_gradient(self):
-        a = np.array([[2.0, 0.5], [0.5, 3.0]])
-        x = np.array([1.0, -2.0])
-        g = finite_diff_grad(lambda p: 0.5 * p @ a @ p, x)
-        np.testing.assert_allclose(g, a @ x, atol=1e-8)
-
-    def test_check_flags_wrong_gradient(self):
-        f = lambda p: float(np.sum(p**2))
-        x = np.array([1.0, 2.0])
-        assert finite_diff_check(f, 2.0 * x, x) < 1e-9
-        assert finite_diff_check(f, 2.0 * x + 0.5, x) > 0.1
-
-    def test_nonfinite_evaluation(self):
-        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
-            finite_diff_grad(lambda p: float(np.log(p[0])), np.array([0.0]))
 
 
 class TestLossWeights:

@@ -1,11 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from degat_kit import conditioning as cond
 from degat_kit import degat as dg
 from degat_kit.geometry import CameraParams
-from degat_kit.objective import LossWeights, finite_diff_check
+from degat_kit.harness import generate_scene
+from degat_kit.objective import LossWeights
+from degat_kit.properties import finite_diff_error
 from degat_kit.toy_model import (
+    ATTENTION_BIAS,
+    PLACEMENTS,
+    TOKEN_CONDITIONING,
     ModelConfig,
     backward,
     forward,
@@ -15,6 +22,9 @@ from degat_kit.toy_model import (
     sgd_step,
     zero_grads,
 )
+
+
+VARIANTS = list(itertools.product(PLACEMENTS, TOKEN_CONDITIONING, ATTENTION_BIAS))
 
 
 def small_cfg(**kw):
@@ -39,21 +49,6 @@ def make_gt(rng, cfg, n=1):
         for _ in range(n)
     ]
     return depths, cams
-
-
-def pack(params):
-    keys = sorted(params)
-    return np.concatenate([params[k].ravel() for k in keys]), keys
-
-
-def unpack(theta, keys, template):
-    out = {}
-    pos = 0
-    for k in keys:
-        size = template[k].size
-        out[k] = theta[pos:pos + size].reshape(template[k].shape)
-        pos += size
-    return out
 
 
 class TestConfig:
@@ -238,26 +233,52 @@ class TestGradients:
         weights = LossWeights(alpha=0.2, gamma=1.0)
 
         _, grads = loss_and_grads(params, cfg, frames, gt_depths, gt_cams, weights)
-        theta, keys = pack(params)
-        g_flat, _ = pack(grads)
+        coords = [(k, j) for k in sorted(params) for j in range(params[k].size)]
 
-        def f(t):
-            p = unpack(t, keys, params)
-            bd, _ = loss_and_grads(p, cfg, frames, gt_depths, gt_cams, weights)
+        def loss():
+            bd, _ = loss_and_grads(params, cfg, frames, gt_depths, gt_cams, weights)
             return bd.total
 
-        # spot-check a random subset of coordinates (full FD is too slow)
-        idx = rng.choice(theta.size, size=60, replace=False)
-        step = 1e-6
+        # spot-check a random subset of coordinates (full FD is too slow); each
+        # entry is a one-element view, perturbed in place inside params[k]
+        idx = rng.choice(len(coords), size=60, replace=False)
+        worst = max(
+            finite_diff_error(
+                loss, [(params[k].reshape(-1)[j:j + 1], grads[k].reshape(-1)[j:j + 1])], step=1e-6
+            )
+            for k, j in (coords[i] for i in idx)
+        )
+        assert worst < 1e-3
+
+    @pytest.mark.parametrize("placement,conditioning,bias", VARIANTS)
+    def test_directional_fd_at_default_config(self, placement, conditioning, bias):
+        """g . v against the central difference of t -> loss(theta + t v) along
+        three random unit directions, at the default size: four 32x32 frames,
+        so the global block and both heads run at L = 16."""
+        cfg = ModelConfig(degat_placement=placement, token_conditioning=conditioning,
+                          attention_bias=bias)
+        rng = np.random.default_rng(8)
+        params = {k: v + 0.05 * rng.standard_normal(v.shape)
+                  for k, v in init_model_params(cfg).items()}
+        scene = generate_scene(0, n_frames=4, h=cfg.image_h, w=cfg.image_w)
+        args = (cfg, scene.frames, scene.gt_depth, scene.gt_cameras)
+        _, grads = loss_and_grads(params, *args)
+        t = np.zeros(1)  # the step along v, which the shared routine perturbs
+        v = {}
+
+        def loss():
+            bd, _ = loss_and_grads({k: p + t[0] * v[k] for k, p in params.items()}, *args)
+            return bd.total
+
         worst = 0.0
-        for i in idx:
-            t = theta.copy()
-            t[i] += step
-            fp = f(t)
-            t[i] -= 2 * step
-            fm = f(t)
-            num = (fp - fm) / (2 * step)
-            worst = max(worst, abs(num - g_flat[i]) / max(1.0, abs(g_flat[i])))
+        for _ in range(3):
+            v = {k: rng.standard_normal(p.shape) for k, p in params.items()}
+            norm = np.sqrt(sum(np.sum(d * d) for d in v.values()))
+            v = {k: d / norm for k, d in v.items()}
+            slope = sum(np.sum(grads[k] * v[k]) for k in params)
+            worst = max(worst, finite_diff_error(loss, [(t, np.array([slope]))]))
+        # log_affinity's bias is a stop-gradient by design: the analytic slope
+        # leaves out the bias's dependence on the hop, which the difference sees
         assert worst < 1e-3
 
     def test_upstream_length_check(self):
