@@ -16,6 +16,7 @@ from degat_kit.conditioning import (
     condition_film_backward,
     init_cross_attn,
     init_mlp2,
+    mlp2_backward,
     mlp2_forward,
     mlp_bias,
     mlp_bias_backward,
@@ -58,6 +59,26 @@ class TestMlp2:
         for i in range(5):
             yi, _ = mlp2_forward(mlp, x[i])
             np.testing.assert_allclose(y[i], yi, atol=1e-14)
+
+    @pytest.mark.parametrize("act", ["relu", "gelu"])
+    def test_backward_finite_difference(self, act):
+        rng = np.random.default_rng(4)
+        mlp = init_mlp2(3, 4, 2, activation=act, rng=4)
+        x = rng.standard_normal(3) + 0.1  # keep relu kinks away
+        w = rng.standard_normal(2)
+        _, cache = mlp2_forward(mlp, x)
+        grads, d_x = mlp2_backward(mlp, cache, w)
+
+        def loss():
+            y, _ = mlp2_forward(mlp, x)
+            return float(w @ y)
+
+        for analytic, arr in [
+            (grads.d_w1, mlp.w1), (grads.d_b1, mlp.b1),
+            (grads.d_w2, mlp.w2), (grads.d_b2, mlp.b2), (d_x, x),
+        ]:
+            numeric = finite_diff_grad(loss, arr, step=1e-6)
+            assert np.max(np.abs(analytic - numeric)) < 1e-7
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -154,6 +175,25 @@ class TestMlpBias:
         mlp = init_mlp2(1, 4, 3, rng=18, zero_final=True)
         bias, _ = mlp_bias(np.random.default_rng(18).standard_normal((5, 2)), mlp)
         np.testing.assert_array_equal(bias, np.zeros((3, 5, 5)))
+
+    def test_backward_fd(self):
+        rng = np.random.default_rng(19)
+        feats = rng.standard_normal((5, 3))
+        mlp = init_mlp2(1, 4, 2, rng=19)
+        w = rng.standard_normal((2, 5, 5))
+        _, cache = mlp_bias(feats, mlp)
+        grads = mlp_bias_backward(mlp, cache, w)
+
+        def loss():
+            b, _ = mlp_bias(feats, mlp)
+            return float(np.sum(w * b))
+
+        for analytic, arr in [
+            (grads.d_w1, mlp.w1), (grads.d_b1, mlp.b1),
+            (grads.d_w2, mlp.w2), (grads.d_b2, mlp.b2),
+        ]:
+            numeric = finite_diff_grad(loss, arr, step=1e-6)
+            np.testing.assert_allclose(analytic, numeric, atol=1e-7)
 
     def test_requires_scalar_input(self):
         mlp = init_mlp2(2, 3, 2, rng=20)
