@@ -26,6 +26,14 @@ class TestFiniteDiff:
         with pytest.raises(ValueError, match="gradient shape"):
             finite_diff_error(f, [(x, 2.0 * x[:1])])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_flags_nonfinite_gradient(self, bad):
+        x = np.array([1.0, 2.0])
+        f = lambda: float(np.sum(x**2))
+        assert finite_diff_error(f, [(x, np.array([bad, 4.0]))]) == np.inf
+        # a later finite pair cannot hide it
+        assert finite_diff_error(f, [(x, np.array([bad, 4.0])), (x, 2.0 * x)]) == np.inf
+
     def test_nonfinite_evaluation(self):
         x = np.array([0.0])
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
