@@ -28,6 +28,8 @@ from .harness import (
 from .metrics import SsimConfig, mse, psnr, ssim
 from .properties import run_property_suite
 
+__all__ = ["build_parser", "main"]
+
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2

@@ -18,6 +18,8 @@ frame's distances by that frame's maximum and return (F, H, L, L).
 All attention is ``multi_head_attention`` around the one kernel
 ``biased_attention``: self-attention in the model's blocks, and
 cross-attention conditioning with the camera token as the single query.
+Each backward reads what it needs from its own forward's cache and returns
+its weight gradients as a dict keyed by field name.
 """
 
 from dataclasses import dataclass
@@ -30,22 +32,25 @@ from .numerics import as_finite, as_matrix, as_vector, softmax, softmax_backward
 
 __all__ = [
     "Mlp2",
-    "Mlp2Grads",
     "init_mlp2",
     "mlp2_forward",
     "mlp2_backward",
     "CameraToken",
     "condition_additive",
+    "condition_additive_backward",
     "condition_film",
+    "condition_film_backward",
     "CrossAttnParams",
     "init_cross_attn",
     "multi_head_attention",
     "multi_head_attention_backward",
     "condition_cross_attention",
+    "condition_cross_attention_backward",
     "BiasTable",
     "bucket_indices",
     "bucket_bias",
     "bias_table_gradient",
+    "mlp_bias_coords",
     "mlp_bias",
     "mlp_bias_backward",
     "biased_attention",
@@ -107,14 +112,6 @@ class Mlp2:
         return self.w2.shape[0]
 
 
-@dataclass
-class Mlp2Grads:
-    d_w1: np.ndarray
-    d_b1: np.ndarray
-    d_w2: np.ndarray
-    d_b2: np.ndarray
-
-
 def init_mlp2(in_dim, hidden, out_dim, activation="gelu", rng=None, zero_final=False):
     """Uniform 1/sqrt(fan-in) init; zero_final zeroes W2 and b2."""
     rng = np.random.default_rng(rng)
@@ -143,17 +140,17 @@ def mlp2_forward(mlp, x):
 
 
 def mlp2_backward(mlp, cache, d_y):
-    """Gradients of the MLP parameters and its input given d(loss)/dy."""
+    """Returns (weight grads dict, d_x) given d(loss)/dy."""
     x, pre, hid = cache
     _, act_grad = _ACTIVATIONS[mlp.activation]
     d_y = np.asarray(d_y, dtype=np.float64)
     d_pre = (d_y @ mlp.w2) * act_grad(pre)
     # a single vector is one row: its outer products and sums are exact
     flat_dy, flat_dpre = _rows(d_y), _rows(d_pre)
-    grads = Mlp2Grads(
-        d_w1=flat_dpre.T @ _rows(x), d_b1=flat_dpre.sum(axis=0),
-        d_w2=flat_dy.T @ _rows(hid), d_b2=flat_dy.sum(axis=0),
-    )
+    grads = {
+        "w1": flat_dpre.T @ _rows(x), "b1": flat_dpre.sum(axis=0),
+        "w2": flat_dy.T @ _rows(hid), "b2": flat_dy.sum(axis=0),
+    }
     return grads, d_pre @ mlp.w1
 
 
@@ -176,7 +173,7 @@ def condition_additive(base, g, mlp):
 
 
 def condition_additive_backward(mlp, cache, d_cond):
-    """Returns (mlp grads, d_base, d_g)."""
+    """Returns (mlp grads dict, d_base, d_g)."""
     grads, d_g = mlp2_backward(mlp, cache, d_cond)
     return grads, _rows(d_cond).sum(axis=0), d_g
 
@@ -194,11 +191,12 @@ def condition_film(base, g, mlp):
     out, cache = mlp2_forward(mlp, g)
     c = base.shape[0]
     gamma, beta = out[..., :c], out[..., c:]
-    return CameraToken(conditioned=base * (1.0 + gamma) + beta), (cache, gamma)
+    return CameraToken(conditioned=base * (1.0 + gamma) + beta), (cache, base, gamma)
 
 
-def condition_film_backward(mlp, film_cache, base, d_cond):
-    mlp_cache, gamma = film_cache
+def condition_film_backward(mlp, cache, d_cond):
+    """Returns (mlp grads dict, d_base, d_g)."""
+    mlp_cache, base, gamma = cache
     d_base = _rows(d_cond * (1.0 + gamma)).sum(axis=0)
     d_out = np.concatenate([d_cond * base, d_cond], axis=-1)
     grads, d_g = mlp2_backward(mlp, mlp_cache, d_out)
@@ -303,7 +301,7 @@ def condition_cross_attention(base, tokens, attn, ffn):
 
 
 def condition_cross_attention_backward(attn, ffn, cache, d_out):
-    """Returns (attn grads dict, ffn Mlp2Grads, d_base, d_tokens)."""
+    """Returns (attn grads dict, ffn grads dict, d_base, d_tokens)."""
     attn_cache, ffn_cache = cache
     ffn_grads, d_c1_ffn = mlp2_backward(ffn, ffn_cache, d_out)
     d_c1 = d_out + d_c1_ffn
@@ -384,7 +382,7 @@ def mlp_bias(features, mlp):
 
 
 def mlp_bias_backward(mlp, cache, delta):
-    """MLP parameter gradients given (..., H, L, L) upstream bias gradient."""
+    """MLP weight grads dict given the (..., H, L, L) upstream bias gradient."""
     grads, _ = mlp2_backward(mlp, cache, _rows(np.moveaxis(delta, -3, -1)))
     return grads
 

@@ -91,11 +91,11 @@ class DeGatGrads:
 
 def degat_forward(tokens, params, k, metric="cosine"):
     """One DeGAT hop: x_i + ELU(sum_j alpha_ij W_val x_j) over Top-K neighbors."""
-    x = tokens.features if hasattr(tokens, "features") else as_matrix(tokens, "tokens")
+    g = build_knn_graph(tokens, k, metric)  # validates the (L, C) tokens
+    x = np.asarray(tokens, dtype=np.float64)
     c = x.shape[1]
     if params.dim != c:
         raise ValueError(f"params expect C={params.dim}, tokens have C={c}")
-    g = build_knn_graph(x, k, metric)
     nb = g.neighbors  # (L, K)
 
     # W_proj [x_i || x_j] = W_c x_i + W_n x_j: project the nodes, then gather

@@ -80,7 +80,7 @@ def pairwise_distances(tokens):
     (L, C) frame of ``tokens``; the bias generators and the euclidean K-NN
     graph share these exact values.
     """
-    x = tokens.features if isinstance(tokens, TokenGrid) else as_finite(tokens, "features", (2, 3))
+    x = as_finite(tokens, "features", (2, 3))
     sq = np.sum(x * x, axis=-1)
     d = sq[..., :, None] + sq[..., None, :]
     d -= 2.0 * (x @ x.swapaxes(-1, -2))

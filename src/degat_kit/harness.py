@@ -149,7 +149,7 @@ def evaluate(params, cfg, scene):
         np.mean([np.abs(dm.depth - gt).mean() for dm, gt in zip(depth_maps, scene.gt_depth)])
     )
     cam_err = float(
-        np.mean([camera_loss(c, gt) for c, gt in zip(cams, scene.gt_cameras)])
+        np.mean([camera_loss(c, gt)[0] for c, gt in zip(cams, scene.gt_cameras)])
     )
     ssim_cfg = SsimConfig(dynamic_range=1.0)
     psnrs, ssims = [], []

@@ -5,7 +5,8 @@ All pixel losses are means over pixels so the loss scale is independent
 of resolution. The camera and depth losses take one frame or F frames
 stacked on a leading axis: depth grids (F, H, W), and rotations (F, 3, 3),
 translations (F, 3) and focals (F,). A stack gives the mean over frames of
-the per-frame losses, and its gradients are those of that mean.
+the per-frame losses, and its gradients are those of that mean. Each
+gradient is a dict keyed by the field of the prediction it belongs to.
 """
 
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ __all__ = [
     "camera_loss",
     "spatial_gradient",
     "depth_loss",
+    "depth_loss_backward",
     "optimal_confidence",
     "marginal_penalty",
     "confidence_objective",
@@ -56,18 +58,20 @@ def camera_loss(pred, gt):
 
     ``pred`` and ``gt`` are ``CameraParams``, or objects with the same
     fields stacked over a leading frame axis; a stack gives the mean over
-    frames.
+    frames. Returns (loss, gradient w.r.t. ``pred`` keyed by field), where
+    the gradient is sign(pred - gt) / F.
     """
     if np.shape(pred.rotation) != np.shape(gt.rotation):
         raise ValueError(
             f"camera shapes differ: {np.shape(pred.rotation)} vs {np.shape(gt.rotation)}"
         )
+    diff = {f: getattr(pred, f) - getattr(gt, f) for f in ("rotation", "translation", "focal")}
     per_frame = (
-        np.abs(pred.translation - gt.translation).sum(axis=-1)
-        + np.abs(pred.rotation - gt.rotation).sum(axis=(-2, -1))
-        + np.abs(pred.focal - gt.focal)
+        np.abs(diff["translation"]).sum(axis=-1)
+        + np.abs(diff["rotation"]).sum(axis=(-2, -1))
+        + np.abs(diff["focal"])
     )
-    return _frame_average(per_frame)
+    return _frame_average(per_frame), {f: np.sign(d) / per_frame.size for f, d in diff.items()}
 
 
 def spatial_gradient(d):
@@ -91,7 +95,8 @@ def depth_loss(pred, gt_depth, weights):
     grad = mean (|dx Dhat - dx D| + |dy Dhat - dy D|)
 
     Each mean is over one frame's pixels; with (F, H, W) grids each term is
-    the mean of the F per-frame values.
+    the mean of the F per-frame values. Returns (LossBreakdown, cache) with
+    ``cam`` = 0; the cache is what ``depth_loss_backward`` takes.
     """
     d_hat = pred.depth
     conf = pred.confidence
@@ -100,44 +105,41 @@ def depth_loss(pred, gt_depth, weights):
         raise ValueError(f"depth shape {d_hat.shape} != gt shape {gt_depth.shape}")
     if np.any(conf <= 0.0):
         raise ValueError("confidence map must be strictly positive")
-    r_sq = (d_hat - gt_depth) ** 2
+    resid = d_hat - gt_depth
+    r_sq = resid**2
     reg = _frame_average(r_sq.mean(axis=(-2, -1)))
     unc = _frame_average(
         (weights.gamma * r_sq * conf - weights.alpha * np.log(conf)).mean(axis=(-2, -1))
     )
     gx_p, gy_p = spatial_gradient(d_hat)
     gx_g, gy_g = spatial_gradient(gt_depth)
-    grad = _frame_average((np.abs(gx_p - gx_g) + np.abs(gy_p - gy_g)).mean(axis=(-2, -1)))
-    return LossBreakdown(cam=0.0, reg=reg, unc=unc, grad=grad)
+    dx, dy = gx_p - gx_g, gy_p - gy_g
+    grad = _frame_average((np.abs(dx) + np.abs(dy)).mean(axis=(-2, -1)))
+    return LossBreakdown(cam=0.0, reg=reg, unc=unc, grad=grad), (resid, conf, dx, dy, weights)
 
 
-def depth_loss_backward(pred, gt_depth, weights):
-    """Gradients of (reg + unc + grad) w.r.t. predicted depth and confidence,
-    shaped like them."""
-    d_hat = pred.depth
-    conf = pred.confidence
-    gt_depth = np.asarray(gt_depth, dtype=np.float64)
-    n = d_hat.shape[-2] * d_hat.shape[-1]  # pixels per frame
-    resid = d_hat - gt_depth
+def depth_loss_backward(cache):
+    """Gradients of (reg + unc + grad) from ``depth_loss``'s cache, keyed
+    depth and confidence and shaped like them."""
+    resid, conf, dx, dy, weights = cache
+    n = resid.shape[-2] * resid.shape[-1]  # pixels per frame
 
     d_depth = 2.0 * resid / n  # reg
     d_depth += 2.0 * weights.gamma * resid * conf / n  # unc through residual
     d_conf = (weights.gamma * resid**2 - weights.alpha / conf) / n
 
-    gx_p, gy_p = spatial_gradient(d_hat)
-    gx_g, gy_g = spatial_gradient(gt_depth)
-    sx = np.sign(gx_p - gx_g) / n
-    sy = np.sign(gy_p - gy_g) / n
+    sx = np.sign(dx) / n
+    sy = np.sign(dy) / n
     # adjoint of the forward-difference operators
     d_depth[..., 1:] += sx[..., :-1]
     d_depth[..., :-1] -= sx[..., :-1]
     d_depth[..., 1:, :] += sy[..., :-1, :]
     d_depth[..., :-1, :] -= sy[..., :-1, :]
-    n_frames = d_hat.size // n
+    n_frames = resid.size // n
     if n_frames > 1:  # the gradient of the mean over frames
         d_depth /= n_frames
         d_conf /= n_frames
-    return d_depth, d_conf
+    return {"depth": d_depth, "confidence": d_conf}
 
 
 def confidence_objective(conf, r_sq, weights):

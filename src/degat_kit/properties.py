@@ -10,6 +10,7 @@ backward, through the one finite-difference routine ``finite_diff_grad``.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -19,12 +20,15 @@ from .graph import edge_count
 from .geometry import DepthMap
 from .numerics import elu
 from .objective import (
-    LossWeights, confidence_objective, depth_loss, depth_loss_backward, marginal_penalty,
-    optimal_confidence,
+    LossWeights, camera_loss, confidence_objective, depth_loss, depth_loss_backward,
+    marginal_penalty, optimal_confidence,
 )
 
 __all__ = [
-    "CheckResult", "GRADIENT_CHECKS", "finite_diff_grad", "finite_diff_error", "run_property_suite",
+    "CheckResult", "check_row_stochastic", "check_convex_hull", "check_norm_bound",
+    "check_elu_nonexpansive", "check_permutation_equivariance", "check_sparse_dense",
+    "check_gradients", "check_optimal_confidence", "GRADIENT_CHECKS", "finite_diff_grad",
+    "finite_diff_error", "run_property_suite",
 ]
 
 
@@ -166,12 +170,9 @@ def finite_diff_error(loss, pairs, step=1e-5):
 # loss of the instance's arrays and each array with its analytic gradient.
 
 
-def _mlp_pairs(mlp, grads):
-    return [(getattr(mlp, w), getattr(grads, f"d_{w}")) for w in ("w1", "b1", "w2", "b2")]
-
-
-def _attn_pairs(attn, grads):
-    return [(getattr(attn, w), grads[w]) for w in ("w_q", "w_k", "w_v", "w_o")]
+def _pairs(layer, grads):
+    """Each weight of ``layer`` with its gradient from a backward's grads dict."""
+    return [(getattr(layer, w), g) for w, g in grads.items()]
 
 
 def _degat_case(rng, l=8, c=4, k=3):
@@ -205,7 +206,7 @@ def _bias_mlp_case(rng, l=5, c=4, heads=2, hidden=6):
     weight = rng.standard_normal((heads, l, l))
     mlp = cond.init_mlp2(1, hidden, heads, activation="relu", rng=rng)
     grads = cond.mlp_bias_backward(mlp, cond.mlp_bias(feats, mlp)[1], weight)
-    return lambda: float(np.sum(weight * cond.mlp_bias(feats, mlp)[0])), _mlp_pairs(mlp, grads)
+    return lambda: float(np.sum(weight * cond.mlp_bias(feats, mlp)[0])), _pairs(mlp, grads)
 
 
 def _additive_case(rng, c=6, hidden=4):
@@ -216,7 +217,7 @@ def _additive_case(rng, c=6, hidden=4):
     _, cache = cond.condition_additive(base, g, mlp)
     grads, d_base, d_g = cond.condition_additive_backward(mlp, cache, weight)
     return (lambda: float(np.dot(weight, cond.condition_additive(base, g, mlp)[0].conditioned)),
-            _mlp_pairs(mlp, grads) + [(base, d_base), (g, d_g)])
+            _pairs(mlp, grads) + [(base, d_base), (g, d_g)])
 
 
 def _film_case(rng, c=6, hidden=4):
@@ -225,9 +226,9 @@ def _film_case(rng, c=6, hidden=4):
                           rng.standard_normal((5, c)), rng.standard_normal(c))
     mlp = cond.init_mlp2(c, hidden, 2 * c, rng=rng)
     _, cache = cond.condition_film(base, g, mlp)
-    grads, d_base, d_g = cond.condition_film_backward(mlp, cache, base, weight)
+    grads, d_base, d_g = cond.condition_film_backward(mlp, cache, weight)
     return (lambda: float(np.dot(weight, cond.condition_film(base, g, mlp)[0].conditioned)),
-            _mlp_pairs(mlp, grads) + [(base, d_base), (g, d_g)])
+            _pairs(mlp, grads) + [(base, d_base), (g, d_g)])
 
 
 def _cross_attn_case(rng, c=4, l=3, heads=2, hidden=4):
@@ -241,7 +242,7 @@ def _cross_attn_case(rng, c=4, l=3, heads=2, hidden=4):
         tok, _ = cond.condition_cross_attention(base, tokens, attn, ffn)
         return float(np.dot(weight, tok.conditioned))
 
-    return loss, _attn_pairs(attn, ag) + _mlp_pairs(ffn, fg) + [(base, d_base), (tokens, d_tokens)]
+    return loss, _pairs(attn, ag) + _pairs(ffn, fg) + [(base, d_base), (tokens, d_tokens)]
 
 
 def _mlp2_case(rng, n_in=3, hidden=4, n_out=2):
@@ -250,7 +251,7 @@ def _mlp2_case(rng, n_in=3, hidden=4, n_out=2):
     x = rng.standard_normal(n_in)
     weight = rng.standard_normal(n_out)
     grads, d_x = cond.mlp2_backward(mlp, cond.mlp2_forward(mlp, x)[1], weight)
-    return lambda: float(weight @ cond.mlp2_forward(mlp, x)[0]), _mlp_pairs(mlp, grads) + [(x, d_x)]
+    return lambda: float(weight @ cond.mlp2_forward(mlp, x)[0]), _pairs(mlp, grads) + [(x, d_x)]
 
 
 def _multi_head_attention_case(rng, c=4, heads=2, n=3, m=5):
@@ -262,18 +263,29 @@ def _multi_head_attention_case(rng, c=4, heads=2, n=3, m=5):
     _, cache = cond.multi_head_attention(x_q, x_kv, attn, bias)
     grads, d_q, d_kv, d_bias = cond.multi_head_attention_backward(attn, cache, weight)
     return (lambda: float(np.sum(weight * cond.multi_head_attention(x_q, x_kv, attn, bias)[0])),
-            _attn_pairs(attn, grads) + [(x_q, d_q), (x_kv, d_kv), (bias, d_bias)])
+            _pairs(attn, grads) + [(x_q, d_q), (x_kv, d_kv), (bias, d_bias)])
 
 
 def _depth_loss_case(rng, frames=2, h=3, w=4):
     """reg + unc + grad over stacked frames."""
     gt = rng.uniform(0.5, 2.0, (frames, h, w))
-    pred = DepthMap(gt + rng.uniform(0.05, 0.3, gt.shape),  # residual steps clear |.|'s kink
+    # positive residuals; |.| reads their x/y differences, which a rare seed
+    # puts within a finite-difference step of the kink
+    pred = DepthMap(gt + rng.uniform(0.05, 0.3, gt.shape),
                     rng.uniform(0.5, 2.0, gt.shape))
     weights = LossWeights(alpha=0.3, gamma=1.7)
-    d_depth, d_conf = depth_loss_backward(pred, gt, weights)
-    return (lambda: depth_loss(pred, gt, weights).total,
-            [(pred.depth, d_depth), (pred.confidence, d_conf)])
+    grads = depth_loss_backward(depth_loss(pred, gt, weights)[1])
+    return lambda: depth_loss(pred, gt, weights)[0].total, _pairs(pred, grads)
+
+
+def _camera_loss_case(rng, frames=2):
+    """The L1 camera loss over stacked frames."""
+    gt = {f: rng.standard_normal(shape) for f, shape in (
+        ("rotation", (frames, 3, 3)), ("translation", (frames, 3)), ("focal", (frames,)))}
+    pred = {f: g + rng.choice((-1.0, 1.0), g.shape) * rng.uniform(0.05, 0.3, g.shape)
+            for f, g in gt.items()}  # every entry steps clear of |.|'s kink
+    pred, gt = SimpleNamespace(**pred), SimpleNamespace(**gt)
+    return lambda: camera_loss(pred, gt)[0], _pairs(pred, camera_loss(pred, gt)[1])
 
 
 GRADIENT_CHECKS = {
@@ -286,6 +298,7 @@ GRADIENT_CHECKS = {
     "mlp2": _mlp2_case,
     "multi_head_attention": _multi_head_attention_case,
     "depth_loss": _depth_loss_case,
+    "camera_loss": _camera_loss_case,
 }
 _CHECK_SEEDS = {"degat": range(3)}  # each seed gives the hop another graph; others use seed 0
 

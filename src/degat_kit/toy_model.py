@@ -9,8 +9,8 @@ are given -> optional post-transformer graph-attention hop -> linear
 per-patch depth/confidence head and an MLP camera head. Only the
 graph-attention hop runs frame by frame, since each frame builds its own
 K-NN graph. ``loss_and_grads`` scores the stacked outputs with one call of
-each ``objective`` loss, and ``backward`` takes the frame-stacked output
-gradients.
+each ``objective`` loss, and ``backward`` takes the losses' gradient dicts
+merged into one.
 
 The parameter dict is checked once, when it enters ``forward``: its names
 and shapes against ``param_shapes(cfg)``, and its values for finiteness.
@@ -25,7 +25,7 @@ whole-model finite differences in the tests check every parameter gradient.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -35,7 +35,7 @@ from . import degat as dg
 from . import conditioning as cond
 from .geometry import CameraParams, DepthMap
 from .graph import METRICS
-from .objective import LossBreakdown, LossWeights, camera_loss, depth_loss, depth_loss_backward
+from .objective import LossWeights, camera_loss, depth_loss, depth_loss_backward
 
 __all__ = [
     "ModelConfig",
@@ -44,6 +44,7 @@ __all__ = [
     "check_params",
     "init_model_params",
     "forward",
+    "ModelCache",
     "backward",
     "zero_grads",
     "loss_and_grads",
@@ -235,19 +236,15 @@ def _mlp_view(params, prefix, activation):
     return _view(cond.Mlp2, w1=w1, b1=b1, w2=w2, b2=b2, activation=activation)
 
 
-def _store_mlp(grads, prefix, g):
-    for w in ("w1", "b1", "w2", "b2"):
-        grads[f"{prefix}.{w}"] = getattr(g, f"d_{w}")
+def _store(grads, prefix, g):
+    """Store a layer's gradient dict under the layer's parameter names."""
+    for w, gw in g.items():
+        grads[f"{prefix}.{w}"] = gw
 
 
 def _attn_view(params, prefix, n_heads):
     w_q, w_k, w_v, w_o = (params[f"{prefix}.{w}"] for w in ("w_q", "w_k", "w_v", "w_o"))
     return _view(cond.CrossAttnParams, w_q=w_q, w_k=w_k, w_v=w_v, w_o=w_o, n_heads=n_heads)
-
-
-def _store_attn(grads, prefix, g):
-    for w, gw in g.items():
-        grads[f"{prefix}.{w}"] = gw
 
 
 def _degat_view(params):
@@ -311,12 +308,12 @@ def _block_forward(x, view, bias=None):
 def _block_backward(grads, name, cache, d_z):
     attn, attn_cache, ffn, ffn_cache = cache
     ffn_grads, d_y_ffn = cond.mlp2_backward(ffn, ffn_cache, d_z)
-    _store_mlp(grads, f"{name}_ffn", ffn_grads)
+    _store(grads, f"{name}_ffn", ffn_grads)
     d_y = d_z + d_y_ffn
     attn_grads, d_x_q, d_x_kv, d_bias = cond.multi_head_attention_backward(
         attn, attn_cache, d_y
     )
-    _store_attn(grads, name, attn_grads)
+    _store(grads, name, attn_grads)
     return d_y + (d_x_q + d_x_kv), d_bias
 
 
@@ -374,7 +371,7 @@ def _heads_backward(params, grads, cfg, head_cache, up):
     )
     cam_mlp = _mlp_view(params, "cam_head", "gelu")
     cam_grads, d_cam_tok = cond.mlp2_backward(cam_mlp, cam_cache, d_y)
-    _store_mlp(grads, "cam_head", cam_grads)
+    _store(grads, "cam_head", cam_grads)
     return d_patch, d_cam_tok
 
 
@@ -397,35 +394,22 @@ def _cond_none_backward(params, grads, cfg, cache, d_cond, d_x1):
     return d_cond.sum(axis=0)
 
 
-def _cond_additive(params, cfg, x1):
-    tok, cache = cond.condition_additive(
-        params["camera_token"], dg.pooled_prior(x1), _mlp_view(params, "cond_add", "gelu")
+def _cond_prior(kind, prefix, params, cfg, x1):
+    """Additive or FiLM conditioning on the pooled prior, with the MLP under
+    ``prefix``; ``cond.condition_<kind>`` is looked up per call, where a
+    wrapper installed after import is seen."""
+    tok, cache = getattr(cond, f"condition_{kind}")(
+        params["camera_token"], dg.pooled_prior(x1), _mlp_view(params, prefix, "gelu")
     )
     return tok.conditioned, cache
 
 
-def _cond_additive_backward(params, grads, cfg, cache, d_cond, d_x1):
-    mg, d_base, d_g = cond.condition_additive_backward(
-        _mlp_view(params, "cond_add", "gelu"), cache, d_cond
+def _cond_prior_backward(kind, prefix, params, grads, cfg, cache, d_cond, d_x1):
+    mg, d_base, d_g = getattr(cond, f"condition_{kind}_backward")(
+        _mlp_view(params, prefix, "gelu"), cache, d_cond
     )
-    _store_mlp(grads, "cond_add", mg)
+    _store(grads, prefix, mg)
     d_x1 += d_g[:, None] / d_x1.shape[1]  # the pooled prior is the token mean
-    return d_base
-
-
-def _cond_film(params, cfg, x1):
-    tok, cache = cond.condition_film(
-        params["camera_token"], dg.pooled_prior(x1), _mlp_view(params, "cond_film", "gelu")
-    )
-    return tok.conditioned, cache
-
-
-def _cond_film_backward(params, grads, cfg, cache, d_cond, d_x1):
-    mg, d_base, d_g = cond.condition_film_backward(
-        _mlp_view(params, "cond_film", "gelu"), cache, params["camera_token"], d_cond
-    )
-    _store_mlp(grads, "cond_film", mg)
-    d_x1 += d_g[:, None] / d_x1.shape[1]
     return d_base
 
 
@@ -442,8 +426,8 @@ def _cond_cross_attn_backward(params, grads, cfg, cache, d_cond, d_x1):
         _attn_view(params, "cond_xattn", cfg.n_heads),
         _mlp_view(params, "cond_xattn_ffn", "gelu"), cache, d_cond,
     )
-    _store_attn(grads, "cond_xattn", ag)
-    _store_mlp(grads, "cond_xattn_ffn", fg)
+    _store(grads, "cond_xattn", ag)
+    _store(grads, "cond_xattn_ffn", fg)
     d_x1 += d_tokens
     return d_base
 
@@ -466,7 +450,7 @@ def _bias_mlp(params, cfg, x1, pre_caches):
 
 def _bias_mlp_backward(params, grads, cfg, cache, d_bias):
     bg = cond.mlp_bias_backward(_mlp_view(params, "bias_mlp", "relu"), cache, d_bias)
-    _store_mlp(grads, "bias_mlp", bg)
+    _store(grads, "bias_mlp", bg)
 
 
 def _bias_log_affinity(params, cfg, x1, pre_caches):
@@ -486,8 +470,10 @@ def _no_bias_gradient(params, grads, cfg, cache, d_bias):
 
 TOKEN_CONDITIONING = {
     "none": (_cond_none, _cond_none_backward),
-    "additive": (_cond_additive, _cond_additive_backward),
-    "film": (_cond_film, _cond_film_backward),
+    "additive": (functools.partial(_cond_prior, "additive", "cond_add"),
+                 functools.partial(_cond_prior_backward, "additive", "cond_add")),
+    "film": (functools.partial(_cond_prior, "film", "cond_film"),
+             functools.partial(_cond_prior_backward, "film", "cond_film")),
     "cross_attn": (_cond_cross_attn, _cond_cross_attn_backward),
 }
 
@@ -572,7 +558,8 @@ def backward(params, cfg, cache, upstream):
     """Parameter gradients given frame-stacked upstream output gradients.
 
     ``upstream`` is one dict with keys depth and confidence (F, H, W),
-    rotation (F, 3, 3), translation (F, 3) and focal (F,). The result has
+    rotation (F, 3, 3), translation (F, 3) and focal (F,), as the
+    ``objective`` losses key their gradients. The result has
     a gradient for every parameter; those the variant does not use are
     zero.
     """
@@ -638,19 +625,11 @@ def loss_and_grads(params, cfg, frames, gt_depths, gt_cams, weights=LossWeights(
         )
     _, _, cache = forward(params, cfg, frames)
     pred, poses = cache.outputs
-    gt_depths = np.asarray(gt_depths, dtype=np.float64)
     gt_poses = _Poses(*(np.array([getattr(c, f) for c in gt_cams]) for f in _Poses._fields))
-    depth_part = depth_loss(pred, gt_depths, weights)
-    d_depth, d_conf = depth_loss_backward(pred, gt_depths, weights)
-    upstream = {"depth": d_depth, "confidence": d_conf}
-    for field, p, g in zip(_Poses._fields, poses, gt_poses):  # the gradient of the mean L1
-        upstream[field] = np.sign(p - g) / nf
-    grads = backward(params, cfg, cache, upstream)
-    breakdown = LossBreakdown(
-        cam=camera_loss(poses, gt_poses), reg=depth_part.reg, unc=depth_part.unc,
-        grad=depth_part.grad,
-    )
-    return breakdown, grads
+    depth_part, depth_cache = depth_loss(pred, gt_depths, weights)
+    cam, d_poses = camera_loss(poses, gt_poses)
+    grads = backward(params, cfg, cache, {**depth_loss_backward(depth_cache), **d_poses})
+    return replace(depth_part, cam=cam), grads
 
 
 def sgd_step(params, grads, lr):

@@ -131,9 +131,7 @@ def per_frame_cross_attention(base, tokens, attn, ffn):
 def per_frame_cross_attention_backward(attn, ffn, cache, d_out):
     runs = [ref_cross_attention_backward(attn, ffn, c, d) for c, d in zip(cache, d_out)]
     attn_grads = {w: sum(r[0][w] for r in runs) for w in runs[0][0]}
-    ffn_grads = cond.Mlp2Grads(*(
-        sum(getattr(r[1], f) for r in runs) for f in ("d_w1", "d_b1", "d_w2", "d_b2")
-    ))
+    ffn_grads = {w: sum(r[1][w] for r in runs) for w in runs[0][1]}
     return attn_grads, ffn_grads, sum(r[2] for r in runs), np.stack([r[3] for r in runs])
 
 

@@ -74,8 +74,8 @@ class TestMlp2:
             return float(w @ y)
 
         for analytic, arr in [
-            (grads.d_w1, mlp.w1), (grads.d_b1, mlp.b1),
-            (grads.d_w2, mlp.w2), (grads.d_b2, mlp.b2), (d_x, x),
+            (grads["w1"], mlp.w1), (grads["b1"], mlp.b1),
+            (grads["w2"], mlp.w2), (grads["b2"], mlp.b2), (d_x, x),
         ]:
             numeric = finite_diff_grad(loss, arr, step=1e-6)
             assert np.max(np.abs(analytic - numeric)) < 1e-7
@@ -189,8 +189,8 @@ class TestMlpBias:
             return float(np.sum(w * b))
 
         for analytic, arr in [
-            (grads.d_w1, mlp.w1), (grads.d_b1, mlp.b1),
-            (grads.d_w2, mlp.w2), (grads.d_b2, mlp.b2),
+            (grads["w1"], mlp.w1), (grads["b1"], mlp.b1),
+            (grads["w2"], mlp.w2), (grads["b2"], mlp.b2),
         ]:
             numeric = finite_diff_grad(loss, arr, step=1e-6)
             np.testing.assert_allclose(analytic, numeric, atol=1e-7)
@@ -324,14 +324,14 @@ class TestFrameAxis:
             if kind == "additive":
                 tok, cache = condition_additive(base, prior, mlp)
                 grads, d_base, d_prior = condition_additive_backward(mlp, cache, d_cond)
-                return tok.conditioned, d_base, d_prior, vars(grads)
+                return tok.conditioned, d_base, d_prior, grads
             if kind == "film":
                 tok, cache = condition_film(base, prior, mlp)
-                grads, d_base, d_prior = condition_film_backward(mlp, cache, base, d_cond)
-                return tok.conditioned, d_base, d_prior, vars(grads)
+                grads, d_base, d_prior = condition_film_backward(mlp, cache, d_cond)
+                return tok.conditioned, d_base, d_prior, grads
             tok, cache = condition_cross_attention(base, prior, attn, mlp)
             ag, fg, d_base, d_prior = condition_cross_attention_backward(attn, mlp, cache, d_cond)
-            return tok.conditioned, d_base, d_prior, {**ag, **vars(fg)}
+            return tok.conditioned, d_base, d_prior, {**ag, **fg}
 
         cond, d_base, d_prior, grads = run(prior, d_cond)
         runs = [run(prior[f], d_cond[f]) for f in range(3)]
@@ -364,8 +364,8 @@ class TestFrameAxis:
         grads = mlp_bias_backward(mlp, cache, delta)
         runs = [mlp_bias(f, mlp) for f in feats]
         assert_close(bias, np.stack([b for b, _ in runs]))
-        for name, g in vars(grads).items():
-            per_frame = [vars(mlp_bias_backward(mlp, c, d)) for (_, c), d in zip(runs, delta)]
+        for name, g in grads.items():
+            per_frame = [mlp_bias_backward(mlp, c, d) for (_, c), d in zip(runs, delta)]
             assert_close(g, sum(p[name] for p in per_frame))
 
     def test_rejects_frames_of_unsupported_rank(self):

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from degat_kit import objective
 from degat_kit.geometry import CameraParams, DepthMap
 from degat_kit.objective import (
     LossBreakdown,
@@ -22,19 +23,28 @@ from degat_kit.properties import finite_diff_grad
 class TestCameraLoss:
     def test_zero_for_identical(self):
         cam = CameraParams(np.eye(3), [1.0, 2.0, 3.0], 1.5)
-        assert camera_loss(cam, cam) == 0.0
+        assert camera_loss(cam, cam)[0] == 0.0
 
     def test_hand_value(self):
         a = CameraParams(np.eye(3), np.zeros(3), 1.0)
         b = CameraParams(np.eye(3) * 2.0, np.ones(3) * 0.5, 1.25)
         # rotation: 3 diagonal entries differ by 1; translation: 3 * 0.5; focal: 0.25
-        assert camera_loss(a, b) == pytest.approx(3.0 + 1.5 + 0.25, abs=1e-12)
+        assert camera_loss(a, b)[0] == pytest.approx(3.0 + 1.5 + 0.25, abs=1e-12)
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
         a = CameraParams(rng.standard_normal((3, 3)), rng.standard_normal(3), 2.0)
         b = CameraParams(rng.standard_normal((3, 3)), rng.standard_normal(3), 0.5)
-        assert camera_loss(a, b) == pytest.approx(camera_loss(b, a), abs=1e-15)
+        assert camera_loss(a, b)[0] == pytest.approx(camera_loss(b, a)[0], abs=1e-15)
+
+    def test_gradient_hand_value(self):
+        a = CameraParams(np.eye(3), np.zeros(3), 1.0)
+        b = CameraParams(np.eye(3) * 2.0, np.ones(3) * 0.5, 1.25)
+        _, grads = camera_loss(a, b)
+        assert sorted(grads) == ["focal", "rotation", "translation"]
+        np.testing.assert_array_equal(grads["rotation"], -np.eye(3))  # sign(0) = 0 off the diagonal
+        np.testing.assert_array_equal(grads["translation"], -np.ones(3))
+        assert grads["focal"] == -1.0
 
 
 class TestSpatialGradient:
@@ -58,7 +68,7 @@ class TestDepthLoss:
         gt = np.random.default_rng(1).uniform(0.5, 2.0, (4, 4))
         pred = DepthMap(gt.copy(), np.ones_like(gt))
         w = LossWeights()
-        lb = depth_loss(pred, gt, w)
+        lb, _ = depth_loss(pred, gt, w)
         assert lb.reg == 0.0 and lb.grad == 0.0
         # C = 1: unc = mean(gamma*0*1 - alpha*log 1) = 0
         assert lb.unc == 0.0
@@ -67,7 +77,7 @@ class TestDepthLoss:
         gt = np.zeros((2, 2))
         pred = DepthMap(np.full((2, 2), 2.0), np.full((2, 2), math.e))
         w = LossWeights(alpha=0.5, gamma=1.0)
-        lb = depth_loss(pred, gt, w)
+        lb, _ = depth_loss(pred, gt, w)
         assert lb.reg == pytest.approx(4.0)
         # unc per pixel: 1*4*e - 0.5*1
         assert lb.unc == pytest.approx(4.0 * math.e - 0.5, abs=1e-12)
@@ -77,6 +87,17 @@ class TestDepthLoss:
         with pytest.raises(ValueError):
             depth_loss(DepthMap(np.ones((2, 2)), np.zeros((2, 2))), np.ones((2, 2)),
                        LossWeights())
+
+    def test_backward_reads_its_cache_only(self, monkeypatch):
+        gt = np.random.default_rng(2).uniform(0.5, 2.0, (2, 4, 5))
+        _, cache = depth_loss(DepthMap(gt + 0.1, np.ones_like(gt)), gt, LossWeights())
+
+        def no_call(d):
+            raise AssertionError("depth_loss_backward recomputed a spatial gradient")
+
+        monkeypatch.setattr(objective, "spatial_gradient", no_call)
+        grads = depth_loss_backward(cache)
+        assert {k: v.shape for k, v in grads.items()} == {"depth": gt.shape, "confidence": gt.shape}
 
     def test_total_sums_parts(self):
         lb = LossBreakdown(cam=1.0, reg=2.0, unc=0.5, grad=0.25)
@@ -106,16 +127,18 @@ class TestFrameAxis:
         depth, conf, gt = (self.stacked(rng.uniform(0.5, 2.0, (5, 6))) for _ in range(3))
         w = LossWeights(alpha=0.3, gamma=1.7)
         frames = [DepthMap(d, c) for d, c in zip(depth, conf)]
-        parts = [depth_loss(f, g, w) for f, g in zip(frames, gt)]
-        got = depth_loss(DepthMap(depth, conf), gt, w)
+        parts = [depth_loss(f, g, w)[0] for f, g in zip(frames, gt)]
+        got, cache = depth_loss(DepthMap(depth, conf), gt, w)
         for name in ("reg", "unc", "grad"):
             assert getattr(got, name) == pytest.approx(
                 np.mean([getattr(p, name) for p in parts]), rel=1e-14
             )
-        d_depth, d_conf = depth_loss_backward(DepthMap(depth, conf), gt, w)
-        per_frame = [depth_loss_backward(f, g, w) for f, g in zip(frames, gt)]
-        np.testing.assert_array_equal(d_depth, np.stack([d for d, _ in per_frame]) / 3)
-        np.testing.assert_array_equal(d_conf, np.stack([c for _, c in per_frame]) / 3)
+        grads = depth_loss_backward(cache)
+        per_frame = [depth_loss_backward(depth_loss(f, g, w)[1]) for f, g in zip(frames, gt)]
+        for name in ("depth", "confidence"):
+            np.testing.assert_array_equal(
+                grads[name], np.stack([p[name] for p in per_frame]) / 3
+            )
 
     def test_camera_loss(self):
         rng = np.random.default_rng(6)
@@ -131,8 +154,11 @@ class TestFrameAxis:
                 for f in ("rotation", "translation", "focal")
             })
 
-        expect = np.mean([camera_loss(p, g) for p, g in zip(pred, gt)])
-        assert camera_loss(stack(pred), stack(gt)) == pytest.approx(expect, rel=1e-14)
+        runs = [camera_loss(p, g) for p, g in zip(pred, gt)]
+        loss, grads = camera_loss(stack(pred), stack(gt))
+        assert loss == pytest.approx(np.mean([r[0] for r in runs]), rel=1e-14)
+        for name, g in grads.items():  # the gradient of the mean over frames
+            np.testing.assert_array_equal(g, np.stack([r[1][name] for r in runs]) / 2)
         with pytest.raises(ValueError, match="camera shapes differ"):
             camera_loss(stack(pred), stack(gt[:1]))
 

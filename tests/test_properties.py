@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degat_kit.properties import GRADIENT_CHECKS, finite_diff_error, finite_diff_grad
 
@@ -9,6 +11,29 @@ from degat_kit.properties import GRADIENT_CHECKS, finite_diff_error, finite_diff
 def test_backward_matches_finite_difference(name, seed):
     loss, pairs = GRADIENT_CHECKS[name](np.random.default_rng(seed))
     assert finite_diff_error(loss, pairs) < 1e-7
+
+
+# keyword sizes of the table rows whose shapes carry a head or frame axis
+ROW_SIZES = {
+    "multi_head_attention": st.integers(1, 4).flatmap(lambda heads: st.fixed_dictionaries({
+        "heads": st.just(heads), "c": st.integers(1, 3).map(lambda d: heads * d),
+        "n": st.integers(1, 5), "m": st.integers(1, 5),
+    })),
+    "depth_loss": st.fixed_dictionaries(
+        {"frames": st.integers(1, 3), "h": st.integers(2, 5), "w": st.integers(2, 5)}
+    ),
+    "camera_loss": st.fixed_dictionaries({"frames": st.integers(1, 3)}),
+}
+
+
+@pytest.mark.parametrize("name", list(ROW_SIZES))
+@settings(max_examples=50)
+@given(data=st.data())
+def test_backward_matches_finite_difference_over_sizes(name, data):
+    sizes = data.draw(ROW_SIZES[name], label="sizes")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    loss, pairs = GRADIENT_CHECKS[name](np.random.default_rng(seed), **sizes)
+    assert finite_diff_error(loss, pairs) <= 1e-7
 
 
 class TestFiniteDiff:

@@ -279,7 +279,9 @@ class TestGradients:
             worst = max(worst, finite_diff_error(loss, [(t, np.array([slope]))]))
         # log_affinity's bias is a stop-gradient by design: the analytic slope
         # leaves out the bias's dependence on the hop, which the difference sees
-        assert worst < 1e-3
+        # (4.4e-5 at most, against 8.0e-6 without it); a wrong softplus or
+        # confidence derivative in the heads reads 2.9e-4 or more
+        assert worst < 1e-4
 
     def test_upstream_length_check(self):
         cfg = small_cfg()
