@@ -326,10 +326,6 @@ class BiasTable:
     def n_buckets(self):
         return self.table.shape[0]
 
-    @property
-    def n_heads(self):
-        return self.table.shape[1]
-
 
 def bucket_indices(features, n_buckets, eps=BUCKET_RATIO_EPS):
     """Quantize log-scaled pairwise distances into [0, n_buckets - 1]."""

@@ -1,14 +1,15 @@
 """Dynamic K-nearest-neighbor graphs over token features.
 
 The graph is rebuilt from the current features on every forward pass
-from the full L x L score matrix. Top-K selection avoids sorting whole
-rows: a partition finds each row's K-th key, every entry at or below it
-is a candidate, and rows with more candidates than places keep only the
-lowest-index entries tied at the K-th key. The K survivors are then
-sorted stably by key. Neighbors are ordered by descending similarity or
-ascending distance, and exact ties go to the lower node index, so the
-Top-K operator is deterministic; the permutation-equivariance property
-relies on that rule.
+from the full L x L score matrix of each (L, C) frame; an (F, L, C)
+stack gives every frame its own graph in one batched build. Top-K
+selection avoids sorting whole rows: a partition finds each row's K-th
+key, every entry at or below it is a candidate, and rows with more
+candidates than places keep only the lowest-index entries tied at the
+K-th key. The K survivors are then sorted stably by key. Neighbors are
+ordered by descending similarity or ascending distance, and exact ties
+go to the lower node index, so the Top-K operator is deterministic; the
+permutation-equivariance property relies on that rule.
 """
 
 from dataclasses import dataclass
@@ -41,10 +42,6 @@ class TokenGrid:
                 f"token count {feats.shape[0]} != grid {self.grid_h}x{self.grid_w}"
             )
 
-    @property
-    def n_tokens(self):
-        return self.features.shape[0]
-
     def coord(self, i):
         """Normalized (u, v) center of token i in [0, 1]^2."""
         row, col = divmod(int(i), self.grid_w)
@@ -57,20 +54,17 @@ class NeighborGraph:
 
     ``similarities`` holds cosine similarities (non-increasing per row)
     for the cosine metric, or Euclidean distances (non-decreasing per
-    row) for the euclidean metric.
+    row) for the euclidean metric. A stacked build keeps a leading frame
+    axis, and its indices are local to their frame.
     """
 
-    neighbors: np.ndarray  # (L, K) int
-    similarities: np.ndarray  # (L, K)
+    neighbors: np.ndarray  # (L, K) or (F, L, K) int
+    similarities: np.ndarray  # same shape as neighbors
     metric: str = "cosine"
 
     @property
     def n_nodes(self):
-        return self.neighbors.shape[0]
-
-    @property
-    def k(self):
-        return self.neighbors.shape[1]
+        return self.neighbors.shape[-2]  # per frame
 
 
 def pairwise_distances(tokens):
@@ -80,7 +74,10 @@ def pairwise_distances(tokens):
     (L, C) frame of ``tokens``; the bias generators and the euclidean K-NN
     graph share these exact values.
     """
-    x = as_finite(tokens, "features", (2, 3))
+    return _distances(as_finite(tokens, "features", (2, 3)))
+
+
+def _distances(x):
     sq = np.sum(x * x, axis=-1)
     d = sq[..., :, None] + sq[..., None, :]
     d -= 2.0 * (x @ x.swapaxes(-1, -2))
@@ -127,13 +124,14 @@ def _select_top_k(key, k):
 
 
 def build_knn_graph(tokens, k, metric="cosine"):
-    """Select the Top-K neighbors of every node, excluding the node itself.
+    """Select the Top-K neighbors of every node, excluding the node itself,
+    within each (L, C) frame of ``tokens``.
 
     Ordering is by descending similarity (cosine) or ascending distance
     (euclidean); exact ties are resolved toward the lower node index.
     """
-    x = tokens.features if isinstance(tokens, TokenGrid) else as_matrix(tokens, "features")
-    n = x.shape[0]
+    x = tokens.features if isinstance(tokens, TokenGrid) else as_finite(tokens, "features", (2, 3))
+    n = x.shape[-2]
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
     if k < 1:
@@ -142,26 +140,27 @@ def build_knn_graph(tokens, k, metric="cosine"):
         raise ValueError(f"k={k} must be < number of nodes {n} (self is excluded)")
 
     if metric == "cosine":
-        norms = np.linalg.norm(x, axis=1)
+        norms = np.linalg.norm(x, axis=-1)
         safe = np.where(norms == 0.0, 1.0, norms)
-        xn = x / safe[:, None]
-        key = xn @ xn.T  # zero rows give similarity 0 with everyone
+        xn = x / safe[..., None]
+        key = xn @ xn.swapaxes(-1, -2)  # zero rows give similarity 0 with everyone
         np.negative(key, out=key)  # ascending key = descending similarity
     else:
         # select on the distance itself: sqrt can merge distinct d^2 values,
         # and those merged keys must tie exactly as they always have
-        key = pairwise_distances(x)
+        key = _distances(x)
 
-    np.fill_diagonal(key, np.inf)  # self always sorts last
-    nb, sims = _select_top_k(key, k)
+    key.reshape(-1, n * n)[:, :: n + 1] = np.inf  # each frame's diagonal: self sorts last
+    nb, sims = _select_top_k(key.reshape(-1, n), k)  # every frame's rows at once
     if metric == "cosine":
         np.negative(sims, out=sims)
-    return NeighborGraph(neighbors=nb, similarities=sims, metric=metric)
+    shape = x.shape[:-1] + (k,)
+    return NeighborGraph(nb.reshape(shape), sims.reshape(shape), metric)
 
 
 def edge_count(g):
-    """Number of directed edges: exactly L*K."""
-    return g.n_nodes * g.k
+    """Number of directed edges: exactly L*K per frame."""
+    return g.neighbors.size
 
 
 def dump_neighbors(g, tokens, query):

@@ -6,11 +6,11 @@ conditioning, one token per frame -> N self-attention blocks over each
 frame's camera token and patches (optionally bias-injected) -> one global
 block over the (F * (L + 1), C) tokens of all frames when several frames
 are given -> optional post-transformer graph-attention hop -> linear
-per-patch depth/confidence head and an MLP camera head. Only the
-graph-attention hop runs frame by frame, since each frame builds its own
-K-NN graph. ``loss_and_grads`` scores the stacked outputs with one call of
-each ``objective`` loss, and ``backward`` takes the losses' gradient dicts
-merged into one.
+per-patch depth/confidence head and an MLP camera head. The hop takes the
+batch too and builds each frame's own K-NN graph. ``loss_and_grads``
+scores the stacked outputs with one call of each ``objective`` loss, and
+``backward`` takes the losses' gradient dicts merged into one; only
+``forward`` unpacks the outputs into one depth map and camera per frame.
 
 The parameter dict is checked once, when it enters ``forward``: its names
 and shapes against ``param_shapes(cfg)``, and its values for finiteness.
@@ -252,18 +252,10 @@ def _degat_view(params):
     return _view(dg.DeGatParams, w_proj=w_proj, a=a, w_val=w_val)
 
 
-def _degat_frames(x, degat_params, cfg):
-    """One DeGAT hop per (L, C) frame of x, each over its own K-NN graph;
-    returns (x_out, per-frame caches)."""
-    hops = [dg.degat_forward(xf, degat_params, cfg.k_neighbors, cfg.knn_metric) for xf in x]
-    return np.stack([x_out for x_out, _ in hops]), [cache for _, cache in hops]
-
-
-def _degat_backward(grads, degat_params, caches, d_out):
-    runs = [dg.degat_backward(cache, degat_params, d) for cache, d in zip(caches, d_out)]
-    for w in ("w_proj", "a", "w_val"):
-        grads[f"degat.{w}"] = sum(getattr(r, f"d_{w}") for r in runs)
-    return np.stack([r.d_x for r in runs])
+def _degat_backward(grads, degat_params, cache, d_out):
+    g = dg.degat_backward(cache, degat_params, d_out)
+    _store(grads, "degat", {"w_proj": g.d_w_proj, "a": g.d_a, "w_val": g.d_w_val})
+    return g.d_x
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +323,8 @@ class _Poses(NamedTuple):
 
 
 def _heads_forward(params, cfg, patch_tokens, cam_tokens):
-    """Depth maps and cameras of the (F, L, C) patch and (F, C) camera tokens:
-    per frame, then stacked over the frames, then the head cache."""
+    """The depth maps and cameras of the (F, L, C) patch and (F, C) camera
+    tokens, stacked over the frames, and the head cache."""
     p2 = cfg.patch_size**2
     raw = patch_tokens @ params["depth_head.w"].T + params["depth_head.b"]
     depth = np.exp(_unpatchify(raw[..., :p2], cfg))
@@ -344,14 +336,7 @@ def _heads_forward(params, cfg, patch_tokens, cam_tokens):
         rotation=y[:, :9].reshape(-1, 3, 3), translation=y[:, 9:12],
         focal=np.logaddexp(0.0, y[:, 12]) + FOCAL_EPS,  # softplus
     )
-    principal = ((cfg.image_w - 1) / 2.0, (cfg.image_h - 1) / 2.0)
-    cams = [
-        CameraParams(rotation=r, translation=t, focal=float(f), principal=principal)
-        for r, t, f in zip(*poses)
-    ]
-    dms = [DepthMap(depth=d, confidence=c) for d, c in zip(depth, conf)]
-    stacked = (DepthMap(depth=depth, confidence=conf), poses)
-    return dms, cams, stacked, (patch_tokens, depth, conf, cam_cache, y[:, 12])
+    return (DepthMap(depth, conf), poses), (patch_tokens, depth, conf, cam_cache, y[:, 12])
 
 
 def _heads_backward(params, grads, cfg, head_cache, up):
@@ -381,7 +366,7 @@ def _heads_backward(params, grads, cfg, head_cache, up):
 # Conditioning: (params, cfg, x1) -> ((F, C) camera tokens, cache); the
 # backward stores its parameter gradients, adds its token path into d_x1 in
 # place and returns d(loss)/d(camera_token).
-# Bias: (params, cfg, x1, pre-DeGAT caches) -> (patch-block bias, broadcast
+# Bias: (params, cfg, x1, pre-DeGAT cache) -> (patch-block bias, broadcast
 # to (F, H, L, L), cache); the backward takes the patch block of
 # d(loss)/d(bias).
 
@@ -432,11 +417,11 @@ def _cond_cross_attn_backward(params, grads, cfg, cache, d_cond, d_x1):
     return d_base
 
 
-def _bias_none(params, cfg, x1, pre_caches):
+def _bias_none(params, cfg, x1, pre_degat):
     return 0.0, None
 
 
-def _bias_bucket(params, cfg, x1, pre_caches):
+def _bias_bucket(params, cfg, x1, pre_degat):
     return cond.bucket_bias(x1, _view(cond.BiasTable, table=params["bias_table"]))
 
 
@@ -444,7 +429,7 @@ def _bias_bucket_backward(params, grads, cfg, idx, d_bias):
     grads["bias_table"] = cond.bias_table_gradient(d_bias, idx, cfg.n_buckets)
 
 
-def _bias_mlp(params, cfg, x1, pre_caches):
+def _bias_mlp(params, cfg, x1, pre_degat):
     return cond.mlp_bias(x1, _mlp_view(params, "bias_mlp", "relu"))
 
 
@@ -453,15 +438,13 @@ def _bias_mlp_backward(params, grads, cfg, cache, d_bias):
     _store(grads, "bias_mlp", bg)
 
 
-def _bias_log_affinity(params, cfg, x1, pre_caches):
+def _bias_log_affinity(params, cfg, x1, pre_degat):
     # affinities of a DeGAT pass over the current tokens; treated as a
     # constant during backprop (parameter-free integration)
-    if pre_caches is None:
-        pre_caches = []
-        for x in x1:
-            _, cache = dg.degat_forward(x, _degat_view(params), cfg.k_neighbors, cfg.knn_metric)
-            pre_caches.append(cache)
-    return np.stack([dg.affinity_to_log_bias(c) for c in pre_caches])[:, None], None
+    cache = pre_degat
+    if cache is None:
+        _, cache = dg.degat_forward(x1, _degat_view(params), cfg.k_neighbors, cfg.knn_metric)
+    return dg.affinity_to_log_bias(cache)[:, None], None
 
 
 def _no_bias_gradient(params, grads, cfg, cache, d_bias):
@@ -492,12 +475,12 @@ ATTENTION_BIAS = {
 @dataclass
 class ModelCache:
     patches: np.ndarray  # (F, L, P^2)
-    pre_degat: object  # per-frame DeGatCaches or None
+    pre_degat: object  # DeGatCache of the (F, L, C) hop, or None
     cond_cache: object
     bias_cache: object
     block_caches: list
     global_cache: object  # block cache or None
-    post_degat: object  # per-frame DeGatCaches or None
+    post_degat: object  # DeGatCache of the (F, L, C) hop, or None
     head_cache: tuple
     outputs: tuple  # (DepthMap over (F, H, W), _Poses): what the loss scores
 
@@ -511,6 +494,15 @@ def forward(params, cfg, frames):
     ``params`` is checked here (``check_params``), and nowhere else in the
     step.
     """
+    cache = _forward(params, cfg, frames)
+    pred, poses = cache.outputs
+    principal = ((cfg.image_w - 1) / 2.0, (cfg.image_h - 1) / 2.0)
+    cams = [CameraParams(r, t, float(f), principal) for r, t, f in zip(*poses)]
+    return [DepthMap(d, c) for d, c in zip(pred.depth, pred.confidence)], cams, cache
+
+
+def _forward(params, cfg, frames):
+    """The model's forward pass over the frames, as one ``ModelCache``."""
     if len(frames) == 0:
         raise ValueError("forward requires at least one frame")
     check_params(params, cfg)
@@ -523,7 +515,7 @@ def forward(params, cfg, frames):
     x1 = x0 = patches @ params["embed.w"].T + params["embed.b"]
     pre_degat = post_degat = global_cache = None
     if cfg.degat_placement == "pre":
-        x1, pre_degat = _degat_frames(x0, degat_params, cfg)
+        x1, pre_degat = dg.degat_forward(x0, degat_params, cfg.k_neighbors, cfg.knn_metric)
 
     c_tok, cond_cache = condition(params, cfg, x1)
     bias_patch, bias_cache = attention_bias(params, cfg, x1, pre_degat)
@@ -544,10 +536,12 @@ def forward(params, cfg, frames):
 
     patch_out = seq[:, 1:]
     if cfg.degat_placement == "post":
-        patch_out, post_degat = _degat_frames(patch_out, degat_params, cfg)
-    depth_maps, cams, outputs, head_cache = _heads_forward(params, cfg, patch_out, seq[:, 0])
+        patch_out, post_degat = dg.degat_forward(
+            patch_out, degat_params, cfg.k_neighbors, cfg.knn_metric
+        )
+    outputs, head_cache = _heads_forward(params, cfg, patch_out, seq[:, 0])
 
-    return depth_maps, cams, ModelCache(
+    return ModelCache(
         patches=patches, pre_degat=pre_degat, cond_cache=cond_cache, bias_cache=bias_cache,
         block_caches=block_caches, global_cache=global_cache, post_degat=post_degat,
         head_cache=head_cache, outputs=outputs,
@@ -623,7 +617,7 @@ def loss_and_grads(params, cfg, frames, gt_depths, gt_cams, weights=LossWeights(
         raise ValueError(
             f"{len(gt_depths)} ground-truth depths and {len(gt_cams)} cameras for {nf} frames"
         )
-    _, _, cache = forward(params, cfg, frames)
+    cache = _forward(params, cfg, frames)
     pred, poses = cache.outputs
     gt_poses = _Poses(*(np.array([getattr(c, f) for c in gt_cams]) for f in _Poses._fields))
     depth_part, depth_cache = depth_loss(pred, gt_depths, weights)

@@ -1,4 +1,5 @@
-"""The whole model against the attention code it had before the shared kernel.
+"""The whole model against the attention code it had before the shared
+kernel, and against the graph-attention hop run once per frame.
 
 The references below are the earlier implementations: the per-model
 multi-head self-attention with its own softmax and softmax backward, and
@@ -6,6 +7,8 @@ the einsum cross-attention conditioning. Patched in for the shared
 ``multi_head_attention`` layer, they must give the same outputs, loss and
 parameter gradients on every model variant. The model runs its frames as
 one batch, so per-frame adapters call the 2-D references once per frame.
+In the same way, per-frame adapters of the DeGAT hop run the (L, C) hop on
+each frame for the stacked one.
 """
 
 import itertools
@@ -14,6 +17,7 @@ import numpy as np
 import pytest
 
 from degat_kit import conditioning as cond
+from degat_kit import degat as dg
 from degat_kit import toy_model
 from degat_kit.geometry import CameraParams
 
@@ -135,6 +139,28 @@ def per_frame_cross_attention_backward(attn, ffn, cache, d_out):
     return attn_grads, ffn_grads, sum(r[2] for r in runs), np.stack([r[3] for r in runs])
 
 
+# the hop itself, bound before a test patches the module
+hop_forward, hop_backward = dg.degat_forward, dg.degat_backward
+hop_log_bias = dg.affinity_to_log_bias
+
+
+def per_frame_degat_forward(tokens, params, k, metric="cosine"):
+    runs = [hop_forward(x, params, k, metric) for x in tokens]
+    return np.stack([out for out, _ in runs]), [cache for _, cache in runs]
+
+
+def per_frame_degat_backward(caches, params, upstream):
+    runs = [hop_backward(c, params, u) for c, u in zip(caches, upstream)]
+    return dg.DeGatGrads(
+        *(sum(getattr(r, g) for r in runs) for g in ("d_w_proj", "d_a", "d_w_val")),
+        d_x=np.stack([r.d_x for r in runs]),
+    )
+
+
+def per_frame_affinity_to_log_bias(caches):
+    return np.stack([hop_log_bias(c) for c in caches])
+
+
 VARIANTS = list(itertools.product(
     toy_model.PLACEMENTS, toy_model.TOKEN_CONDITIONING, toy_model.ATTENTION_BIAS
 ))
@@ -166,35 +192,68 @@ def run_model(cfg, seed=0, n_frames=2):
     return outputs, grads
 
 
-@pytest.mark.parametrize("placement,conditioning,bias", VARIANTS)
-def test_matches_pre_kernel_attention(monkeypatch, placement, conditioning, bias):
-    cfg = toy_model.ModelConfig(
+def small_cfg(placement, conditioning, bias):
+    return toy_model.ModelConfig(
         image_h=16, image_w=24, patch_size=8, embed_dim=8, n_blocks=2, n_heads=2,
         k_neighbors=3, cond_hidden=4, bias_hidden=4, n_buckets=4, cam_hidden=4,
         degat_placement=placement, token_conditioning=conditioning, attention_bias=bias,
     )
-    outputs, grads = run_model(cfg)
+
+
+def run_with_references(monkeypatch, cfg, module, refs, n_frames=2):
+    """``run_model`` with each function ``refs`` names patched into ``module``;
+    returns the outputs, the gradients and the names that were called."""
     used = set()
 
-    def patch(mp, name, ref):
-        def spy(*args):
+    def spy(name, ref):
+        def call(*args):
             used.add(name)
             return ref(*args)
-        mp.setattr(cond, name, spy)
+        return call
 
     with monkeypatch.context() as mp:
-        patch(mp, "multi_head_attention", per_frame_mha_forward)
-        patch(mp, "multi_head_attention_backward", per_frame_mha_backward)
-        patch(mp, "condition_cross_attention", per_frame_cross_attention)
-        patch(mp, "condition_cross_attention_backward", per_frame_cross_attention_backward)
-        ref_outputs, ref_grads = run_model(cfg)
+        for name, ref in refs.items():
+            mp.setattr(module, name, spy(name, ref))
+        return (*run_model(cfg, n_frames=n_frames), used)
 
-    expect_used = {"multi_head_attention", "multi_head_attention_backward"}
-    if conditioning == "cross_attn":
-        expect_used |= {"condition_cross_attention", "condition_cross_attention_backward"}
-    assert used == expect_used
-    for new, ref in [(outputs, ref_outputs), (grads, ref_grads)]:
+
+def assert_same(got, want):
+    for new, ref in zip(got, want):
         assert sorted(new) == sorted(ref)
         for name in ref:
             scale = max(np.max(np.abs(ref[name])), np.finfo(float).tiny)
             assert np.max(np.abs(new[name] - ref[name])) <= TOL * scale, name
+
+
+@pytest.mark.parametrize("placement,conditioning,bias", VARIANTS)
+def test_matches_pre_kernel_attention(monkeypatch, placement, conditioning, bias):
+    cfg = small_cfg(placement, conditioning, bias)
+    *ref, used = run_with_references(monkeypatch, cfg, cond, {
+        "multi_head_attention": per_frame_mha_forward,
+        "multi_head_attention_backward": per_frame_mha_backward,
+        "condition_cross_attention": per_frame_cross_attention,
+        "condition_cross_attention_backward": per_frame_cross_attention_backward,
+    })
+    expect_used = {"multi_head_attention", "multi_head_attention_backward"}
+    if conditioning == "cross_attn":
+        expect_used |= {"condition_cross_attention", "condition_cross_attention_backward"}
+    assert used == expect_used
+    assert_same(run_model(cfg), ref)
+
+
+@pytest.mark.parametrize("n_frames", [1, 2, 4])
+@pytest.mark.parametrize("placement,conditioning,bias", VARIANTS)
+def test_matches_per_frame_hop(monkeypatch, placement, conditioning, bias, n_frames):
+    cfg = small_cfg(placement, conditioning, bias)
+    *ref, used = run_with_references(monkeypatch, cfg, dg, {
+        "degat_forward": per_frame_degat_forward,
+        "degat_backward": per_frame_degat_backward,
+        "affinity_to_log_bias": per_frame_affinity_to_log_bias,
+    }, n_frames)
+    expect_used = set()
+    if placement != "none":
+        expect_used |= {"degat_forward", "degat_backward"}
+    if bias == "log_affinity":
+        expect_used |= {"degat_forward", "affinity_to_log_bias"}
+    assert used == expect_used
+    assert_same(run_model(cfg, n_frames=n_frames), ref)

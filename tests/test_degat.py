@@ -207,6 +207,51 @@ class TestMatchesConcatReference:
             self.assert_close(getattr(grads, name), getattr(ref, name))
 
 
+class TestStackedFrames:
+    """An (F, L, C) stack against one hop per frame."""
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    @pytest.mark.parametrize("frames", [1, 2, 4])
+    def test_matches_per_frame_hops(self, metric, frames):
+        rng = np.random.default_rng(frames)
+        n, c, k = 24, 8, 5
+        # hub tokens, each frame scaled and shuffled: duplicate and zero rows,
+        # and in-degrees far from K
+        x = np.stack([rng.uniform(0.5, 2.0) * hub_tokens(n, c, rng)[rng.permutation(n)]
+                      for _ in range(frames)])
+        params = init_degat_params(c, c_proj=6, leaky_slope=0.1, rng=frames)
+        params.w_proj *= 4.0
+        up = rng.standard_normal(x.shape)
+
+        x_out, cache = degat_forward(x, params, k, metric)
+        grads = degat_backward(cache, params, up)
+        hops = [degat_forward(xf, params, k, metric) for xf in x]
+        runs = [degat_backward(cf, params, u) for (_, cf), u in zip(hops, up)]
+
+        assert cache.graph.neighbors.shape == (frames, n, k)
+        for got, want in [
+            (x_out, [out for out, _ in hops]),
+            (cache.graph.neighbors, [cf.graph.neighbors for _, cf in hops]),
+            (cache.alpha, [cf.alpha for _, cf in hops]),
+            (affinity_to_log_bias(cache), [affinity_to_log_bias(cf) for _, cf in hops]),
+            (dense_affinity(cache), [dense_affinity(cf) for _, cf in hops]),
+            (grads.d_x, [r.d_x for r in runs]),
+        ]:
+            np.testing.assert_array_equal(got, np.stack(want))
+        for name in ("d_w_proj", "d_a", "d_w_val"):
+            want = sum(getattr(r, name) for r in runs)
+            assert np.max(np.abs(getattr(grads, name) - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_upstream_shape_check(self):
+        rng = np.random.default_rng(11)
+        params = init_degat_params(3, rng=11)
+        _, cache = degat_forward(rng.standard_normal((2, 6, 3)), params, 2)
+        for bad in ((6, 3), (1, 6, 3), (2, 6, 4), (2, 6, 3, 1)):
+            with pytest.raises(ValueError):
+                degat_backward(cache, params, np.zeros(bad))
+        assert degat_backward(cache, params, np.zeros((2, 6, 3))).d_x.shape == (2, 6, 3)
+
+
 class TestDerivedQuantities:
     def test_pooled_prior_is_column_mean(self):
         x = np.array([[1.0, 2.0], [3.0, 6.0]])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from degat_kit import graph
 from degat_kit.graph import (
     TokenGrid, build_knn_graph, dump_neighbors, edge_count, pairwise_distances,
 )
@@ -154,6 +155,46 @@ class TestBuildKnnGraph:
                 nb, sims = argsort_top_k(feats, k, metric)
                 assert np.array_equal(g.neighbors, nb), (name, k)
                 assert np.array_equal(g.similarities, sims), (name, k)
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    @pytest.mark.parametrize("n", [8, 65, 300, 1024])
+    def test_stacked_frames_bit_identical_to_argsort(self, n, metric):
+        """Every frame of a stack gets the graph it gets alone: the four
+        64-column oracle inputs stacked as four frames, and the few-points
+        input stacked with its rows reversed."""
+        inputs = oracle_inputs(n, np.random.default_rng(n))
+        few = inputs.pop("few_points")
+        for frames in (np.stack(list(inputs.values())), np.stack([few, few[::-1]])):
+            for k in (1, 5, n - 2):
+                g = build_knn_graph(frames, k, metric)
+                assert g.neighbors.shape == g.similarities.shape == (len(frames), n, k)
+                for f, feats in enumerate(frames):
+                    nb, sims = argsort_top_k(feats, k, metric)
+                    assert np.array_equal(g.neighbors[f], nb), (f, k)
+                    assert np.array_equal(g.similarities[f], sims), (f, k)
+
+    def test_stacked_frames_exclude_self_and_check_k(self):
+        frames = np.zeros((3, 5, 2))  # every key ties: only the self rule keeps i out
+        g = build_knn_graph(frames, 4, "euclidean")
+        for nb in g.neighbors:
+            assert nb.tolist() == [[j for j in range(5) if j != i] for i in range(5)]
+        assert edge_count(g) == 3 * 5 * 4
+        with pytest.raises(ValueError, match="k=5"):
+            build_knn_graph(frames, 5)
+        with pytest.raises(ValueError, match="2-D or 3-D"):
+            build_knn_graph(np.zeros((2, 3, 5, 2)), 1)
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    @pytest.mark.parametrize("shape", [(9, 4), (3, 9, 4)])
+    def test_tokens_validated_once(self, monkeypatch, metric, shape):
+        calls = []
+        for name in ("as_finite", "as_matrix"):
+            def counting(*args, _check=getattr(graph, name), **kwargs):
+                calls.append(name)
+                return _check(*args, **kwargs)
+            monkeypatch.setattr(graph, name, counting)
+        build_knn_graph(np.random.default_rng(0).standard_normal(shape), 3, metric)
+        assert len(calls) == 1, calls
 
     def test_duplicate_block_exercises_tie_path(self):
         # in the oracle input above, most cosine rows have more entries

@@ -5,6 +5,7 @@ import pytest
 
 from degat_kit import conditioning as cond
 from degat_kit import degat as dg
+from degat_kit import toy_model
 from degat_kit.geometry import CameraParams
 from degat_kit.harness import generate_scene
 from degat_kit.objective import LossWeights
@@ -197,6 +198,25 @@ class TestForward:
         for kind in ("bucket", "mlp_bias"):
             dk, _, _ = forward(params, small_cfg(attention_bias=kind), frames)
             np.testing.assert_array_equal(dk[0].depth, d0[0].depth)
+
+    def test_per_frame_cameras_built_only_by_forward(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        cfg = small_cfg(degat_placement="post")
+        params = init_model_params(cfg)
+        frames = make_frames(rng, cfg, 3)
+        gt_depths, gt_cams = make_gt(rng, cfg, 3)
+        built = []
+
+        class Counted(CameraParams):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(toy_model, "CameraParams", Counted)
+        loss_and_grads(params, cfg, frames, gt_depths, gt_cams)
+        assert built == []
+        _, cams, _ = forward(params, cfg, frames)
+        assert len(built) == 3 and all(a is b for a, b in zip(cams, built))
 
     def test_determinism(self):
         rng = np.random.default_rng(3)
