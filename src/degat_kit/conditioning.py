@@ -58,6 +58,10 @@ __all__ = [
 ]
 
 BUCKET_RATIO_EPS = 1e-8  # paper writes "+ eps" in the ratio without a value
+# pairs per block of the bias MLP: a (block, hidden) activation is 2 MB at
+# hidden = 32, far under glibc's 32 MB mmap ceiling, so blocks reuse heap pages
+# where one (F * L^2, hidden) array faults in fresh ones on every call
+_BIAS_BLOCK_ROWS = 8192
 
 
 def _gelu(x):
@@ -368,18 +372,39 @@ def mlp_bias_coords(features):
     return 2.0 * np.clip(delta, 0.0, 1.0) - 1.0
 
 
+def _pair_blocks(n):
+    """Row slices of at most _BIAS_BLOCK_ROWS covering n flattened pairs."""
+    return (slice(i, i + _BIAS_BLOCK_ROWS) for i in range(0, n, _BIAS_BLOCK_ROWS))
+
+
 def mlp_bias(features, mlp):
-    """Per-head (..., H, L, L) bias from a 1 -> H MLP of the distance coordinate."""
+    """Per-head (..., H, L, L) bias from a 1 -> H MLP of the distance coordinate.
+
+    The MLP runs over the flattened pairs in fixed blocks of rows, so its
+    hidden activations never exceed one block. Returns (bias, cache); the
+    cache is the (... * L * L, 1) coordinate column alone.
+    """
     if mlp.in_dim != 1:
         raise ValueError(f"bias MLP must map 1 -> H, got input dim {mlp.in_dim}")
-    x = mlp_bias_coords(features)
-    out, cache = mlp2_forward(mlp, x.reshape(-1, 1))  # (... * L * L, H)
-    return np.moveaxis(out.reshape(*x.shape, mlp.out_dim), -1, -3), cache
+    coords = mlp_bias_coords(features)
+    x = coords.reshape(-1, 1)
+    out = np.empty((x.shape[0], mlp.out_dim))
+    for rows in _pair_blocks(x.shape[0]):
+        out[rows] = mlp2_forward(mlp, x[rows])[0]
+    return np.moveaxis(out.reshape(*coords.shape, mlp.out_dim), -1, -3), x
 
 
 def mlp_bias_backward(mlp, cache, delta):
-    """MLP weight grads dict given the (..., H, L, L) upstream bias gradient."""
-    grads, _ = mlp2_backward(mlp, cache, _rows(np.moveaxis(delta, -3, -1)))
+    """MLP weight grads dict given the (..., H, L, L) upstream bias gradient.
+
+    Each block of rows re-runs the forward to recompute its hidden layer
+    from the cached coordinates; the blocks' weight gradients are summed.
+    """
+    d_y = _rows(np.moveaxis(delta, -3, -1))
+    grads = None
+    for rows in _pair_blocks(cache.shape[0]):
+        block, _ = mlp2_backward(mlp, mlp2_forward(mlp, cache[rows])[1], d_y[rows])
+        grads = block if grads is None else {k: grads[k] + g for k, g in block.items()}
     return grads
 
 

@@ -60,7 +60,11 @@ def read_pfm(path):
     if magic not in (b"Pf", b"PF"):
         raise ValueError(f"not a PFM file: {path}")
     channels = 3 if magic == b"PF" else 1
-    endian = "<" if float(scale) < 0 else ">"
+    # the scale's sign is the byte order: zero and nan have none
+    scale = float(scale)
+    if scale == 0.0 or not np.isfinite(scale):
+        raise ValueError(f"PFM scale {scale} must be finite and non-zero in {path}")
+    endian = "<" if scale < 0 else ">"
     count = w * h * channels
     data = np.frombuffer(raw[pos:pos + 4 * count], dtype=endian + "f4")
     if data.size != count:

@@ -204,8 +204,12 @@ class TestEvalCheckpointValidation:
 class TestBackprojectCommand:
     @staticmethod
     def run_backproject(tmp_path, depth):
+        """depth is a grid, or the bytes of a PFM file."""
         dpath = tmp_path / "d.pfm"
-        write_pfm(dpath, depth)
+        if isinstance(depth, bytes):
+            dpath.write_bytes(depth)
+        else:
+            write_pfm(dpath, depth)
         pose = tmp_path / "pose.json"
         pose.write_text(json.dumps({
             "R": list(np.eye(3).ravel()), "T": [0.0, 0.0, 0.0],
@@ -233,6 +237,14 @@ class TestBackprojectCommand:
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "non-finite" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_pfm_scale_without_byte_order_is_validation_error(self, tmp_path, capsys):
+        raw = b"Pf\n2 1\nnan\n" + np.array([1.5, 2.5], "<f4").tobytes()
+        code, out = self.run_backproject(tmp_path, raw)
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "PFM scale nan" in err and len(err.strip().splitlines()) == 1
         assert not out.exists()
 
     def test_with_colors(self, tmp_path, capsys):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from degat_kit import conditioning
 from degat_kit.conditioning import (
     BiasTable,
     bias_table_gradient,
@@ -25,6 +28,20 @@ from degat_kit.conditioning import (
     multi_head_attention_backward,
 )
 from degat_kit.properties import finite_diff_grad
+
+# the bias MLP's row block: the default (one block for every small test) and
+# a tiny one, under which a 25-pair frame spans four blocks
+BIAS_BLOCKS = (conditioning._BIAS_BLOCK_ROWS, 7)
+
+
+def assert_blocks_agree(runs):
+    """Bit-identical biases and gradients within 1e-13 * max|g| across blocks."""
+    (bias, grads), *others = runs
+    for other_bias, other_grads in others:
+        np.testing.assert_array_equal(other_bias, bias)
+        for name, g in grads.items():
+            np.testing.assert_allclose(other_grads[name], g, rtol=0.0,
+                                       atol=1e-13 * np.max(np.abs(g)))
 
 
 class TestMlp2:
@@ -176,24 +193,49 @@ class TestMlpBias:
         bias, _ = mlp_bias(np.random.default_rng(18).standard_normal((5, 2)), mlp)
         np.testing.assert_array_equal(bias, np.zeros((3, 5, 5)))
 
-    def test_backward_fd(self):
+    def test_backward_fd(self, monkeypatch):
         rng = np.random.default_rng(19)
         feats = rng.standard_normal((5, 3))
         mlp = init_mlp2(1, 4, 2, rng=19)
         w = rng.standard_normal((2, 5, 5))
-        _, cache = mlp_bias(feats, mlp)
-        grads = mlp_bias_backward(mlp, cache, w)
 
         def loss():
             b, _ = mlp_bias(feats, mlp)
             return float(np.sum(w * b))
 
-        for analytic, arr in [
-            (grads["w1"], mlp.w1), (grads["b1"], mlp.b1),
-            (grads["w2"], mlp.w2), (grads["b2"], mlp.b2),
-        ]:
-            numeric = finite_diff_grad(loss, arr, step=1e-6)
-            np.testing.assert_allclose(analytic, numeric, atol=1e-7)
+        runs = []
+        for block in BIAS_BLOCKS:
+            monkeypatch.setattr(conditioning, "_BIAS_BLOCK_ROWS", block)
+            bias, cache = mlp_bias(feats, mlp)
+            grads = mlp_bias_backward(mlp, cache, w)
+            runs.append((bias, grads))
+            for analytic, arr in [
+                (grads["w1"], mlp.w1), (grads["b1"], mlp.b1),
+                (grads["w2"], mlp.w2), (grads["b2"], mlp.b2),
+            ]:
+                numeric = finite_diff_grad(loss, arr, step=1e-6)
+                np.testing.assert_allclose(analytic, numeric, atol=1e-7)
+        assert_blocks_agree(runs)
+
+    def test_memory_bounded_by_block(self):
+        # eval size: two frames of L = 256 are 131072 pairs; one (pairs, 32)
+        # activation is 33.5 MB, the coordinate column 1.0 MB
+        rng = np.random.default_rng(34)
+        feats = rng.standard_normal((2, 256, 32))
+        mlp = init_mlp2(1, 32, 4, activation="relu", rng=34)
+        delta = rng.standard_normal((2, 4, 256, 256))
+        tracemalloc.start()
+        try:
+            _, cache = mlp_bias(feats, mlp)
+            _, fwd_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            held, _ = tracemalloc.get_traced_memory()
+            mlp_bias_backward(mlp, cache, delta)
+            _, bwd_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(cache, mlp_bias_coords(feats).reshape(-1, 1))
+        assert fwd_peak < 16e6 and bwd_peak - held < 16e6
 
     def test_requires_scalar_input(self):
         mlp = init_mlp2(2, 3, 2, rng=20)
@@ -342,7 +384,7 @@ class TestFrameAxis:
         for name, g in grads.items():
             assert_close(g, sum(r[3][name] for r in runs))
 
-    def test_bias_generators(self):
+    def test_bias_generators(self, monkeypatch):
         rng = np.random.default_rng(32)
         feats = three_frames(rng, (6, 3))
         table = BiasTable(table=rng.standard_normal((8, 2)))
@@ -360,13 +402,18 @@ class TestFrameAxis:
         )
 
         assert_close(mlp_bias_coords(feats), np.stack([mlp_bias_coords(f) for f in feats]))
-        bias, cache = mlp_bias(feats, mlp)
-        grads = mlp_bias_backward(mlp, cache, delta)
-        runs = [mlp_bias(f, mlp) for f in feats]
-        assert_close(bias, np.stack([b for b, _ in runs]))
-        for name, g in grads.items():
-            per_frame = [mlp_bias_backward(mlp, c, d) for (_, c), d in zip(runs, delta)]
-            assert_close(g, sum(p[name] for p in per_frame))
+        blocked = []
+        for block in BIAS_BLOCKS:  # the tiny block splits the 36-pair frames mid-row
+            monkeypatch.setattr(conditioning, "_BIAS_BLOCK_ROWS", block)
+            bias, cache = mlp_bias(feats, mlp)
+            grads = mlp_bias_backward(mlp, cache, delta)
+            blocked.append((bias, grads))
+            runs = [mlp_bias(f, mlp) for f in feats]
+            assert_close(bias, np.stack([b for b, _ in runs]))
+            for name, g in grads.items():
+                per_frame = [mlp_bias_backward(mlp, c, d) for (_, c), d in zip(runs, delta)]
+                assert_close(g, sum(p[name] for p in per_frame))
+        assert_blocks_agree(blocked)
 
     def test_rejects_frames_of_unsupported_rank(self):
         mlp = init_mlp2(2, 3, 2, rng=33)

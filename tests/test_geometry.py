@@ -330,6 +330,15 @@ class TestFileIo:
         with pytest.raises(ValueError, match="empty"):
             read_pfm(path)
 
+    @pytest.mark.parametrize("scale", [b"nan", b"-nan", b"inf", b"-inf", b"0", b"-0"])
+    def test_pfm_scale_without_byte_order(self, tmp_path, scale):
+        path = tmp_path / "s.pfm"
+        path.write_bytes(b"Pf\n2 1\n" + scale + b"\n" + np.array([1.5, 2.5], "<f4").tobytes())
+        with pytest.raises(ValueError, match="PFM scale"):
+            read_pfm(path)
+        path.write_bytes(b"Pf\n2 1\n1.0\n" + np.array([1.5, 2.5], ">f4").tobytes())
+        np.testing.assert_array_equal(read_pfm(path), [[1.5, 2.5]])  # positive: big-endian
+
     @pytest.mark.parametrize("header", [b"P5\n0 3\n255\n", b"P6\n3 0\n255\n",
                                         b"P5\n0 0\n65535\n", b"P5\n-1 -1\n255\n"])
     def test_pnm_empty_size(self, tmp_path, header):

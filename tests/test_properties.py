@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degat_kit import conditioning
 from degat_kit.properties import GRADIENT_CHECKS, finite_diff_error, finite_diff_grad
 
 
@@ -10,6 +11,13 @@ from degat_kit.properties import GRADIENT_CHECKS, finite_diff_error, finite_diff
 @pytest.mark.parametrize("name", list(GRADIENT_CHECKS))
 def test_backward_matches_finite_difference(name, seed):
     loss, pairs = GRADIENT_CHECKS[name](np.random.default_rng(seed))
+    assert finite_diff_error(loss, pairs) < 1e-7
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bias_mlp_row_across_blocks(seed, monkeypatch):
+    monkeypatch.setattr(conditioning, "_BIAS_BLOCK_ROWS", 7)  # the row's 25 pairs in four blocks
+    loss, pairs = GRADIENT_CHECKS["bias_mlp"](np.random.default_rng(seed))
     assert finite_diff_error(loss, pairs) < 1e-7
 
 
