@@ -131,20 +131,25 @@ def init_mlp2(in_dim, hidden, out_dim, activation="gelu", rng=None, zero_final=F
     )
 
 
-def mlp2_forward(mlp, x):
-    """Apply the MLP to rows of x (or a single vector); returns (y, cache)."""
-    x = np.asarray(x, dtype=np.float64)
+def _mlp2_hidden(mlp, x):
+    """The first layer's (pre-activation, activation) on rows of x."""
     act, _ = _ACTIVATIONS[mlp.activation]
     pre = x @ mlp.w1.T
     pre += mlp.b1
-    hid = act(pre)
+    return pre, act(pre)
+
+
+def mlp2_forward(mlp, x):
+    """Apply the MLP to rows of x (or a single vector); returns (y, cache)."""
+    x = np.asarray(x, dtype=np.float64)
+    pre, hid = _mlp2_hidden(mlp, x)
     y = hid @ mlp.w2.T
     y += mlp.b2
     return y, (x, pre, hid)
 
 
-def mlp2_backward(mlp, cache, d_y):
-    """Returns (weight grads dict, d_x) given d(loss)/dy."""
+def _mlp2_weight_grads(mlp, cache, d_y):
+    """(weight grads dict, d(loss)/d(pre)) given d(loss)/dy."""
     x, pre, hid = cache
     _, act_grad = _ACTIVATIONS[mlp.activation]
     d_y = np.asarray(d_y, dtype=np.float64)
@@ -155,6 +160,12 @@ def mlp2_backward(mlp, cache, d_y):
         "w1": flat_dpre.T @ _rows(x), "b1": flat_dpre.sum(axis=0),
         "w2": flat_dy.T @ _rows(hid), "b2": flat_dy.sum(axis=0),
     }
+    return grads, d_pre
+
+
+def mlp2_backward(mlp, cache, d_y):
+    """Returns (weight grads dict, d_x) given d(loss)/dy."""
+    grads, d_pre = _mlp2_weight_grads(mlp, cache, d_y)
     return grads, d_pre @ mlp.w1
 
 
@@ -397,13 +408,15 @@ def mlp_bias(features, mlp):
 def mlp_bias_backward(mlp, cache, delta):
     """MLP weight grads dict given the (..., H, L, L) upstream bias gradient.
 
-    Each block of rows re-runs the forward to recompute its hidden layer
-    from the cached coordinates; the blocks' weight gradients are summed.
+    Each block of rows recomputes only its hidden layer from the cached
+    coordinates (the coordinates get no gradient); the blocks' weight
+    gradients are summed.
     """
     d_y = _rows(np.moveaxis(delta, -3, -1))
     grads = None
     for rows in _pair_blocks(cache.shape[0]):
-        block, _ = mlp2_backward(mlp, mlp2_forward(mlp, cache[rows])[1], d_y[rows])
+        x = cache[rows]
+        block, _ = _mlp2_weight_grads(mlp, (x, *_mlp2_hidden(mlp, x)), d_y[rows])
         grads = block if grads is None else {k: grads[k] + g for k, g in block.items()}
     return grads
 

@@ -32,6 +32,16 @@ def write_pfm(path, data):
         raise OSError(f"failed to write PFM to {path}: {exc}") from exc
 
 
+def _header_int(token, name, kind, path):
+    """A header token's value as an ASCII decimal integer, optionally signed."""
+    try:
+        if re.fullmatch(rb"[+-]?[0-9]+", token):
+            return int(token)  # raises past int()'s digit limit
+    except ValueError:
+        pass
+    raise ValueError(f"{kind} {name} {token[:32]!r} is not an integer in {path}")
+
+
 def _read_header(path, kind, pattern=rb"\s*(\S+)"):
     """Read a Netpbm-style file: its bytes, magic, width, height, fourth header
     token and the offset of the payload, rejecting an empty size."""
@@ -48,7 +58,9 @@ def _read_header(path, kind, pattern=rb"\s*(\S+)"):
             raise ValueError(f"truncated {kind} header in {path}")
         tokens.append(m.group(1))
         pos += m.end()
-    magic, w, h, last = tokens[0], int(tokens[1]), int(tokens[2]), tokens[3]
+    magic, last = tokens[0], tokens[3]
+    w = _header_int(tokens[1], "width", kind, path)
+    h = _header_int(tokens[2], "height", kind, path)
     if w < 1 or h < 1:
         raise ValueError(f"{kind} size {w}x{h} is empty in {path}")
     return raw, magic, w, h, last, pos + 1  # single whitespace after the last token
@@ -61,14 +73,18 @@ def read_pfm(path):
         raise ValueError(f"not a PFM file: {path}")
     channels = 3 if magic == b"PF" else 1
     # the scale's sign is the byte order: zero and nan have none
-    scale = float(scale)
+    try:
+        scale = float(scale)
+    except ValueError:
+        raise ValueError(f"PFM scale {scale[:32]!r} is not a number in {path}") from None
     if scale == 0.0 or not np.isfinite(scale):
         raise ValueError(f"PFM scale {scale} must be finite and non-zero in {path}")
     endian = "<" if scale < 0 else ">"
     count = w * h * channels
-    data = np.frombuffer(raw[pos:pos + 4 * count], dtype=endian + "f4")
-    if data.size != count:
+    payload = raw[pos:pos + 4 * count]
+    if len(payload) != 4 * count:
         raise ValueError(f"truncated PFM payload in {path}")
+    data = np.frombuffer(payload, dtype=endian + "f4")
     shape = (h, w) if channels == 1 else (h, w, 3)
     return np.flipud(data.reshape(shape)).astype(np.float64)
 
@@ -95,7 +111,7 @@ def write_pnm(path, data):
 def read_pnm(path):
     """Read binary PGM/PPM into a float64 array scaled to [0, 1]."""
     raw, magic, w, h, maxval, pos = _read_header(path, "PNM", rb"\s*(?:#[^\n]*\n\s*)*(\S+)")
-    maxval = int(maxval)
+    maxval = _header_int(maxval, "maxval", "PNM", path)
     if magic not in (b"P5", b"P6"):
         raise ValueError(f"unsupported PNM magic {magic!r} in {path}")
     if not 1 <= maxval <= 65535:
@@ -108,6 +124,9 @@ def read_pnm(path):
     if len(payload) != count * dtype.itemsize:
         raise ValueError(f"truncated PNM payload in {path}")
     data = np.frombuffer(payload, dtype=dtype)
+    if data.max() > maxval:
+        # Netpbm samples are at most maxval; larger ones would read above 1
+        raise ValueError(f"PNM sample {data.max()} above maxval {maxval} in {path}")
     shape = (h, w) if channels == 1 else (h, w, 3)
     return data.reshape(shape).astype(np.float64) / float(maxval)
 

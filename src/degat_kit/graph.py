@@ -1,15 +1,23 @@
 """Dynamic K-nearest-neighbor graphs over token features.
 
-The graph is rebuilt from the current features on every forward pass
-from the full L x L score matrix of each (L, C) frame; an (F, L, C)
-stack gives every frame its own graph in one batched build. Top-K
-selection avoids sorting whole rows: a partition finds each row's K-th
-key, every entry at or below it is a candidate, and rows with more
-candidates than places keep only the lowest-index entries tied at the
-K-th key. The K survivors are then sorted stably by key. Neighbors are
-ordered by descending similarity or ascending distance, and exact ties
-go to the lower node index, so the Top-K operator is deterministic; the
-permutation-equivariance property relies on that rule.
+The graph is rebuilt from the current features on every forward pass; an
+(F, L, C) stack gives every frame its own graph in one batched build.
+Each frame is scored in blocks of rows, and a block's Top-K is selected
+while its scores are in cache, so a build never holds an L x L score
+matrix. A block's scores are one matrix product, a gemm; a frame that
+fits in one block is scored as x times its own transpose, a syrk.
+
+Selection avoids sorting whole rows. A partition finds each row's K-th
+key kth, and the near-tie rule picks the K survivors: with
+tau = 1e-12 * (1 + |kth|), every key below kth - tau is kept, and the
+keys within tau of kth fill the remaining places, lowest node index
+first. The survivors are then sorted stably by key, so neighbors are
+ordered by descending similarity or ascending distance. Exact ties go to
+the lower node index, and so do keys that differ only in the last bits,
+which BLAS kernels, thread counts and block shapes round differently:
+the neighbor sets do not depend on any of them, while the order within a
+set and the last bits of the scores may. The Top-K operator is thus
+deterministic; the permutation-equivariance property relies on that rule.
 """
 
 from dataclasses import dataclass
@@ -24,6 +32,13 @@ __all__ = [
 ]
 
 METRICS = ("cosine", "euclidean")
+# keys per frame in one row block of a K-NN build: 1 MB of float64, 128 rows
+# at L = 1024; a block stays in cache from its product through the
+# selection, and a build holds O(block) keys per frame instead of L^2
+_KNN_BLOCK_ENTRIES = 1 << 17
+# near-tie tolerance relative to 1 + |K-th key|, some 1e4 times the last-bit
+# differences (~1e-16) between BLAS kernels' roundings of one dot product
+_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -71,56 +86,85 @@ def pairwise_distances(tokens):
     """(..., L, L) Euclidean distances between feature rows, with a zero diagonal.
 
     Computed as sqrt(max(|x_i|^2 + |x_j|^2 - 2 x_i . x_j, 0)) for each
-    (L, C) frame of ``tokens``; the bias generators and the euclidean K-NN
-    graph share these exact values.
+    (L, C) frame of ``tokens``, in the row blocks of the euclidean K-NN
+    build, so the bias generators and the graph share these exact values.
     """
-    return _distances(as_finite(tokens, "features", (2, 3)))
+    x = as_finite(tokens, "features", (2, 3))
+    n = x.shape[-2]
+    sq = np.add.reduce(x * x, axis=-1)
+    d = np.empty(x.shape[:-1] + (n,))
+    for rows in _row_blocks(n):
+        _distance_rows(x, sq, rows, out=d[..., rows, :])
+    d.reshape(-1, n * n)[:, :: n + 1] = 0.0
+    return d
 
 
-def _distances(x):
-    sq = np.sum(x * x, axis=-1)
-    d = sq[..., :, None] + sq[..., None, :]
-    d -= 2.0 * (x @ x.swapaxes(-1, -2))
+def _row_blocks(n):
+    """Slices of _KNN_BLOCK_ENTRIES // n rows (at least one) covering n rows;
+    the last may reach past n. A frame that fits is one block of all rows."""
+    step = max(1, _KNN_BLOCK_ENTRIES // n)
+    return [slice(s, s + step) for s in range(0, n, step)] if step < n else [slice(0, n)]
+
+
+def _gram_rows(x, rows):
+    """Dot products of the rows ``rows`` of each frame with all its rows.
+
+    A block of every row is x times its own transpose, which numpy hands
+    to BLAS syrk; a smaller block is a gemm.
+    """
+    xt = x.swapaxes(-1, -2)
+    return x @ xt if rows.start == 0 and rows.stop >= x.shape[-2] else x[..., rows, :] @ xt
+
+
+def _distance_rows(x, sq, rows, out=None):
+    """Euclidean distances of the rows ``rows`` of each frame to all its rows,
+    given the squared row norms ``sq``, diagonal left as computed."""
+    d = np.add(sq[..., rows, None], sq[..., None, :], out=out)
+    d -= 2.0 * _gram_rows(x, rows)
     np.maximum(d, 0.0, out=d)
     np.sqrt(d, out=d)
-    diag = np.arange(x.shape[-2])
-    d[..., diag, diag] = 0.0
     return d
 
 
 def _select_top_k(key, k):
-    """The k smallest entries of each row of ``key`` in stable-argsort order
-    (ascending key, ties toward the lower column), as (columns, keys).
+    """The k smallest entries of each row of ``key`` under the near-tie rule,
+    as (columns, keys) sorted stably by key.
+
+    With kth the row's k-th smallest key and tau = 1e-12 * (1 + |kth|), a
+    key below kth - tau is always kept, and the keys within tau of kth fill
+    the remaining places, lowest column first. Exact ties thus go to the
+    lower column, and so do keys that differ from kth only in the last bits,
+    which BLAS kernels, thread counts and block shapes round differently:
+    the chosen columns do not depend on them.
     """
-    n = key.shape[0]
+    n_rows, n = key.shape
     kth = np.partition(key, k - 1, axis=1)[:, k - 1]
     if not np.isfinite(kth).all():
         # finite features give inf or NaN keys off the diagonal only when
         # their distances overflow; such a row would pick itself or nothing
         raise ValueError("features too large: pairwise distances overflow float64")
-    rows, cols = np.nonzero(key <= kth[:, None])  # row-major, ascending columns
-    vals = key[rows, cols]
-    if rows.size > n * k:
-        # Rows with more candidates than places tie at the K-th key; they
-        # keep every smaller key and only their lowest-index tied entries.
-        counts = np.bincount(rows, minlength=n)
-        over = counts > k
-        at = np.flatnonzero(over[rows])  # candidates of those rows, grouped by row
-        per_row = counts[over]
-        first = np.cumsum(per_row) - per_row  # offset of each row's first candidate
-        tied = vals[at] == kth[rows[at]]
+    tau = _TIE_RTOL * (1.0 + np.abs(kth))
+    at = (key <= (kth + tau)[:, None]).ravel().nonzero()[0]  # row-major, ascending columns
+    vals = key.ravel()[at]
+    if at.size > n_rows * k:
+        # Some rows have more candidates than places: ties near the K-th key.
+        # Every row keeps its keys below kth - tau and as many of its ties,
+        # lowest index first, as fill its K places (a row with exactly K
+        # candidates keeps them all).
+        rows = at // n  # candidates are grouped by row, ascending columns
+        counts = np.bincount(rows, minlength=n_rows)
+        first = np.cumsum(counts) - counts  # offset of each row's first candidate
+        tied = vals >= (kth - tau)[rows]
         tied_upto = np.cumsum(tied)  # ties up to and including each candidate
         tied_before_row = tied_upto[first] - tied[first]
-        tied_in_row = tied_upto[first + per_row - 1] - tied_before_row
-        room = k - (per_row - tied_in_row)  # places left for tied entries
-        rank = tied_upto - np.repeat(tied_before_row, per_row)  # 1-based among ties
-        keep = np.ones(rows.size, dtype=bool)
-        keep[at] = ~tied | (rank <= np.repeat(room, per_row))
-        cols, vals = cols[keep], vals[keep]
-    cols, vals = cols.reshape(n, k), vals.reshape(n, k)
-    order = np.argsort(vals, axis=1, kind="stable")
-    r = np.arange(n)[:, None]
-    return cols[r, order], vals[r, order]
+        tied_in_row = tied_upto[first + counts - 1] - tied_before_row
+        room = k - (counts - tied_in_row)  # places left for tied entries
+        rank = tied_upto - tied_before_row[rows]  # 1-based among the row's ties
+        keep = ~tied | (rank <= room[rows])
+        at, vals = at[keep], vals[keep]
+    order = np.argsort(vals.reshape(n_rows, k), axis=1, kind="stable")
+    order += np.arange(0, n_rows * k, k)[:, None]  # positions in the flat candidates
+    return at[order] % n, vals[order]
 
 
 def build_knn_graph(tokens, k, metric="cosine"):
@@ -128,7 +172,8 @@ def build_knn_graph(tokens, k, metric="cosine"):
     within each (L, C) frame of ``tokens``.
 
     Ordering is by descending similarity (cosine) or ascending distance
-    (euclidean); exact ties are resolved toward the lower node index.
+    (euclidean); ties, exact or within the near-tie tolerance of the K-th
+    score, are resolved toward the lower node index.
     """
     x = tokens.features if isinstance(tokens, TokenGrid) else as_finite(tokens, "features", (2, 3))
     n = x.shape[-2]
@@ -139,23 +184,35 @@ def build_knn_graph(tokens, k, metric="cosine"):
     if k >= n:
         raise ValueError(f"k={k} must be < number of nodes {n} (self is excluded)")
 
+    sq = np.add.reduce(x * x, axis=-1)  # np.sum's reduction, without its wrapper
     if metric == "cosine":
-        norms = np.linalg.norm(x, axis=-1)
-        safe = np.where(norms == 0.0, 1.0, norms)
-        xn = x / safe[..., None]
-        key = xn @ xn.swapaxes(-1, -2)  # zero rows give similarity 0 with everyone
-        np.negative(key, out=key)  # ascending key = descending similarity
-    else:
-        # select on the distance itself: sqrt can merge distinct d^2 values,
-        # and those merged keys must tie exactly as they always have
-        key = _distances(x)
-
-    key.reshape(-1, n * n)[:, :: n + 1] = np.inf  # each frame's diagonal: self sorts last
-    nb, sims = _select_top_k(key.reshape(-1, n), k)  # every frame's rows at once
+        norms = np.sqrt(sq)  # the bits of np.linalg.norm(x, axis=-1)
+        norms[norms == 0.0] = 1.0
+        x = x / norms[..., None]  # zero rows give similarity 0 with everyone
+    parts = []
+    for rows in _row_blocks(n):
+        if metric == "cosine":
+            key = _gram_rows(x, rows)
+            np.negative(key, out=key)  # ascending key = descending similarity
+        else:
+            # select on the distance itself: sqrt can merge distinct d^2
+            # values, and those merged keys must tie exactly as they always have
+            key = _distance_rows(x, sq, rows)
+        key.reshape(-1, key.shape[-2] * n)[:, rows.start :: n + 1] = np.inf  # self sorts last
+        parts.append(_select_top_k(key.reshape(-1, n), k))  # every frame's rows at once
+    cols, vals = zip(*parts)
+    shape = x.shape[:-1] + (k,)
+    nb, sims = _join_blocks(cols, shape), _join_blocks(vals, shape)
     if metric == "cosine":
         np.negative(sims, out=sims)
-    shape = x.shape[:-1] + (k,)
-    return NeighborGraph(nb.reshape(shape), sims.reshape(shape), metric)
+    return NeighborGraph(nb, sims, metric)
+
+
+def _join_blocks(blocks, shape):
+    """The (..., L, K) result from its row blocks, each (F * rows, K)."""
+    if len(blocks) == 1:
+        return blocks[0].reshape(shape)
+    return np.concatenate([b.reshape(shape[:-2] + (-1, shape[-1])) for b in blocks], axis=-2)
 
 
 def edge_count(g):

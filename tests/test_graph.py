@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,30 +13,60 @@ from degat_kit.graph import (
 )
 
 
-def brute_force_topk(features, k, metric):
-    """Full-sort oracle with the same tie rule (lower index wins)."""
-    n = features.shape[0]
-    nb = []
-    for i in range(n):
-        scored = []
-        for j in range(n):
-            if j == i:
-                continue
-            if metric == "cosine":
-                ni = np.linalg.norm(features[i])
-                nj = np.linalg.norm(features[j])
-                s = 0.0 if ni == 0 or nj == 0 else float(features[i] @ features[j] / (ni * nj))
-                scored.append((-s, j))
-            else:
-                scored.append((float(np.linalg.norm(features[i] - features[j])), j))
-        scored.sort()
-        nb.append([j for _, j in scored[:k]])
-    return nb
+TAU = 1e-12  # the near-tie tolerance, relative to 1 + |K-th key|
+
+
+def near_tie_top_k(key, k):
+    """Each row's Top-K under the near-tie rule, by a full stable sort.
+
+    With kth the row's K-th smallest key and tau = TAU * (1 + |kth|): every
+    key below kth - tau, then the lowest-index keys within tau of kth up to
+    K places. Returns the chosen columns in stable-argsort order and each
+    row's tau.
+    """
+    ranked = np.argsort(key, axis=1, kind="stable")
+    kth = np.take_along_axis(key, ranked[:, k - 1:k], axis=1)
+    tau = TAU * (1.0 + np.abs(kth))
+    below = key < kth - tau
+    near = (key >= kth - tau) & (key <= kth + tau)
+    room = k - np.count_nonzero(below, axis=1, keepdims=True)
+    chosen = below | (near & (np.cumsum(near, axis=1) <= room))
+    in_order = np.take_along_axis(chosen, ranked, axis=1)
+    return ranked[in_order].reshape(len(key), k), tau[:, 0]
+
+
+def exact_scores(features, metric):
+    """Cosine similarities or euclidean distances computed without BLAS:
+    math.fsum sums below 300 rows, an np.longdouble einsum Gram matrix from
+    300 rows on."""
+    x = np.asarray(features, dtype=np.float64)
+    n = x.shape[0]
+    if n < 300:
+        if metric == "euclidean":
+            return np.array([[math.sqrt(math.fsum((x[i] - x[j]) ** 2)) for j in range(n)]
+                             for i in range(n)])
+        gram = np.array([[math.fsum(x[i] * x[j]) for j in range(n)] for i in range(n)])
+    else:
+        xl = x.astype(np.longdouble)
+        gram = np.einsum("ik,jk->ij", xl, xl)
+        if metric == "euclidean":
+            sq = np.diagonal(gram)  # the Gram's own diagonal: duplicates stay at 0
+            return np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0)).astype(np.float64)
+    norms = np.sqrt(np.diagonal(gram))
+    denom = norms[:, None] * norms[None, :]
+    return np.where(denom == 0.0, 0.0, gram / np.where(denom == 0.0, 1.0, denom)).astype(np.float64)
+
+
+def topk_oracle(score, k, metric):
+    """The near-tie rule applied to exact_scores: (neighbor lists, each row's tau)."""
+    key = -score if metric == "cosine" else score.copy()
+    np.fill_diagonal(key, np.inf)
+    return near_tie_top_k(key, k)
 
 
 def argsort_top_k(features, k, metric):
-    """The first selection, kept as the reference: a full stable argsort of
-    every row of the same key matrix."""
+    """Reference selection: the near-tie rule by a full stable argsort of the
+    key matrix a build scores in one block (x times its own transpose)."""
     x = np.asarray(features, dtype=np.float64)
     if metric == "cosine":
         norms = np.linalg.norm(x, axis=1)
@@ -47,8 +81,21 @@ def argsort_top_k(features, k, metric):
         key = np.sqrt(d2)
         score = key
     np.fill_diagonal(key, np.inf)
-    nb = np.argsort(key, axis=1, kind="stable")[:, :k]
+    nb, _ = near_tie_top_k(key, k)
     return nb, np.take_along_axis(score, nb, axis=1)
+
+
+def assert_matches_oracle(g, score, oracle, label):
+    """Neighbor sets equal the oracle's; similarities within tau of its scores."""
+    nb, taus = oracle
+    assert np.array_equal(np.sort(g.neighbors, axis=1), np.sort(nb, axis=1)), label
+    rows = np.arange(len(nb))[:, None]
+    assert np.all(np.abs(g.similarities - score[rows, g.neighbors]) <= taus[:, None]), label
+
+
+def one_block(n):
+    """A block size at which a build scores each n-row frame in one block."""
+    return n * n
 
 
 def oracle_inputs(n, rng):
@@ -116,7 +163,8 @@ class TestBuildKnnGraph:
             k = int(rng.integers(1, n))
             feats = rng.standard_normal((n, c))
             g = build_knn_graph(feats, k, metric)
-            assert g.neighbors.tolist() == brute_force_topk(feats, k, metric)
+            nb, _ = topk_oracle(exact_scores(feats, metric), k, metric)
+            assert g.neighbors.tolist() == nb.tolist()
 
     def test_self_exclusion(self):
         rng = np.random.default_rng(2)
@@ -147,7 +195,26 @@ class TestBuildKnnGraph:
 
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
     @pytest.mark.parametrize("n", [8, 64, 65, 300, 1024])
-    def test_bit_identical_to_argsort(self, n, metric):
+    def test_matches_top_k_oracle(self, n, metric, monkeypatch):
+        """Neighbor sets are the near-tie rule's on exactly computed scores,
+        and similarities are within tau of those scores, whether the build
+        scores the frame in its default row blocks or in blocks of 7 rows."""
+        default = graph._KNN_BLOCK_ENTRIES
+        for name, feats in oracle_inputs(n, np.random.default_rng(n)).items():
+            score = exact_scores(feats, metric)
+            for k in (1, 5, n - 2):
+                oracle = topk_oracle(score, k, metric)
+                for entries in (default, 7 * n):
+                    monkeypatch.setattr(graph, "_KNN_BLOCK_ENTRIES", entries)
+                    g = build_knn_graph(feats, k, metric)
+                    assert_matches_oracle(g, score, oracle, (name, k, entries))
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    @pytest.mark.parametrize("n", [8, 64, 65, 300, 1024])
+    def test_bit_identical_to_argsort(self, n, metric, monkeypatch):
+        """Scored in one block, a build selects exactly what the reference
+        full stable argsort selects from the same keys, bit for bit."""
+        monkeypatch.setattr(graph, "_KNN_BLOCK_ENTRIES", one_block(n))
         rng = np.random.default_rng(n)
         for name, feats in oracle_inputs(n, rng).items():
             for k in (1, 5, n - 2):
@@ -158,20 +225,69 @@ class TestBuildKnnGraph:
 
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
     @pytest.mark.parametrize("n", [8, 65, 300, 1024])
-    def test_stacked_frames_bit_identical_to_argsort(self, n, metric):
-        """Every frame of a stack gets the graph it gets alone: the four
-        64-column oracle inputs stacked as four frames, and the few-points
-        input stacked with its rows reversed."""
+    def test_stacked_frames_bit_identical_to_argsort(self, n, metric, monkeypatch):
+        """Every frame of a stack gets the graph it gets alone, bit for bit,
+        in the default row blocks; scored in one block, that graph is the
+        reference argsort's. The stacks: the four 64-column oracle inputs as
+        four frames, and the few-points input with its rows reversed."""
         inputs = oracle_inputs(n, np.random.default_rng(n))
         few = inputs.pop("few_points")
-        for frames in (np.stack(list(inputs.values())), np.stack([few, few[::-1]])):
+        stacks = (np.stack(list(inputs.values())), np.stack([few, few[::-1]]))
+        for frames in stacks:
             for k in (1, 5, n - 2):
                 g = build_knn_graph(frames, k, metric)
                 assert g.neighbors.shape == g.similarities.shape == (len(frames), n, k)
                 for f, feats in enumerate(frames):
+                    alone = build_knn_graph(feats, k, metric)
+                    assert np.array_equal(g.neighbors[f], alone.neighbors), (f, k)
+                    assert np.array_equal(g.similarities[f], alone.similarities), (f, k)
+        monkeypatch.setattr(graph, "_KNN_BLOCK_ENTRIES", one_block(n))
+        for frames in stacks:
+            for k in (1, 5, n - 2):
+                g = build_knn_graph(frames, k, metric)
+                for f, feats in enumerate(frames):
                     nb, sims = argsort_top_k(feats, k, metric)
                     assert np.array_equal(g.neighbors[f], nb), (f, k)
                     assert np.array_equal(g.similarities[f], sims), (f, k)
+
+    def test_neighbor_sets_independent_of_blas_threads(self):
+        """The oracle inputs get the same neighbor sets under 1 and under 2
+        BLAS threads, set in the environment of two child processes only."""
+        src = os.path.dirname(os.path.dirname(graph.__file__))
+        path = [src, os.path.dirname(__file__)]
+        path += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        code = (
+            "import hashlib, numpy as np\n"
+            "from test_graph import oracle_inputs\n"
+            "from degat_kit.graph import build_knn_graph\n"
+            "for n in (65, 300, 1024):\n"
+            "    for name, feats in oracle_inputs(n, np.random.default_rng(n)).items():\n"
+            "        for metric in ('cosine', 'euclidean'):\n"
+            "            for k in (1, 9, n - 1):\n"
+            "                nb = np.sort(build_knn_graph(feats, k, metric).neighbors, axis=1)\n"
+            "                print(n, name, metric, k, hashlib.sha256(nb.tobytes()).hexdigest())\n"
+        )
+        runs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(path),
+                   "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                    text=True, timeout=300, check=True)
+            runs.append(result.stdout.splitlines())
+        assert len(runs[0]) == len(runs[1]) == 90
+        assert [a for a, b in zip(*runs) if a != b] == []
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_memory_bounded_by_block(self, metric):
+        # the L^2 keys of one L = 4096 frame alone would be 128 MB
+        x = np.random.default_rng(40).standard_normal((4096, 64))
+        tracemalloc.start()
+        try:
+            build_knn_graph(x, 9, metric)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_stacked_frames_exclude_self_and_check_k(self):
         frames = np.zeros((3, 5, 2))  # every key ties: only the self rule keeps i out
@@ -244,11 +360,16 @@ class TestPairwiseDistances:
         with pytest.raises(ValueError, match="2-D or 3-D"):
             pairwise_distances(np.zeros(3))
 
-    def test_euclidean_graph_uses_the_same_values(self):
+    def test_euclidean_graph_uses_the_same_values(self, monkeypatch):
         x = np.random.default_rng(31).standard_normal((12, 3))
-        g = build_knn_graph(x, 4, "euclidean")
         rows = np.arange(12)[:, None]
-        np.testing.assert_array_equal(g.similarities, pairwise_distances(x)[rows, g.neighbors])
+        full = pairwise_distances(x)
+        for entries in (graph._KNN_BLOCK_ENTRIES, 5 * 12):  # one block, then blocks of 5 rows
+            monkeypatch.setattr(graph, "_KNN_BLOCK_ENTRIES", entries)
+            g = build_knn_graph(x, 4, "euclidean")
+            d = pairwise_distances(x)
+            np.testing.assert_array_equal(g.similarities, d[rows, g.neighbors])
+            np.testing.assert_allclose(d, full, rtol=0, atol=1e-12)
 
 
 class TestEdgeCount:
