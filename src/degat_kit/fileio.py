@@ -11,6 +11,10 @@ import numpy as np
 
 __all__ = ["read_pfm", "write_pfm", "read_pnm", "write_pnm", "read_image", "write_image"]
 
+# digits of a header size or maxval; longer tokens are rejected before int(),
+# which some interpreters cap at 4300 digits and others do not
+_HEADER_DIGITS = 18
+
 
 def write_pfm(path, data):
     """Write a float32/float64 grayscale or color grid as PFM."""
@@ -33,13 +37,11 @@ def write_pfm(path, data):
 
 
 def _header_int(token, name, kind, path):
-    """A header token's value as an ASCII decimal integer, optionally signed."""
-    try:
-        if re.fullmatch(rb"[+-]?[0-9]+", token):
-            return int(token)  # raises past int()'s digit limit
-    except ValueError:
-        pass
-    raise ValueError(f"{kind} {name} {token[:32]!r} is not an integer in {path}")
+    """A header token's value as an ASCII decimal integer, optionally signed,
+    of at most _HEADER_DIGITS digits."""
+    if re.fullmatch(rb"[+-]?[0-9]{1,%d}" % _HEADER_DIGITS, token) is None:
+        raise ValueError(f"{kind} {name} {token[:32]!r} is not an integer in {path}")
+    return int(token)
 
 
 def _read_header(path, kind, pattern=rb"\s*(\S+)"):

@@ -14,10 +14,14 @@ keys within tau of kth fill the remaining places, lowest node index
 first. The survivors are then sorted stably by key, so neighbors are
 ordered by descending similarity or ascending distance. Exact ties go to
 the lower node index, and so do keys that differ only in the last bits,
-which BLAS kernels, thread counts and block shapes round differently:
-the neighbor sets do not depend on any of them, while the order within a
-set and the last bits of the scores may. The Top-K operator is thus
-deterministic; the permutation-equivariance property relies on that rule.
+which BLAS kernels, thread counts and block shapes round differently.
+Cosine sets therefore do not depend on any of them, and neither do
+euclidean sets, except among rows that are near-duplicates but not exact
+ones: there the euclidean key's cancellation error, about sqrt(eps)
+times the row norm, exceeds tau (ROADMAP item 2). The order within a
+set and the last bits of the scores may differ. The Top-K operator is
+deterministic on one machine; the permutation-equivariance property
+relies on that rule.
 """
 
 from dataclasses import dataclass
@@ -91,6 +95,8 @@ def pairwise_distances(tokens):
     """
     x = as_finite(tokens, "features", (2, 3))
     n = x.shape[-2]
+    if n == 0:
+        return np.empty(x.shape[:-1] + (0,))
     sq = np.add.reduce(x * x, axis=-1)
     d = np.empty(x.shape[:-1] + (n,))
     for rows in _row_blocks(n):
@@ -101,26 +107,21 @@ def pairwise_distances(tokens):
 
 def _row_blocks(n):
     """Slices of _KNN_BLOCK_ENTRIES // n rows (at least one) covering n rows;
-    the last may reach past n. A frame that fits is one block of all rows."""
-    step = max(1, _KNN_BLOCK_ENTRIES // n)
-    return [slice(s, s + step) for s in range(0, n, step)] if step < n else [slice(0, n)]
+    the last may reach past n.
 
-
-def _gram_rows(x, rows):
-    """Dot products of the rows ``rows`` of each frame with all its rows.
-
-    A block of every row is x times its own transpose, which numpy hands
-    to BLAS syrk; a smaller block is a gemm.
+    A block of every row, x[..., 0:n, :], is a view with the data and
+    strides of x, so its product with x's transpose is the syrk that
+    x @ x.swapaxes(-1, -2) makes; a smaller block's product is a gemm.
     """
-    xt = x.swapaxes(-1, -2)
-    return x @ xt if rows.start == 0 and rows.stop >= x.shape[-2] else x[..., rows, :] @ xt
+    step = max(1, _KNN_BLOCK_ENTRIES // n)
+    return [slice(s, s + step) for s in range(0, n, step)]
 
 
 def _distance_rows(x, sq, rows, out=None):
     """Euclidean distances of the rows ``rows`` of each frame to all its rows,
     given the squared row norms ``sq``, diagonal left as computed."""
     d = np.add(sq[..., rows, None], sq[..., None, :], out=out)
-    d -= 2.0 * _gram_rows(x, rows)
+    d -= 2.0 * (x[..., rows, :] @ x.swapaxes(-1, -2))
     np.maximum(d, 0.0, out=d)
     np.sqrt(d, out=d)
     return d
@@ -135,7 +136,9 @@ def _select_top_k(key, k):
     the remaining places, lowest column first. Exact ties thus go to the
     lower column, and so do keys that differ from kth only in the last bits,
     which BLAS kernels, thread counts and block shapes round differently:
-    the chosen columns do not depend on them.
+    the chosen columns do not depend on them, as long as the keys' rounding
+    errors stay below tau. Euclidean keys between near-duplicate rows err
+    by far more (ROADMAP item 2).
     """
     n_rows, n = key.shape
     kth = np.partition(key, k - 1, axis=1)[:, k - 1]
@@ -192,7 +195,7 @@ def build_knn_graph(tokens, k, metric="cosine"):
     parts = []
     for rows in _row_blocks(n):
         if metric == "cosine":
-            key = _gram_rows(x, rows)
+            key = x[..., rows, :] @ x.swapaxes(-1, -2)
             np.negative(key, out=key)  # ascending key = descending similarity
         else:
             # select on the distance itself: sqrt can merge distinct d^2

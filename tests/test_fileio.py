@@ -14,12 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from degat_kit import fileio
 from degat_kit.fileio import read_pfm, read_pnm, write_pfm, write_pnm
 
 SIZE_TOKENS = st.one_of(
     st.integers(-2, 4).map(lambda v: str(v).encode()),
     st.sampled_from([b"+3", b"007", b"1_0", b"0x2", b"2.0", b"two", b"\xff\xfe",
-                     b"99999999999", b"9" * 5000]),
+                     b"99999999999", b"1" + b"0" * 18, b"9" * 5000]),
 )
 SCALE_TOKENS = st.one_of(
     st.floats().map(lambda v: repr(v).encode()),
@@ -27,7 +28,8 @@ SCALE_TOKENS = st.one_of(
 )
 MAXVAL_TOKENS = st.one_of(
     st.integers(-1, 300).map(lambda v: str(v).encode()),
-    st.sampled_from([b"65535", b"65536", b"256", b"2.5", b"ff", b"1_0", b"9" * 5000]),
+    st.sampled_from([b"65535", b"65536", b"256", b"2.5", b"ff", b"1_0", b"0" * 19,
+                     b"9" * 5000]),
 )
 
 
@@ -38,7 +40,8 @@ def work(tmp_path_factory):
 
 def _size(token):
     """The header's integer value of a size token, or None if it has none."""
-    return int(token) if re.fullmatch(rb"[+-]?[0-9]{1,30}", token) else None
+    pattern = rb"[+-]?[0-9]{1,%d}" % fileio._HEADER_DIGITS
+    return int(token) if re.fullmatch(pattern, token) else None
 
 
 def _payload(data, w, h, channels, itemsize, extra):

@@ -360,6 +360,13 @@ class TestPairwiseDistances:
         with pytest.raises(ValueError, match="2-D or 3-D"):
             pairwise_distances(np.zeros(3))
 
+    @pytest.mark.parametrize("shape", [(0, 4), (2, 0, 4), (0, 0, 4), (0, 3, 4)])
+    def test_empty_frames(self, shape):
+        expect = shape[:-1] + shape[-2:-1]
+        d = pairwise_distances(np.zeros(shape))
+        assert d.shape == expect
+        assert np.all(d == 0.0)
+
     def test_euclidean_graph_uses_the_same_values(self, monkeypatch):
         x = np.random.default_rng(31).standard_normal((12, 3))
         rows = np.arange(12)[:, None]
