@@ -2,7 +2,8 @@
 
 Token level: additive, FiLM, and cross-attention conditioning of the
 camera token, each constructed so that zero-initialized output layers
-make the conditioned token identical to the base token.
+make the conditioned token identical to the base token; each returns the
+conditioned token array with its cache.
 
 Attention level: a quantized bias table and a continuous MLP bias, both
 derived from pairwise semantic distances, injected additively into
@@ -18,35 +19,41 @@ frame's distances by that frame's maximum and return (F, H, L, L).
 All attention is ``multi_head_attention`` around the one kernel
 ``biased_attention``: self-attention in the model's blocks, and
 cross-attention conditioning with the camera token as the single query.
-Each backward reads what it needs from its own forward's cache and returns
-its weight gradients as a dict keyed by field name.
+
+A layer's weights are a field-only ``NamedTuple`` (``Mlp2``,
+``CrossAttnParams``) named like the gradient dict its backward returns; the
+bucket table is a bare (K_b, H) array. The activation and the head count are
+arguments of the forward call, and each backward reads them, and all else it
+needs, from its own forward's cache. ``mlp2_shapes`` and ``attn_shapes`` give
+the field shapes that the init constructors build and that
+``numerics.check_arrays`` checks; the layer functions do not check weights.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erf
 
 from .graph import pairwise_distances
-from .numerics import as_finite, as_matrix, as_vector, softmax, softmax_backward
+from .numerics import as_finite, as_vector, fan_in_uniform, softmax, softmax_backward
 
 __all__ = [
     "Mlp2",
+    "mlp2_shapes",
     "init_mlp2",
     "mlp2_forward",
     "mlp2_backward",
-    "CameraToken",
     "condition_additive",
     "condition_additive_backward",
     "condition_film",
     "condition_film_backward",
     "CrossAttnParams",
+    "attn_shapes",
     "init_cross_attn",
     "multi_head_attention",
     "multi_head_attention_backward",
     "condition_cross_attention",
     "condition_cross_attention_backward",
-    "BiasTable",
     "bucket_indices",
     "bucket_bias",
     "bias_table_gradient",
@@ -84,74 +91,53 @@ def _rows(m):
     return m.reshape(-1, m.shape[-1])
 
 
-@dataclass
-class Mlp2:
+class Mlp2(NamedTuple):
     """Two-layer perceptron y = W2 act(W1 x + b1) + b2."""
 
     w1: np.ndarray  # (M, in)
     b1: np.ndarray  # (M,)
     w2: np.ndarray  # (out, M)
     b2: np.ndarray  # (out,)
-    activation: str = "gelu"
-
-    def __post_init__(self):
-        self.w1 = as_matrix(self.w1, "w1")
-        self.b1 = as_vector(self.b1, "b1")
-        self.w2 = as_matrix(self.w2, "w2")
-        self.b2 = as_vector(self.b2, "b2")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        m = self.w1.shape[0]
-        if self.b1.shape[0] != m or self.w2.shape[1] != m:
-            raise ValueError("Mlp2 layer shapes are not composable")
-        if self.b2.shape[0] != self.w2.shape[0]:
-            raise ValueError("b2 length does not match w2 rows")
-
-    @property
-    def in_dim(self):
-        return self.w1.shape[1]
-
-    @property
-    def out_dim(self):
-        return self.w2.shape[0]
 
 
-def init_mlp2(in_dim, hidden, out_dim, activation="gelu", rng=None, zero_final=False):
+def mlp2_shapes(in_dim, hidden, out_dim):
+    """Field -> shape of an ``Mlp2``."""
+    return {"w1": (hidden, in_dim), "b1": (hidden,), "w2": (out_dim, hidden), "b2": (out_dim,)}
+
+
+def init_mlp2(in_dim, hidden, out_dim, rng=None, zero_final=False):
     """Uniform 1/sqrt(fan-in) init; zero_final zeroes W2 and b2."""
     rng = np.random.default_rng(rng)
-    s1 = 1.0 / np.sqrt(in_dim)
-    s2 = 1.0 / np.sqrt(hidden)
-    w2 = np.zeros((out_dim, hidden)) if zero_final else rng.uniform(-s2, s2, (out_dim, hidden))
-    return Mlp2(
-        w1=rng.uniform(-s1, s1, (hidden, in_dim)),
-        b1=np.zeros(hidden),
-        w2=w2,
-        b2=np.zeros(out_dim),
-        activation=activation,
-    )
+    shapes = mlp2_shapes(in_dim, hidden, out_dim)
+    w2 = np.zeros(shapes["w2"]) if zero_final else fan_in_uniform(rng, shapes["w2"])
+    return Mlp2(w1=fan_in_uniform(rng, shapes["w1"]), b1=np.zeros(shapes["b1"]), w2=w2,
+                b2=np.zeros(shapes["b2"]))
 
 
-def _mlp2_hidden(mlp, x):
+def _mlp2_hidden(mlp, x, activation):
     """The first layer's (pre-activation, activation) on rows of x."""
-    act, _ = _ACTIVATIONS[mlp.activation]
+    act, _ = _ACTIVATIONS[activation]
     pre = x @ mlp.w1.T
     pre += mlp.b1
     return pre, act(pre)
 
 
-def mlp2_forward(mlp, x):
-    """Apply the MLP to rows of x (or a single vector); returns (y, cache)."""
+def mlp2_forward(mlp, x, activation="gelu"):
+    """Apply the MLP to rows of x (or a single vector) with the named
+    activation, ``relu`` or ``gelu``; returns (y, cache)."""
+    if activation not in _ACTIVATIONS:
+        raise ValueError(f"unknown activation {activation!r}")
     x = np.asarray(x, dtype=np.float64)
-    pre, hid = _mlp2_hidden(mlp, x)
+    pre, hid = _mlp2_hidden(mlp, x, activation)
     y = hid @ mlp.w2.T
     y += mlp.b2
-    return y, (x, pre, hid)
+    return y, (x, pre, hid, activation)
 
 
 def _mlp2_weight_grads(mlp, cache, d_y):
     """(weight grads dict, d(loss)/d(pre)) given d(loss)/dy."""
-    x, pre, hid = cache
-    _, act_grad = _ACTIVATIONS[mlp.activation]
+    x, pre, hid, activation = cache
+    _, act_grad = _ACTIVATIONS[activation]
     d_y = np.asarray(d_y, dtype=np.float64)
     d_pre = (d_y @ mlp.w2) * act_grad(pre)
     # a single vector is one row: its outer products and sums are exact
@@ -169,22 +155,18 @@ def mlp2_backward(mlp, cache, d_y):
     return grads, d_pre @ mlp.w1
 
 
-@dataclass
-class CameraToken:
-    conditioned: np.ndarray  # (C,), or (F, C) with one token per frame
-
-
 def condition_additive(base, g, mlp):
-    """c' = c + MLP(g); returns (CameraToken, cache)."""
+    """c' = c + MLP(g); returns (c', cache), c' being (C,), or (F, C) with one
+    token per frame of g."""
     base = as_vector(base, "base")
     g = as_finite(g, "g", (1, 2))
-    if mlp.in_dim != g.shape[-1] or mlp.out_dim != base.shape[0]:
+    if mlp.w1.shape[1] != g.shape[-1] or mlp.w2.shape[0] != base.shape[0]:
         raise ValueError(
-            f"additive conditioning shape mismatch: mlp {mlp.in_dim}->{mlp.out_dim}, "
+            f"additive conditioning shape mismatch: mlp {mlp.w1.shape[1]}->{mlp.w2.shape[0]}, "
             f"g {g.shape[-1]}, base {base.shape[0]}"
         )
     delta, cache = mlp2_forward(mlp, g)
-    return CameraToken(conditioned=base + delta), cache
+    return base + delta, cache
 
 
 def condition_additive_backward(mlp, cache, d_cond):
@@ -197,16 +179,12 @@ def condition_film(base, g, mlp):
     """c' = (1 + gamma) * c + beta with [gamma, beta] = MLP(g)."""
     base = as_vector(base, "base")
     g = as_finite(g, "g", (1, 2))
-    if mlp.out_dim % 2 != 0:
-        raise ValueError(f"FiLM MLP output length {mlp.out_dim} must be even")
-    if mlp.out_dim != 2 * base.shape[0]:
-        raise ValueError(
-            f"FiLM MLP output {mlp.out_dim} != 2 * token dim {base.shape[0]}"
-        )
-    out, cache = mlp2_forward(mlp, g)
     c = base.shape[0]
+    if mlp.w2.shape[0] != 2 * c:
+        raise ValueError(f"FiLM MLP output {mlp.w2.shape[0]} != 2 * token dim {c}")
+    out, cache = mlp2_forward(mlp, g)
     gamma, beta = out[..., :c], out[..., c:]
-    return CameraToken(conditioned=base * (1.0 + gamma) + beta), (cache, base, gamma)
+    return base * (1.0 + gamma) + beta, (cache, base, gamma)
 
 
 def condition_film_backward(mlp, cache, d_cond):
@@ -218,8 +196,7 @@ def condition_film_backward(mlp, cache, d_cond):
     return grads, d_base, d_g
 
 
-@dataclass
-class CrossAttnParams:
+class CrossAttnParams(NamedTuple):
     """Multi-head attention projections: the camera-token cross-attention and
     the self-attention blocks."""
 
@@ -227,34 +204,19 @@ class CrossAttnParams:
     w_k: np.ndarray
     w_v: np.ndarray
     w_o: np.ndarray
-    n_heads: int
-
-    def __post_init__(self):
-        c = self.w_q.shape[0]
-        for name in ("w_q", "w_k", "w_v", "w_o"):
-            m = as_matrix(getattr(self, name), name)
-            if m.shape != (c, c):
-                raise ValueError(f"{name} must be ({c}, {c}), got {m.shape}")
-            setattr(self, name, m)
-        if c % self.n_heads != 0:
-            raise ValueError(f"head count {self.n_heads} must divide dim {c}")
-
-    @property
-    def dim(self):
-        return self.w_q.shape[0]
 
 
-def init_cross_attn(c, n_heads, rng=None, zero_output=True):
+def attn_shapes(c):
+    """Field -> shape of a ``CrossAttnParams`` over C channels."""
+    return dict.fromkeys(CrossAttnParams._fields, (c, c))
+
+
+def init_cross_attn(c, rng=None, zero_output=True):
+    """Uniform 1/sqrt(C) init; zero_output zeroes W_o."""
     rng = np.random.default_rng(rng)
-    s = 1.0 / np.sqrt(c)
-    w_o = np.zeros((c, c)) if zero_output else rng.uniform(-s, s, (c, c))
-    return CrossAttnParams(
-        w_q=rng.uniform(-s, s, (c, c)),
-        w_k=rng.uniform(-s, s, (c, c)),
-        w_v=rng.uniform(-s, s, (c, c)),
-        w_o=w_o,
-        n_heads=n_heads,
-    )
+    w_o = np.zeros((c, c)) if zero_output else fan_in_uniform(rng, (c, c))
+    return CrossAttnParams(w_q=fan_in_uniform(rng, (c, c)), w_k=fan_in_uniform(rng, (c, c)),
+                           w_v=fan_in_uniform(rng, (c, c)), w_o=w_o)
 
 
 def _split_heads(m, n_heads):
@@ -269,25 +231,25 @@ def _merge_heads(m):
     return m.swapaxes(-2, -3).reshape(*lead, n, h * d)
 
 
-def multi_head_attention(x_q, x_kv, attn, bias=None):
-    """W_o concat_h attention(x_q W_q^T, x_kv W_k^T, x_kv W_v^T)_h; returns (out, cache).
+def multi_head_attention(x_q, x_kv, attn, n_heads, bias=None):
+    """W_o concat_h attention(x_q W_q^T, x_kv W_k^T, x_kv W_v^T)_h over
+    ``n_heads`` heads, which must divide C; returns (out, cache).
 
     x_q is (..., N, C), x_kv (..., M, C) and the optional bias (..., H, N, M),
     with the same leading (frame) axes on all of them.
     """
-    h = attn.n_heads
-    q = _split_heads(x_q @ attn.w_q.T, h)
-    k = _split_heads(x_kv @ attn.w_k.T, h)
-    v = _split_heads(x_kv @ attn.w_v.T, h)
+    q = _split_heads(x_q @ attn.w_q.T, n_heads)
+    k = _split_heads(x_kv @ attn.w_k.T, n_heads)
+    v = _split_heads(x_kv @ attn.w_v.T, n_heads)
     ctx, kernel_cache = biased_attention(q, k, v, bias)
     ctx = _merge_heads(ctx)
-    return ctx @ attn.w_o.T, (x_q, x_kv, ctx, kernel_cache)
+    return ctx @ attn.w_o.T, (x_q, x_kv, ctx, kernel_cache, n_heads)
 
 
 def multi_head_attention_backward(attn, cache, d_out):
     """Returns (weight grads dict, d_x_q, d_x_kv, d_bias)."""
-    x_q, x_kv, ctx, kernel_cache = cache
-    d_ctx = _split_heads(d_out @ attn.w_o, attn.n_heads)
+    x_q, x_kv, ctx, kernel_cache, n_heads = cache
+    d_ctx = _split_heads(d_out @ attn.w_o, n_heads)
     d_q, d_k, d_v, d_bias = biased_attention_backward(kernel_cache, d_ctx)
     d_q, d_k, d_v = _merge_heads(d_q), _merge_heads(d_k), _merge_heads(d_v)
     grads = {
@@ -297,8 +259,8 @@ def multi_head_attention_backward(attn, cache, d_out):
     return grads, d_q @ attn.w_q, d_k @ attn.w_k + d_v @ attn.w_v, d_bias
 
 
-def condition_cross_attention(base, tokens, attn, ffn):
-    """c' = c + MHA(q=c, kv=tokens); out = c' + FFN(c').
+def condition_cross_attention(base, tokens, attn, ffn, n_heads):
+    """c' = c + MHA(q=c, kv=tokens); out = c' + FFN(c'); returns (out, cache).
 
     tokens is (L, C), or (F, L, C) with the base token as one query per
     frame. With zero-initialized output projection and FFN final layer, the
@@ -306,13 +268,14 @@ def condition_cross_attention(base, tokens, attn, ffn):
     """
     base = as_vector(base, "base")
     tokens = as_finite(tokens, "tokens", (2, 3))
-    if base.shape[0] != attn.dim or tokens.shape[-1] != attn.dim:
+    c = attn.w_q.shape[0]
+    if base.shape[0] != c or tokens.shape[-1] != c:
         raise ValueError("cross-attention dimension mismatch")
-    query = np.broadcast_to(base, tokens.shape[:-2] + (1, attn.dim))
-    attn_out, attn_cache = multi_head_attention(query, tokens, attn)
+    query = np.broadcast_to(base, tokens.shape[:-2] + (1, c))
+    attn_out, attn_cache = multi_head_attention(query, tokens, attn, n_heads)
     c1 = base + attn_out[..., 0, :]
     ffn_out, ffn_cache = mlp2_forward(ffn, c1)
-    return CameraToken(conditioned=c1 + ffn_out), (attn_cache, ffn_cache)
+    return c1 + ffn_out, (attn_cache, ffn_cache)
 
 
 def condition_cross_attention_backward(attn, ffn, cache, d_out):
@@ -326,22 +289,6 @@ def condition_cross_attention_backward(attn, ffn, cache, d_out):
     return attn_grads, ffn_grads, _rows(d_c1 + d_query[..., 0, :]).sum(axis=0), d_tokens
 
 
-@dataclass
-class BiasTable:
-    """Learnable per-bucket, per-head attention bias embedding."""
-
-    table: np.ndarray  # (K_b, H)
-
-    def __post_init__(self):
-        self.table = as_matrix(self.table, "table")
-        if self.table.shape[0] < 1:
-            raise ValueError("bias table needs at least one bucket")
-
-    @property
-    def n_buckets(self):
-        return self.table.shape[0]
-
-
 def bucket_indices(features, n_buckets, eps=BUCKET_RATIO_EPS):
     """Quantize log-scaled pairwise distances into [0, n_buckets - 1]."""
     d = pairwise_distances(features)
@@ -352,9 +299,10 @@ def bucket_indices(features, n_buckets, eps=BUCKET_RATIO_EPS):
 
 
 def bucket_bias(features, table, eps=BUCKET_RATIO_EPS):
-    """Per-head (..., H, L, L) bias looked up from the quantized distance bucket."""
-    idx = bucket_indices(features, table.n_buckets, eps)
-    bias = table.table[idx]  # (..., L, L, H)
+    """Per-head (..., H, L, L) bias looked up in the (K_b, H) table from the
+    quantized distance bucket."""
+    idx = bucket_indices(features, table.shape[0], eps)
+    bias = table[idx]  # (..., L, L, H)
     return np.ascontiguousarray(np.moveaxis(bias, -1, -3)), idx
 
 
@@ -389,20 +337,20 @@ def _pair_blocks(n):
 
 
 def mlp_bias(features, mlp):
-    """Per-head (..., H, L, L) bias from a 1 -> H MLP of the distance coordinate.
+    """Per-head (..., H, L, L) bias from a 1 -> H ReLU MLP of the distance
+    coordinate.
 
     The MLP runs over the flattened pairs in fixed blocks of rows, so its
     hidden activations never exceed one block. Returns (bias, cache); the
     cache is the (... * L * L, 1) coordinate column alone.
     """
-    if mlp.in_dim != 1:
-        raise ValueError(f"bias MLP must map 1 -> H, got input dim {mlp.in_dim}")
     coords = mlp_bias_coords(features)
     x = coords.reshape(-1, 1)
-    out = np.empty((x.shape[0], mlp.out_dim))
+    heads = mlp.w2.shape[0]
+    out = np.empty((x.shape[0], heads))
     for rows in _pair_blocks(x.shape[0]):
-        out[rows] = mlp2_forward(mlp, x[rows])[0]
-    return np.moveaxis(out.reshape(*coords.shape, mlp.out_dim), -1, -3), x
+        out[rows] = mlp2_forward(mlp, x[rows], "relu")[0]
+    return np.moveaxis(out.reshape(*coords.shape, heads), -1, -3), x
 
 
 def mlp_bias_backward(mlp, cache, delta):
@@ -416,7 +364,7 @@ def mlp_bias_backward(mlp, cache, delta):
     grads = None
     for rows in _pair_blocks(cache.shape[0]):
         x = cache[rows]
-        block, _ = _mlp2_weight_grads(mlp, (x, *_mlp2_hidden(mlp, x)), d_y[rows])
+        block, _ = _mlp2_weight_grads(mlp, (x, *_mlp2_hidden(mlp, x, "relu"), "relu"), d_y[rows])
         grads = block if grads is None else {k: grads[k] + g for k, g in block.items()}
     return grads
 

@@ -8,21 +8,28 @@ the (non-differentiable) Top-K graph topology.
 The hop takes one (L, C) frame or an (F, L, C) stack. Each frame gets its
 own K-NN graph; its neighbors are then offset by f*L, so that the
 projection, gather, softmax and backward run once over all F*L nodes.
+
+The weights are the field-only ``DeGatParams``; ``degat_shapes`` gives their
+shapes, which ``init_degat_params`` builds and ``numerics.check_arrays``
+checks. The LeakyReLU slope is the module constant ``LEAKY_SLOPE``.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .graph import NeighborGraph, build_knn_graph
 from .numerics import (
-    as_finite, as_matrix, as_vector, elu, elu_grad, leaky_relu, leaky_relu_grad, softmax,
+    as_finite, elu, elu_grad, fan_in_uniform, leaky_relu, leaky_relu_grad, softmax,
     softmax_backward,
 )
 
 __all__ = [
+    "LEAKY_SLOPE",
     "DeGatParams",
+    "degat_shapes",
     "DeGatCache",
     "DeGatGrads",
     "init_degat_params",
@@ -34,44 +41,25 @@ __all__ = [
 ]
 
 
-@dataclass
-class DeGatParams:
+LEAKY_SLOPE = 0.2  # negative-side slope of the attention LeakyReLU
+
+
+class DeGatParams(NamedTuple):
     w_proj: np.ndarray  # (C', 2C), applied to [x_i || x_j] as W_c x_i + W_n x_j
     a: np.ndarray  # (C',)
     w_val: np.ndarray  # (C, C)
-    leaky_slope: float = 0.2
-
-    def __post_init__(self):
-        self.w_proj = as_matrix(self.w_proj, "w_proj")
-        self.a = as_vector(self.a, "a")
-        self.w_val = as_matrix(self.w_val, "w_val")
-        cp, two_c = self.w_proj.shape
-        if self.a.shape[0] != cp:
-            raise ValueError(f"a has length {self.a.shape[0]}, expected {cp}")
-        c = self.w_val.shape[0]
-        if self.w_val.shape != (c, c) or two_c != 2 * c:
-            raise ValueError(
-                f"inconsistent shapes: w_proj {self.w_proj.shape}, w_val {self.w_val.shape}"
-            )
-
-    @property
-    def dim(self):
-        return self.w_val.shape[0]
 
 
-def init_degat_params(c, c_proj=None, leaky_slope=0.2, rng=None):
+def degat_shapes(c, c_proj=None):
+    """Field -> shape of a ``DeGatParams`` over C channels; C' defaults to C."""
+    cp = c if c_proj is None else c_proj
+    return {"w_proj": (cp, 2 * c), "a": (cp,), "w_val": (c, c)}
+
+
+def init_degat_params(c, c_proj=None, rng=None):
     """Uniform init scaled by 1/sqrt(fan-in); C' defaults to C."""
     rng = np.random.default_rng(rng)
-    cp = c if c_proj is None else c_proj
-    s_proj = 1.0 / np.sqrt(2 * c)
-    s_val = 1.0 / np.sqrt(c)
-    s_a = 1.0 / np.sqrt(cp)
-    return DeGatParams(
-        w_proj=rng.uniform(-s_proj, s_proj, size=(cp, 2 * c)),
-        a=rng.uniform(-s_a, s_a, size=cp),
-        w_val=rng.uniform(-s_val, s_val, size=(c, c)),
-        leaky_slope=leaky_slope,
-    )
+    return DeGatParams(*(fan_in_uniform(rng, shape) for shape in degat_shapes(c, c_proj).values()))
 
 
 @dataclass
@@ -107,15 +95,15 @@ def degat_forward(tokens, params, k, metric="cosine"):
     g = build_knn_graph(tokens, k, metric)  # validates the tokens
     x = np.asarray(tokens, dtype=np.float64)
     c = x.shape[-1]
-    if params.dim != c:
-        raise ValueError(f"params expect C={params.dim}, tokens have C={c}")
+    if params.w_val.shape[0] != c:
+        raise ValueError(f"params expect C={params.w_val.shape[0]}, tokens have C={c}")
     nb = _node_neighbors(g)
     xs = x.reshape(-1, c)  # the node rows of all frames
 
     # W_proj [x_i || x_j] = W_c x_i + W_n x_j: project the nodes, then gather
     w_c, w_n = params.w_proj[:, :c], params.w_proj[:, c:]
     z = (xs @ w_c.T).reshape(nb.shape[:-1] + (1, -1)) + (xs @ w_n.T)[nb]  # (..., L, K, C')
-    e = leaky_relu(z, params.leaky_slope)
+    e = leaky_relu(z, LEAKY_SLOPE)
     alpha = softmax(e @ params.a)  # (..., L, K)
 
     values = xs @ params.w_val.T  # row j is W_val x_j
@@ -167,7 +155,7 @@ def degat_backward(cache, params, upstream):
     # logits l_ij = a . LeakyReLU(W_c x_i + W_n x_j)
     d_a = d_logits.ravel() @ cache.e.reshape(n * k, -1)
     z = cache.z.reshape(n, k, -1)
-    d_z = d_logits[:, :, None] * params.a * leaky_relu_grad(z, params.leaky_slope)
+    d_z = d_logits[:, :, None] * params.a * leaky_relu_grad(z, LEAKY_SLOPE)
     d_center = d_z.sum(axis=1)  # (F*L, C'), node i as center
     d_neighbor = to_neighbor @ d_z.reshape(n * k, -1)  # (F*L, C'), node j as neighbor
     d_w_proj = np.hstack([d_center.T @ x, d_neighbor.T @ x])

@@ -17,10 +17,10 @@ import numpy as np
 
 from .geometry import CameraParams
 from .metrics import SsimConfig, psnr, ssim
+from .numerics import check_arrays, check_shapes
 from .objective import LossWeights, camera_loss
 from .toy_model import (
-    ModelConfig, check_param_shapes, check_params, forward, init_model_params, loss_and_grads,
-    param_shapes, sgd_step,
+    ModelConfig, forward, init_model_params, loss_and_grads, param_shapes, sgd_step,
 )
 
 __all__ = [
@@ -259,22 +259,30 @@ def save_checkpoint(path, cfg, params):
 def load_checkpoint(path):
     """Read a checkpoint written by ``save_checkpoint``.
 
-    The manifest must list exactly the parameters, with the shapes, that
-    ``param_shapes`` gives for its config, and every value must be finite;
-    anything else raises ValueError. A blob whose size does not match its
-    shape raises OSError.
+    The manifest must hold a config of known keys and list exactly the
+    parameters, with the shapes, that ``param_shapes`` gives for that
+    config, and every value must be finite; anything else raises
+    ValueError. A blob whose size does not match its shape raises OSError.
     """
     with open(os.path.join(path, "manifest.json"), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    shapes = manifest.get("params") if isinstance(manifest, dict) else None
-    if not isinstance(shapes, dict) or "config" not in manifest:
+    manifest = manifest if isinstance(manifest, dict) else {}
+    config, shapes = manifest.get("config"), manifest.get("params")
+    if not isinstance(shapes, dict) or not isinstance(config, dict):
         raise ValueError(f"checkpoint manifest in {path} lacks 'config' or 'params'")
-    cfg = ModelConfig(**manifest["config"])
+    unknown = sorted(set(config) - MODEL_KEYS)
+    if unknown:
+        raise ValueError(f"unknown checkpoint config keys: {unknown}")
+    cfg = ModelConfig(**config)
     unsafe = sorted(k for k in shapes if "/" in k or "\\" in k)
     if unsafe:
         raise ValueError(f"checkpoint parameter names contain path separators: {unsafe}")
-    check_param_shapes(shapes, cfg)
+    not_shapes = sorted(k for k, shape in shapes.items()
+                        if not (isinstance(shape, list) and all(type(d) is int for d in shape)))
+    if not_shapes:
+        raise ValueError(f"checkpoint parameter shapes are not lists of integers: {not_shapes}")
     expected = param_shapes(cfg)
+    check_shapes(shapes, expected)
     params = {}
     for k in shapes:
         blob_path = os.path.join(path, f"{k}.bin")
@@ -282,5 +290,5 @@ def load_checkpoint(path):
         if size != need:
             raise OSError(f"{blob_path} has {size} bytes, shape {expected[k]} needs {need}")
         params[k] = np.fromfile(blob_path, dtype="<f8").reshape(expected[k]).astype(np.float64)
-    check_params(params, cfg)
+    check_arrays(params, expected)
     return cfg, params

@@ -1,5 +1,9 @@
 """Float64 validation, ELU/LeakyReLU, and the softmax with its backward.
 
+``check_arrays`` is the one check of named weight arrays against a shape
+table: the model's parameter dict on entry to a step, a checkpoint, and
+any single layer's fields.
+
 Everything here is a pure function of its inputs; arrays are treated as
 immutable and all arithmetic is done in 64-bit floating point. The
 softmax pair is the only one in the package: the DeGAT neighbor softmax
@@ -12,6 +16,9 @@ __all__ = [
     "as_finite",
     "as_matrix",
     "as_vector",
+    "check_shapes",
+    "check_arrays",
+    "fan_in_uniform",
     "elu",
     "elu_grad",
     "leaky_relu",
@@ -41,6 +48,36 @@ def as_matrix(a, name="matrix"):
 def as_vector(a, name="vector"):
     """Coerce to a finite float64 1-D array, raising on anything else."""
     return as_finite(a, name, (1,))
+
+
+def check_shapes(shapes, expected):
+    """Raise ValueError unless ``shapes`` (name -> shape) lists exactly the
+    names of ``expected``, each with its expected shape."""
+    if shapes.keys() != expected.keys():
+        missing = sorted(expected.keys() - shapes.keys())
+        extra = sorted(shapes.keys() - expected.keys())
+        raise ValueError(
+            f"parameters do not match the config: missing {missing}, unexpected {extra}"
+        )
+    reshaped = sorted(k for k, shape in shapes.items() if tuple(shape) != expected[k])
+    if reshaped:
+        raise ValueError(f"parameter shapes do not match the config: {reshaped}")
+
+
+def check_arrays(arrays, expected):
+    """Raise ValueError unless ``arrays`` (name -> ndarray) holds exactly the
+    names of ``expected`` (name -> shape), each with its shape and finite;
+    the error names every offending key."""
+    check_shapes({k: v.shape for k, v in arrays.items()}, expected)
+    if not np.isfinite(np.concatenate([v.ravel() for v in arrays.values()])).all():
+        bad = sorted(k for k, v in arrays.items() if not np.isfinite(v).all())
+        raise ValueError(f"parameters contain non-finite values: {bad}")
+
+
+def fan_in_uniform(rng, shape):
+    """Uniform weights in +-1/sqrt(fan-in), the fan-in being the last axis."""
+    s = 1.0 / np.sqrt(shape[-1])
+    return rng.uniform(-s, s, size=shape)
 
 
 def elu(x):

@@ -172,8 +172,15 @@ def finite_diff_error(loss, pairs, step=1e-5):
 
 
 def _pairs(layer, grads):
-    """Each weight of ``layer`` with its gradient from a backward's grads dict."""
-    return [(getattr(layer, w), g) for w, g in grads.items()]
+    """Each field of ``layer`` with its gradient from a backward's grads dict.
+
+    The fields come from the layer, so a backward that leaves one out, or
+    returns a gradient for something else, raises instead of going unchecked.
+    """
+    names = getattr(layer, "_fields", None) or tuple(vars(layer))
+    if set(grads) != set(names):
+        raise ValueError(f"gradients for {sorted(grads)}, but the fields are {sorted(names)}")
+    return [(getattr(layer, w), grads[w]) for w in names]
 
 
 def _degat_case(rng, l=8, c=4, k=3, frames=None):
@@ -189,7 +196,7 @@ def _bias_table_case(rng, l=5, c=4, heads=2, n_buckets=4):
     """The bucket table through one biased attention per head."""
     feats, q, k, v = (rng.standard_normal((l, c)) for _ in range(4))
     weight = rng.standard_normal((heads, l, c))
-    table = cond.BiasTable(table=rng.standard_normal((n_buckets, heads)))
+    table = rng.standard_normal((n_buckets, heads))
     bias, idx = cond.bucket_bias(feats, table)
     d_bias = np.stack([cond.biased_attention_backward(cond.biased_attention(q, k, v, b)[1], w)[3]
                        for b, w in zip(bias, weight)])
@@ -199,13 +206,13 @@ def _bias_table_case(rng, l=5, c=4, heads=2, n_buckets=4):
         return sum(float(np.sum(w * cond.biased_attention(q, k, v, b)[0]))
                    for b, w in zip(bias, weight))
 
-    return loss, [(table.table, cond.bias_table_gradient(d_bias, idx, n_buckets))]
+    return loss, [(table, cond.bias_table_gradient(d_bias, idx, n_buckets))]
 
 
 def _bias_mlp_case(rng, l=5, c=4, heads=2, hidden=6):
     feats = rng.standard_normal((l, c))
     weight = rng.standard_normal((heads, l, l))
-    mlp = cond.init_mlp2(1, hidden, heads, activation="relu", rng=rng)
+    mlp = cond.init_mlp2(1, hidden, heads, rng=rng)
     grads = cond.mlp_bias_backward(mlp, cond.mlp_bias(feats, mlp)[1], weight)
     return lambda: float(np.sum(weight * cond.mlp_bias(feats, mlp)[0])), _pairs(mlp, grads)
 
@@ -218,27 +225,27 @@ def _prior_case(kind, rng, c=6, hidden=4):
     mlp = cond.init_mlp2(c, hidden, (2 if kind == "film" else 1) * c, rng=rng)
     fwd, bwd = (getattr(cond, f"condition_{kind}{end}") for end in ("", "_backward"))
     grads, d_base, d_g = bwd(mlp, fwd(base, g, mlp)[1], weight)
-    return (lambda: float(np.dot(weight, fwd(base, g, mlp)[0].conditioned)),
+    return (lambda: float(np.dot(weight, fwd(base, g, mlp)[0])),
             _pairs(mlp, grads) + [(base, d_base), (g, d_g)])
 
 
 def _cross_attn_case(rng, c=4, l=3, heads=2, hidden=4):
     base, tokens, weight = rng.standard_normal(c), rng.standard_normal((l, c)), rng.standard_normal(c)
-    attn = cond.init_cross_attn(c, heads, rng=rng, zero_output=False)
+    attn = cond.init_cross_attn(c, rng=rng, zero_output=False)
     ffn = cond.init_mlp2(c, hidden, c, rng=rng)
-    _, cache = cond.condition_cross_attention(base, tokens, attn, ffn)
+    _, cache = cond.condition_cross_attention(base, tokens, attn, ffn, heads)
     ag, fg, d_base, d_tokens = cond.condition_cross_attention_backward(attn, ffn, cache, weight)
 
     def loss():
-        tok, _ = cond.condition_cross_attention(base, tokens, attn, ffn)
-        return float(np.dot(weight, tok.conditioned))
+        tok, _ = cond.condition_cross_attention(base, tokens, attn, ffn, heads)
+        return float(np.dot(weight, tok))
 
     return loss, _pairs(attn, ag) + _pairs(ffn, fg) + [(base, d_base), (tokens, d_tokens)]
 
 
 def _mlp2_case(rng, n_in=3, hidden=4, n_out=2):
     """The GELU MLP on a single input vector."""
-    mlp = cond.init_mlp2(n_in, hidden, n_out, activation="gelu", rng=rng)
+    mlp = cond.init_mlp2(n_in, hidden, n_out, rng=rng)
     x = rng.standard_normal(n_in)
     weight = rng.standard_normal(n_out)
     grads, d_x = cond.mlp2_backward(mlp, cond.mlp2_forward(mlp, x)[1], weight)
@@ -247,14 +254,17 @@ def _mlp2_case(rng, n_in=3, hidden=4, n_out=2):
 
 def _multi_head_attention_case(rng, c=4, heads=2, n=3, m=5):
     """N queries on M keys with a per-head bias, through ``biased_attention``."""
-    attn = cond.init_cross_attn(c, heads, rng=rng, zero_output=False)
+    attn = cond.init_cross_attn(c, rng=rng, zero_output=False)
     x_q, x_kv = rng.standard_normal((n, c)), rng.standard_normal((m, c))
     bias = rng.standard_normal((heads, n, m))
     weight = rng.standard_normal((n, c))
-    _, cache = cond.multi_head_attention(x_q, x_kv, attn, bias)
+    _, cache = cond.multi_head_attention(x_q, x_kv, attn, heads, bias)
     grads, d_q, d_kv, d_bias = cond.multi_head_attention_backward(attn, cache, weight)
-    return (lambda: float(np.sum(weight * cond.multi_head_attention(x_q, x_kv, attn, bias)[0])),
-            _pairs(attn, grads) + [(x_q, d_q), (x_kv, d_kv), (bias, d_bias)])
+
+    def loss():
+        return float(np.sum(weight * cond.multi_head_attention(x_q, x_kv, attn, heads, bias)[0]))
+
+    return loss, _pairs(attn, grads) + [(x_q, d_q), (x_kv, d_kv), (bias, d_bias)]
 
 
 def _depth_loss_case(rng, frames=2, h=3, w=4):

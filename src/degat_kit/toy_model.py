@@ -13,10 +13,12 @@ scores the stacked outputs with one call of each ``objective`` loss, and
 ``forward`` unpacks the outputs into one depth map and camera per frame.
 
 The parameter dict is checked once, when it enters ``forward``: its names
-and shapes against ``param_shapes(cfg)``, and its values for finiteness.
-The per-step parameter views skip their own validation after that.
-Gradients are allocated where they are first written; parameters a
-variant does not use get zero gradients.
+and shapes against ``param_shapes(cfg)``, which is assembled from the
+layers' own shape tables, and its values for finiteness
+(``numerics.check_arrays``). Each layer then reads its weights through
+``_layer``, a plain tuple of the arrays under its prefix. Gradients are
+allocated where they are first written; parameters a variant does not use
+get zero gradients.
 
 Every attention layer is ``conditioning.multi_head_attention``, and the
 conditioning and bias kinds are the keys of two (forward, backward) tables.
@@ -35,13 +37,12 @@ from . import degat as dg
 from . import conditioning as cond
 from .geometry import CameraParams, DepthMap
 from .graph import METRICS
+from .numerics import check_arrays, fan_in_uniform
 from .objective import LossWeights, camera_loss, depth_loss, depth_loss_backward
 
 __all__ = [
     "ModelConfig",
     "param_shapes",
-    "check_param_shapes",
-    "check_params",
     "init_model_params",
     "forward",
     "ModelCache",
@@ -86,6 +87,16 @@ class ModelConfig:
     def __post_init__(self):
         sizes = ("image_h", "image_w", "patch_size", "embed_dim", "n_heads", "cond_hidden",
                  "bias_hidden", "n_buckets", "ffn_mult", "cam_hidden")
+        not_int = [f"{name}={getattr(self, name)!r}"
+                   for name in sizes + ("n_blocks", "k_neighbors", "seed")
+                   if type(getattr(self, name)) is not int]
+        if not_int:
+            raise ValueError(f"model sizes, k_neighbors and seed must be integers: "
+                             f"{', '.join(not_int)}")
+        not_str = [name for name in ("degat_placement", "token_conditioning", "attention_bias",
+                                     "knn_metric") if not isinstance(getattr(self, name), str)]
+        if not_str:
+            raise ValueError(f"model options must be strings: {', '.join(not_str)}")
         bad = [f"{name}={getattr(self, name)}" for name in sizes if getattr(self, name) < 1]
         if self.n_blocks < 0:
             bad.append(f"n_blocks={self.n_blocks}")
@@ -126,37 +137,28 @@ class ModelConfig:
         return self.grid_h * self.grid_w
 
 
-def _uniform(rng, shape, fan_in):
-    s = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-s, s, size=shape)
-
-
-def _mlp_shapes(prefix, n_in, hidden, n_out):
-    return {f"{prefix}.w1": (hidden, n_in), f"{prefix}.b1": (hidden,),
-            f"{prefix}.w2": (n_out, hidden), f"{prefix}.b2": (n_out,)}
-
-
-def _attn_shapes(prefix, c):
-    return {f"{prefix}.{w}": (c, c) for w in ("w_q", "w_k", "w_v", "w_o")}
+def _prefixed(prefix, layer_shapes):
+    """A layer's field -> shape table under the layer's parameter names."""
+    return {f"{prefix}.{w}": shape for w, shape in layer_shapes.items()}
 
 
 @functools.lru_cache(maxsize=32)
 def _shape_table(p2, c, n_heads, n_blocks, f, ch, bias_hidden, n_buckets, cam_hidden):
     shapes = {
         "embed.w": (c, p2), "embed.b": (c,), "camera_token": (c,),
-        "degat.w_proj": (c, 2 * c), "degat.a": (c,), "degat.w_val": (c, c),
-        **_mlp_shapes("cond_add", c, ch, c),
-        **_mlp_shapes("cond_film", c, ch, 2 * c),
-        **_attn_shapes("cond_xattn", c),
-        **_mlp_shapes("cond_xattn_ffn", c, ch, c),
+        **_prefixed("degat", dg.degat_shapes(c)),
+        **_prefixed("cond_add", cond.mlp2_shapes(c, ch, c)),
+        **_prefixed("cond_film", cond.mlp2_shapes(c, ch, 2 * c)),
+        **_prefixed("cond_xattn", cond.attn_shapes(c)),
+        **_prefixed("cond_xattn_ffn", cond.mlp2_shapes(c, ch, c)),
         "bias_table": (n_buckets, n_heads),
-        **_mlp_shapes("bias_mlp", 1, bias_hidden, n_heads),
+        **_prefixed("bias_mlp", cond.mlp2_shapes(1, bias_hidden, n_heads)),
     }
     for name in [f"block{i}" for i in range(n_blocks)] + ["global"]:
-        shapes.update(_attn_shapes(name, c))
-        shapes.update(_mlp_shapes(f"{name}_ffn", c, f, c))
+        shapes.update(_prefixed(name, cond.attn_shapes(c)))
+        shapes.update(_prefixed(f"{name}_ffn", cond.mlp2_shapes(c, f, c)))
     shapes.update({"depth_head.w": (2 * p2, c), "depth_head.b": (2 * p2,)})
-    shapes.update(_mlp_shapes("cam_head", c, cam_hidden, 13))
+    shapes.update(_prefixed("cam_head", cond.mlp2_shapes(c, cam_hidden, 13)))
     return MappingProxyType(shapes)
 
 
@@ -178,31 +180,6 @@ def param_shapes(cfg):
     return dict(_shapes_of(cfg))
 
 
-def check_param_shapes(shapes, cfg):
-    """Raise ValueError unless ``shapes`` (name -> shape) lists exactly the
-    parameters of ``cfg``, each with its shape."""
-    expected = _shapes_of(cfg)
-    if shapes.keys() != expected.keys():
-        missing = sorted(expected.keys() - shapes.keys())
-        extra = sorted(shapes.keys() - expected.keys())
-        raise ValueError(
-            f"parameters do not match the config: missing {missing}, unexpected {extra}"
-        )
-    reshaped = sorted(k for k, shape in shapes.items() if tuple(shape) != expected[k])
-    if reshaped:
-        raise ValueError(f"parameter shapes do not match the config: {reshaped}")
-
-
-def check_params(params, cfg):
-    """Raise ValueError unless ``params`` holds exactly the parameters of
-    ``cfg``, each with its shape and finite; the error names every
-    offending key."""
-    check_param_shapes({k: v.shape for k, v in params.items()}, cfg)
-    if not np.isfinite(np.concatenate([v.ravel() for v in params.values()])).all():
-        bad = sorted(k for k, v in params.items() if not np.isfinite(v).all())
-        raise ValueError(f"parameters contain non-finite values: {bad}")
-
-
 def init_model_params(cfg, rng=None):
     """Seeded parameter dict: uniform in +-1/sqrt(fan-in) over the last axis,
     a small normal camera token, and zeros for biases and ``ZERO_INIT``."""
@@ -214,7 +191,7 @@ def init_model_params(cfg, rng=None):
         elif name in ZERO_INIT or name.rsplit(".", 1)[-1] in ("b", "b1", "b2"):
             params[name] = np.zeros(shape)
         else:
-            params[name] = _uniform(rng, shape, shape[-1])
+            params[name] = fan_in_uniform(rng, shape)
     return params
 
 
@@ -222,34 +199,15 @@ def zero_grads(params):
     return {k: np.zeros_like(v) for k, v in params.items()}
 
 
-def _view(cls, **fields):
-    """A ``cls`` instance over parameter arrays that ``check_params`` has
-    already checked, built without running the class's validation again;
-    fields left out keep the class default."""
-    view = object.__new__(cls)
-    vars(view).update(fields)
-    return view
-
-
-def _mlp_view(params, prefix, activation):
-    w1, b1, w2, b2 = (params[f"{prefix}.{w}"] for w in ("w1", "b1", "w2", "b2"))
-    return _view(cond.Mlp2, w1=w1, b1=b1, w2=w2, b2=b2, activation=activation)
+def _layer(cls, params, prefix):
+    """The ``cls`` weight tuple of the arrays under ``prefix``."""
+    return cls._make([params[f"{prefix}.{w}"] for w in cls._fields])
 
 
 def _store(grads, prefix, g):
     """Store a layer's gradient dict under the layer's parameter names."""
     for w, gw in g.items():
         grads[f"{prefix}.{w}"] = gw
-
-
-def _attn_view(params, prefix, n_heads):
-    w_q, w_k, w_v, w_o = (params[f"{prefix}.{w}"] for w in ("w_q", "w_k", "w_v", "w_o"))
-    return _view(cond.CrossAttnParams, w_q=w_q, w_k=w_k, w_v=w_v, w_o=w_o, n_heads=n_heads)
-
-
-def _degat_view(params):
-    w_proj, a, w_val = (params[f"degat.{w}"] for w in ("w_proj", "a", "w_val"))
-    return _view(dg.DeGatParams, w_proj=w_proj, a=a, w_val=w_val)
 
 
 def _degat_backward(grads, degat_params, cache, d_out):
@@ -283,14 +241,10 @@ def _unpatchify(tokens, cfg):
 # self-attention + FFN block
 
 
-def _block_view(params, name, n_heads):
-    """The block's (attention, FFN) weights, viewed once per forward pass."""
-    return _attn_view(params, name, n_heads), _mlp_view(params, f"{name}_ffn", "gelu")
-
-
-def _block_forward(x, view, bias=None):
-    attn, ffn = view
-    attn_out, attn_cache = cond.multi_head_attention(x, x, attn, bias)
+def _block_forward(params, name, x, n_heads, bias=None):
+    attn = _layer(cond.CrossAttnParams, params, name)
+    ffn = _layer(cond.Mlp2, params, f"{name}_ffn")
+    attn_out, attn_cache = cond.multi_head_attention(x, x, attn, n_heads, bias)
     y = x + attn_out
     ffn_out, ffn_cache = cond.mlp2_forward(ffn, y)
     z = y + ffn_out
@@ -330,8 +284,7 @@ def _heads_forward(params, cfg, patch_tokens, cam_tokens):
     depth = np.exp(_unpatchify(raw[..., :p2], cfg))
     conf = np.exp(_unpatchify(raw[..., p2:], cfg))
 
-    cam_mlp = _mlp_view(params, "cam_head", "gelu")
-    y, cam_cache = cond.mlp2_forward(cam_mlp, cam_tokens)
+    y, cam_cache = cond.mlp2_forward(_layer(cond.Mlp2, params, "cam_head"), cam_tokens)
     poses = _Poses(
         rotation=y[:, :9].reshape(-1, 3, 3), translation=y[:, 9:12],
         focal=np.logaddexp(0.0, y[:, 12]) + FOCAL_EPS,  # softplus
@@ -354,8 +307,9 @@ def _heads_backward(params, grads, cfg, head_cache, up):
     d_y = np.concatenate(
         [up["rotation"].reshape(-1, 9), up["translation"], d_focal[:, None]], axis=1
     )
-    cam_mlp = _mlp_view(params, "cam_head", "gelu")
-    cam_grads, d_cam_tok = cond.mlp2_backward(cam_mlp, cam_cache, d_y)
+    cam_grads, d_cam_tok = cond.mlp2_backward(
+        _layer(cond.Mlp2, params, "cam_head"), cam_cache, d_y
+    )
     _store(grads, "cam_head", cam_grads)
     return d_patch, d_cam_tok
 
@@ -383,15 +337,14 @@ def _cond_prior(kind, prefix, params, cfg, x1):
     """Additive or FiLM conditioning on the pooled prior, with the MLP under
     ``prefix``; ``cond.condition_<kind>`` is looked up per call, where a
     wrapper installed after import is seen."""
-    tok, cache = getattr(cond, f"condition_{kind}")(
-        params["camera_token"], dg.pooled_prior(x1), _mlp_view(params, prefix, "gelu")
+    return getattr(cond, f"condition_{kind}")(
+        params["camera_token"], dg.pooled_prior(x1), _layer(cond.Mlp2, params, prefix)
     )
-    return tok.conditioned, cache
 
 
 def _cond_prior_backward(kind, prefix, params, grads, cfg, cache, d_cond, d_x1):
     mg, d_base, d_g = getattr(cond, f"condition_{kind}_backward")(
-        _mlp_view(params, prefix, "gelu"), cache, d_cond
+        _layer(cond.Mlp2, params, prefix), cache, d_cond
     )
     _store(grads, prefix, mg)
     d_x1 += d_g[:, None] / d_x1.shape[1]  # the pooled prior is the token mean
@@ -399,17 +352,16 @@ def _cond_prior_backward(kind, prefix, params, grads, cfg, cache, d_cond, d_x1):
 
 
 def _cond_cross_attn(params, cfg, x1):
-    tok, cache = cond.condition_cross_attention(
-        params["camera_token"], x1, _attn_view(params, "cond_xattn", cfg.n_heads),
-        _mlp_view(params, "cond_xattn_ffn", "gelu"),
+    return cond.condition_cross_attention(
+        params["camera_token"], x1, _layer(cond.CrossAttnParams, params, "cond_xattn"),
+        _layer(cond.Mlp2, params, "cond_xattn_ffn"), cfg.n_heads,
     )
-    return tok.conditioned, cache
 
 
 def _cond_cross_attn_backward(params, grads, cfg, cache, d_cond, d_x1):
     ag, fg, d_base, d_tokens = cond.condition_cross_attention_backward(
-        _attn_view(params, "cond_xattn", cfg.n_heads),
-        _mlp_view(params, "cond_xattn_ffn", "gelu"), cache, d_cond,
+        _layer(cond.CrossAttnParams, params, "cond_xattn"),
+        _layer(cond.Mlp2, params, "cond_xattn_ffn"), cache, d_cond,
     )
     _store(grads, "cond_xattn", ag)
     _store(grads, "cond_xattn_ffn", fg)
@@ -422,7 +374,7 @@ def _bias_none(params, cfg, x1, pre_degat):
 
 
 def _bias_bucket(params, cfg, x1, pre_degat):
-    return cond.bucket_bias(x1, _view(cond.BiasTable, table=params["bias_table"]))
+    return cond.bucket_bias(x1, params["bias_table"])
 
 
 def _bias_bucket_backward(params, grads, cfg, idx, d_bias):
@@ -430,11 +382,11 @@ def _bias_bucket_backward(params, grads, cfg, idx, d_bias):
 
 
 def _bias_mlp(params, cfg, x1, pre_degat):
-    return cond.mlp_bias(x1, _mlp_view(params, "bias_mlp", "relu"))
+    return cond.mlp_bias(x1, _layer(cond.Mlp2, params, "bias_mlp"))
 
 
 def _bias_mlp_backward(params, grads, cfg, cache, d_bias):
-    bg = cond.mlp_bias_backward(_mlp_view(params, "bias_mlp", "relu"), cache, d_bias)
+    bg = cond.mlp_bias_backward(_layer(cond.Mlp2, params, "bias_mlp"), cache, d_bias)
     _store(grads, "bias_mlp", bg)
 
 
@@ -443,7 +395,8 @@ def _bias_log_affinity(params, cfg, x1, pre_degat):
     # constant during backprop (parameter-free integration)
     cache = pre_degat
     if cache is None:
-        _, cache = dg.degat_forward(x1, _degat_view(params), cfg.k_neighbors, cfg.knn_metric)
+        degat = _layer(dg.DeGatParams, params, "degat")
+        _, cache = dg.degat_forward(x1, degat, cfg.k_neighbors, cfg.knn_metric)
     return dg.affinity_to_log_bias(cache)[:, None], None
 
 
@@ -491,8 +444,8 @@ def forward(params, cfg, frames):
     Returns (depth maps, camera params, cache), one map and camera per
     frame; depth and confidence are exp-parameterized and therefore
     strictly positive, the focal length is softplus-parameterized.
-    ``params`` is checked here (``check_params``), and nowhere else in the
-    step.
+    ``params`` is checked here (``numerics.check_arrays``), and nowhere
+    else in the step.
     """
     cache = _forward(params, cfg, frames)
     pred, poses = cache.outputs
@@ -505,8 +458,8 @@ def _forward(params, cfg, frames):
     """The model's forward pass over the frames, as one ``ModelCache``."""
     if len(frames) == 0:
         raise ValueError("forward requires at least one frame")
-    check_params(params, cfg)
-    degat_params = _degat_view(params)
+    check_arrays(params, _shapes_of(cfg))
+    degat_params = _layer(dg.DeGatParams, params, "degat")
     condition, _ = TOKEN_CONDITIONING[cfg.token_conditioning]
     attention_bias, _ = ATTENTION_BIAS[cfg.attention_bias]
     patches = _patchify(frames, cfg)
@@ -525,12 +478,12 @@ def _forward(params, cfg, frames):
     seq = np.concatenate([c_tok[:, None], x1], axis=1)  # (F, L + 1, C)
     block_caches = []
     for i in range(cfg.n_blocks):
-        seq, bc = _block_forward(seq, _block_view(params, f"block{i}", cfg.n_heads), bias)
+        seq, bc = _block_forward(params, f"block{i}", seq, cfg.n_heads, bias)
         block_caches.append(bc)
 
     if nf > 1:
         flat, global_cache = _block_forward(
-            seq.reshape(-1, cfg.embed_dim), _block_view(params, "global", cfg.n_heads)
+            params, "global", seq.reshape(-1, cfg.embed_dim), cfg.n_heads
         )
         seq = flat.reshape(seq.shape)
 
@@ -570,7 +523,7 @@ def backward(params, cfg, cache, upstream):
             + ", ".join(f"{key} {want[key]}" for key in bad)
         )
     grads = {}  # each gradient is stored once, by the layer that computes it
-    degat_params = _degat_view(params)
+    degat_params = _layer(dg.DeGatParams, params, "degat")
     _, condition_backward = TOKEN_CONDITIONING[cfg.token_conditioning]
     _, bias_backward = ATTENTION_BIAS[cfg.attention_bias]
 

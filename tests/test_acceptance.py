@@ -224,12 +224,12 @@ def test_criterion_11_zero_init_identity():
     film, _ = cond.condition_film(base, g, cond.init_mlp2(c, 32, 2 * c, rng=1, zero_final=True))
     xatt, _ = cond.condition_cross_attention(
         base, tokens,
-        cond.init_cross_attn(c, 4, rng=2, zero_output=True),
-        cond.init_mlp2(c, 32, c, rng=3, zero_final=True),
+        cond.init_cross_attn(c, rng=2, zero_output=True),
+        cond.init_mlp2(c, 32, c, rng=3, zero_final=True), 4,
     )
-    passed = (np.array_equal(add.conditioned, base)
-              and np.array_equal(film.conditioned, base)
-              and np.array_equal(xatt.conditioned, base))
+    passed = (np.array_equal(add, base)
+              and np.array_equal(film, base)
+              and np.array_equal(xatt, base))
     report(11, "zero-init conditioning identity", passed,
            "additive/FiLM/cross-attention all bit-exact")
 

@@ -24,10 +24,9 @@ from degat_kit.geometry import CameraParams
 TOL = 1e-12
 
 
-def ref_mha_forward(x_q, x_kv, attn, bias=None):
+def ref_mha_forward(x_q, x_kv, attn, h, bias=None):
     n, c = x_q.shape
     m = x_kv.shape[0]
-    h = attn.n_heads
     d = c // h
     q = (x_q @ attn.w_q.T).reshape(n, h, d).transpose(1, 0, 2)
     k = (x_kv @ attn.w_k.T).reshape(m, h, d).transpose(1, 0, 2)
@@ -46,7 +45,7 @@ def ref_mha_backward(attn, cache, d_out):
     x_q, x_kv, q, k, v, probs, ctx = cache
     n, c = x_q.shape
     m = x_kv.shape[0]
-    h = attn.n_heads
+    h = probs.shape[0]
     d = c // h
     d_ctx = (d_out @ attn.w_o).reshape(n, h, d).transpose(1, 0, 2)
     d_probs = d_ctx @ v.transpose(0, 2, 1)
@@ -65,9 +64,8 @@ def ref_mha_backward(attn, cache, d_out):
     return grads, d_qm @ attn.w_q, d_km @ attn.w_k + d_vm @ attn.w_v, d_scores
 
 
-def ref_cross_attention(base, tokens, attn, ffn):
-    c = attn.dim
-    h = attn.n_heads
+def ref_cross_attention(base, tokens, attn, ffn, h):
+    c = attn.w_q.shape[0]
     d = c // h
     q = (base @ attn.w_q.T).reshape(h, d)
     k = (tokens @ attn.w_k.T).reshape(-1, h, d).transpose(1, 0, 2)
@@ -80,13 +78,13 @@ def ref_cross_attention(base, tokens, attn, ffn):
     c1 = base + ctx @ attn.w_o.T
     ffn_out, ffn_cache = cond.mlp2_forward(ffn, c1)
     cache = (base, tokens, q, k, v, attn_w, ctx, ffn_cache)
-    return cond.CameraToken(conditioned=c1 + ffn_out), cache
+    return c1 + ffn_out, cache
 
 
 def ref_cross_attention_backward(attn, ffn, cache, d_out):
     base, tokens, q, k, v, attn_w, ctx, ffn_cache = cache
-    c = attn.dim
-    h = attn.n_heads
+    c = attn.w_q.shape[0]
+    h = attn_w.shape[0]
     d = c // h
     ffn_grads, d_c1_ffn = cond.mlp2_backward(ffn, ffn_cache, d_out)
     d_c1 = d_out + d_c1_ffn
@@ -109,12 +107,12 @@ def ref_cross_attention_backward(attn, ffn, cache, d_out):
     return attn_grads, ffn_grads, d_base, d_tokens
 
 
-def per_frame_mha_forward(x_q, x_kv, attn, bias=None):
+def per_frame_mha_forward(x_q, x_kv, attn, h, bias=None):
     """ref_mha_forward over a leading frame axis; 2-D inputs go straight through."""
     if x_q.ndim == 2:
-        return ref_mha_forward(x_q, x_kv, attn, bias)
+        return ref_mha_forward(x_q, x_kv, attn, h, bias)
     biases = [None] * len(x_q) if bias is None else bias
-    runs = [ref_mha_forward(q, kv, attn, b) for q, kv, b in zip(x_q, x_kv, biases)]
+    runs = [ref_mha_forward(q, kv, attn, h, b) for q, kv, b in zip(x_q, x_kv, biases)]
     return np.stack([out for out, _ in runs]), [cache for _, cache in runs]
 
 
@@ -126,10 +124,9 @@ def per_frame_mha_backward(attn, cache, d_out):
     return (grads, *(np.stack([r[i] for r in runs]) for i in (1, 2, 3)))
 
 
-def per_frame_cross_attention(base, tokens, attn, ffn):
-    runs = [ref_cross_attention(base, t, attn, ffn) for t in tokens]
-    conditioned = np.stack([tok.conditioned for tok, _ in runs])
-    return cond.CameraToken(conditioned=conditioned), [cache for _, cache in runs]
+def per_frame_cross_attention(base, tokens, attn, ffn, h):
+    runs = [ref_cross_attention(base, t, attn, ffn, h) for t in tokens]
+    return np.stack([tok for tok, _ in runs]), [cache for _, cache in runs]
 
 
 def per_frame_cross_attention_backward(attn, ffn, cache, d_out):

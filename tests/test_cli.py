@@ -153,7 +153,11 @@ class TestEvalCheckpointValidation:
         (lambda p: p.update({"degat.a": [4, 2]}), "shapes"),
         (lambda p: p.update({"../outside": [1]}), "path separators"),
         (lambda p: p.update({"..\\outside": [1]}), "path separators"),
-    ], ids=["missing", "extra", "reshaped", "slash", "backslash"])
+        (lambda p: p.update({"degat.a": 5}), "not lists of integers: ['degat.a']"),
+        (lambda p: p.update({"degat.a": None}), "not lists of integers: ['degat.a']"),
+        (lambda p: p.update({"degat.a": [8.0]}), "not lists of integers: ['degat.a']"),
+    ], ids=["missing", "extra", "reshaped", "slash", "backslash", "int-shape", "null-shape",
+            "float-shape"])
     def test_tampered_manifest_is_validation_error(self, ckpt, capsys, edit, needle):
         self.edit_manifest(ckpt, edit)
         code, err = self.run_eval(ckpt, capsys)

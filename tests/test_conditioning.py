@@ -5,7 +5,7 @@ import pytest
 
 from degat_kit import conditioning
 from degat_kit.conditioning import (
-    BiasTable,
+    Mlp2,
     bias_table_gradient,
     biased_attention,
     biased_attention_backward,
@@ -21,12 +21,14 @@ from degat_kit.conditioning import (
     init_mlp2,
     mlp2_backward,
     mlp2_forward,
+    mlp2_shapes,
     mlp_bias,
     mlp_bias_backward,
     mlp_bias_coords,
     multi_head_attention,
     multi_head_attention_backward,
 )
+from degat_kit.numerics import check_arrays
 from degat_kit.properties import finite_diff_grad
 
 # the bias MLP's row block: the default (one block for every small test) and
@@ -46,21 +48,16 @@ def assert_blocks_agree(runs):
 
 class TestMlp2:
     def test_hand_relu_values(self):
-        mlp = init_mlp2(1, 2, 1, activation="relu", rng=0)
-        mlp.w1 = np.array([[1.0], [-1.0]])
-        mlp.b1 = np.array([0.0, 0.0])
-        mlp.w2 = np.array([[2.0, 3.0]])
-        mlp.b2 = np.array([0.5])
-        y, _ = mlp2_forward(mlp, np.array([2.0]))
+        mlp = Mlp2(w1=np.array([[1.0], [-1.0]]), b1=np.array([0.0, 0.0]),
+                   w2=np.array([[2.0, 3.0]]), b2=np.array([0.5]))
+        y, _ = mlp2_forward(mlp, np.array([2.0]), "relu")
         assert y[0] == pytest.approx(4.5)  # 2*relu(2) + 3*relu(-2) + 0.5
-        y, _ = mlp2_forward(mlp, np.array([-1.0]))
+        y, _ = mlp2_forward(mlp, np.array([-1.0]), "relu")
         assert y[0] == pytest.approx(3.5)
 
     def test_gelu_value(self):
-        mlp = init_mlp2(1, 1, 1, activation="gelu", rng=1)
-        mlp.w1 = np.array([[1.0]])
-        mlp.w2 = np.array([[1.0]])
-        y, _ = mlp2_forward(mlp, np.array([1.0]))
+        mlp = init_mlp2(1, 1, 1, rng=1)._replace(w1=np.array([[1.0]]), w2=np.array([[1.0]]))
+        y, _ = mlp2_forward(mlp, np.array([1.0]), "gelu")
         # exact GELU(1) = 0.5 * (1 + erf(1/sqrt(2)))
         assert y[0] == pytest.approx(0.8413447460685429, abs=1e-12)
 
@@ -80,14 +77,14 @@ class TestMlp2:
     @pytest.mark.parametrize("act", ["relu", "gelu"])
     def test_backward_finite_difference(self, act):
         rng = np.random.default_rng(4)
-        mlp = init_mlp2(3, 4, 2, activation=act, rng=4)
+        mlp = init_mlp2(3, 4, 2, rng=4)
         x = rng.standard_normal(3) + 0.1  # keep relu kinks away
         w = rng.standard_normal(2)
-        _, cache = mlp2_forward(mlp, x)
-        grads, d_x = mlp2_backward(mlp, cache, w)
+        _, cache = mlp2_forward(mlp, x, act)
+        grads, d_x = mlp2_backward(mlp, cache, w)  # reads the activation from the cache
 
         def loss():
-            y, _ = mlp2_forward(mlp, x)
+            y, _ = mlp2_forward(mlp, x, act)
             return float(w @ y)
 
         for analytic, arr in [
@@ -98,8 +95,9 @@ class TestMlp2:
             assert np.max(np.abs(analytic - numeric)) < 1e-7
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            init_mlp2(2, 3, 1, activation="tanh", rng=0)
+        # the activation is a call argument: an unknown one is rejected by the call
+        with pytest.raises(ValueError, match="unknown activation 'tanh'"):
+            mlp2_forward(init_mlp2(2, 3, 1, rng=0), np.zeros(2), "tanh")
 
 
 class TestTokenConditioning:
@@ -107,27 +105,26 @@ class TestTokenConditioning:
         mlp = init_mlp2(4, 8, 4, rng=5, zero_final=True)
         base = np.random.default_rng(5).standard_normal(4)
         tok, _ = condition_additive(base, np.ones(4), mlp)
-        np.testing.assert_array_equal(tok.conditioned, base)
+        np.testing.assert_array_equal(tok, base)
 
     def test_additive_hand_value(self):
-        mlp = init_mlp2(1, 1, 2, activation="relu", rng=6)
-        mlp.w1 = np.array([[1.0]])
-        mlp.w2 = np.array([[1.0], [2.0]])
-        tok, _ = condition_additive(np.array([10.0, 20.0]), np.array([3.0]), mlp)
-        np.testing.assert_allclose(tok.conditioned, [13.0, 26.0])
+        # the conditioning MLPs are GELU, and GELU(10) = 10 in float64
+        mlp = init_mlp2(1, 1, 2, rng=6)._replace(w1=np.array([[1.0]]), w2=np.array([[1.0], [2.0]]))
+        tok, _ = condition_additive(np.array([10.0, 20.0]), np.array([10.0]), mlp)
+        np.testing.assert_allclose(tok, [20.0, 40.0])
 
     def test_film_identity_at_init(self):
         mlp = init_mlp2(4, 8, 6, rng=7, zero_final=True)
         base = np.random.default_rng(7).standard_normal(3)
         tok, _ = condition_film(base, np.ones(4), mlp)
-        np.testing.assert_array_equal(tok.conditioned, base)
+        np.testing.assert_array_equal(tok, base)
 
     def test_film_scale_and_shift(self):
-        mlp = init_mlp2(1, 1, 4, activation="relu", rng=8)
-        mlp.w1 = np.array([[1.0]])
-        mlp.w2 = np.array([[1.0], [0.0], [0.0], [5.0]])  # gamma=(g,0), beta=(0,5g)
-        tok, _ = condition_film(np.array([2.0, 3.0]), np.array([1.0]), mlp)
-        np.testing.assert_allclose(tok.conditioned, [4.0, 8.0])
+        mlp = init_mlp2(1, 1, 4, rng=8)._replace(
+            w1=np.array([[1.0]]), w2=np.array([[1.0], [0.0], [0.0], [5.0]])
+        )  # gamma=(g,0), beta=(0,5g) with GELU(g) = g at g = 10
+        tok, _ = condition_film(np.array([2.0, 3.0]), np.array([10.0]), mlp)
+        np.testing.assert_allclose(tok, [22.0, 53.0])
 
     def test_film_requires_even_output(self):
         mlp = init_mlp2(2, 3, 3, rng=9)
@@ -135,13 +132,13 @@ class TestTokenConditioning:
             condition_film(np.zeros(2), np.zeros(2), mlp)
 
     def test_cross_attention_identity_at_init(self):
-        attn = init_cross_attn(8, 2, rng=10, zero_output=True)
+        attn = init_cross_attn(8, rng=10, zero_output=True)
         ffn = init_mlp2(8, 16, 8, rng=10, zero_final=True)
         rng = np.random.default_rng(10)
         base = rng.standard_normal(8)
         tokens = rng.standard_normal((5, 8))
-        tok, _ = condition_cross_attention(base, tokens, attn, ffn)
-        np.testing.assert_array_equal(tok.conditioned, base)
+        tok, _ = condition_cross_attention(base, tokens, attn, ffn, 2)
+        np.testing.assert_array_equal(tok, base)
 
 class TestBucketBias:
     def test_indices_range_and_diagonal(self):
@@ -162,11 +159,11 @@ class TestBucketBias:
     def test_lookup_matches_table(self):
         rng = np.random.default_rng(15)
         feats = rng.standard_normal((6, 3))
-        table = BiasTable(table=rng.standard_normal((8, 2)))
+        table = rng.standard_normal((8, 2))
         bias, idx = bucket_bias(feats, table)
         assert bias.shape == (2, 6, 6)
         for h in range(2):
-            np.testing.assert_array_equal(bias[h], table.table[idx, h])
+            np.testing.assert_array_equal(bias[h], table[idx, h])
 
     def test_gradient_sums_per_bucket(self):
         idx = np.array([[0, 1], [1, 0]])
@@ -222,7 +219,7 @@ class TestMlpBias:
         # activation is 33.5 MB, the coordinate column 1.0 MB
         rng = np.random.default_rng(34)
         feats = rng.standard_normal((2, 256, 32))
-        mlp = init_mlp2(1, 32, 4, activation="relu", rng=34)
+        mlp = init_mlp2(1, 32, 4, rng=34)
         delta = rng.standard_normal((2, 4, 256, 256))
         tracemalloc.start()
         try:
@@ -238,9 +235,10 @@ class TestMlpBias:
         assert fwd_peak < 16e6 and bwd_peak - held < 16e6
 
     def test_requires_scalar_input(self):
+        # the bias MLP maps 1 -> H: the shared check rejects a 2-input one
         mlp = init_mlp2(2, 3, 2, rng=20)
-        with pytest.raises(ValueError):
-            mlp_bias(np.zeros((3, 2)), mlp)
+        with pytest.raises(ValueError, match=r"shapes do not match the config: \['w1'\]"):
+            check_arrays(mlp._asdict(), mlp2_shapes(1, 3, 2))
 
 
 class TestBiasedAttention:
@@ -337,15 +335,15 @@ class TestFrameAxis:
 
     def test_multi_head_attention(self):
         rng = np.random.default_rng(30)
-        attn = init_cross_attn(6, 2, rng=30, zero_output=False)
+        attn = init_cross_attn(6, rng=30, zero_output=False)
         x = three_frames(rng, (5, 6))
         bias = three_frames(rng, (2, 5, 5))
         d_out = three_frames(rng, (5, 6))
-        out, cache = multi_head_attention(x, x, attn, bias)
+        out, cache = multi_head_attention(x, x, attn, 2, bias)
         grads, d_q, d_kv, d_bias = multi_head_attention_backward(attn, cache, d_out)
         runs = []
         for f in range(3):
-            out_f, cache_f = multi_head_attention(x[f], x[f], attn, bias[f])
+            out_f, cache_f = multi_head_attention(x[f], x[f], attn, 2, bias[f])
             runs.append((out_f, *multi_head_attention_backward(attn, cache_f, d_out[f])))
         for i, batched in [(0, out), (2, d_q), (3, d_kv), (4, d_bias)]:
             assert_close(batched, np.stack([r[i] for r in runs]))
@@ -357,7 +355,7 @@ class TestFrameAxis:
         rng = np.random.default_rng(31)
         c = 4
         base = rng.standard_normal(c)
-        attn = init_cross_attn(c, 2, rng=31, zero_output=False)
+        attn = init_cross_attn(c, rng=31, zero_output=False)
         mlp = init_mlp2(c, 6, 2 * c if kind == "film" else c, rng=31)
         prior = three_frames(rng, (5, c) if kind == "cross_attn" else (c,))
         d_cond = three_frames(rng, (c,))
@@ -366,14 +364,14 @@ class TestFrameAxis:
             if kind == "additive":
                 tok, cache = condition_additive(base, prior, mlp)
                 grads, d_base, d_prior = condition_additive_backward(mlp, cache, d_cond)
-                return tok.conditioned, d_base, d_prior, grads
+                return tok, d_base, d_prior, grads
             if kind == "film":
                 tok, cache = condition_film(base, prior, mlp)
                 grads, d_base, d_prior = condition_film_backward(mlp, cache, d_cond)
-                return tok.conditioned, d_base, d_prior, grads
-            tok, cache = condition_cross_attention(base, prior, attn, mlp)
+                return tok, d_base, d_prior, grads
+            tok, cache = condition_cross_attention(base, prior, attn, mlp, 2)
             ag, fg, d_base, d_prior = condition_cross_attention_backward(attn, mlp, cache, d_cond)
-            return tok.conditioned, d_base, d_prior, {**ag, **fg}
+            return tok, d_base, d_prior, {**ag, **fg}
 
         cond, d_base, d_prior, grads = run(prior, d_cond)
         runs = [run(prior[f], d_cond[f]) for f in range(3)]
@@ -387,7 +385,7 @@ class TestFrameAxis:
     def test_bias_generators(self, monkeypatch):
         rng = np.random.default_rng(32)
         feats = three_frames(rng, (6, 3))
-        table = BiasTable(table=rng.standard_normal((8, 2)))
+        table = rng.standard_normal((8, 2))
         mlp = init_mlp2(1, 4, 2, rng=32)
         delta = three_frames(rng, (2, 6, 6))
 
@@ -420,4 +418,4 @@ class TestFrameAxis:
         with pytest.raises(ValueError, match="g must be 1-D or 2-D"):
             condition_additive(np.zeros(2), np.zeros((1, 2, 2)), mlp)
         with pytest.raises(ValueError, match="tokens must be 2-D or 3-D"):
-            condition_cross_attention(np.zeros(2), np.zeros(2), init_cross_attn(2, 1, rng=33), mlp)
+            condition_cross_attention(np.zeros(2), np.zeros(2), init_cross_attn(2, rng=33), mlp, 1)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from degat_kit import degat
 from degat_kit.degat import (
     DeGatGrads,
     DeGatParams,
@@ -41,7 +42,7 @@ def slow_forward(x, params, k, metric="cosine"):
         for j in nbrs:
             h = np.concatenate([x[i], x[j]])
             z = params.w_proj @ h
-            e = np.where(z > 0, z, params.leaky_slope * z)
+            e = np.where(z > 0, z, degat.LEAKY_SLOPE * z)
             logits.append(params.a @ e)
         logits = np.asarray(logits)
         w = np.exp(logits - logits.max())
@@ -63,7 +64,7 @@ def concat_hop(x, params, k, metric, upstream):
     c = x.shape[1]
     h = np.concatenate([np.broadcast_to(x[:, None, :], (x.shape[0], k, c)), x[nb]], axis=2)
     z = h @ params.w_proj.T
-    e = leaky_relu(z, params.leaky_slope)
+    e = leaky_relu(z, degat.LEAKY_SLOPE)
     logits = e @ params.a
     expv = np.exp(logits - logits.max(axis=1, keepdims=True))
     alpha = expv / expv.sum(axis=1, keepdims=True)
@@ -80,7 +81,7 @@ def concat_hop(x, params, k, metric, upstream):
     d_x += d_v @ params.w_val
     d_logits = alpha * (d_alpha - np.sum(alpha * d_alpha, axis=1, keepdims=True))
     d_a = np.einsum("lk,lkp->p", d_logits, e)
-    d_z = d_logits[:, :, None] * params.a * leaky_relu_grad(z, params.leaky_slope)
+    d_z = d_logits[:, :, None] * params.a * leaky_relu_grad(z, degat.LEAKY_SLOPE)
     d_w_proj = np.einsum("lkp,lkq->pq", d_z, h)
     d_h = d_z @ params.w_proj
     d_x += d_h[:, :, :c].sum(axis=1)
@@ -189,11 +190,12 @@ class TestMatchesConcatReference:
 
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
     @pytest.mark.parametrize("n,c,cp,k", [(6, 3, 3, 1), (24, 8, 6, 5), (300, 16, 8, 9)])
-    def test_forward_and_grads(self, metric, n, c, cp, k):
+    def test_forward_and_grads(self, metric, n, c, cp, k, monkeypatch):
+        monkeypatch.setattr(degat, "LEAKY_SLOPE", 0.1)  # the hop and the reference read it
         rng = np.random.default_rng(n + k)
         x = hub_tokens(n, c, rng)
-        params = init_degat_params(c, c_proj=cp, leaky_slope=0.1, rng=n)
-        params.w_proj *= 4.0  # peaked attention, both LeakyReLU branches
+        params = init_degat_params(c, c_proj=cp, rng=n)
+        params.w_proj[...] *= 4.0  # peaked attention, both LeakyReLU branches
         up = rng.standard_normal((n, c))
 
         x_out, cache = degat_forward(x, params, k, metric)
@@ -212,15 +214,16 @@ class TestStackedFrames:
 
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
     @pytest.mark.parametrize("frames", [1, 2, 4])
-    def test_matches_per_frame_hops(self, metric, frames):
+    def test_matches_per_frame_hops(self, metric, frames, monkeypatch):
+        monkeypatch.setattr(degat, "LEAKY_SLOPE", 0.1)
         rng = np.random.default_rng(frames)
         n, c, k = 24, 8, 5
         # hub tokens, each frame scaled and shuffled: duplicate and zero rows,
         # and in-degrees far from K
         x = np.stack([rng.uniform(0.5, 2.0) * hub_tokens(n, c, rng)[rng.permutation(n)]
                       for _ in range(frames)])
-        params = init_degat_params(c, c_proj=6, leaky_slope=0.1, rng=frames)
-        params.w_proj *= 4.0
+        params = init_degat_params(c, c_proj=6, rng=frames)
+        params.w_proj[...] *= 4.0
         up = rng.standard_normal(x.shape)
 
         x_out, cache = degat_forward(x, params, k, metric)

@@ -1,7 +1,10 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from degat_kit import harness
 from degat_kit.harness import (
@@ -187,3 +190,68 @@ class TestCheckpointIo:
         assert manifest["config"]["embed_dim"] == 8
         assert manifest["params"]["embed.w"] == [8, 16]
         assert (tmp_path / "c" / "embed.w.bin").stat().st_size == 8 * 16 * 8
+
+
+TAMPER_CFG = tiny_cfg()
+TAMPER_PARAMS = init_model_params(TAMPER_CFG)
+NAMES = sorted(TAMPER_PARAMS)
+CONFIG_INTS = [f.name for f in fields(ModelConfig) if f.type is int]
+CONFIG_STRS = [f.name for f in fields(ModelConfig) if f.type is str]
+NOT_INT = st.one_of(st.floats(), st.booleans(), st.text(max_size=3), st.none(),
+                    st.lists(st.integers(0, 9), max_size=2))
+NOT_STR = st.one_of(st.integers(), st.floats(), st.booleans(), st.none(),
+                    st.lists(st.sampled_from(["none", "pre"]), max_size=2))
+SHAPE = st.lists(st.integers(0, 40), max_size=3)
+TAMPERING = st.one_of(
+    st.tuples(st.just("missing"), st.sampled_from(NAMES)),
+    st.tuples(st.just("extra"), st.text(min_size=1, max_size=6), SHAPE),
+    st.tuples(st.just("reshaped"), st.sampled_from(NAMES), SHAPE),
+    st.tuples(st.just("not_a_shape"), st.sampled_from(NAMES), st.one_of(
+        st.integers(), st.none(), st.text(max_size=3),
+        st.lists(st.one_of(st.floats(), st.booleans(), st.text(max_size=2)), min_size=1,
+                 max_size=2))),
+    st.tuples(st.just("separator"), st.sampled_from(["/", "\\"]), st.text(max_size=4)),
+    st.tuples(st.just("truncated"), st.sampled_from(NAMES), st.integers(1, 64)),
+    st.tuples(st.just("non_finite"), st.sampled_from(NAMES),
+              st.sampled_from([np.nan, np.inf, -np.inf]), st.integers(0, 10**6)),
+    st.tuples(st.just("config_value"), st.sampled_from(CONFIG_INTS), NOT_INT),
+    st.tuples(st.just("config_value"), st.sampled_from(CONFIG_STRS), NOT_STR),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tampering=TAMPERING)
+def test_tampered_checkpoint_raises_value_or_os_error(tmp_path_factory, tampering):
+    """Whatever is tampered with in a saved checkpoint, loading it raises
+    ValueError (a bad manifest, config or value) or OSError (a bad blob), and
+    no other error, and never returns."""
+    kind, *args = tampering
+    path = tmp_path_factory.mktemp("ckpt")
+    save_checkpoint(path, TAMPER_CFG, TAMPER_PARAMS)
+    manifest = json.loads((path / "manifest.json").read_text())
+    shapes = manifest["params"]
+    if kind == "missing":
+        del shapes[args[0]]
+    elif kind == "extra":
+        assume(args[0] not in shapes)
+        shapes[args[0]] = args[1]
+    elif kind == "reshaped":
+        assume(args[1] != shapes[args[0]])
+        shapes[args[0]] = args[1]
+    elif kind == "not_a_shape":  # [8.0] or [True] too, which compare equal to [8] or [1]
+        shapes[args[0]] = args[1]
+    elif kind == "separator":
+        shapes[args[1] + args[0] + NAMES[0]] = shapes.pop(NAMES[0])
+    elif kind == "truncated":
+        blob = path / f"{args[0]}.bin"
+        blob.write_bytes(blob.read_bytes()[:-args[1]])
+    elif kind == "non_finite":
+        blob = path / f"{args[0]}.bin"
+        values = np.fromfile(blob, dtype="<f8")
+        values[args[2] % values.size] = args[1]
+        values.tofile(blob)
+    else:
+        manifest["config"][args[0]] = args[1]
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises((ValueError, OSError)):
+        load_checkpoint(path)

@@ -21,6 +21,25 @@ def test_bias_mlp_row_across_blocks(seed, monkeypatch):
     assert finite_diff_error(loss, pairs) < 1e-7
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda grads: grads.pop("b2"),
+    lambda grads: grads.update({"w3": grads["w2"]}),
+], ids=["dropped", "extra"])
+def test_row_pairs_come_from_the_layer_fields(mutate, monkeypatch):
+    """A backward that drops a weight's gradient, or adds one for no field,
+    fails the row instead of leaving that weight unchecked."""
+    backward = conditioning.mlp2_backward
+
+    def mutant(*args):
+        grads, d_x = backward(*args)
+        mutate(grads)
+        return grads, d_x
+
+    monkeypatch.setattr(conditioning, "mlp2_backward", mutant)
+    with pytest.raises(ValueError, match="but the fields are \\['b1', 'b2', 'w1', 'w2'\\]"):
+        GRADIENT_CHECKS["mlp2"](np.random.default_rng(0))
+
+
 # keyword sizes of the table rows whose shapes carry a head or frame axis
 ROW_SIZES = {
     "degat": st.fixed_dictionaries({"frames": st.integers(1, 3)}),

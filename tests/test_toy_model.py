@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from degat_kit import degat as dg
 from degat_kit import toy_model
 from degat_kit.geometry import CameraParams
 from degat_kit.harness import generate_scene
+from degat_kit.numerics import check_arrays
 from degat_kit.objective import LossWeights
 from degat_kit.properties import finite_diff_error
 from degat_kit.toy_model import (
@@ -71,6 +73,17 @@ class TestConfig:
                    dict(n_buckets=0), dict(n_blocks=-1)):
             with pytest.raises(ValueError, match="model sizes"):
                 small_cfg(**kw)
+        # a size, k_neighbors or seed that is not an int is named in one error,
+        # before it can train, be saved, or fail deep inside numpy
+        for kw in (dict(k_neighbors=3.0), dict(k_neighbors=True), dict(n_blocks=1.0),
+                   dict(n_heads=2.0), dict(cond_hidden=4.0), dict(seed="0"), dict(seed=False),
+                   dict(image_h=np.int64(16))):
+            (name, value), = kw.items()
+            with pytest.raises(ValueError, match=f"model sizes.* {re.escape(f'{name}={value!r}')}"):
+                small_cfg(**kw)
+        for name in ("degat_placement", "token_conditioning", "attention_bias", "knn_metric"):
+            with pytest.raises(ValueError, match=f"must be strings: {name}"):
+                small_cfg(**{name: ["none"]})
         assert small_cfg(n_blocks=0).n_blocks == 0
 
     def test_grid_derivation(self):
@@ -151,17 +164,24 @@ class TestForward:
             forward(params, cfg, frames)
         assert needle in str(exc.value)
 
-    @pytest.mark.parametrize("make", [
-        lambda w: cond.Mlp2(w1=w, b1=np.zeros(2), w2=np.ones((1, 2)), b2=np.zeros(1)),
-        lambda w: cond.CrossAttnParams(w_q=w, w_k=np.eye(2), w_v=np.eye(2), w_o=np.eye(2),
-                                       n_heads=1),
-        lambda w: dg.DeGatParams(w_proj=np.ones((2, 4)), a=np.ones(2), w_val=w),
-        lambda w: cond.BiasTable(table=w),
+    @pytest.mark.parametrize("make,shapes", [
+        (lambda w: cond.Mlp2(w1=w, b1=np.zeros(2), w2=np.ones((1, 2)), b2=np.zeros(1)),
+         cond.mlp2_shapes(2, 2, 1)),
+        (lambda w: cond.CrossAttnParams(w_q=w, w_k=np.eye(2), w_v=np.eye(2), w_o=np.eye(2)),
+         cond.attn_shapes(2)),
+        (lambda w: dg.DeGatParams(w_proj=np.ones((2, 4)), a=np.ones(2), w_val=w),
+         dg.degat_shapes(2)),
+        (lambda w: {"bias_table": w}, {"bias_table": (2, 2)}),
     ], ids=["Mlp2", "CrossAttnParams", "DeGatParams", "BiasTable"])
-    def test_direct_construction_still_validates(self, make):
-        make(np.eye(2))
-        with pytest.raises(ValueError, match="non-finite"):
-            make(np.array([[1.0, np.nan], [0.0, 1.0]]))
+    def test_direct_construction_still_validates(self, make, shapes):
+        """A layer built directly is checked by the one shared check against
+        its layer's shape table: non-finite and misshapen weights raise."""
+        fields = lambda layer: layer if isinstance(layer, dict) else layer._asdict()
+        check_arrays(fields(make(np.eye(2))), shapes)
+        with pytest.raises(ValueError, match="non-finite values: \\['"):
+            check_arrays(fields(make(np.array([[1.0, np.nan], [0.0, 1.0]]))), shapes)
+        with pytest.raises(ValueError, match="shapes do not match"):
+            check_arrays(fields(make(np.eye(3))), shapes)
 
     def test_empty_frames_rejected(self):
         cfg = small_cfg()
