@@ -387,13 +387,15 @@ def biased_attention(q, k, v, bias=None):
         )
     if not all(np.isfinite(a).all() for a in (q, k, v)):
         raise ValueError("attention Q, K or V contains non-finite entries")
-    scores = q @ k.swapaxes(-1, -2) / np.sqrt(q.shape[-1])
+    # one (..., N, M) buffer: the scores are scaled, biased and normalised in place
+    scores = q @ k.swapaxes(-1, -2)
+    scores /= np.sqrt(q.shape[-1])
     if bias is not None:
         bias = np.asarray(bias, dtype=np.float64)
         if bias.shape != scores.shape:
             raise ValueError(f"bias shape {bias.shape} != logits {scores.shape}")
         scores += bias
-    attn_w = softmax(scores)
+    attn_w = softmax(scores, out=scores)
     return attn_w @ v, (q, k, v, attn_w)
 
 

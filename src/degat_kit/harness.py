@@ -9,6 +9,7 @@ per seed.
 """
 
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, fields
@@ -41,6 +42,21 @@ WEIGHT_KEYS = {"alpha", "gamma"}
 MODEL_KEYS = {f.name for f in fields(ModelConfig)}
 
 DEFAULT_TRAINER = {"steps": 300, "lr": 0.02, "n_frames": 4, "scene_seed": 0}
+
+
+def _is_real(v):
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+# config key -> (what its value must be, test); bools are not integers here
+CONFIG_VALUE_CHECKS = {
+    "steps": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
+    "n_frames": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
+    "scene_seed": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
+    "lr": ("a finite number >= 0", lambda v: _is_real(v) and v >= 0),
+    "alpha": ("a finite number > 0", lambda v: _is_real(v) and v > 0),
+    "gamma": ("a finite number > 0", lambda v: _is_real(v) and v > 0),
+}
 
 
 class NumericAbort(RuntimeError):
@@ -225,7 +241,8 @@ def ablate_k(cfg, scene, k_values, steps, lr, weights=LossWeights()):
 
 
 def load_config(path):
-    """Read a flat JSON config; unknown keys are errors (catches typos)."""
+    """Read a flat JSON config; unknown keys are errors (catches typos), and so
+    are trainer values and loss weights that ``CONFIG_VALUE_CHECKS`` rejects."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -234,6 +251,10 @@ def load_config(path):
     unknown = set(raw) - allowed
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    bad = [f"{k}={raw[k]!r} (must be {what})"
+           for k, (what, ok) in CONFIG_VALUE_CHECKS.items() if k in raw and not ok(raw[k])]
+    if bad:
+        raise ValueError(f"bad config values: {', '.join(bad)}")
     cfg = ModelConfig(**{k: v for k, v in raw.items() if k in MODEL_KEYS})
     weights = LossWeights(
         alpha=raw.get("alpha", 0.2), gamma=raw.get("gamma", 1.0)

@@ -5,9 +5,10 @@ table: the model's parameter dict on entry to a step, a checkpoint, and
 any single layer's fields.
 
 Everything here is a pure function of its inputs; arrays are treated as
-immutable and all arithmetic is done in 64-bit floating point. The
-softmax pair is the only one in the package: the DeGAT neighbor softmax
-and the attention kernel in ``conditioning`` both call it.
+immutable, save an ``out`` array that the caller passes, and all arithmetic
+is done in 64-bit floating point. The softmax pair is the only one in the
+package: the DeGAT neighbor softmax and the attention kernel in
+``conditioning`` both call it.
 """
 
 import numpy as np
@@ -106,13 +107,14 @@ def leaky_relu_grad(x, slope=0.2):
     return np.where(x >= 0.0, 1.0, slope)
 
 
-def softmax(logits):
+def softmax(logits, out=None):
     """Softmax over the last axis, shifted by the row maximum for overflow safety.
 
     Logits at -inf get probability 0, so a row may be masked that way as
-    long as one entry stays finite.
+    long as one entry stays finite. The result is a new array, or ``out``
+    when given; ``out=logits`` normalises the logits in place.
     """
-    e = logits - logits.max(axis=-1, keepdims=True)
+    e = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e

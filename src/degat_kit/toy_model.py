@@ -9,8 +9,15 @@ are given -> optional post-transformer graph-attention hop -> linear
 per-patch depth/confidence head and an MLP camera head. The hop takes the
 batch too and builds each frame's own K-NN graph. ``loss_and_grads``
 scores the stacked outputs with one call of each ``objective`` loss, and
-``backward`` takes the losses' gradient dicts merged into one; only
-``forward`` unpacks the outputs into one depth map and camera per frame.
+``backward`` takes the losses' gradient dicts merged into one; ``loss``
+scores them without a backward pass. Only ``forward`` unpacks the outputs
+into one depth map and camera per frame.
+
+Each of these steps is a stage, a (forward, backward) pair. A forward pass
+given a tape, a list, appends one (backward, cache) entry per stage that
+runs, and ``backward`` replays the tape in reverse; without a tape each
+stage's cache is dropped by the time the next stage has run, which is how
+``loss`` and ``forward`` keep their memory small.
 
 The parameter dict is checked once, when it enters ``forward``: its names
 and shapes against ``param_shapes(cfg)``, which is assembled from the
@@ -22,8 +29,10 @@ get zero gradients.
 
 Every attention layer is ``conditioning.multi_head_attention``, and the
 conditioning and bias kinds are the keys of two (forward, backward) tables.
-Forward and backward are written by hand against explicit caches, and
-whole-model finite differences in the tests check every parameter gradient.
+The stages look their layers up in ``conditioning`` and ``degat`` at call
+time, so a wrapper installed after import sees every call. Forward and
+backward are written by hand against explicit caches, and whole-model
+finite differences in the tests check every parameter gradient.
 """
 
 import functools
@@ -45,9 +54,9 @@ __all__ = [
     "param_shapes",
     "init_model_params",
     "forward",
-    "ModelCache",
     "backward",
     "zero_grads",
+    "loss",
     "loss_and_grads",
     "sgd_step",
 ]
@@ -210,12 +219,6 @@ def _store(grads, prefix, g):
         grads[f"{prefix}.{w}"] = gw
 
 
-def _degat_backward(grads, degat_params, cache, d_out):
-    g = dg.degat_backward(cache, degat_params, d_out)
-    _store(grads, "degat", {"w_proj": g.d_w_proj, "a": g.d_a, "w_val": g.d_w_val})
-    return g.d_x
-
-
 # ---------------------------------------------------------------------------
 # patchify / unpatchify
 
@@ -238,21 +241,88 @@ def _unpatchify(tokens, cfg):
 
 
 # ---------------------------------------------------------------------------
-# self-attention + FFN block
+# stages
+#
+# A stage's forward is (params, cfg, *inputs) -> (output, cache) and its
+# backward (params, grads, cfg, cache, d_output) -> d_input; the backward
+# stores its parameter gradients in grads. From the heads back to the tokens
+# stage the gradient passed is the pair (d_seq, d_bias): d(loss)/d of the
+# (F, L + 1, C) token sequence and of the (F, H, L + 1, L + 1) attention bias,
+# which the heads start at zero and each block adds to.
 
 
-def _block_forward(params, name, x, n_heads, bias=None):
+def _embed(params, cfg, frames):
+    """(F, H, W) frames -> (F, L, C) patch embeddings; the cache is the patches."""
+    patches = _patchify(frames, cfg)
+    return patches @ params["embed.w"].T + params["embed.b"], patches
+
+
+def _embed_backward(params, grads, cfg, patches, d_x0):
+    flat_d_x0 = d_x0.reshape(-1, cfg.embed_dim)
+    grads["embed.w"] = flat_d_x0.T @ patches.reshape(-1, patches.shape[-1])
+    grads["embed.b"] = flat_d_x0.sum(axis=0)
+
+
+def _hop(params, cfg, x):
+    return dg.degat_forward(
+        x, _layer(dg.DeGatParams, params, "degat"), cfg.k_neighbors, cfg.knn_metric
+    )
+
+
+def _hop_backward(params, grads, cfg, cache, d_out):
+    g = dg.degat_backward(cache, _layer(dg.DeGatParams, params, "degat"), d_out)
+    _store(grads, "degat", {"w_proj": g.d_w_proj, "a": g.d_a, "w_val": g.d_w_val})
+    return g.d_x
+
+
+def _pre_hop(params, cfg, x0):
+    """The hop before the blocks; its cache is an output too, for the
+    log-affinity bias."""
+    x1, cache = _hop(params, cfg, x0)
+    return (x1, cache), cache
+
+
+def _tokens(params, cfg, x1, pre_degat):
+    """The (F, L + 1, C) sequence of each frame's conditioned camera token and
+    its patch tokens, and the (F, H, L + 1, L + 1) attention bias, whose
+    camera-token row and column are 0."""
+    condition, _ = TOKEN_CONDITIONING[cfg.token_conditioning]
+    attention_bias, _ = ATTENTION_BIAS[cfg.attention_bias]
+    c_tok, cond_cache = condition(params, cfg, x1)
+    bias_patch, bias_cache = attention_bias(params, cfg, x1, pre_degat)
+    n = cfg.n_tokens + 1
+    bias = np.zeros((len(x1), cfg.n_heads, n, n))
+    bias[:, :, 1:, 1:] = bias_patch
+    seq = np.concatenate([c_tok[:, None], x1], axis=1)
+    return (seq, bias), (cond_cache, bias_cache)
+
+
+def _tokens_backward(params, grads, cfg, cache, d):
+    cond_cache, bias_cache = cache
+    d_seq, d_bias = d
+    _, condition_backward = TOKEN_CONDITIONING[cfg.token_conditioning]
+    _, bias_backward = ATTENTION_BIAS[cfg.attention_bias]
+    bias_backward(params, grads, cfg, bias_cache, d_bias[:, :, 1:, 1:])
+    d_x1 = d_seq[:, 1:].copy()
+    grads["camera_token"] = condition_backward(
+        params, grads, cfg, cond_cache, d_seq[:, 0], d_x1
+    )
+    return d_x1
+
+
+def _attn_ffn(params, cfg, x, name, bias=None):
+    """Self-attention and FFN, each with a residual, over (..., N, C) tokens."""
     attn = _layer(cond.CrossAttnParams, params, name)
     ffn = _layer(cond.Mlp2, params, f"{name}_ffn")
-    attn_out, attn_cache = cond.multi_head_attention(x, x, attn, n_heads, bias)
+    attn_out, attn_cache = cond.multi_head_attention(x, x, attn, cfg.n_heads, bias)
     y = x + attn_out
     ffn_out, ffn_cache = cond.mlp2_forward(ffn, y)
-    z = y + ffn_out
-    return z, (attn, attn_cache, ffn, ffn_cache)
+    return y + ffn_out, (name, attn, attn_cache, ffn, ffn_cache)
 
 
-def _block_backward(grads, name, cache, d_z):
-    attn, attn_cache, ffn, ffn_cache = cache
+def _attn_ffn_backward(grads, cache, d_z):
+    """(d_x, d(loss)/d(bias)) of ``_attn_ffn``."""
+    name, attn, attn_cache, ffn, ffn_cache = cache
     ffn_grads, d_y_ffn = cond.mlp2_backward(ffn, ffn_cache, d_z)
     _store(grads, f"{name}_ffn", ffn_grads)
     d_y = d_z + d_y_ffn
@@ -263,8 +333,35 @@ def _block_backward(grads, name, cache, d_z):
     return d_y + (d_x_q + d_x_kv), d_bias
 
 
-# ---------------------------------------------------------------------------
-# heads
+def _block_backward(params, grads, cfg, cache, d):
+    d_seq, d_bias = d
+    d_seq, d_block_bias = _attn_ffn_backward(grads, cache, d_seq)
+    d_bias += d_block_bias
+    return d_seq, d_bias
+
+
+def _global_block(params, cfg, seq):
+    """The block over the tokens of all frames as one sequence."""
+    flat, cache = _attn_ffn(params, cfg, seq.reshape(-1, cfg.embed_dim), "global")
+    return flat.reshape(seq.shape), cache
+
+
+def _global_backward(params, grads, cfg, cache, d):
+    d_seq, d_bias = d
+    d_flat, _ = _attn_ffn_backward(grads, cache, d_seq.reshape(-1, cfg.embed_dim))
+    return d_flat.reshape(d_seq.shape), d_bias
+
+
+def _post_hop(params, cfg, seq):
+    """The hop after the blocks, over the patch tokens of the sequence."""
+    patches, cache = _hop(params, cfg, seq[:, 1:])
+    return np.concatenate([seq[:, :1], patches], axis=1), cache
+
+
+def _post_hop_backward(params, grads, cfg, cache, d):
+    d_seq, d_bias = d
+    d_patches = _hop_backward(params, grads, cfg, cache, d_seq[:, 1:])
+    return np.concatenate([d_seq[:, :1], d_patches], axis=1), d_bias
 
 
 class _Poses(NamedTuple):
@@ -276,9 +373,10 @@ class _Poses(NamedTuple):
     focal: np.ndarray  # (F,)
 
 
-def _heads_forward(params, cfg, patch_tokens, cam_tokens):
-    """The depth maps and cameras of the (F, L, C) patch and (F, C) camera
-    tokens, stacked over the frames, and the head cache."""
+def _heads(params, cfg, seq):
+    """The depth maps and cameras of the sequence's (F, L, C) patch and
+    (F, C) camera tokens, stacked over the frames: (DepthMap, _Poses)."""
+    patch_tokens, cam_tokens = seq[:, 1:], seq[:, 0]
     p2 = cfg.patch_size**2
     raw = patch_tokens @ params["depth_head.w"].T + params["depth_head.b"]
     depth = np.exp(_unpatchify(raw[..., :p2], cfg))
@@ -292,9 +390,10 @@ def _heads_forward(params, cfg, patch_tokens, cam_tokens):
     return (DepthMap(depth, conf), poses), (patch_tokens, depth, conf, cam_cache, y[:, 12])
 
 
-def _heads_backward(params, grads, cfg, head_cache, up):
-    """up: the frame-stacked output gradients that ``backward`` takes."""
-    patch_tokens, depth, conf, cam_cache, f_raw = head_cache
+def _heads_backward(params, grads, cfg, cache, upstream):
+    """upstream: the frame-stacked output gradients that ``backward`` takes."""
+    patch_tokens, depth, conf, cam_cache, f_raw = cache
+    up = _checked_upstream(upstream, cfg, len(depth))
     d_raw = np.concatenate(
         [_patchify(up["depth"] * depth, cfg), _patchify(up["confidence"] * conf, cfg)], axis=-1
     )
@@ -311,7 +410,26 @@ def _heads_backward(params, grads, cfg, head_cache, up):
         _layer(cond.Mlp2, params, "cam_head"), cam_cache, d_y
     )
     _store(grads, "cam_head", cam_grads)
-    return d_patch, d_cam_tok
+    n = cfg.n_tokens + 1
+    d_seq = np.concatenate([d_cam_tok[:, None], d_patch], axis=1)
+    return d_seq, np.zeros((len(depth), cfg.n_heads, n, n))
+
+
+def _checked_upstream(upstream, cfg, nf):
+    """The upstream output gradients as float64 arrays, each shaped for nf frames."""
+    if not isinstance(upstream, dict):
+        raise ValueError(f"upstream must be a dict of frame-stacked arrays, got {type(upstream).__name__}")
+    h, w = cfg.image_h, cfg.image_w
+    want = {"depth": (nf, h, w), "confidence": (nf, h, w), "rotation": (nf, 3, 3),
+            "translation": (nf, 3), "focal": (nf,)}
+    up = {key: np.asarray(upstream.get(key), dtype=np.float64) for key in want}
+    bad = sorted(key for key, shape in want.items() if up[key].shape != shape)
+    if bad:
+        raise ValueError(
+            f"upstream {bad} not shaped for {nf} frames: expected "
+            + ", ".join(f"{key} {want[key]}" for key in bad)
+        )
+    return up
 
 
 # ---------------------------------------------------------------------------
@@ -425,139 +543,102 @@ ATTENTION_BIAS = {
 # full model
 
 
-@dataclass
-class ModelCache:
-    patches: np.ndarray  # (F, L, P^2)
-    pre_degat: object  # DeGatCache of the (F, L, C) hop, or None
-    cond_cache: object
-    bias_cache: object
-    block_caches: list
-    global_cache: object  # block cache or None
-    post_degat: object  # DeGatCache of the (F, L, C) hop, or None
-    head_cache: tuple
-    outputs: tuple  # (DepthMap over (F, H, W), _Poses): what the loss scores
+# (forward, backward) of each stage, in the order ``_forward`` runs them
+_EMBED = (_embed, _embed_backward)
+_PRE_HOP = (_pre_hop, _hop_backward)
+_TOKENS = (_tokens, _tokens_backward)
+_BLOCK = (_attn_ffn, _block_backward)
+_GLOBAL = (_global_block, _global_backward)
+_POST_HOP = (_post_hop, _post_hop_backward)
+_HEADS = (_heads, _heads_backward)
 
 
-def forward(params, cfg, frames):
+def forward(params, cfg, frames, tape=None):
     """Run the model on a list of (H, W) grayscale frames.
 
-    Returns (depth maps, camera params, cache), one map and camera per
+    Returns (depth maps, camera params, tape), one map and camera per
     frame; depth and confidence are exp-parameterized and therefore
     strictly positive, the focal length is softplus-parameterized.
+    ``tape`` is None, or an empty list that the pass fills with one
+    (backward, cache) entry per stage, for ``backward``; it is returned as
+    given. Without a tape no stage's cache outlives the stage after it.
     ``params`` is checked here (``numerics.check_arrays``), and nowhere
     else in the step.
     """
-    cache = _forward(params, cfg, frames)
-    pred, poses = cache.outputs
+    pred, poses = _forward(params, cfg, frames, tape)
     principal = ((cfg.image_w - 1) / 2.0, (cfg.image_h - 1) / 2.0)
     cams = [CameraParams(r, t, float(f), principal) for r, t, f in zip(*poses)]
-    return [DepthMap(d, c) for d, c in zip(pred.depth, pred.confidence)], cams, cache
+    return [DepthMap(d, c) for d, c in zip(pred.depth, pred.confidence)], cams, tape
 
 
-def _forward(params, cfg, frames):
-    """The model's forward pass over the frames, as one ``ModelCache``."""
+def _forward(params, cfg, frames, tape=None):
+    """The model's forward pass over the frames: the frame-stacked
+    (DepthMap, _Poses) outputs that the losses score."""
     if len(frames) == 0:
         raise ValueError("forward requires at least one frame")
+    if tape:
+        raise ValueError(f"forward records on an empty tape, got {len(tape)} entries")
     check_arrays(params, _shapes_of(cfg))
-    degat_params = _layer(dg.DeGatParams, params, "degat")
-    condition, _ = TOKEN_CONDITIONING[cfg.token_conditioning]
-    attention_bias, _ = ATTENTION_BIAS[cfg.attention_bias]
-    patches = _patchify(frames, cfg)
-    nf, n = len(patches), cfg.n_tokens + 1
 
-    x1 = x0 = patches @ params["embed.w"].T + params["embed.b"]
-    pre_degat = post_degat = global_cache = None
-    if cfg.degat_placement == "pre":
-        x1, pre_degat = dg.degat_forward(x0, degat_params, cfg.k_neighbors, cfg.knn_metric)
+    def run(stage, *inputs):
+        stage_forward, stage_backward = stage
+        out, cache = stage_forward(params, cfg, *inputs)
+        if tape is not None:
+            tape.append((stage_backward, cache))
+        return out
 
-    c_tok, cond_cache = condition(params, cfg, x1)
-    bias_patch, bias_cache = attention_bias(params, cfg, x1, pre_degat)
-    bias = np.zeros((nf, cfg.n_heads, n, n))  # the camera token's row and column stay 0
-    bias[:, :, 1:, 1:] = bias_patch
-
-    seq = np.concatenate([c_tok[:, None], x1], axis=1)  # (F, L + 1, C)
-    block_caches = []
+    x0 = run(_EMBED, frames)
+    x1, pre_degat = run(_PRE_HOP, x0) if cfg.degat_placement == "pre" else (x0, None)
+    seq, bias = run(_TOKENS, x1, pre_degat)
+    del pre_degat  # off the tape, the hop's cache ends with the tokens stage
     for i in range(cfg.n_blocks):
-        seq, bc = _block_forward(params, f"block{i}", seq, cfg.n_heads, bias)
-        block_caches.append(bc)
-
-    if nf > 1:
-        flat, global_cache = _block_forward(
-            params, "global", seq.reshape(-1, cfg.embed_dim), cfg.n_heads
-        )
-        seq = flat.reshape(seq.shape)
-
-    patch_out = seq[:, 1:]
+        seq = run(_BLOCK, seq, f"block{i}", bias)
+    del bias  # (F, H, L + 1, L + 1): not held through the global block
+    if len(seq) > 1:
+        seq = run(_GLOBAL, seq)
     if cfg.degat_placement == "post":
-        patch_out, post_degat = dg.degat_forward(
-            patch_out, degat_params, cfg.k_neighbors, cfg.knn_metric
-        )
-    outputs, head_cache = _heads_forward(params, cfg, patch_out, seq[:, 0])
-
-    return ModelCache(
-        patches=patches, pre_degat=pre_degat, cond_cache=cond_cache, bias_cache=bias_cache,
-        block_caches=block_caches, global_cache=global_cache, post_degat=post_degat,
-        head_cache=head_cache, outputs=outputs,
-    )
+        seq = run(_POST_HOP, seq)
+    return run(_HEADS, seq)
 
 
-def backward(params, cfg, cache, upstream):
+def backward(params, cfg, tape, upstream):
     """Parameter gradients given frame-stacked upstream output gradients.
 
+    ``tape`` is the one that ``forward`` filled, and is replayed in reverse.
     ``upstream`` is one dict with keys depth and confidence (F, H, W),
     rotation (F, 3, 3), translation (F, 3) and focal (F,), as the
     ``objective`` losses key their gradients. The result has
     a gradient for every parameter; those the variant does not use are
     zero.
     """
-    if not isinstance(upstream, dict):
-        raise ValueError(f"upstream must be a dict of frame-stacked arrays, got {type(upstream).__name__}")
-    nf, h, w = len(cache.patches), cfg.image_h, cfg.image_w
-    want = {"depth": (nf, h, w), "confidence": (nf, h, w), "rotation": (nf, 3, 3),
-            "translation": (nf, 3), "focal": (nf,)}
-    up = {key: np.asarray(upstream.get(key), dtype=np.float64) for key in want}
-    bad = sorted(key for key, shape in want.items() if up[key].shape != shape)
-    if bad:
-        raise ValueError(
-            f"upstream {bad} not shaped for {nf} frames: expected "
-            + ", ".join(f"{key} {want[key]}" for key in bad)
-        )
-    grads = {}  # each gradient is stored once, by the layer that computes it
-    degat_params = _layer(dg.DeGatParams, params, "degat")
-    _, condition_backward = TOKEN_CONDITIONING[cfg.token_conditioning]
-    _, bias_backward = ATTENTION_BIAS[cfg.attention_bias]
-
-    d_patch, d_cam_tok = _heads_backward(params, grads, cfg, cache.head_cache, up)
-    if cfg.degat_placement == "post":
-        d_patch = _degat_backward(grads, degat_params, cache.post_degat, d_patch)
-    d_seq = np.concatenate([d_cam_tok[:, None], d_patch], axis=1)
-
-    if cache.global_cache is not None:
-        d_flat, _ = _block_backward(
-            grads, "global", cache.global_cache, d_seq.reshape(-1, cfg.embed_dim)
-        )
-        d_seq = d_flat.reshape(d_seq.shape)
-
-    n = cfg.n_tokens + 1
-    d_bias = np.zeros((nf, cfg.n_heads, n, n))
-    for i in reversed(range(cfg.n_blocks)):
-        d_seq, d_block_bias = _block_backward(grads, f"block{i}", cache.block_caches[i], d_seq)
-        d_bias += d_block_bias
-    bias_backward(params, grads, cfg, cache.bias_cache, d_bias[:, :, 1:, 1:])
-
-    d_x1 = d_seq[:, 1:].copy()
-    grads["camera_token"] = condition_backward(
-        params, grads, cfg, cache.cond_cache, d_seq[:, 0], d_x1
-    )
-
-    d_x0 = d_x1
-    if cfg.degat_placement == "pre":
-        d_x0 = _degat_backward(grads, degat_params, cache.pre_degat, d_x1)
-
-    flat_d_x0 = d_x0.reshape(-1, cfg.embed_dim)
-    grads["embed.w"] = flat_d_x0.T @ cache.patches.reshape(-1, cache.patches.shape[-1])
-    grads["embed.b"] = flat_d_x0.sum(axis=0)
+    if not tape:
+        raise ValueError("backward needs the tape of a forward pass run with tape=[]")
+    grads = {}  # each gradient is stored once, by the stage that computes it
+    d = upstream
+    for stage_backward, cache in reversed(tape):
+        d = stage_backward(params, grads, cfg, cache, d)
     return {k: grads[k] if k in grads else np.zeros(v.shape) for k, v in params.items()}
+
+
+def _scored(params, cfg, frames, gt_depths, gt_cams, weights, tape=None):
+    """The ``LossBreakdown``, the depth loss's cache and the camera loss's
+    gradients of one forward pass over the frames."""
+    nf = len(frames)
+    if len(gt_depths) != nf or len(gt_cams) != nf:
+        raise ValueError(
+            f"{len(gt_depths)} ground-truth depths and {len(gt_cams)} cameras for {nf} frames"
+        )
+    pred, poses = _forward(params, cfg, frames, tape)
+    gt_poses = _Poses(*(np.array([getattr(c, f) for c in gt_cams]) for f in _Poses._fields))
+    depth_part, depth_cache = depth_loss(pred, gt_depths, weights)
+    cam, d_poses = camera_loss(poses, gt_poses)
+    return replace(depth_part, cam=cam), depth_cache, d_poses
+
+
+def loss(params, cfg, frames, gt_depths, gt_cams, weights=LossWeights()):
+    """The ``LossBreakdown`` that ``loss_and_grads`` returns, from a forward
+    pass that records no tape."""
+    return _scored(params, cfg, frames, gt_depths, gt_cams, weights)[0]
 
 
 def loss_and_grads(params, cfg, frames, gt_depths, gt_cams, weights=LossWeights()):
@@ -565,18 +646,11 @@ def loss_and_grads(params, cfg, frames, gt_depths, gt_cams, weights=LossWeights(
 
     ``gt_depths`` and ``gt_cams`` hold one entry per frame.
     """
-    nf = len(frames)
-    if len(gt_depths) != nf or len(gt_cams) != nf:
-        raise ValueError(
-            f"{len(gt_depths)} ground-truth depths and {len(gt_cams)} cameras for {nf} frames"
-        )
-    cache = _forward(params, cfg, frames)
-    pred, poses = cache.outputs
-    gt_poses = _Poses(*(np.array([getattr(c, f) for c in gt_cams]) for f in _Poses._fields))
-    depth_part, depth_cache = depth_loss(pred, gt_depths, weights)
-    cam, d_poses = camera_loss(poses, gt_poses)
-    grads = backward(params, cfg, cache, {**depth_loss_backward(depth_cache), **d_poses})
-    return replace(depth_part, cam=cam), grads
+    tape = []
+    breakdown, depth_cache, d_poses = _scored(
+        params, cfg, frames, gt_depths, gt_cams, weights, tape
+    )
+    return breakdown, backward(params, cfg, tape, {**depth_loss_backward(depth_cache), **d_poses})
 
 
 def sgd_step(params, grads, lr):

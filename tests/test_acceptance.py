@@ -17,7 +17,7 @@ from degat_kit.geometry import CameraParams, backproject_pixel, project_point
 from degat_kit.harness import ablate_k, generate_scene, train
 from degat_kit.metrics import SsimConfig, mse, psnr, ssim
 from degat_kit.objective import LossWeights
-from degat_kit.toy_model import ModelConfig, init_model_params, loss_and_grads
+from degat_kit.toy_model import ModelConfig, init_model_params, loss, loss_and_grads
 
 
 def report(num, name, passed, detail):
@@ -77,8 +77,7 @@ def _whole_model_fd_error(cfg, seed, step=1e-5):
         return out
 
     def f(t):
-        bd, _ = loss_and_grads(unflatten(t), cfg, frames, gt_depths, gt_cams, weights)
-        return bd.total
+        return loss(unflatten(t), cfg, frames, gt_depths, gt_cams, weights).total
 
     worst = 0.0
     for i in range(theta.size):

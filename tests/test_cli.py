@@ -107,6 +107,20 @@ class TestTrainEvalCommands:
         err = capsys.readouterr().err
         assert needle in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("edit", [{"steps": True}, {"steps": 2.0}, {"n_frames": 1.0},
+                                      {"lr": "0.1"}, {"alpha": "0.3"}],
+                             ids=["steps-bool", "steps-float", "n_frames-float", "lr-str",
+                                  "alpha-str"])
+    def test_mistyped_trainer_value_in_config(self, tmp_path, tiny_config, capsys, edit):
+        raw = json.loads(tiny_config.read_text())
+        tiny_config.write_text(json.dumps({**raw, **edit}))
+        assert main(["train", "--config", str(tiny_config),
+                     "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        (key, value), = edit.items()
+        err = capsys.readouterr().err
+        assert f"{key}={value!r}" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("body,kind", [([1, 2], "list"), ("steps", "str"), (3, "int")])
     def test_config_must_be_an_object(self, tmp_path, capsys, body, kind):
         path = tmp_path / "cfg.json"

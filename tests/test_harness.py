@@ -170,6 +170,26 @@ class TestConfigIo:
         with pytest.raises(OSError):
             load_config(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize("key,value", [
+        ("steps", True), ("steps", 2.0), ("steps", -1), ("n_frames", 1.0), ("n_frames", 0),
+        ("scene_seed", False), ("scene_seed", "0"), ("lr", "0.1"), ("lr", -0.1),
+        ("lr", float("nan")), ("lr", None), ("alpha", "0.3"), ("alpha", 0), ("gamma", float("inf")),
+        ("gamma", [1.0]),
+    ])
+    def test_trainer_values_and_weights_checked(self, tmp_path, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(ValueError, match=f"^bad config values: {key}=") as exc:
+            load_config(path)
+        assert len(str(exc.value).splitlines()) == 1
+
+    def test_trainer_values_at_their_bounds_accepted(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"steps": 0, "n_frames": 1, "scene_seed": 0, "lr": 0,
+                                    "alpha": 1e-3, "gamma": 2}))
+        _, weights, trainer = load_config(path)
+        assert (trainer["steps"], trainer["lr"], weights.gamma) == (0, 0, 2)
+
 
 class TestCheckpointIo:
     def test_roundtrip_bit_exact(self, tmp_path):

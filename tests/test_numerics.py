@@ -81,6 +81,16 @@ class TestSoftmaxMasked:
         assert np.all(np.abs(out.sum(axis=-1) - 1.0) <= 1e-12)
         np.testing.assert_allclose(out[0], out[1], atol=1e-15)
 
+    def test_in_place_matches_default(self):
+        rng = np.random.default_rng(2)
+        logits = rng.uniform(-50.0, 50.0, (2, 4, 7))
+        logits[0, 1, :3] = -np.inf
+        kept = logits.copy()
+        fresh = softmax(logits)
+        np.testing.assert_array_equal(logits, kept)  # the default leaves its input alone
+        assert softmax(logits, out=logits) is logits
+        np.testing.assert_array_equal(logits, fresh)
+
     def test_backward_finite_difference(self):
         rng = np.random.default_rng(3)
         logits = rng.standard_normal((2, 3, 5))

@@ -1,5 +1,6 @@
 import itertools
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -307,8 +308,7 @@ class TestGradients:
         v = {}
 
         def loss():
-            bd, _ = loss_and_grads({k: p + t[0] * v[k] for k, p in params.items()}, *args)
-            return bd.total
+            return toy_model.loss({k: p + t[0] * v[k] for k, p in params.items()}, *args).total
 
         worst = 0.0
         for _ in range(3):
@@ -327,20 +327,27 @@ class TestGradients:
         cfg = small_cfg()
         params = init_model_params(cfg)
         frames = make_frames(np.random.default_rng(5), cfg, 2)
-        _, _, cache = forward(params, cfg, frames)
+        _, _, tape = forward(params, cfg, frames, tape=[])
         hw = (cfg.image_h, cfg.image_w)
         upstream = {"depth": np.ones((2, *hw)), "confidence": np.ones((2, *hw)),
                     "rotation": np.ones((2, 3, 3)), "translation": np.ones((2, 3)),
                     "focal": np.ones(2)}
-        backward(params, cfg, cache, upstream)
+        backward(params, cfg, tape, upstream)
         for key in upstream:
             wrong = dict(upstream, **{key: upstream[key][:1]})  # one frame instead of two
             with pytest.raises(ValueError, match=f"upstream \\['{key}'\\]"):
-                backward(params, cfg, cache, wrong)
+                backward(params, cfg, tape, wrong)
         with pytest.raises(ValueError, match="'focal'"):
-            backward(params, cfg, cache, {k: v for k, v in upstream.items() if k != "focal"})
+            backward(params, cfg, tape, {k: v for k, v in upstream.items() if k != "focal"})
         with pytest.raises(ValueError, match="dict"):
-            backward(params, cfg, cache, [upstream])
+            backward(params, cfg, tape, [upstream])
+        # a forward pass without a tape leaves nothing to replay
+        with pytest.raises(ValueError, match="tape"):
+            backward(params, cfg, forward(params, cfg, frames)[2], upstream)
+        with pytest.raises(ValueError, match="tape"):
+            backward(params, cfg, [], upstream)
+        with pytest.raises(ValueError, match="empty tape"):
+            forward(params, cfg, frames, tape)
 
     @pytest.mark.parametrize("n_gt", [3, 5])
     def test_ground_truth_count_check(self, n_gt):
@@ -371,6 +378,91 @@ class TestGradients:
                 assert np.any(g != 0.0), k
         # every array is its own: writing one leaves the others alone
         assert len({id(g) for g in grads.values()}) == len(grads)
+
+
+class TestTape:
+    @pytest.mark.parametrize("placement,conditioning,bias", VARIANTS)
+    def test_tapeless_passes_bit_identical(self, placement, conditioning, bias):
+        """``loss`` gives the breakdown of ``loss_and_grads``, and ``forward``
+        gives the same maps and cameras with and without a tape."""
+        cfg = small_cfg(degat_placement=placement, token_conditioning=conditioning,
+                        attention_bias=bias)
+        rng = np.random.default_rng(12)
+        params = {k: v + 0.05 * rng.standard_normal(v.shape)
+                  for k, v in init_model_params(cfg).items()}
+        for n_frames in (1, 2, 4):
+            frames = make_frames(rng, cfg, n_frames)
+            gt_depths, gt_cams = make_gt(rng, cfg, n_frames)
+            bd, _ = loss_and_grads(params, cfg, frames, gt_depths, gt_cams)
+            assert toy_model.loss(params, cfg, frames, gt_depths, gt_cams) == bd
+            maps, cams, none = forward(params, cfg, frames)
+            taped_maps, taped_cams, tape = forward(params, cfg, frames, tape=[])
+            assert none is None and len(tape) >= 4  # embed, tokens, a block, heads
+            for a, b in zip(maps + cams, taped_maps + taped_cams):
+                for field in vars(a):
+                    np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+
+    def test_backwards_reached_through_their_modules(self, monkeypatch):
+        """The tape replays stages that look their layers up at call time, so a
+        wrapper installed after import (the benchmark tracer's) sees each call."""
+        calls = {}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(cond, "multi_head_attention_backward")
+        counted(cond, "mlp2_backward")
+        counted(dg, "degat_backward")
+        rng = np.random.default_rng(13)
+        cfg = small_cfg(degat_placement="post", n_blocks=2)
+        frames = make_frames(rng, cfg, 2)
+        loss_and_grads(init_model_params(cfg), cfg, frames, *make_gt(rng, cfg, 2))
+        # two blocks and the global block; their FFNs and the camera head; one hop
+        assert calls == {"multi_head_attention_backward": 3, "mlp2_backward": 4,
+                         "degat_backward": 1}
+
+    @pytest.mark.parametrize("variant", [("pre", "cross_attn", "log_affinity"),
+                                         ("post", "film", "mlp_bias")])
+    def test_no_stage_cache_outlives_the_next_stage(self, monkeypatch, variant):
+        """Without a tape, every earlier attention's weights and hop's cache
+        are freed by the time a block's attention runs, and all are freed
+        when ``forward`` returns; with a tape, all are kept."""
+        placement, conditioning, bias = variant
+        cfg = small_cfg(degat_placement=placement, token_conditioning=conditioning,
+                        attention_bias=bias)
+        params = init_model_params(cfg)
+        frames = make_frames(np.random.default_rng(14), cfg, 2)
+        refs, live_at_entry = [], []
+        attention, hop = cond.biased_attention, dg.degat_forward
+
+        def tracked_attention(*args, **kwargs):
+            live_at_entry.append(sum(r() is not None for r in refs))
+            out, cache = attention(*args, **kwargs)
+            refs.append(weakref.ref(cache[3]))  # the attention weights
+            return out, cache
+
+        def tracked_hop(*args, **kwargs):
+            out, cache = hop(*args, **kwargs)
+            refs.append(weakref.ref(cache))
+            return out, cache
+
+        monkeypatch.setattr(cond, "biased_attention", tracked_attention)
+        monkeypatch.setattr(dg, "degat_forward", tracked_hop)
+        forward(params, cfg, frames)
+        # conditioning (cross_attn only; the pre hop's cache is its input), then
+        # the one block and the global block, which find nothing kept
+        assert len(live_at_entry) == (3 if conditioning == "cross_attn" else 2)
+        assert live_at_entry[-2:] == [0, 0]
+        assert all(r() is None for r in refs)
+        refs.clear()
+        _, _, tape = forward(params, cfg, frames, tape=[])
+        assert all(r() is not None for r in refs)
 
 
 class TestTraining:
