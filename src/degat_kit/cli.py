@@ -108,16 +108,32 @@ def _cmd_eval(args):
     return EXIT_OK
 
 
+POSE_KEYS = ("R", "T", "f", "cx", "cy")
+
+
+def _read_pose(path):
+    """The camera of a pose JSON object (see README): every key present and
+    every value finite, since a nan or inf pose back-projects to nan points."""
+    with open(path, "r", encoding="utf-8") as fh:
+        pose = json.load(fh)
+    if not isinstance(pose, dict):
+        raise ValueError(f"pose {path} must hold a JSON object, got {type(pose).__name__}")
+    missing = [key for key in POSE_KEYS if key not in pose]
+    if missing:
+        raise ValueError(f"pose {path} lacks keys {missing}")
+    values = {key: np.asarray(pose[key], dtype=np.float64) for key in POSE_KEYS}
+    bad = [key for key, v in values.items() if not np.isfinite(v).all()]
+    if bad:
+        raise ValueError(f"pose {path} has non-finite values in {bad}")
+    return CameraParams(
+        rotation=values["R"].reshape(3, 3), translation=values["T"],
+        focal=float(values["f"]), principal=(float(values["cx"]), float(values["cy"])),
+    )
+
+
 def _cmd_backproject(args):
     depth = fileio.read_pfm(args.depth)
-    with open(args.pose, "r", encoding="utf-8") as fh:
-        pose = json.load(fh)
-    cam = CameraParams(
-        rotation=np.asarray(pose["R"], dtype=np.float64).reshape(3, 3),
-        translation=np.asarray(pose["T"], dtype=np.float64),
-        focal=float(pose["f"]),
-        principal=(float(pose["cx"]), float(pose["cy"])),
-    )
+    cam = _read_pose(args.pose)
     image = fileio.read_image(args.image) if args.image else None
     dm = DepthMap(depth=depth, confidence=np.ones_like(depth))
     cloud = depth_to_pointcloud(dm, cam, image)
@@ -206,7 +222,7 @@ def main(argv=None):
     except NumericAbort as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # JSON nested too deep
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, TypeError) as exc:

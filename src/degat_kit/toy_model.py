@@ -17,7 +17,10 @@ Each of these steps is a stage, a (forward, backward) pair. A forward pass
 given a tape, a list, appends one (backward, cache) entry per stage that
 runs, and ``backward`` replays the tape in reverse; without a tape each
 stage's cache is dropped by the time the next stage has run, which is how
-``loss`` and ``forward`` keep their memory small.
+``loss`` and ``forward`` keep their memory small. Each stage backward maps
+one gradient to one; the blocks sum the optional attention bias's gradient
+under a non-parameter key that the tokens stage pops, and a bias-free variant
+(``attention_bias="none"``) builds no bias at all.
 
 The parameter dict is checked once, when it enters ``forward``: its names
 and shapes against ``param_shapes(cfg)``, which is assembled from the
@@ -246,9 +249,10 @@ def _unpatchify(tokens, cfg):
 # A stage's forward is (params, cfg, *inputs) -> (output, cache) and its
 # backward (params, grads, cfg, cache, d_output) -> d_input; the backward
 # stores its parameter gradients in grads. From the heads back to the tokens
-# stage the gradient passed is the pair (d_seq, d_bias): d(loss)/d of the
-# (F, L + 1, C) token sequence and of the (F, H, L + 1, L + 1) attention bias,
-# which the heads start at zero and each block adds to.
+# stage d_output is d(loss)/d of the (F, L + 1, C) token sequence. Each block
+# given the (F, H, L + 1, L + 1) attention bias sums d(loss)/d(bias) into
+# grads[_D_BIAS], not a parameter name, which the tokens stage pops.
+_D_BIAS = "d(attention bias)"
 
 
 def _embed(params, cfg, frames):
@@ -285,24 +289,26 @@ def _pre_hop(params, cfg, x0):
 def _tokens(params, cfg, x1, pre_degat):
     """The (F, L + 1, C) sequence of each frame's conditioned camera token and
     its patch tokens, and the (F, H, L + 1, L + 1) attention bias, whose
-    camera-token row and column are 0."""
+    camera-token row and column are 0, or None for ``attention_bias="none"``."""
     condition, _ = TOKEN_CONDITIONING[cfg.token_conditioning]
     attention_bias, _ = ATTENTION_BIAS[cfg.attention_bias]
     c_tok, cond_cache = condition(params, cfg, x1)
     bias_patch, bias_cache = attention_bias(params, cfg, x1, pre_degat)
-    n = cfg.n_tokens + 1
-    bias = np.zeros((len(x1), cfg.n_heads, n, n))
-    bias[:, :, 1:, 1:] = bias_patch
+    bias = None
+    if bias_patch is not None:
+        n = cfg.n_tokens + 1
+        bias = np.zeros((len(x1), cfg.n_heads, n, n))
+        bias[:, :, 1:, 1:] = bias_patch
     seq = np.concatenate([c_tok[:, None], x1], axis=1)
     return (seq, bias), (cond_cache, bias_cache)
 
 
-def _tokens_backward(params, grads, cfg, cache, d):
+def _tokens_backward(params, grads, cfg, cache, d_seq):
     cond_cache, bias_cache = cache
-    d_seq, d_bias = d
     _, condition_backward = TOKEN_CONDITIONING[cfg.token_conditioning]
     _, bias_backward = ATTENTION_BIAS[cfg.attention_bias]
-    bias_backward(params, grads, cfg, bias_cache, d_bias[:, :, 1:, 1:])
+    if _D_BIAS in grads:  # some block read the bias
+        bias_backward(params, grads, cfg, bias_cache, grads.pop(_D_BIAS)[:, :, 1:, 1:])
     d_x1 = d_seq[:, 1:].copy()
     grads["camera_token"] = condition_backward(
         params, grads, cfg, cond_cache, d_seq[:, 0], d_x1
@@ -317,12 +323,12 @@ def _attn_ffn(params, cfg, x, name, bias=None):
     attn_out, attn_cache = cond.multi_head_attention(x, x, attn, cfg.n_heads, bias)
     y = x + attn_out
     ffn_out, ffn_cache = cond.mlp2_forward(ffn, y)
-    return y + ffn_out, (name, attn, attn_cache, ffn, ffn_cache)
+    return y + ffn_out, (name, attn, attn_cache, ffn, ffn_cache, bias is not None)
 
 
-def _attn_ffn_backward(grads, cache, d_z):
-    """(d_x, d(loss)/d(bias)) of ``_attn_ffn``."""
-    name, attn, attn_cache, ffn, ffn_cache = cache
+def _attn_ffn_backward(params, grads, cfg, cache, d_z):
+    """d_x of ``_attn_ffn``; a block given a bias sums its d(bias) into grads[_D_BIAS]."""
+    name, attn, attn_cache, ffn, ffn_cache, biased = cache
     ffn_grads, d_y_ffn = cond.mlp2_backward(ffn, ffn_cache, d_z)
     _store(grads, f"{name}_ffn", ffn_grads)
     d_y = d_z + d_y_ffn
@@ -330,14 +336,11 @@ def _attn_ffn_backward(grads, cache, d_z):
         attn, attn_cache, d_y
     )
     _store(grads, name, attn_grads)
-    return d_y + (d_x_q + d_x_kv), d_bias
-
-
-def _block_backward(params, grads, cfg, cache, d):
-    d_seq, d_bias = d
-    d_seq, d_block_bias = _attn_ffn_backward(grads, cache, d_seq)
-    d_bias += d_block_bias
-    return d_seq, d_bias
+    if biased and _D_BIAS in grads:
+        grads[_D_BIAS] += d_bias
+    elif biased:
+        grads[_D_BIAS] = d_bias
+    return d_y + (d_x_q + d_x_kv)
 
 
 def _global_block(params, cfg, seq):
@@ -346,10 +349,9 @@ def _global_block(params, cfg, seq):
     return flat.reshape(seq.shape), cache
 
 
-def _global_backward(params, grads, cfg, cache, d):
-    d_seq, d_bias = d
-    d_flat, _ = _attn_ffn_backward(grads, cache, d_seq.reshape(-1, cfg.embed_dim))
-    return d_flat.reshape(d_seq.shape), d_bias
+def _global_backward(params, grads, cfg, cache, d_seq):
+    d_flat = _attn_ffn_backward(params, grads, cfg, cache, d_seq.reshape(-1, cfg.embed_dim))
+    return d_flat.reshape(d_seq.shape)
 
 
 def _post_hop(params, cfg, seq):
@@ -358,10 +360,9 @@ def _post_hop(params, cfg, seq):
     return np.concatenate([seq[:, :1], patches], axis=1), cache
 
 
-def _post_hop_backward(params, grads, cfg, cache, d):
-    d_seq, d_bias = d
+def _post_hop_backward(params, grads, cfg, cache, d_seq):
     d_patches = _hop_backward(params, grads, cfg, cache, d_seq[:, 1:])
-    return np.concatenate([d_seq[:, :1], d_patches], axis=1), d_bias
+    return np.concatenate([d_seq[:, :1], d_patches], axis=1)
 
 
 class _Poses(NamedTuple):
@@ -410,9 +411,7 @@ def _heads_backward(params, grads, cfg, cache, upstream):
         _layer(cond.Mlp2, params, "cam_head"), cam_cache, d_y
     )
     _store(grads, "cam_head", cam_grads)
-    n = cfg.n_tokens + 1
-    d_seq = np.concatenate([d_cam_tok[:, None], d_patch], axis=1)
-    return d_seq, np.zeros((len(depth), cfg.n_heads, n, n))
+    return np.concatenate([d_cam_tok[:, None], d_patch], axis=1)
 
 
 def _checked_upstream(upstream, cfg, nf):
@@ -439,8 +438,8 @@ def _checked_upstream(upstream, cfg, nf):
 # backward stores its parameter gradients, adds its token path into d_x1 in
 # place and returns d(loss)/d(camera_token).
 # Bias: (params, cfg, x1, pre-DeGAT cache) -> (patch-block bias, broadcast
-# to (F, H, L, L), cache); the backward takes the patch block of
-# d(loss)/d(bias).
+# to (F, H, L, L), or None for no bias; cache); the backward takes the patch
+# block of d(loss)/d(bias) summed over the blocks.
 
 
 def _cond_none(params, cfg, x1):
@@ -488,7 +487,7 @@ def _cond_cross_attn_backward(params, grads, cfg, cache, d_cond, d_x1):
 
 
 def _bias_none(params, cfg, x1, pre_degat):
-    return 0.0, None
+    return None, None
 
 
 def _bias_bucket(params, cfg, x1, pre_degat):
@@ -547,7 +546,7 @@ ATTENTION_BIAS = {
 _EMBED = (_embed, _embed_backward)
 _PRE_HOP = (_pre_hop, _hop_backward)
 _TOKENS = (_tokens, _tokens_backward)
-_BLOCK = (_attn_ffn, _block_backward)
+_BLOCK = (_attn_ffn, _attn_ffn_backward)
 _GLOBAL = (_global_block, _global_backward)
 _POST_HOP = (_post_hop, _post_hop_backward)
 _HEADS = (_heads, _heads_backward)
@@ -613,7 +612,7 @@ def backward(params, cfg, tape, upstream):
     """
     if not tape:
         raise ValueError("backward needs the tape of a forward pass run with tape=[]")
-    grads = {}  # each gradient is stored once, by the stage that computes it
+    grads = {}  # stored by the stage that computes it; d(bias) summed over the blocks
     d = upstream
     for stage_backward, cache in reversed(tape):
         d = stage_backward(params, grads, cfg, cache, d)

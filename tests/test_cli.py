@@ -15,6 +15,19 @@ from degat_kit.harness import save_checkpoint
 from degat_kit.toy_model import ModelConfig, init_model_params
 
 
+def assert_one_error_line(capsys, argv, code):
+    """``main(argv)`` returns ``code``, prints nothing and writes one stderr
+    line and no traceback, the contract for hostile input; returns that line."""
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err and len(err.splitlines()) == 1, err
+    return err
+
+
+# parsing it exceeds Python's recursion limit
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
 @pytest.fixture
 def tiny_config(tmp_path):
     path = tmp_path / "cfg.json"
@@ -53,9 +66,10 @@ class TestGraphCommand:
     def test_non_positive_patch_size(self, tmp_path, capsys, size):
         path = tmp_path / "img.pgm"
         write_pnm(path, np.zeros((16, 16)))
-        assert main(["graph", "--input", str(path), "--patch-size", size]) == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert "patch size must be >= 1" in err and len(err.strip().splitlines()) == 1
+        err = assert_one_error_line(
+            capsys, ["graph", "--input", str(path), "--patch-size", size], EXIT_VALIDATION
+        )
+        assert "patch size must be >= 1" in err
 
 
 class TestTrainEvalCommands:
@@ -84,10 +98,11 @@ class TestTrainEvalCommands:
             return breakdown, grads
 
         monkeypatch.setattr(harness, "loss_and_grads", nan_grad)
-        assert main(["train", "--config", str(tiny_config),
-                     "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
-        err = capsys.readouterr().err
-        assert "non-finite gradient" in err and len(err.strip().splitlines()) == 1
+        err = assert_one_error_line(
+            capsys, ["train", "--config", str(tiny_config), "--out", str(tmp_path / "o")],
+            EXIT_NUMERIC,
+        )
+        assert "non-finite gradient" in err
 
     def test_bad_config_key(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -102,10 +117,11 @@ class TestTrainEvalCommands:
     def test_non_positive_size_in_config(self, tmp_path, tiny_config, capsys, edit, needle):
         raw = json.loads(tiny_config.read_text())
         tiny_config.write_text(json.dumps({**raw, **edit}))
-        assert main(["train", "--config", str(tiny_config),
-                     "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert needle in err and len(err.strip().splitlines()) == 1
+        err = assert_one_error_line(
+            capsys, ["train", "--config", str(tiny_config), "--out", str(tmp_path / "o")],
+            EXIT_VALIDATION,
+        )
+        assert needle in err
 
     @pytest.mark.parametrize("edit", [{"steps": True}, {"steps": 2.0}, {"n_frames": 1.0},
                                       {"lr": "0.1"}, {"alpha": "0.3"}],
@@ -114,28 +130,39 @@ class TestTrainEvalCommands:
     def test_mistyped_trainer_value_in_config(self, tmp_path, tiny_config, capsys, edit):
         raw = json.loads(tiny_config.read_text())
         tiny_config.write_text(json.dumps({**raw, **edit}))
-        assert main(["train", "--config", str(tiny_config),
-                     "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        err = assert_one_error_line(
+            capsys, ["train", "--config", str(tiny_config), "--out", str(tmp_path / "o")],
+            EXIT_VALIDATION,
+        )
         (key, value), = edit.items()
-        err = capsys.readouterr().err
-        assert f"{key}={value!r}" in err and len(err.strip().splitlines()) == 1
+        assert f"{key}={value!r}" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("body,kind", [([1, 2], "list"), ("steps", "str"), (3, "int")])
     def test_config_must_be_an_object(self, tmp_path, capsys, body, kind):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(body))
-        assert main(["train", "--config", str(path),
-                     "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
-        err = capsys.readouterr().err
+        err = assert_one_error_line(
+            capsys, ["train", "--config", str(path), "--out", str(tmp_path / "o")],
+            EXIT_VALIDATION,
+        )
         assert f"must hold a JSON object, got {kind}" in err
-        assert "unknown config keys" not in err and len(err.strip().splitlines()) == 1
+        assert "unknown config keys" not in err
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["train", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == EXIT_IO
+
+    def test_deeply_nested_config(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_JSON)
+        err = assert_one_error_line(
+            capsys, ["train", "--config", str(path), "--out", str(tmp_path / "o")], EXIT_IO
+        )
+        assert "recursion" in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestEvalCheckpointValidation:
@@ -153,13 +180,12 @@ class TestEvalCheckpointValidation:
         edit(manifest["params"])
         (path / "manifest.json").write_text(json.dumps(manifest))
 
-    def run_eval(self, path, capsys):
-        code = main(["eval", "--checkpoint", str(path), "--n-frames", "1"])
-        err = capsys.readouterr().err
-        return code, err
+    @staticmethod
+    def eval_args(path):
+        return ["eval", "--checkpoint", str(path), "--n-frames", "1"]
 
     def test_intact(self, ckpt, capsys):
-        assert self.run_eval(ckpt, capsys)[0] == EXIT_OK
+        assert main(self.eval_args(ckpt)) == EXIT_OK
 
     @pytest.mark.parametrize("edit,needle", [
         (lambda p: p.pop("degat.a"), "missing ['degat.a']"),
@@ -174,26 +200,28 @@ class TestEvalCheckpointValidation:
             "float-shape"])
     def test_tampered_manifest_is_validation_error(self, ckpt, capsys, edit, needle):
         self.edit_manifest(ckpt, edit)
-        code, err = self.run_eval(ckpt, capsys)
-        assert code == EXIT_VALIDATION
-        assert needle in err and len(err.strip().splitlines()) == 1
+        err = assert_one_error_line(capsys, self.eval_args(ckpt), EXIT_VALIDATION)
+        assert needle in err
 
     @pytest.mark.parametrize("manifest", [{"config": {}}, {"config": {}, "params": []}, []])
     def test_malformed_manifest(self, ckpt, capsys, manifest):
         (ckpt / "manifest.json").write_text(json.dumps(manifest))
-        assert self.run_eval(ckpt, capsys)[0] == EXIT_VALIDATION
+        assert main(self.eval_args(ckpt)) == EXIT_VALIDATION
+
+    def test_deeply_nested_manifest(self, ckpt, capsys):
+        (ckpt / "manifest.json").write_text(DEEP_JSON)
+        assert "recursion" in assert_one_error_line(capsys, self.eval_args(ckpt), EXIT_IO)
 
     @pytest.mark.parametrize("cut", [8, 3])
     def test_truncated_blob_is_io_error(self, ckpt, capsys, cut):
         blob = ckpt / "degat.w_val.bin"
         blob.write_bytes(blob.read_bytes()[:-cut])
-        code, err = self.run_eval(ckpt, capsys)
-        assert code == EXIT_IO
-        assert "degat.w_val.bin" in err and len(err.strip().splitlines()) == 1
+        err = assert_one_error_line(capsys, self.eval_args(ckpt), EXIT_IO)
+        assert "degat.w_val.bin" in err
 
     def test_missing_blob_is_io_error(self, ckpt, capsys):
         (ckpt / "cam_head.b2.bin").unlink()
-        assert self.run_eval(ckpt, capsys)[0] == EXIT_IO
+        assert main(self.eval_args(ckpt)) == EXIT_IO
 
     @pytest.mark.parametrize("name,bad", [
         ("depth_head.w", np.nan), ("embed.b", np.inf), ("embed.b", -np.inf),
@@ -203,46 +231,41 @@ class TestEvalCheckpointValidation:
         values = np.fromfile(blob, dtype="<f8")
         values[1] = bad
         values.tofile(blob)
-        code, err = self.run_eval(ckpt, capsys)
-        assert code == EXIT_VALIDATION
-        assert f"non-finite values: ['{name}']" in err and len(err.strip().splitlines()) == 1
+        err = assert_one_error_line(capsys, self.eval_args(ckpt), EXIT_VALIDATION)
+        assert f"non-finite values: ['{name}']" in err
 
 
     def test_overflowing_prediction_is_numeric_error(self, ckpt, capsys):
         # finite parameters, but exp() of the depth head overflows
         blob = ckpt / "depth_head.b.bin"
         (np.fromfile(blob, dtype="<f8") + 1e4).tofile(blob)
-        code = main(["eval", "--checkpoint", str(ckpt), "--n-frames", "1"])
-        out, err = capsys.readouterr()
-        assert code == EXIT_NUMERIC and out == ""
+        err = assert_one_error_line(capsys, self.eval_args(ckpt), EXIT_NUMERIC)
         assert "non-finite scores ['mean_abs_depth_error', 'psnr', 'ssim']" in err
-        assert len(err.strip().splitlines()) == 1
 
 
 class TestBackprojectCommand:
-    @staticmethod
-    def run_backproject(tmp_path, depth):
-        """depth is a grid, or the bytes of a PFM file."""
+    POSE = {"R": list(np.eye(3).ravel()), "T": [0.0, 0.0, 0.0], "f": 1.5, "cx": 1.5, "cy": 1.5}
+
+    @classmethod
+    def backproject_args(cls, tmp_path, depth, pose=None):
+        """The argv and PLY path of a run on depth, a grid or the bytes of a
+        PFM file, and on pose, a dict or the text of a pose file."""
         dpath = tmp_path / "d.pfm"
         if isinstance(depth, bytes):
             dpath.write_bytes(depth)
         else:
             write_pfm(dpath, depth)
-        pose = tmp_path / "pose.json"
-        pose.write_text(json.dumps({
-            "R": list(np.eye(3).ravel()), "T": [0.0, 0.0, 0.0],
-            "f": 1.5, "cx": 1.5, "cy": 1.5,
-        }))
+        ppath = tmp_path / "pose.json"
+        pose = cls.POSE if pose is None else pose
+        ppath.write_text(pose if isinstance(pose, str) else json.dumps(pose))
         out = tmp_path / "cloud.ply"
-        code = main(["backproject", "--depth", str(dpath),
-                     "--pose", str(pose), "--out", str(out)])
-        return code, out
+        return ["backproject", "--depth", str(dpath), "--pose", str(ppath), "--out", str(out)], out
 
     def test_writes_ply(self, tmp_path, capsys):
         depth = np.full((4, 4), 2.0)
         depth[0, 0] = -1.0
-        code, out = self.run_backproject(tmp_path, depth)
-        assert code == EXIT_OK
+        argv, out = self.backproject_args(tmp_path, depth)
+        assert main(argv) == EXIT_OK
         summary = json.loads(capsys.readouterr().out)
         assert summary == {"points": 15, "skipped": 1}
         assert out.read_text().splitlines()[2] == "element vertex 15"
@@ -251,18 +274,39 @@ class TestBackprojectCommand:
     def test_nonfinite_depth_is_validation_error(self, tmp_path, capsys, bad):
         depth = np.full((4, 4), 2.0)
         depth[2, 1] = bad
-        code, out = self.run_backproject(tmp_path, depth)
-        assert code == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert "non-finite" in err and len(err.strip().splitlines()) == 1
+        argv, out = self.backproject_args(tmp_path, depth)
+        assert "non-finite" in assert_one_error_line(capsys, argv, EXIT_VALIDATION)
         assert not out.exists()
 
     def test_pfm_scale_without_byte_order_is_validation_error(self, tmp_path, capsys):
         raw = b"Pf\n2 1\nnan\n" + np.array([1.5, 2.5], "<f4").tobytes()
-        code, out = self.run_backproject(tmp_path, raw)
-        assert code == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert "PFM scale nan" in err and len(err.strip().splitlines()) == 1
+        argv, out = self.backproject_args(tmp_path, raw)
+        assert "PFM scale nan" in assert_one_error_line(capsys, argv, EXIT_VALIDATION)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["R", "T", "f", "cx", "cy"])
+    def test_pose_key_missing(self, tmp_path, capsys, key):
+        pose = {k: v for k, v in self.POSE.items() if k != key}
+        argv, out = self.backproject_args(tmp_path, np.ones((4, 4)), pose)
+        assert f"lacks keys ['{key}']" in assert_one_error_line(capsys, argv, EXIT_VALIDATION)
+        assert not out.exists()
+
+    def test_non_finite_pose(self, tmp_path, capsys):
+        pose = {**self.POSE, "T": [0.0, 0.0, float("nan")], "f": float("inf")}
+        argv, out = self.backproject_args(tmp_path, np.ones((4, 4)), pose)
+        err = assert_one_error_line(capsys, argv, EXIT_VALIDATION)
+        assert "non-finite values in ['T', 'f']" in err
+        assert not out.exists()
+
+    def test_pose_must_be_an_object(self, tmp_path, capsys):
+        argv, out = self.backproject_args(tmp_path, np.ones((4, 4)), "[1, 2]")
+        err = assert_one_error_line(capsys, argv, EXIT_VALIDATION)
+        assert "must hold a JSON object, got list" in err
+        assert not out.exists()
+
+    def test_deeply_nested_pose(self, tmp_path, capsys):
+        argv, out = self.backproject_args(tmp_path, np.ones((4, 4)), DEEP_JSON)
+        assert "recursion" in assert_one_error_line(capsys, argv, EXIT_IO)
         assert not out.exists()
 
     def test_with_colors(self, tmp_path, capsys):
@@ -311,28 +355,29 @@ class TestMetricsCommand:
         pa, pb = tmp_path / "a.pfm", tmp_path / "b.pfm"
         write_pfm(pa, a)
         write_pfm(pb, b)
-        assert main(["metrics", "--a", str(pa), "--b", str(pb)]) == EXIT_VALIDATION
-        out, err = capsys.readouterr()
-        assert out == "" and "non-finite" in err and len(err.strip().splitlines()) == 1
+        err = assert_one_error_line(capsys, ["metrics", "--a", str(pa), "--b", str(pb)],
+                                    EXIT_VALIDATION)
+        assert "non-finite" in err
 
     @pytest.mark.parametrize("max_val", ["nan", "inf", "0"])
     def test_bad_max_val_is_validation_error(self, tmp_path, capsys, max_val):
         pa, pb = tmp_path / "a.pfm", tmp_path / "b.pfm"
         write_pfm(pa, np.zeros((16, 16)))
         write_pfm(pb, np.full((16, 16), 0.25))
-        assert main(["metrics", "--a", str(pa), "--b", str(pb),
-                     "--max-val", max_val]) == EXIT_VALIDATION
-        out, err = capsys.readouterr()
-        assert out == "" and "max_val" in err and len(err.strip().splitlines()) == 1
+        err = assert_one_error_line(
+            capsys, ["metrics", "--a", str(pa), "--b", str(pb), "--max-val", max_val],
+            EXIT_VALIDATION,
+        )
+        assert "max_val" in err
 
     @pytest.mark.parametrize("name,header", [("a.pfm", b"Pf\n0 0\n-1.0\n"),
                                              ("a.pgm", b"P5\n0 3\n255\n")])
     def test_empty_image_is_validation_error(self, tmp_path, capsys, name, header):
         path = tmp_path / name
         path.write_bytes(header)
-        assert main(["metrics", "--a", str(path), "--b", str(path)]) == EXIT_VALIDATION
-        out, err = capsys.readouterr()
-        assert out == "" and "empty" in err and len(err.strip().splitlines()) == 1
+        err = assert_one_error_line(capsys, ["metrics", "--a", str(path), "--b", str(path)],
+                                    EXIT_VALIDATION)
+        assert "empty" in err
 
     def test_shape_mismatch(self, tmp_path):
         pa, pb = tmp_path / "a.pfm", tmp_path / "b.pfm"

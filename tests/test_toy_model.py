@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import re
 import weakref
@@ -361,18 +362,23 @@ class TestGradients:
         with pytest.raises(ValueError, match="4 ground-truth depths"):
             loss_and_grads(params, cfg, frames, gt_depths[:1] * 4, gt_cams)
 
-    def test_every_key_present_and_unused_keys_zero(self):
+    @pytest.mark.parametrize("n_blocks", [0, 1])
+    @pytest.mark.parametrize("bias", ATTENTION_BIAS)
+    def test_every_key_present_and_unused_keys_zero(self, bias, n_blocks):
         rng = np.random.default_rng(7)
-        cfg = small_cfg()  # no graph hop, conditioning or bias; one frame: no global block
+        # no graph hop or conditioning; one frame: no global block
+        cfg = small_cfg(attention_bias=bias, n_blocks=n_blocks)
         params = {k: v + 0.05 * rng.standard_normal(v.shape)
                   for k, v in init_model_params(cfg).items()}
         frames = make_frames(rng, cfg)
         _, grads = loss_and_grads(params, cfg, frames, *make_gt(rng, cfg))
-        assert list(grads) == list(params)
-        unused = ("degat.", "cond_", "bias_", "global")
+        assert list(grads) == list(params)  # the summed bias gradient does not leak out
+        # the bias parameters are reached only through a block reading a bucket or MLP bias
+        read = {"bucket": ("bias_table",), "mlp_bias": ("bias_mlp.",)}.get(bias, ())
+        read = read if n_blocks else ()
         for k, g in grads.items():
             assert g.shape == params[k].shape and g.dtype == np.float64
-            if k.startswith(unused):
+            if k.startswith(("degat.", "cond_", "bias_", "global")) and not k.startswith(read):
                 assert np.all(g == 0.0), k
             else:
                 assert np.any(g != 0.0), k
@@ -381,6 +387,29 @@ class TestGradients:
 
 
 class TestTape:
+    @pytest.mark.parametrize("placement,conditioning",
+                             itertools.product(PLACEMENTS, TOKEN_CONDITIONING))
+    def test_bias_free_blocks_get_no_bias(self, monkeypatch, placement, conditioning):
+        """With ``attention_bias="none"`` no attention call is handed a bias,
+        not even an all-zero one."""
+        cfg = small_cfg(degat_placement=placement, token_conditioning=conditioning,
+                        n_blocks=2)
+        biases = []
+        attention = cond.multi_head_attention
+        signature = inspect.signature(attention)
+
+        def spy(*args, **kwargs):
+            biases.append(signature.bind(*args, **kwargs).arguments.get("bias"))
+            return attention(*args, **kwargs)
+
+        monkeypatch.setattr(cond, "multi_head_attention", spy)
+        rng = np.random.default_rng(15)
+        frames = make_frames(rng, cfg, 2)
+        loss_and_grads(init_model_params(cfg), cfg, frames, *make_gt(rng, cfg, 2))
+        # the two blocks and the global block, and the cross-attention conditioning
+        assert len(biases) == 3 + (conditioning == "cross_attn")
+        assert all(b is None for b in biases)
+
     @pytest.mark.parametrize("placement,conditioning,bias", VARIANTS)
     def test_tapeless_passes_bit_identical(self, placement, conditioning, bias):
         """``loss`` gives the breakdown of ``loss_and_grads``, and ``forward``
