@@ -404,7 +404,8 @@ def biased_attention_backward(cache, d_out):
     q, k, v, attn_w = cache
     scale = np.sqrt(q.shape[-1])
     d_v = attn_w.swapaxes(-1, -2) @ d_out
-    d_scores = softmax_backward(attn_w, d_out @ v.swapaxes(-1, -2))
+    d_scores = d_out @ v.swapaxes(-1, -2)  # d(loss)/d(weights), then d(loss)/d(scores)
+    softmax_backward(attn_w, d_scores, out=d_scores)
     d_q = d_scores @ k / scale
     d_k = d_scores.swapaxes(-1, -2) @ q / scale
     return d_q, d_k, d_v, d_scores

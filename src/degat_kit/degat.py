@@ -9,6 +9,17 @@ The hop takes one (L, C) frame or an (F, L, C) stack. Each frame gets its
 own K-NN graph; its neighbors are then offset by f*L, so that the
 projection, gather, softmax and backward run once over all F*L nodes.
 
+The pair terms z_ij = W_c x_i + W_n x_j and their LeakyReLU are (K, C')
+per node. Both directions make them, and every other per-edge array, in
+blocks of node rows sized like the K-NN build's row blocks, writing into
+buffers allocated once per call, so no (F*L, K, C') array is made: the
+cache keeps the two (..., L, C') projections, and the backward rebuilds a
+block's pairs from them. Each row's arithmetic does not depend on the
+blocks, so outputs and alpha have the same bits at every block size; the
+weight and input gradients are sums over the blocks, equal to
+float-reordering tolerance, and a hop that fits in one block makes
+exactly one incidence matrix and its two products.
+
 The weights are the field-only ``DeGatParams``; ``degat_shapes`` gives their
 shapes, which ``init_degat_params`` builds and ``numerics.check_arrays``
 checks. The LeakyReLU slope is the module constant ``LEAKY_SLOPE``.
@@ -20,10 +31,9 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import NeighborGraph, build_knn_graph
+from .graph import NeighborGraph, _row_blocks, build_knn_graph
 from .numerics import (
-    as_finite, elu, elu_grad, fan_in_uniform, leaky_relu, leaky_relu_grad, softmax,
-    softmax_backward,
+    as_finite, elu, elu_grad, fan_in_uniform, leaky_relu, softmax, softmax_backward,
 )
 
 __all__ = [
@@ -66,8 +76,8 @@ def init_degat_params(c, c_proj=None, rng=None):
 class DeGatCache:
     x: np.ndarray  # (L, C) input features, or (F, L, C) with every field stacked alike
     graph: NeighborGraph  # neighbor indices local to their frame
-    z: np.ndarray  # (..., L, K, C') pre-LeakyReLU, W_proj [x_i || x_j]
-    e: np.ndarray  # (..., L, K, C') post-LeakyReLU
+    center: np.ndarray  # (..., L, C') W_c x_i, the center half of z_ij = W_proj [x_i || x_j]
+    neighbor: np.ndarray  # (..., L, C') W_n x_j, the neighbor half
     alpha: np.ndarray  # (..., L, K)
     values: np.ndarray  # (..., L, C) v_j = W_val x_j per node
     messages: np.ndarray  # (..., L, C) pre-ELU m_i
@@ -89,6 +99,36 @@ def _node_neighbors(graph):
     return nb + np.arange(0, nb.size // k, n).reshape(nb.shape[:-2] + (1, 1))
 
 
+def _node_blocks(n, k, c, c_proj):
+    """The row blocks covering n node rows, and empty buffers for the first
+    block's per-edge arrays: two (rows, K, C') for pair terms and one
+    (rows, K, C) for the neighbors' values.
+
+    A block's (rows, K, max(C, C')) arrays hold as many entries as a K-NN
+    build's row block. Every block writes into the fronts of the buffers,
+    so that its arrays are allocated once per call, not once per block:
+    the megabytes a block frees would otherwise go back to the system and
+    be faulted in again by the next block.
+    """
+    blocks = _row_blocks(n, k * max(c, c_proj))
+    rows = min(blocks[0].stop, n)
+    return blocks, np.empty((rows, k, c_proj)), np.empty((rows, k, c_proj)), np.empty((rows, k, c))
+
+
+def _gather(a, nb, buf):
+    """a[nb] for the (rows, K) node indices nb, into the front of ``buf``."""
+    # the indices are in range; mode "raise" would copy the output first
+    return np.take(a, nb, axis=0, out=buf[: len(nb)], mode="clip")
+
+
+def _pairs(center, neighbor, nb, rows, z_buf, e_buf):
+    """z = W_c x_i + W_n x_j and LeakyReLU(z), (rows, K, C'), for the node
+    rows ``rows`` with neighbors nb, in the fronts of the two buffers."""
+    z = _gather(neighbor, nb, z_buf)
+    z += center[rows, None, :]
+    return z, leaky_relu(z, LEAKY_SLOPE, out=e_buf[: len(nb)])  # the slope is read per call
+
+
 def degat_forward(tokens, params, k, metric="cosine"):
     """One DeGAT hop: x_i + ELU(sum_j alpha_ij W_val x_j) over Top-K neighbors,
     on one (L, C) frame or on each frame of an (F, L, C) stack."""
@@ -97,21 +137,31 @@ def degat_forward(tokens, params, k, metric="cosine"):
     c = x.shape[-1]
     if params.w_val.shape[0] != c:
         raise ValueError(f"params expect C={params.w_val.shape[0]}, tokens have C={c}")
-    nb = _node_neighbors(g)
+    nb = _node_neighbors(g).reshape(-1, k)
     xs = x.reshape(-1, c)  # the node rows of all frames
+    n = xs.shape[0]
 
-    # W_proj [x_i || x_j] = W_c x_i + W_n x_j: project the nodes, then gather
-    w_c, w_n = params.w_proj[:, :c], params.w_proj[:, c:]
-    z = (xs @ w_c.T).reshape(nb.shape[:-1] + (1, -1)) + (xs @ w_n.T)[nb]  # (..., L, K, C')
-    e = leaky_relu(z, LEAKY_SLOPE)
-    alpha = softmax(e @ params.a)  # (..., L, K)
-
+    # W_proj [x_i || x_j] = W_c x_i + W_n x_j: project the nodes once; each
+    # block gathers its pairs from the projections
+    center = xs @ params.w_proj[:, :c].T
+    neighbor = xs @ params.w_proj[:, c:].T
     values = xs @ params.w_val.T  # row j is W_val x_j
-    messages = np.einsum("...k,...kc->...c", alpha, values[nb])
-    x_out = x + elu(messages)
+    alpha = np.empty((n, k))
+    messages = np.empty((n, c))
+    blocks, z_buf, e_buf, v_buf = _node_blocks(n, k, c, center.shape[1])
+    for rows in blocks:
+        nb_b = nb[rows]
+        _, e = _pairs(center, neighbor, nb_b, rows, z_buf, e_buf)
+        logits = np.matmul(e, params.a, out=alpha[rows])
+        softmax(logits, out=logits)
+        np.einsum("lk,lkc->lc", logits, _gather(values, nb_b, v_buf), out=messages[rows])
+    x_out = x + elu(messages.reshape(x.shape))
 
+    lead = x.shape[:-1]
     cache = DeGatCache(
-        x=x, graph=g, z=z, e=e, alpha=alpha, values=values.reshape(x.shape), messages=messages,
+        x=x, graph=g, center=center.reshape(lead + (-1,)), neighbor=neighbor.reshape(lead + (-1,)),
+        alpha=alpha.reshape(lead + (k,)), values=values.reshape(x.shape),
+        messages=messages.reshape(x.shape),
     )
     return x_out, cache
 
@@ -132,32 +182,46 @@ def degat_backward(cache, params, upstream):
     n = nb.shape[0]
     x = cache.x.reshape(n, c)
     alpha = cache.alpha.reshape(n, k)
-    # (F*L, F*L*K) incidence, one column per edge (i, k) with a 1 in row nb[i, k]:
-    # to_neighbor @ per-edge rows sums them into their neighbor node
-    to_neighbor = sp.csc_array(
-        (np.ones(n * k), nb.ravel(), np.arange(n * k + 1)), shape=(n, n * k)
-    )
+    values = cache.values.reshape(n, c)
+    center, neighbor = cache.center.reshape(n, -1), cache.neighbor.reshape(n, -1)
+    cp = center.shape[1]
 
     up = upstream.reshape(n, c)
     d_x = up.copy()  # residual path
     u = up * elu_grad(cache.messages.reshape(n, c))  # (F*L, C) = dL/dm_i
 
-    v_nb = cache.values.reshape(n, c)[nb]  # (F*L, K, C)
+    d_a = np.zeros(cp)
+    d_center = np.empty((n, cp))  # node i as center
+    d_v, d_neighbor = np.zeros((n, c)), np.zeros((n, cp))  # node j as value, as neighbor
+    blocks, z_buf, e_buf, v_buf = _node_blocks(n, k, c, cp)
+    for rows in blocks:
+        nb_b, alpha_b, u_b = nb[rows], alpha[rows], u[rows]
+        m = len(nb_b)
+        # (F*L, m*K) incidence, one column per edge (i, k) of the block with a
+        # 1 in row nb[i, k]: to_neighbor @ per-edge rows sums them into their
+        # neighbor node
+        to_neighbor = sp.csc_array(
+            (np.ones(m * k), nb_b.ravel(), np.arange(m * k + 1)), shape=(n, m * k)
+        )
 
-    # value path: m_i = sum_j alpha_ij v_j
-    d_alpha = np.einsum("lc,lkc->lk", u, v_nb)
-    d_v = to_neighbor @ (alpha[:, :, None] * u[:, None, :]).reshape(n * k, c)
+        # value path: m_i = sum_j alpha_ij v_j
+        v_nb = _gather(values, nb_b, v_buf)
+        d_logits = np.einsum("lc,lkc->lk", u_b, v_nb)  # d(loss)/d(alpha) first
+        edge_u = np.multiply(alpha_b[:, :, None], u_b[:, None, :], out=v_nb)  # alpha_ij u_i
+        d_v += to_neighbor @ edge_u.reshape(m * k, c)
+        softmax_backward(alpha_b, d_logits, out=d_logits)  # over the neighbor support
+
+        # logits l_ij = a . LeakyReLU(z_ij)
+        z, e = _pairs(center, neighbor, nb_b, rows, z_buf, e_buf)
+        d_a += d_logits.ravel() @ e.reshape(m * k, -1)
+        negative = z < 0.0
+        d_z = np.multiply(d_logits[:, :, None], params.a, out=z)  # z is spent
+        np.multiply(d_z, LEAKY_SLOPE, out=d_z, where=negative)
+        np.sum(d_z, axis=1, out=d_center[rows])
+        d_neighbor += to_neighbor @ d_z.reshape(m * k, -1)
+
     d_w_val = d_v.T @ x
     d_x += d_v @ params.w_val
-
-    d_logits = softmax_backward(alpha, d_alpha)  # (F*L, K), over the neighbor support
-
-    # logits l_ij = a . LeakyReLU(W_c x_i + W_n x_j)
-    d_a = d_logits.ravel() @ cache.e.reshape(n * k, -1)
-    z = cache.z.reshape(n, k, -1)
-    d_z = d_logits[:, :, None] * params.a * leaky_relu_grad(z, LEAKY_SLOPE)
-    d_center = d_z.sum(axis=1)  # (F*L, C'), node i as center
-    d_neighbor = to_neighbor @ d_z.reshape(n * k, -1)  # (F*L, C'), node j as neighbor
     d_w_proj = np.hstack([d_center.T @ x, d_neighbor.T @ x])
     d_x += d_center @ params.w_proj[:, :c] + d_neighbor @ params.w_proj[:, c:]
 

@@ -99,21 +99,23 @@ def pairwise_distances(tokens):
         return np.empty(x.shape[:-1] + (0,))
     sq = np.add.reduce(x * x, axis=-1)
     d = np.empty(x.shape[:-1] + (n,))
-    for rows in _row_blocks(n):
+    for rows in _row_blocks(n, n):
         _distance_rows(x, sq, rows, out=d[..., rows, :])
     d.reshape(-1, n * n)[:, :: n + 1] = 0.0
     return d
 
 
-def _row_blocks(n):
-    """Slices of _KNN_BLOCK_ENTRIES // n rows (at least one) covering n rows;
-    the last may reach past n.
+def _row_blocks(n, width):
+    """Slices of _KNN_BLOCK_ENTRIES // width rows (at least one) covering n
+    rows of ``width`` entries each; the last may reach past n.
 
-    A block of every row, x[..., 0:n, :], is a view with the data and
-    strides of x, so its product with x's transpose is the syrk that
-    x @ x.swapaxes(-1, -2) makes; a smaller block's product is a gemm.
+    A K-NN build's rows are a frame's n keys. There, a block of every row,
+    x[..., 0:n, :], is a view with the data and strides of x, so its
+    product with x's transpose is the syrk that x @ x.swapaxes(-1, -2)
+    makes; a smaller block's product is a gemm. The DeGAT hop blocks its
+    node rows of (K, C') pair terms by the same rule.
     """
-    step = max(1, _KNN_BLOCK_ENTRIES // n)
+    step = max(1, _KNN_BLOCK_ENTRIES // width)
     return [slice(s, s + step) for s in range(0, n, step)]
 
 
@@ -193,7 +195,7 @@ def build_knn_graph(tokens, k, metric="cosine"):
         norms[norms == 0.0] = 1.0
         x = x / norms[..., None]  # zero rows give similarity 0 with everyone
     parts = []
-    for rows in _row_blocks(n):
+    for rows in _row_blocks(n, n):
         if metric == "cosine":
             key = x[..., rows, :] @ x.swapaxes(-1, -2)
             np.negative(key, out=key)  # ascending key = descending similarity

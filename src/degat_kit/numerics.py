@@ -23,7 +23,6 @@ __all__ = [
     "elu",
     "elu_grad",
     "leaky_relu",
-    "leaky_relu_grad",
     "softmax",
     "softmax_backward",
 ]
@@ -93,18 +92,16 @@ def elu_grad(x):
     return np.where(x >= 0.0, 1.0, np.exp(np.minimum(x, 0.0)))
 
 
-def leaky_relu(x, slope=0.2):
-    """LeakyReLU activation with negative-side slope in (0, 1)."""
+def leaky_relu(x, slope=0.2, out=None):
+    """LeakyReLU activation with negative-side slope in (0, 1).
+
+    The result is a new array, or ``out`` when given, which must not be x.
+    """
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must be in (0, 1), got {slope}")
     x = np.asarray(x, dtype=np.float64)
-    return np.where(x >= 0.0, x, slope * x)
-
-
-def leaky_relu_grad(x, slope=0.2):
-    """Derivative of LeakyReLU."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(x >= 0.0, 1.0, slope)
+    # slope < 1: the bits of where(x >= 0, x, slope * x), -0.0 included
+    return np.maximum(x, np.multiply(x, slope, out=out), out=out)
 
 
 def softmax(logits, out=None):
@@ -120,6 +117,12 @@ def softmax(logits, out=None):
     return e
 
 
-def softmax_backward(p, d_p):
-    """d(loss)/d(logits) from the softmax output p and d(loss)/dp."""
-    return p * (d_p - np.sum(p * d_p, axis=-1, keepdims=True))
+def softmax_backward(p, d_p, out=None):
+    """d(loss)/d(logits) from the softmax output p and d(loss)/dp.
+
+    The result is a new array, or ``out`` when given; ``out=d_p`` turns
+    d(loss)/dp into d(loss)/d(logits) in place.
+    """
+    d = np.subtract(d_p, np.sum(p * d_p, axis=-1, keepdims=True), out=out)
+    d *= p
+    return d

@@ -18,8 +18,9 @@ given a tape, a list, appends one (backward, cache) entry per stage that
 runs, and ``backward`` replays the tape in reverse; without a tape each
 stage's cache is dropped by the time the next stage has run, which is how
 ``loss`` and ``forward`` keep their memory small. Each stage backward maps
-one gradient to one; the blocks sum the optional attention bias's gradient
-under a non-parameter key that the tokens stage pops, and a bias-free variant
+one gradient to one; the blocks sum the gradient of a bias with parameters
+(bucket, MLP) under a non-parameter key that the tokens stage pops, the
+stop-gradient log-affinity bias gets none, and a bias-free variant
 (``attention_bias="none"``) builds no bias at all.
 
 The parameter dict is checked once, when it enters ``forward``: its names
@@ -250,8 +251,9 @@ def _unpatchify(tokens, cfg):
 # backward (params, grads, cfg, cache, d_output) -> d_input; the backward
 # stores its parameter gradients in grads. From the heads back to the tokens
 # stage d_output is d(loss)/d of the (F, L + 1, C) token sequence. Each block
-# given the (F, H, L + 1, L + 1) attention bias sums d(loss)/d(bias) into
-# grads[_D_BIAS], not a parameter name, which the tokens stage pops.
+# given the (F, H, L + 1, L + 1) attention bias of a kind with a backward
+# sums d(loss)/d(bias) into grads[_D_BIAS], not a parameter name, which the
+# tokens stage pops.
 _D_BIAS = "d(attention bias)"
 
 
@@ -323,11 +325,14 @@ def _attn_ffn(params, cfg, x, name, bias=None):
     attn_out, attn_cache = cond.multi_head_attention(x, x, attn, cfg.n_heads, bias)
     y = x + attn_out
     ffn_out, ffn_cache = cond.mlp2_forward(ffn, y)
-    return y + ffn_out, (name, attn, attn_cache, ffn, ffn_cache, bias is not None)
+    # only a bias with a parameter path needs its gradient
+    biased = bias is not None and ATTENTION_BIAS[cfg.attention_bias][1] is not None
+    return y + ffn_out, (name, attn, attn_cache, ffn, ffn_cache, biased)
 
 
 def _attn_ffn_backward(params, grads, cfg, cache, d_z):
-    """d_x of ``_attn_ffn``; a block given a bias sums its d(bias) into grads[_D_BIAS]."""
+    """d_x of ``_attn_ffn``; a block given a bias with a parameter path sums
+    its d(bias) into grads[_D_BIAS]."""
     name, attn, attn_cache, ffn, ffn_cache, biased = cache
     ffn_grads, d_y_ffn = cond.mlp2_backward(ffn, ffn_cache, d_z)
     _store(grads, f"{name}_ffn", ffn_grads)
@@ -439,7 +444,8 @@ def _checked_upstream(upstream, cfg, nf):
 # place and returns d(loss)/d(camera_token).
 # Bias: (params, cfg, x1, pre-DeGAT cache) -> (patch-block bias, broadcast
 # to (F, H, L, L), or None for no bias; cache); the backward takes the patch
-# block of d(loss)/d(bias) summed over the blocks.
+# block of d(loss)/d(bias) summed over the blocks, and is None for a kind
+# without parameters, whose gradient no block computes.
 
 
 def _cond_none(params, cfg, x1):
@@ -517,10 +523,6 @@ def _bias_log_affinity(params, cfg, x1, pre_degat):
     return dg.affinity_to_log_bias(cache)[:, None], None
 
 
-def _no_bias_gradient(params, grads, cfg, cache, d_bias):
-    pass  # no bias, or a stop-gradient one: no parameter path
-
-
 TOKEN_CONDITIONING = {
     "none": (_cond_none, _cond_none_backward),
     "additive": (functools.partial(_cond_prior, "additive", "cond_add"),
@@ -531,10 +533,10 @@ TOKEN_CONDITIONING = {
 }
 
 ATTENTION_BIAS = {
-    "none": (_bias_none, _no_bias_gradient),
+    "none": (_bias_none, None),
     "bucket": (_bias_bucket, _bias_bucket_backward),
     "mlp_bias": (_bias_mlp, _bias_mlp_backward),
-    "log_affinity": (_bias_log_affinity, _no_bias_gradient),
+    "log_affinity": (_bias_log_affinity, None),  # a stop-gradient bias
 }
 
 

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from degat_kit import degat
+from degat_kit import degat, graph
 from degat_kit.degat import (
     DeGatGrads,
     DeGatParams,
@@ -16,8 +18,8 @@ from degat_kit.degat import (
     pooled_prior,
 )
 from degat_kit.graph import build_knn_graph
-from degat_kit.numerics import elu, elu_grad, leaky_relu, leaky_relu_grad
-from degat_kit.properties import finite_diff_grad
+from degat_kit.numerics import elu, elu_grad, leaky_relu
+from degat_kit.properties import GRADIENT_CHECKS, finite_diff_error, finite_diff_grad
 
 
 def slow_forward(x, params, k, metric="cosine"):
@@ -81,7 +83,7 @@ def concat_hop(x, params, k, metric, upstream):
     d_x += d_v @ params.w_val
     d_logits = alpha * (d_alpha - np.sum(alpha * d_alpha, axis=1, keepdims=True))
     d_a = np.einsum("lk,lkp->p", d_logits, e)
-    d_z = d_logits[:, :, None] * params.a * leaky_relu_grad(z, degat.LEAKY_SLOPE)
+    d_z = d_logits[:, :, None] * params.a * np.where(z >= 0.0, 1.0, degat.LEAKY_SLOPE)
     d_w_proj = np.einsum("lkp,lkq->pq", d_z, h)
     d_h = d_z @ params.w_proj
     d_x += d_h[:, :, :c].sum(axis=1)
@@ -253,6 +255,70 @@ class TestStackedFrames:
             with pytest.raises(ValueError):
                 degat_backward(cache, params, np.zeros(bad))
         assert degat_backward(cache, params, np.zeros((2, 6, 3))).d_x.shape == (2, 6, 3)
+
+
+def hop_in_blocks(monkeypatch, rows, x, params, k, metric, up):
+    """Forward and backward of the hop with node-row blocks of ``rows`` rows;
+    the K-NN build's blocks shrink alike."""
+    c = x.shape[-1]
+    width = k * max(c, params.w_proj.shape[0])
+    monkeypatch.setattr(graph, "_KNN_BLOCK_ENTRIES", rows * width)
+    out, cache = degat_forward(x, params, k, metric)
+    return out, cache, degat_backward(cache, params, up)
+
+
+class TestRowBlocks:
+    """The hop over node-row blocks against the same hop in one block."""
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_blocks_match_one_block(self, metric, monkeypatch):
+        monkeypatch.setattr(degat, "LEAKY_SLOPE", 0.1)
+        rng = np.random.default_rng(21)
+        n, c, cp, k = 37, 6, 5, 4
+        x = rng.standard_normal((2, n, c))  # 74 node rows
+        params = init_degat_params(c, c_proj=cp, rng=21)
+        params.w_proj[...] *= 4.0  # peaked attention, both LeakyReLU branches
+        up = rng.standard_normal(x.shape)
+        one = hop_in_blocks(monkeypatch, 2 * n, x, params, k, metric, up)
+        for rows in (1, 2, 5):  # 74, 37 and 15 blocks, the last 5-row block cut to 4
+            out, cache, grads = hop_in_blocks(monkeypatch, rows, x, params, k, metric, up)
+            np.testing.assert_array_equal(cache.graph.neighbors, one[1].graph.neighbors)
+            np.testing.assert_array_equal(out, one[0])
+            np.testing.assert_array_equal(cache.alpha, one[1].alpha)
+            np.testing.assert_array_equal(cache.messages, one[1].messages)
+            for name in ("d_w_proj", "d_a", "d_w_val", "d_x"):
+                got, want = getattr(grads, name), getattr(one[2], name)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
+
+    def test_finite_differences_in_blocks(self, monkeypatch):
+        monkeypatch.setattr(graph, "_KNN_BLOCK_ENTRIES", 2 * 3 * 4)  # 2 of the 18 node rows
+        loss, pairs = GRADIENT_CHECKS["degat"](np.random.default_rng(22), l=9, c=4, k=3, frames=2)
+        assert finite_diff_error(loss, pairs) < 1e-7
+
+    def test_peak_memory_at_1024_tokens(self):
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal((1024, 64))
+        params = init_degat_params(64, rng=23)
+        up = rng.standard_normal(x.shape)
+        tracemalloc.start()
+        try:
+            degat_backward(degat_forward(x, params, 9)[1], params, up)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 4.5 MiB per whole (L, K, C') pair tensor: a hop that makes them peaks near 27 MiB
+        assert peak < 16 * 2**20
+
+    def test_cache_keeps_no_pair_tensor(self):
+        rng = np.random.default_rng(24)
+        f, n, c, cp, k = 2, 11, 3, 5, 7  # every size distinct
+        _, cache = degat_forward(rng.standard_normal((f, n, c)),
+                                 init_degat_params(c, c_proj=cp, rng=24), k)
+        arrays = [v for v in vars(cache).values() if isinstance(v, np.ndarray)]
+        arrays += [v for v in vars(cache.graph).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 8
+        for a in arrays:
+            assert not (k in a.shape and {c, cp} & set(a.shape)), a.shape
 
 
 class TestDerivedQuantities:

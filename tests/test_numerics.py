@@ -42,6 +42,15 @@ class TestActivations:
         assert leaky_relu(-2.0, 0.2) == pytest.approx(-0.4, abs=1e-15)
         assert leaky_relu(0.0, 0.7) == 0.0
 
+    def test_leaky_relu_bits_match_where(self):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, 3.5, -3.5, 1e-310, -1e-310, 1e308, -1e308])
+        for slope in (0.2, 0.1, 0.7):
+            want = np.where(x >= 0.0, x, slope * x)
+            assert leaky_relu(x, slope).tobytes() == want.tobytes()  # -0.0 stays -0.0
+            out = np.full_like(x, np.nan)
+            assert leaky_relu(x, slope, out=out) is out
+            assert out.tobytes() == want.tobytes()
+
     def test_leaky_relu_slope_range(self):
         with pytest.raises(ValueError):
             leaky_relu(1.0, 1.5)
@@ -100,3 +109,14 @@ class TestSoftmaxMasked:
         np.testing.assert_allclose(analytic, numeric, atol=1e-9)
         # the gradient of a softmax is orthogonal to the all-ones direction
         np.testing.assert_allclose(analytic.sum(axis=-1), 0.0, atol=1e-15)
+
+    def test_backward_in_place(self):
+        rng = np.random.default_rng(4)
+        p = softmax(rng.standard_normal((3, 4, 6)))
+        d_p = rng.standard_normal((3, 4, 6))
+        kept = d_p.copy()
+        fresh = softmax_backward(p, d_p)
+        np.testing.assert_array_equal(d_p, kept)  # the default leaves d_p alone
+        assert softmax_backward(p, d_p, out=d_p) is d_p
+        assert d_p.tobytes() == fresh.tobytes()
+        assert fresh.tobytes() == (p * (kept - np.sum(p * kept, axis=-1, keepdims=True))).tobytes()

@@ -410,6 +410,34 @@ class TestTape:
         assert len(biases) == 3 + (conditioning == "cross_attn")
         assert all(b is None for b in biases)
 
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    def test_stop_gradient_bias_sums_no_gradient(self, monkeypatch, placement):
+        """The log-affinity bias has no parameters: no block sums its
+        gradient, so the tokens stage finds none to hand a bias backward."""
+        assert ATTENTION_BIAS["log_affinity"][1] is None
+        seen = []
+
+        def spied(stage):
+            stage_forward, stage_backward = stage
+
+            def spy(params, grads, cfg, cache, d):
+                seen.append((stage_backward.__name__, toy_model._D_BIAS in grads))
+                d = stage_backward(params, grads, cfg, cache, d)
+                seen.append((stage_backward.__name__, toy_model._D_BIAS in grads))
+                return d
+
+            return stage_forward, spy
+
+        monkeypatch.setattr(toy_model, "_BLOCK", spied(toy_model._BLOCK))
+        monkeypatch.setattr(toy_model, "_TOKENS", spied(toy_model._TOKENS))
+        cfg = small_cfg(degat_placement=placement, attention_bias="log_affinity", n_blocks=2)
+        rng = np.random.default_rng(16)
+        params = init_model_params(cfg)
+        _, grads = loss_and_grads(params, cfg, make_frames(rng, cfg, 2), *make_gt(rng, cfg, 2))
+        assert [name for name, _ in seen] == ["_attn_ffn_backward"] * 4 + ["_tokens_backward"] * 2
+        assert not any(has_d_bias for _, has_d_bias in seen)
+        assert list(grads) == list(params)
+
     @pytest.mark.parametrize("placement,conditioning,bias", VARIANTS)
     def test_tapeless_passes_bit_identical(self, placement, conditioning, bias):
         """``loss`` gives the breakdown of ``loss_and_grads``, and ``forward``
