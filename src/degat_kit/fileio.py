@@ -17,8 +17,20 @@ _HEADER_DIGITS = 18
 
 
 def write_pfm(path, data):
-    """Write a float32/float64 grayscale or color grid as PFM."""
-    data = np.asarray(data, dtype=np.float32)
+    """Write a float32/float64 grayscale or color grid as PFM.
+
+    Values are stored as float32: NaN and inf pass through, and a finite
+    value beyond the float32 range raises ValueError.
+    """
+    src = np.asarray(data, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        data = src.astype(np.float32)
+    overflow = np.isinf(data) & np.isfinite(src)
+    if overflow.any():
+        raise ValueError(
+            f"PFM stores float32: largest finite |value| {np.max(np.abs(src[overflow])):.6g} "
+            f"exceeds {np.finfo(np.float32).max:.6g}"
+        )
     if data.ndim == 2:
         header = b"Pf"
     elif data.ndim == 3 and data.shape[2] == 3:

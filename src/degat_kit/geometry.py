@@ -3,7 +3,8 @@
 Back-projection follows X_cam = depth * K^{-1} (u, v, 1)^T followed by
 the rigid transform X_world = R X_cam + T. Forward projection is the
 exact inverse, used for round-trip verification, and requires an
-orthonormal rotation.
+orthonormal rotation. PLY export stores the points as float32 at 9
+significant digits, and rejects a point that float32 cannot hold.
 """
 
 from dataclasses import dataclass
@@ -146,13 +147,28 @@ def project_point(p_world, cam, tol=1e-9):
 
 
 def write_ply(cloud, path):
-    """ASCII PLY 1.0 export; colors (if present) as uint8 red/green/blue."""
+    """ASCII PLY 1.0 export of the points as float32, the type its header
+    declares, and colors (if present) as uint8 red/green/blue.
+
+    Each coordinate is cast to float32 and written with 9 significant
+    digits, which round-trip any float32: a reader gets exactly
+    ``np.float32(v)``. A coordinate that float32 cannot hold raises
+    ValueError before the file is opened.
+    """
     points = np.asarray(cloud.points, dtype=np.float64).reshape(-1, 3)
+    with np.errstate(over="ignore"):
+        xyz = points.astype(np.float32)
+    if not np.isfinite(xyz).all():
+        raise ValueError(
+            f"point cloud does not fit the PLY float32 type: largest |coordinate| "
+            f"{np.max(np.abs(points)):.6g} exceeds {np.finfo(np.float32).max:.6g}"
+        )
     has_color = cloud.colors is not None
+    n = points.shape[0]
     lines = [
         "ply",
         "format ascii 1.0",
-        f"element vertex {points.shape[0]}",
+        f"element vertex {n}",
         "property float x",
         "property float y",
         "property float z",
@@ -164,19 +180,21 @@ def write_ply(cloud, path):
             "property uchar blue",
         ]
     lines.append("end_header\n")
-    # One %-format over Python floats: repr(float) is the same shortest
-    # round-trip text that str() gives for each np.float64.
+    # One %-format over one flat list of Python scalars, filled column by
+    # column; a float32's Python float is exact, so %.9g rounds it once.
+    columns = xyz.T.tolist()
+    row = "%.9g %.9g %.9g"
     if has_color:
-        rgb = np.clip(np.asarray(cloud.colors, dtype=np.float64), 0.0, 1.0)
-        rgb = np.rint(rgb * 255.0).astype(np.int64)
-        row = "%r %r %r %d %d %d\n"
-        values = np.hstack([points.astype(object), rgb.astype(object)])
-    else:
-        row = "%r %r %r\n"
-        values = points
-    body = (row * points.shape[0]) % tuple(values.ravel().tolist())
+        rgb = np.clip(np.asarray(cloud.colors, dtype=np.float64).reshape(-1, 3), 0.0, 1.0)
+        columns += np.rint(rgb * 255.0).astype(np.int64).T.tolist()
+        row += " %d %d %d"
+    values = [0] * (n * len(columns))
+    for c, column in enumerate(columns):
+        values[c::len(columns)] = column
+    body = ((row + "\n") * n) % tuple(values)
     try:
         with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + body)
+            fh.write("\n".join(lines))
+            fh.write(body)
     except OSError as exc:
         raise OSError(f"failed to write PLY to {path}: {exc}") from exc

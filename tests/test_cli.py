@@ -304,6 +304,14 @@ class TestBackprojectCommand:
         assert "must hold a JSON object, got list" in err
         assert not out.exists()
 
+    def test_points_beyond_float32_are_validation_error(self, tmp_path, capsys):
+        # x = depth * (u - cx) / f reaches 1.5e40, past the PLY float32 range
+        pose = {**self.POSE, "f": 1e-40}
+        argv, out = self.backproject_args(tmp_path, np.ones((4, 4)), pose)
+        err = assert_one_error_line(capsys, argv, EXIT_VALIDATION)
+        assert "largest |coordinate| 1.5e+40 exceeds 3.40282e+38" in err
+        assert not out.exists()
+
     def test_deeply_nested_pose(self, tmp_path, capsys):
         argv, out = self.backproject_args(tmp_path, np.ones((4, 4)), DEEP_JSON)
         assert "recursion" in assert_one_error_line(capsys, argv, EXIT_IO)

@@ -66,6 +66,19 @@ def test_pfm_roundtrip(work, data):
     np.testing.assert_array_equal(read_pfm(path), data.astype(np.float64))
 
 
+@pytest.mark.parametrize("value, text", [(1e300, "1e+300"), (-1e39, "1e+39")])
+def test_pfm_rejects_finite_values_beyond_float32(tmp_path, value, text):
+    path = tmp_path / "big.pfm"
+    with pytest.raises(ValueError, match=rf"largest finite \|value\| {re.escape(text)} exceeds 3\.40282e\+38"):
+        write_pfm(path, [[1.0, value]])
+    assert not path.exists()
+    # non-finite values are stored as they are, and float32 max still fits
+    write_pfm(path, [[np.nan, -np.inf, float(np.finfo(np.float32).max)]])
+    back = read_pfm(path)
+    assert np.isnan(back[0, 0]) and back[0, 1] == -np.inf
+    assert back[0, 2] == np.finfo(np.float32).max
+
+
 @settings(max_examples=60)
 @given(arrays(np.uint8, st.sampled_from([(1, 1), (3, 2), (2, 5), (4, 3, 3), (1, 2, 3)])))
 def test_pnm_roundtrip(work, levels):

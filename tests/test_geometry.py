@@ -1,3 +1,6 @@
+import ctypes
+import inspect
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from degat_kit.fileio import (
     write_pfm,
     write_pnm,
 )
+from degat_kit import geometry
 from degat_kit.geometry import (
     CameraParams,
     DepthMap,
@@ -29,8 +33,8 @@ def random_rotation(rng):
 
 
 def reference_ply_bytes(cloud):
-    """Per-row PLY writer that f-formats np.float64 scalars: the oracle for
-    the vectorised ``write_ply`` body."""
+    """Per-row PLY writer that %.9g-formats each coordinate's float32: the
+    oracle for the vectorised ``write_ply`` body."""
     points = np.asarray(cloud.points, dtype=np.float64).reshape(-1, 3)
     has_color = cloud.colors is not None
     lines = ["ply", "format ascii 1.0", f"element vertex {points.shape[0]}",
@@ -38,15 +42,52 @@ def reference_ply_bytes(cloud):
     if has_color:
         lines += ["property uchar red", "property uchar green", "property uchar blue"]
     lines.append("end_header")
+    rows = [" ".join("%.9g" % float(np.float32(v)) for v in p) for p in points]
     if has_color:
         rgb = np.clip(np.asarray(cloud.colors, dtype=np.float64), 0.0, 1.0)
         rgb = np.rint(rgb * 255.0).astype(np.int64)
-        for p, c in zip(points, rgb):
-            lines.append(f"{p[0]} {p[1]} {p[2]} {c[0]} {c[1]} {c[2]}")
+        rows = [f"{row} {c[0]} {c[1]} {c[2]}" for row, c in zip(rows, rgb)]
+    return ("\n".join(lines + rows) + "\n").encode("ascii")
+
+
+def _libc_strtof():
+    """libc's ``strtof``, the parser a C reader of a PLY ``float`` uses, or
+    None where the C library cannot be loaded."""
+    try:
+        strtof = ctypes.CDLL(None).strtof
+    except (OSError, AttributeError, TypeError):
+        return None
+    strtof.argtypes = [ctypes.c_char_p, ctypes.POINTER(ctypes.c_char_p)]
+    strtof.restype = ctypes.c_float
+    return strtof
+
+
+STRTOF = _libc_strtof()
+
+
+def ply_vertices(path):
+    """The vertex rows of an ASCII PLY file, as a list of token lists."""
+    text = path.read_text(encoding="ascii")
+    header, body = text.split("end_header\n")
+    n = int(header.split("element vertex ")[1].split()[0])
+    rows = [line.split() for line in body.splitlines()]
+    assert len(rows) == n
+    return rows
+
+
+def parse_float32(tokens, parser):
+    """Tokens parsed as float32, either through Python ``float`` and
+    ``np.float32`` or through libc ``strtof``, as an array of bit patterns."""
+    if parser == "strtof":
+        if STRTOF is None:
+            pytest.skip("libc strtof is not loadable here")
+        values = [STRTOF(t.encode("ascii"), None) for t in tokens]
     else:
-        for p in points:
-            lines.append(f"{p[0]} {p[1]} {p[2]}")
-    return ("\n".join(lines) + "\n").encode("ascii")
+        values = [np.float32(float(t)) for t in tokens]
+    return np.array(values, dtype=np.float32).view(np.uint32)
+
+
+F32_MAX = float(np.finfo(np.float32).max)
 
 
 def identity_cam(f=1.0, principal=(0.0, 0.0)):
@@ -223,9 +264,10 @@ class TestPly:
     @staticmethod
     def reference_clouds():
         rng = np.random.default_rng(11)
+        # float64 subnormal, float32 max and a value that rounds down to it
         extremes = np.array([
             [-0.0, 1e16, 1e-5],
-            [5e-324, 1.7976931348623157e308, -1.7976931348623157e308],
+            [5e-324, F32_MAX, -F32_MAX * (1.0 + 2.0 ** -26)],
             [0.1, -2.5e-300, 123456789012345.6],
         ])
         signs = rng.choice([-1.0, 1.0], (500, 3))
@@ -253,6 +295,79 @@ class TestPly:
         path = tmp_path / "cloud.ply"
         write_ply(cloud, path)
         assert path.read_bytes() == reference_ply_bytes(cloud)
+
+    @staticmethod
+    def float32_cloud():
+        """Coordinates where float32 parsing is delicate: random values over
+        many magnitudes, signed zeros, float64 and float32 subnormals, the
+        float32 range ends, and values exactly halfway between float32s."""
+        rng = np.random.default_rng(12)
+        random = rng.choice([-1.0, 1.0], 600) * 10.0 ** rng.uniform(-40.0, 38.0, 600)
+        lo = rng.standard_normal(300).astype(np.float32)
+        hi = np.nextafter(lo, np.float32(np.inf))
+        halfway = (lo.astype(np.float64) + hi.astype(np.float64)) / 2.0
+        tiny = 2.0 ** -149
+        special = [
+            0.0, -0.0, 5e-324, -5e-324, 2.2e-308, tiny, -tiny, 0.5 * tiny, 1.5 * tiny,
+            2.5 * tiny, 2.0 ** -126 - tiny, F32_MAX, -F32_MAX, 3.4e38, -3.4e38,
+            F32_MAX * (1.0 + 2.0 ** -26), 1.0 + 2.0 ** -24, 1.0 + 3.0 * 2.0 ** -24,
+            16777217.0, 0.1, 1.0 / 3.0,
+        ]
+        values = np.concatenate([random, halfway, special])
+        return PointCloud(points=np.resize(values, (values.size + 2) // 3 * 3).reshape(-1, 3))
+
+    @pytest.mark.parametrize("parser", ["float", "strtof"])
+    def test_body_parses_to_float32_cast(self, tmp_path, parser):
+        cloud = self.float32_cloud()
+        path = tmp_path / "cloud.ply"
+        write_ply(cloud, path)
+        tokens = [t for row in ply_vertices(path) for t in row]
+        expect = cloud.points.astype(np.float32).ravel().view(np.uint32)
+        np.testing.assert_array_equal(parse_float32(tokens, parser), expect)
+
+    def test_shortest_float64_repr_misreads_halfway_value(self, tmp_path):
+        # 1 + 2**-24 lies halfway between float32 1 and its successor
+        v = 1.0 + 2.0 ** -24
+        assert np.float32(v) == 1.0
+        assert parse_float32([repr(v)], "strtof") != np.float32(1.0).view(np.uint32)
+        path = tmp_path / "cloud.ply"
+        write_ply(PointCloud(points=np.array([[v, -v, 0.0]])), path)
+        assert ply_vertices(path) == [["1", "-1", "0"]]
+
+    @pytest.mark.parametrize("parser", ["float", "strtof"])
+    def test_eval_export_sized_round_trip(self, tmp_path, parser):
+        rng = np.random.default_rng(13)
+        depth = rng.uniform(-0.2, 3.0, (128, 128))
+        cam = CameraParams(random_rotation(rng), rng.standard_normal(3), 110.0, (63.5, 64.0))
+        image = rng.uniform(-0.1, 1.1, (128, 128, 3))
+        cloud = depth_to_pointcloud(DepthMap(depth, np.ones_like(depth)), cam, image)
+        path = tmp_path / "cloud.ply"
+        write_ply(cloud, path)
+        rows = ply_vertices(path)
+        xyz = parse_float32([t for row in rows for t in row[:3]], parser)
+        np.testing.assert_array_equal(xyz, cloud.points.astype(np.float32).ravel().view(np.uint32))
+        rgb = np.array([[int(t) for t in row[3:]] for row in rows])
+        np.testing.assert_array_equal(rgb, np.rint(np.clip(cloud.colors, 0.0, 1.0) * 255.0))
+
+    @pytest.mark.parametrize("row, largest", [
+        ([5e-324, 1.7976931348623157e308, -1.7976931348623157e308], "1.79769e+308"),
+        ([0.0, 1.0, F32_MAX + 2.0 ** 103], "3.40282e+38"),  # halfway to the next power
+        ([0.0, -np.inf, 1.0], "inf"),
+        ([np.nan, 0.0, 1.0], "nan"),
+    ])
+    def test_rejects_coordinates_beyond_float32(self, tmp_path, row, largest):
+        path = tmp_path / "cloud.ply"
+        cloud = PointCloud(points=np.array([[1.0, 2.0, 3.0], row]), colors=np.zeros((2, 3)))
+        with pytest.raises(ValueError) as info:
+            write_ply(cloud, path)
+        message = str(info.value)
+        assert len(message.splitlines()) == 1
+        assert f"largest |coordinate| {largest} exceeds 3.40282e+38" in message
+        assert not path.exists()
+
+    def test_signature_is_the_tracer_contract(self):
+        # the benchmark's write_ply hook sizes the file through args["path"]
+        assert list(inspect.signature(geometry.write_ply).parameters) == ["cloud", "path"]
 
 
 class TestFileIo:
