@@ -346,10 +346,18 @@ def mlp_bias(features, mlp):
     """
     coords = mlp_bias_coords(features)
     x = coords.reshape(-1, 1)
-    heads = mlp.w2.shape[0]
-    out = np.empty((x.shape[0], heads))
-    for rows in _pair_blocks(x.shape[0]):
-        out[rows] = mlp2_forward(mlp, x[rows], "relu")[0]
+    n, heads = x.shape[0], mlp.w2.shape[0]
+    out = np.empty((n, heads))
+    hidden = np.empty((min(n, _BIAS_BLOCK_ROWS), mlp.w1.shape[0]))
+    for rows in _pair_blocks(n):
+        # one input coordinate: x @ W1^T is the (rows, 1) x (1, M) broadcast
+        # product, which skips a matmul whose inner dimension is 1
+        xb = x[rows]
+        h = np.multiply(xb, mlp.w1.T, out=hidden[: len(xb)])
+        h += mlp.b1
+        np.maximum(h, 0.0, out=h)
+        np.matmul(h, mlp.w2.T, out=out[rows])
+        out[rows] += mlp.b2
     return np.moveaxis(out.reshape(*coords.shape, heads), -1, -3), x
 
 

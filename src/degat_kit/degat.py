@@ -214,9 +214,9 @@ def degat_backward(cache, params, upstream):
         # logits l_ij = a . LeakyReLU(z_ij)
         z, e = _pairs(center, neighbor, nb_b, rows, z_buf, e_buf)
         d_a += d_logits.ravel() @ e.reshape(m * k, -1)
-        negative = z < 0.0
+        e[...] = np.where(z < 0.0, LEAKY_SLOPE, 1.0)  # LeakyReLU'(z); e is spent
         d_z = np.multiply(d_logits[:, :, None], params.a, out=z)  # z is spent
-        np.multiply(d_z, LEAKY_SLOPE, out=d_z, where=negative)
+        d_z *= e
         np.sum(d_z, axis=1, out=d_center[rows])
         d_neighbor += to_neighbor @ d_z.reshape(m * k, -1)
 

@@ -3,8 +3,9 @@
 Back-projection follows X_cam = depth * K^{-1} (u, v, 1)^T followed by
 the rigid transform X_world = R X_cam + T. Forward projection is the
 exact inverse, used for round-trip verification, and requires an
-orthonormal rotation. PLY export stores the points as float32 at 9
-significant digits, and rejects a point that float32 cannot hold.
+orthonormal rotation. PLY export writes a binary little-endian body: the
+points as the float32 its header declares, and uint8 colors; it rejects
+a point that float32 cannot hold.
 """
 
 from dataclasses import dataclass
@@ -147,54 +148,43 @@ def project_point(p_world, cam, tol=1e-9):
 
 
 def write_ply(cloud, path):
-    """ASCII PLY 1.0 export of the points as float32, the type its header
-    declares, and colors (if present) as uint8 red/green/blue.
+    """Binary little-endian PLY 1.0 export: each vertex is x/y/z as the
+    float32 its header declares, then, if the cloud has colors, uint8
+    red/green/blue; 12 or 15 bytes a vertex after an ASCII header.
 
-    Each coordinate is cast to float32 and written with 9 significant
-    digits, which round-trip any float32: a reader gets exactly
-    ``np.float32(v)``. A coordinate that float32 cannot hold raises
-    ValueError before the file is opened.
+    The points must be an (N, 3) array that float32 can hold, and the
+    colors, if given, a finite (N, 3) array, clipped to [0, 1]. Anything
+    else raises a one-line ValueError before the file is opened.
     """
-    points = np.asarray(cloud.points, dtype=np.float64).reshape(-1, 3)
+    points = np.asarray(cloud.points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"PLY points must be an (N, 3) array, got shape {points.shape}")
+    n = points.shape[0]
+    fields = [("xyz", "<f4", 3)]
+    properties = ["float x", "float y", "float z"]
+    if cloud.colors is not None:
+        colors = np.asarray(cloud.colors, dtype=np.float64)
+        if colors.shape != (n, 3):
+            raise ValueError(f"PLY colors must be ({n}, 3) like the points, got shape {colors.shape}")
+        if not np.isfinite(colors).all():
+            raise ValueError("PLY colors contain non-finite values")
+        fields.append(("rgb", "u1", 3))
+        properties += ["uchar red", "uchar green", "uchar blue"]
+    vertex = np.empty(n, dtype=fields)  # packed: no padding between records
     with np.errstate(over="ignore"):
-        xyz = points.astype(np.float32)
-    if not np.isfinite(xyz).all():
+        vertex["xyz"] = points
+    if not np.isfinite(vertex["xyz"]).all():
         raise ValueError(
             f"point cloud does not fit the PLY float32 type: largest |coordinate| "
             f"{np.max(np.abs(points)):.6g} exceeds {np.finfo(np.float32).max:.6g}"
         )
-    has_color = cloud.colors is not None
-    n = points.shape[0]
-    lines = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {n}",
-        "property float x",
-        "property float y",
-        "property float z",
-    ]
-    if has_color:
-        lines += [
-            "property uchar red",
-            "property uchar green",
-            "property uchar blue",
-        ]
-    lines.append("end_header\n")
-    # One %-format over one flat list of Python scalars, filled column by
-    # column; a float32's Python float is exact, so %.9g rounds it once.
-    columns = xyz.T.tolist()
-    row = "%.9g %.9g %.9g"
-    if has_color:
-        rgb = np.clip(np.asarray(cloud.colors, dtype=np.float64).reshape(-1, 3), 0.0, 1.0)
-        columns += np.rint(rgb * 255.0).astype(np.int64).T.tolist()
-        row += " %d %d %d"
-    values = [0] * (n * len(columns))
-    for c, column in enumerate(columns):
-        values[c::len(columns)] = column
-    body = ((row + "\n") * n) % tuple(values)
+    if cloud.colors is not None:
+        vertex["rgb"] = np.rint(np.clip(colors, 0.0, 1.0) * 255.0)
+    header = ["ply", "format binary_little_endian 1.0", f"element vertex {n}"]
+    header += [f"property {p}" for p in properties] + ["end_header\n"]
     try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines))
-            fh.write(body)
+        with open(path, "wb") as fh:
+            fh.write("\n".join(header).encode("ascii"))
+            fh.write(vertex.tobytes())
     except OSError as exc:
         raise OSError(f"failed to write PLY to {path}: {exc}") from exc

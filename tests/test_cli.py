@@ -268,7 +268,9 @@ class TestBackprojectCommand:
         assert main(argv) == EXIT_OK
         summary = json.loads(capsys.readouterr().out)
         assert summary == {"points": 15, "skipped": 1}
-        assert out.read_text().splitlines()[2] == "element vertex 15"
+        header = out.read_bytes().split(b"end_header\n")[0].decode("ascii")
+        assert header.splitlines()[1:3] == ["format binary_little_endian 1.0", "element vertex 15"]
+        assert out.stat().st_size == len(header) + len("end_header\n") + 15 * 12
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_nonfinite_depth_is_validation_error(self, tmp_path, capsys, bad):
@@ -331,7 +333,7 @@ class TestBackprojectCommand:
         out = tmp_path / "c.ply"
         assert main(["backproject", "--depth", str(dpath), "--pose", str(pose),
                      "--out", str(out), "--image", str(img)]) == EXIT_OK
-        assert "property uchar red" in out.read_text()
+        assert b"property uchar red" in out.read_bytes().split(b"end_header")[0]
 
 
 class TestMetricsCommand:

@@ -1,4 +1,3 @@
-import ctypes
 import inspect
 
 import numpy as np
@@ -32,59 +31,51 @@ def random_rotation(rng):
     return q
 
 
-def reference_ply_bytes(cloud):
-    """Per-row PLY writer that %.9g-formats each coordinate's float32: the
-    oracle for the vectorised ``write_ply`` body."""
-    points = np.asarray(cloud.points, dtype=np.float64).reshape(-1, 3)
-    has_color = cloud.colors is not None
-    lines = ["ply", "format ascii 1.0", f"element vertex {points.shape[0]}",
+PLY_TYPES = {"float": "<f4", "uchar": "u1"}
+
+
+def read_ply(path):
+    """(header lines before ``end_header``, vertex records) of a binary
+    little-endian PLY file.
+
+    The body is read with ``np.frombuffer`` and a dtype of one field per
+    ``property`` line, so it checks the writer's packed records
+    independently of how they were built.
+    """
+    head, sep, body = path.read_bytes().partition(b"end_header\n")
+    assert sep == b"end_header\n"
+    lines = head.decode("ascii").splitlines()
+    assert lines[:2] == ["ply", "format binary_little_endian 1.0"]
+    assert lines[2].startswith("element vertex ")
+    n = int(lines[2].split()[2])
+    props = [line.split() for line in lines[3:]]
+    assert all(word == "property" for word, _, _ in props)
+    dtype = np.dtype([(name, PLY_TYPES[kind]) for _, kind, name in props])
+    assert len(body) == n * dtype.itemsize
+    return lines, np.frombuffer(body, dtype=dtype)
+
+
+def ply_header(n, colored):
+    """The header lines of an n-vertex PLY, up to ``end_header``."""
+    lines = ["ply", "format binary_little_endian 1.0", f"element vertex {n}",
              "property float x", "property float y", "property float z"]
-    if has_color:
+    if colored:
         lines += ["property uchar red", "property uchar green", "property uchar blue"]
-    lines.append("end_header")
-    rows = [" ".join("%.9g" % float(np.float32(v)) for v in p) for p in points]
-    if has_color:
-        rgb = np.clip(np.asarray(cloud.colors, dtype=np.float64), 0.0, 1.0)
-        rgb = np.rint(rgb * 255.0).astype(np.int64)
-        rows = [f"{row} {c[0]} {c[1]} {c[2]}" for row, c in zip(rows, rgb)]
-    return ("\n".join(lines + rows) + "\n").encode("ascii")
+    return lines
 
 
-def _libc_strtof():
-    """libc's ``strtof``, the parser a C reader of a PLY ``float`` uses, or
-    None where the C library cannot be loaded."""
-    try:
-        strtof = ctypes.CDLL(None).strtof
-    except (OSError, AttributeError, TypeError):
-        return None
-    strtof.argtypes = [ctypes.c_char_p, ctypes.POINTER(ctypes.c_char_p)]
-    strtof.restype = ctypes.c_float
-    return strtof
-
-
-STRTOF = _libc_strtof()
-
-
-def ply_vertices(path):
-    """The vertex rows of an ASCII PLY file, as a list of token lists."""
-    text = path.read_text(encoding="ascii")
-    header, body = text.split("end_header\n")
-    n = int(header.split("element vertex ")[1].split()[0])
-    rows = [line.split() for line in body.splitlines()]
-    assert len(rows) == n
-    return rows
-
-
-def parse_float32(tokens, parser):
-    """Tokens parsed as float32, either through Python ``float`` and
-    ``np.float32`` or through libc ``strtof``, as an array of bit patterns."""
-    if parser == "strtof":
-        if STRTOF is None:
-            pytest.skip("libc strtof is not loadable here")
-        values = [STRTOF(t.encode("ascii"), None) for t in tokens]
-    else:
-        values = [np.float32(float(t)) for t in tokens]
-    return np.array(values, dtype=np.float32).view(np.uint32)
+def assert_ply_body(path, cloud):
+    """The file holds exactly the header and, as bytes, the float32 cast of
+    every coordinate and the rounded, clipped 8-bit color of every point."""
+    points = np.asarray(cloud.points, dtype=np.float64)
+    lines, vertex = read_ply(path)
+    assert lines == ply_header(len(points), cloud.colors is not None)
+    xyz = np.stack([vertex[axis] for axis in "xyz"], axis=1)
+    assert xyz.tobytes() == points.astype("<f4").tobytes()
+    if cloud.colors is not None:
+        rgb = np.stack([vertex[c] for c in ("red", "green", "blue")], axis=1)
+        expect = np.rint(np.clip(np.asarray(cloud.colors, dtype=np.float64), 0.0, 1.0) * 255.0)
+        assert rgb.tobytes() == expect.astype("u1").tobytes()
 
 
 F32_MAX = float(np.finfo(np.float32).max)
@@ -245,21 +236,19 @@ class TestPly:
         depth = np.ones((2, 2))
         cloud = depth_to_pointcloud(DepthMap(depth, depth), identity_cam())
         write_ply(cloud, path)
-        lines = path.read_text(encoding="ascii").splitlines()
-        assert lines[0] == "ply"
-        assert lines[1] == "format ascii 1.0"
-        assert lines[2] == "element vertex 4"
-        assert "end_header" in lines
-        body = lines[lines.index("end_header") + 1:]
-        assert len(body) == 4
-        assert [float(t) for t in body[0].split()] == [0.0, 0.0, 1.0]
+        lines, vertex = read_ply(path)
+        assert lines == ply_header(4, colored=False)
+        assert vertex.dtype.itemsize == 12
+        assert [float(vertex[0][a]) for a in "xyz"] == [0.0, 0.0, 1.0]
+        assert_ply_body(path, cloud)
 
     def test_color_quantization(self, tmp_path):
         path = tmp_path / "c.ply"
         cloud = PointCloud(points=np.zeros((1, 3)), colors=np.array([[0.0, 0.5, 1.0]]))
         write_ply(cloud, path)
-        last = path.read_text().splitlines()[-1].split()
-        assert last[3:] == ["0", "128", "255"]
+        _, vertex = read_ply(path)
+        assert vertex.dtype.itemsize == 15
+        assert [int(vertex[0][c]) for c in ("red", "green", "blue")] == [0, 128, 255]
 
     @staticmethod
     def reference_clouds():
@@ -294,13 +283,12 @@ class TestPly:
         cloud = self.reference_clouds()[name]
         path = tmp_path / "cloud.ply"
         write_ply(cloud, path)
-        assert path.read_bytes() == reference_ply_bytes(cloud)
+        assert_ply_body(path, cloud)
 
-    @staticmethod
-    def float32_cloud():
-        """Coordinates where float32 parsing is delicate: random values over
-        many magnitudes, signed zeros, float64 and float32 subnormals, the
-        float32 range ends, and values exactly halfway between float32s."""
+    def test_body_is_float32_cast(self, tmp_path):
+        # random values over many magnitudes, signed zeros, float64 and
+        # float32 subnormals, the float32 range ends, and values exactly
+        # halfway between float32s, which round to even
         rng = np.random.default_rng(12)
         random = rng.choice([-1.0, 1.0], 600) * 10.0 ** rng.uniform(-40.0, 38.0, 600)
         lo = rng.standard_normal(300).astype(np.float32)
@@ -314,28 +302,20 @@ class TestPly:
             16777217.0, 0.1, 1.0 / 3.0,
         ]
         values = np.concatenate([random, halfway, special])
-        return PointCloud(points=np.resize(values, (values.size + 2) // 3 * 3).reshape(-1, 3))
-
-    @pytest.mark.parametrize("parser", ["float", "strtof"])
-    def test_body_parses_to_float32_cast(self, tmp_path, parser):
-        cloud = self.float32_cloud()
+        cloud = PointCloud(points=np.resize(values, (values.size + 2) // 3 * 3).reshape(-1, 3))
         path = tmp_path / "cloud.ply"
         write_ply(cloud, path)
-        tokens = [t for row in ply_vertices(path) for t in row]
-        expect = cloud.points.astype(np.float32).ravel().view(np.uint32)
-        np.testing.assert_array_equal(parse_float32(tokens, parser), expect)
+        assert_ply_body(path, cloud)
 
-    def test_shortest_float64_repr_misreads_halfway_value(self, tmp_path):
+    def test_halfway_value_is_written_as_its_float32_cast(self, tmp_path):
         # 1 + 2**-24 lies halfway between float32 1 and its successor
         v = 1.0 + 2.0 ** -24
-        assert np.float32(v) == 1.0
-        assert parse_float32([repr(v)], "strtof") != np.float32(1.0).view(np.uint32)
         path = tmp_path / "cloud.ply"
-        write_ply(PointCloud(points=np.array([[v, -v, 0.0]])), path)
-        assert ply_vertices(path) == [["1", "-1", "0"]]
+        write_ply(PointCloud(points=np.array([[v, -v, -0.0]])), path)
+        _, vertex = read_ply(path)
+        assert vertex.tobytes() == np.array([1.0, -1.0, -0.0], "<f4").tobytes()
 
-    @pytest.mark.parametrize("parser", ["float", "strtof"])
-    def test_eval_export_sized_round_trip(self, tmp_path, parser):
+    def test_eval_export_sized_round_trip(self, tmp_path):
         rng = np.random.default_rng(13)
         depth = rng.uniform(-0.2, 3.0, (128, 128))
         cam = CameraParams(random_rotation(rng), rng.standard_normal(3), 110.0, (63.5, 64.0))
@@ -343,11 +323,19 @@ class TestPly:
         cloud = depth_to_pointcloud(DepthMap(depth, np.ones_like(depth)), cam, image)
         path = tmp_path / "cloud.ply"
         write_ply(cloud, path)
-        rows = ply_vertices(path)
-        xyz = parse_float32([t for row in rows for t in row[:3]], parser)
-        np.testing.assert_array_equal(xyz, cloud.points.astype(np.float32).ravel().view(np.uint32))
-        rgb = np.array([[int(t) for t in row[3:]] for row in rows])
-        np.testing.assert_array_equal(rgb, np.rint(np.clip(cloud.colors, 0.0, 1.0) * 255.0))
+        assert_ply_body(path, cloud)
+
+    def test_header_is_the_benchmark_check_contract(self, tmp_path):
+        # the benchmark's eval-export check reads the vertex count this way
+        rng = np.random.default_rng(14)
+        cloud = PointCloud(points=rng.standard_normal((16384, 3)),
+                           colors=rng.uniform(0.0, 1.0, (16384, 3)))
+        path = tmp_path / "cloud.ply"
+        write_ply(cloud, path)
+        with open(path, "rb") as fh:
+            header = fh.read(512).split(b"end_header")[0].decode("ascii")
+        vertices = [int(ln.split()[2]) for ln in header.splitlines() if ln.startswith("element vertex")]
+        assert vertices == [16384]
 
     @pytest.mark.parametrize("row, largest", [
         ([5e-324, 1.7976931348623157e308, -1.7976931348623157e308], "1.79769e+308"),
@@ -363,6 +351,21 @@ class TestPly:
         message = str(info.value)
         assert len(message.splitlines()) == 1
         assert f"largest |coordinate| {largest} exceeds 3.40282e+38" in message
+        assert not path.exists()
+
+    @pytest.mark.parametrize("points, colors, match", [
+        (np.zeros((3, 2)), None, r"points must be an \(N, 3\) array, got shape \(3, 2\)"),
+        (np.zeros(3), None, r"points must be an \(N, 3\) array, got shape \(3,\)"),
+        (np.zeros((2, 3)), np.zeros((3, 3)), r"colors must be \(2, 3\) like the points, got shape \(3, 3\)"),
+        (np.zeros((2, 3)), np.zeros(6), r"colors must be \(2, 3\) like the points, got shape \(6,\)"),
+        (np.zeros((2, 3)), [[0.5, np.nan, 0.5], [0.0, 0.0, 0.0]], "colors contain non-finite"),
+        (np.zeros((2, 3)), [[0.5, 0.5, 0.5], [0.0, -np.inf, 0.0]], "colors contain non-finite"),
+    ], ids=["points_3x2", "points_flat", "colors_rows", "colors_flat", "colors_nan", "colors_inf"])
+    def test_rejects_malformed_points_and_colors(self, tmp_path, points, colors, match):
+        path = tmp_path / "cloud.ply"
+        with pytest.raises(ValueError, match=match) as info:
+            write_ply(PointCloud(points=points, colors=colors), path)
+        assert len(str(info.value).splitlines()) == 1
         assert not path.exists()
 
     def test_signature_is_the_tracer_contract(self):
