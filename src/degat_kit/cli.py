@@ -225,7 +225,7 @@ def main(argv=None):
     except (OSError, json.JSONDecodeError, RecursionError) as exc:  # JSON nested too deep
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:  # a JSON int past float64
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -22,9 +22,10 @@ cross-attention conditioning with the camera token as the single query.
 
 A layer's weights are a field-only ``NamedTuple`` (``Mlp2``,
 ``CrossAttnParams``) named like the gradient dict its backward returns; the
-bucket table is a bare (K_b, H) array. The activation and the head count are
-arguments of the forward call, and each backward reads them, and all else it
-needs, from its own forward's cache. ``mlp2_shapes`` and ``attn_shapes`` give
+bucket table is a bare (K_b, H) array. ``Mlp2`` is a GELU MLP; the bias MLP's
+ReLU hidden layer is its own helper. The head count is an argument of the
+forward call, and each backward reads it, and all else it needs, from its own
+forward's cache. ``mlp2_shapes`` and ``attn_shapes`` give
 the field shapes that the init constructors build and that
 ``numerics.check_arrays`` checks; the layer functions do not check weights.
 """
@@ -34,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import erf
 
-from .graph import pairwise_distances
+from .graph import _row_blocks, pairwise_distances
 from .numerics import as_finite, as_vector, fan_in_uniform, softmax, softmax_backward
 
 __all__ = [
@@ -65,10 +66,6 @@ __all__ = [
 ]
 
 BUCKET_RATIO_EPS = 1e-8  # paper writes "+ eps" in the ratio without a value
-# pairs per block of the bias MLP: a (block, hidden) activation is 2 MB at
-# hidden = 32, far under glibc's 32 MB mmap ceiling, so blocks reuse heap pages
-# where one (F * L^2, hidden) array faults in fresh ones on every call
-_BIAS_BLOCK_ROWS = 8192
 
 
 def _gelu(x):
@@ -80,19 +77,13 @@ def _gelu_grad(x):
     return 0.5 * (1.0 + erf(x / np.sqrt(2.0))) + x * phi
 
 
-_ACTIVATIONS = {
-    "relu": (lambda x: np.maximum(x, 0.0), lambda x: (x > 0.0).astype(np.float64)),
-    "gelu": (_gelu, _gelu_grad),
-}
-
-
 def _rows(m):
     """All leading axes folded into one: (..., C) -> (N, C)."""
     return m.reshape(-1, m.shape[-1])
 
 
 class Mlp2(NamedTuple):
-    """Two-layer perceptron y = W2 act(W1 x + b1) + b2."""
+    """Two-layer perceptron y = W2 GELU(W1 x + b1) + b2."""
 
     w1: np.ndarray  # (M, in)
     b1: np.ndarray  # (M,)
@@ -114,45 +105,34 @@ def init_mlp2(in_dim, hidden, out_dim, rng=None, zero_final=False):
                 b2=np.zeros(shapes["b2"]))
 
 
-def _mlp2_hidden(mlp, x, activation):
-    """The first layer's (pre-activation, activation) on rows of x."""
-    act, _ = _ACTIVATIONS[activation]
+def mlp2_forward(mlp, x):
+    """Apply the MLP to rows of x (or a single vector); returns (y, cache)."""
+    x = np.asarray(x, dtype=np.float64)
     pre = x @ mlp.w1.T
     pre += mlp.b1
-    return pre, act(pre)
-
-
-def mlp2_forward(mlp, x, activation="gelu"):
-    """Apply the MLP to rows of x (or a single vector) with the named
-    activation, ``relu`` or ``gelu``; returns (y, cache)."""
-    if activation not in _ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
-    x = np.asarray(x, dtype=np.float64)
-    pre, hid = _mlp2_hidden(mlp, x, activation)
+    hid = _gelu(pre)
     y = hid @ mlp.w2.T
     y += mlp.b2
-    return y, (x, pre, hid, activation)
+    return y, (x, pre, hid)
 
 
-def _mlp2_weight_grads(mlp, cache, d_y):
-    """(weight grads dict, d(loss)/d(pre)) given d(loss)/dy."""
-    x, pre, hid, activation = cache
-    _, act_grad = _ACTIVATIONS[activation]
-    d_y = np.asarray(d_y, dtype=np.float64)
-    d_pre = (d_y @ mlp.w2) * act_grad(pre)
+def _mlp2_weight_grads(x, hid, d_y, d_pre):
+    """The weight grads dict from the layer input x, the hidden activations
+    and d(loss)/d(output) and d(loss)/d(pre-activation) on the same rows."""
     # a single vector is one row: its outer products and sums are exact
     flat_dy, flat_dpre = _rows(d_y), _rows(d_pre)
-    grads = {
+    return {
         "w1": flat_dpre.T @ _rows(x), "b1": flat_dpre.sum(axis=0),
         "w2": flat_dy.T @ _rows(hid), "b2": flat_dy.sum(axis=0),
     }
-    return grads, d_pre
 
 
 def mlp2_backward(mlp, cache, d_y):
     """Returns (weight grads dict, d_x) given d(loss)/dy."""
-    grads, d_pre = _mlp2_weight_grads(mlp, cache, d_y)
-    return grads, d_pre @ mlp.w1
+    x, pre, hid = cache
+    d_y = np.asarray(d_y, dtype=np.float64)
+    d_pre = (d_y @ mlp.w2) * _gelu_grad(pre)
+    return _mlp2_weight_grads(x, hid, d_y, d_pre), d_pre @ mlp.w1
 
 
 def condition_additive(base, g, mlp):
@@ -331,31 +311,34 @@ def mlp_bias_coords(features):
     return 2.0 * np.clip(delta, 0.0, 1.0) - 1.0
 
 
-def _pair_blocks(n):
-    """Row slices of at most _BIAS_BLOCK_ROWS covering n flattened pairs."""
-    return (slice(i, i + _BIAS_BLOCK_ROWS) for i in range(0, n, _BIAS_BLOCK_ROWS))
+def _bias_hidden_blocks(mlp, x):
+    """(rows, ReLU(x W1^T + b1) on those rows) for each row block of the
+    (n, 1) coordinate column x; the blocks follow ``graph._row_blocks`` and
+    write their hidden layers into the front of one buffer per call."""
+    blocks = _row_blocks(len(x), mlp.w1.shape[0])
+    buf = np.empty((min(blocks[0].stop, len(x)) if blocks else 0, mlp.w1.shape[0]))
+    for rows in blocks:
+        # one input coordinate: x @ W1^T is the (rows, 1) x (1, M) broadcast
+        # product, which skips a matmul whose inner dimension is 1
+        xb = x[rows]
+        h = np.multiply(xb, mlp.w1.T, out=buf[: len(xb)])
+        h += mlp.b1
+        yield rows, np.maximum(h, 0.0, out=h)
 
 
 def mlp_bias(features, mlp):
     """Per-head (..., H, L, L) bias from a 1 -> H ReLU MLP of the distance
     coordinate.
 
-    The MLP runs over the flattened pairs in fixed blocks of rows, so its
-    hidden activations never exceed one block. Returns (bias, cache); the
-    cache is the (... * L * L, 1) coordinate column alone.
+    The MLP runs over the flattened pairs in row blocks, so its hidden
+    activations never exceed one block. Returns (bias, cache); the cache is
+    the (... * L * L, 1) coordinate column alone.
     """
     coords = mlp_bias_coords(features)
     x = coords.reshape(-1, 1)
-    n, heads = x.shape[0], mlp.w2.shape[0]
-    out = np.empty((n, heads))
-    hidden = np.empty((min(n, _BIAS_BLOCK_ROWS), mlp.w1.shape[0]))
-    for rows in _pair_blocks(n):
-        # one input coordinate: x @ W1^T is the (rows, 1) x (1, M) broadcast
-        # product, which skips a matmul whose inner dimension is 1
-        xb = x[rows]
-        h = np.multiply(xb, mlp.w1.T, out=hidden[: len(xb)])
-        h += mlp.b1
-        np.maximum(h, 0.0, out=h)
+    heads = mlp.w2.shape[0]
+    out = np.empty((x.shape[0], heads))
+    for rows, h in _bias_hidden_blocks(mlp, x):
         np.matmul(h, mlp.w2.T, out=out[rows])
         out[rows] += mlp.b2
     return np.moveaxis(out.reshape(*coords.shape, heads), -1, -3), x
@@ -370,9 +353,11 @@ def mlp_bias_backward(mlp, cache, delta):
     """
     d_y = _rows(np.moveaxis(delta, -3, -1))
     grads = None
-    for rows in _pair_blocks(cache.shape[0]):
-        x = cache[rows]
-        block, _ = _mlp2_weight_grads(mlp, (x, *_mlp2_hidden(mlp, x, "relu"), "relu"), d_y[rows])
+    for rows, h in _bias_hidden_blocks(mlp, cache):
+        dy = d_y[rows]
+        d_pre = dy @ mlp.w2
+        d_pre *= h > 0.0  # ReLU'
+        block = _mlp2_weight_grads(cache[rows], h, dy, d_pre)
         grads = block if grads is None else {k: grads[k] + g for k, g in block.items()}
     return grads
 

@@ -16,13 +16,25 @@ __all__ = ["read_pfm", "write_pfm", "read_pnm", "write_pnm", "read_image", "writ
 _HEADER_DIGITS = 18
 
 
+def _grid_size(data, kind):
+    """(H, W) of an (H, W) or (H, W, 3) grid that the readers accept, with
+    neither size empty."""
+    if not (data.ndim == 2 or (data.ndim == 3 and data.shape[2] == 3)):
+        raise ValueError(f"{kind} expects (H, W) or (H, W, 3), got {data.shape}")
+    h, w = data.shape[:2]
+    if h < 1 or w < 1:
+        raise ValueError(f"{kind} size {w}x{h} is empty")
+    return h, w
+
+
 def write_pfm(path, data):
     """Write a float32/float64 grayscale or color grid as PFM.
 
     Values are stored as float32: NaN and inf pass through, and a finite
-    value beyond the float32 range raises ValueError.
+    value beyond the float32 range raises ValueError, as does an empty grid.
     """
     src = np.asarray(data, dtype=np.float64)
+    h, w = _grid_size(src, "PFM")
     with np.errstate(over="ignore"):
         data = src.astype(np.float32)
     overflow = np.isinf(data) & np.isfinite(src)
@@ -31,13 +43,7 @@ def write_pfm(path, data):
             f"PFM stores float32: largest finite |value| {np.max(np.abs(src[overflow])):.6g} "
             f"exceeds {np.finfo(np.float32).max:.6g}"
         )
-    if data.ndim == 2:
-        header = b"Pf"
-    elif data.ndim == 3 and data.shape[2] == 3:
-        header = b"PF"
-    else:
-        raise ValueError(f"PFM expects (H, W) or (H, W, 3), got {data.shape}")
-    h, w = data.shape[:2]
+    header = b"Pf" if data.ndim == 2 else b"PF"
     try:
         with open(path, "wb") as fh:
             fh.write(header + b"\n")
@@ -100,19 +106,18 @@ def read_pfm(path):
         raise ValueError(f"truncated PFM payload in {path}")
     data = np.frombuffer(payload, dtype=endian + "f4")
     shape = (h, w) if channels == 1 else (h, w, 3)
-    return np.flipud(data.reshape(shape)).astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signalling NaN reads as a quiet one
+        return np.flipud(data.reshape(shape)).astype(np.float64)
 
 
 def write_pnm(path, data):
-    """Write values in [0, 1] as binary PGM (2-D) or PPM (H, W, 3)."""
+    """Write values in [0, 1] as binary PGM (2-D) or PPM (H, W, 3); values
+    outside are clipped, and non-finite ones or an empty grid raise ValueError."""
     data = np.asarray(data, dtype=np.float64)
-    if data.ndim == 2:
-        magic = b"P5"
-    elif data.ndim == 3 and data.shape[2] == 3:
-        magic = b"P6"
-    else:
-        raise ValueError(f"PNM expects (H, W) or (H, W, 3), got {data.shape}")
-    h, w = data.shape[:2]
+    h, w = _grid_size(data, "PNM")
+    if not np.isfinite(data).all():
+        raise ValueError("PNM pixels contain non-finite values")
+    magic = b"P5" if data.ndim == 2 else b"P6"
     pixels = np.rint(np.clip(data, 0.0, 1.0) * 255.0).astype(np.uint8)
     try:
         with open(path, "wb") as fh:

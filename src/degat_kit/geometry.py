@@ -102,7 +102,8 @@ def depth_to_pointcloud(depth_map, cam, image=None):
 
     Pixels with non-positive depth are skipped (counted, not errored) so
     occluder-invalidated depth can pass through unharmed. Non-finite depth
-    or image values raise ValueError.
+    or image values, and a camera that maps a pixel past the float64 range,
+    raise ValueError.
     """
     d = depth_map.depth if isinstance(depth_map, DepthMap) else np.asarray(depth_map, dtype=np.float64)
     if d.ndim != 2:
@@ -115,10 +116,13 @@ def depth_to_pointcloud(depth_map, cam, image=None):
     uu, vv = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
     valid = d > 0.0
     dv = d[valid]
-    x_cam = np.stack(
-        [dv * (uu[valid] - cx) / f, dv * (vv[valid] - cy) / f, dv], axis=1
-    )
-    points = x_cam @ cam.rotation.T + cam.translation
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        x_cam = np.stack(
+            [dv * (uu[valid] - cx) / f, dv * (vv[valid] - cy) / f, dv], axis=1
+        )
+        points = x_cam @ cam.rotation.T + cam.translation
+    if not np.isfinite(points).all():
+        raise ValueError("camera maps a pixel past the float64 range")
     colors = None
     if image is not None:
         img = np.asarray(image, dtype=np.float64)

@@ -36,10 +36,11 @@ __all__ = [
 ]
 
 METRICS = ("cosine", "euclidean")
-# keys per frame in one row block of a K-NN build: 1 MB of float64, 128 rows
-# at L = 1024; a block stays in cache from its product through the
-# selection, and a build holds O(block) keys per frame instead of L^2
-_KNN_BLOCK_ENTRIES = 1 << 17
+# entries in one row block of every blocked loop (the K-NN build, the DeGAT
+# hop, the bias MLP): 1 MB of float64, 128 key rows at L = 1024 or 4096 bias
+# pairs at hidden = 32; a block stays in cache from its product on, and a
+# loop holds O(block) entries instead of the whole (rows, width) array
+_BLOCK_ENTRIES = 1 << 17
 # near-tie tolerance relative to 1 + |K-th key|, some 1e4 times the last-bit
 # differences (~1e-16) between BLAS kernels' roundings of one dot product
 _TIE_RTOL = 1e-12
@@ -106,16 +107,17 @@ def pairwise_distances(tokens):
 
 
 def _row_blocks(n, width):
-    """Slices of _KNN_BLOCK_ENTRIES // width rows (at least one) covering n
+    """Slices of _BLOCK_ENTRIES // width rows (at least one) covering n
     rows of ``width`` entries each; the last may reach past n.
 
-    A K-NN build's rows are a frame's n keys. There, a block of every row,
-    x[..., 0:n, :], is a view with the data and strides of x, so its
-    product with x's transpose is the syrk that x @ x.swapaxes(-1, -2)
-    makes; a smaller block's product is a gemm. The DeGAT hop blocks its
-    node rows of (K, C') pair terms by the same rule.
+    The one block rule of the package. A K-NN build's rows are a frame's n
+    keys. There, a block of every row, x[..., 0:n, :], is a view with the
+    data and strides of x, so its product with x's transpose is the syrk
+    that x @ x.swapaxes(-1, -2) makes; a smaller block's product is a gemm.
+    The DeGAT hop blocks its node rows of (K, C') pair terms, and the bias
+    MLP its pair rows of hidden activations, by the same rule.
     """
-    step = max(1, _KNN_BLOCK_ENTRIES // width)
+    step = max(1, _BLOCK_ENTRIES // width)
     return [slice(s, s + step) for s in range(0, n, step)]
 
 

@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import degat_kit
 from degat_kit import harness
@@ -16,16 +18,23 @@ from degat_kit.toy_model import ModelConfig, init_model_params
 
 
 def assert_one_error_line(capsys, argv, code):
-    """``main(argv)`` returns ``code``, prints nothing and writes one stderr
-    line and no traceback, the contract for hostile input; returns that line."""
-    assert main(argv) == code
+    """``main(argv)`` returns ``code``, prints nothing and writes one
+    ``error:`` line to stderr and no traceback, the contract for hostile
+    input; returns that line. A ``code`` of None takes any exit code, and
+    for EXIT_OK drops the output and returns None."""
+    got = main(argv)
+    assert got == code or (code is None and got in EXIT_CODES), got
     out, err = capsys.readouterr()
+    if got == EXIT_OK and code is None:
+        return None
     assert out == "" and "Traceback" not in err and len(err.splitlines()) == 1, err
+    assert err.startswith("error: "), err
     return err
 
 
 # parsing it exceeds Python's recursion limit
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
+EXIT_CODES = (EXIT_OK, EXIT_VALIDATION, EXIT_IO, EXIT_NUMERIC)
 
 
 @pytest.fixture
@@ -137,6 +146,15 @@ class TestTrainEvalCommands:
         (key, value), = edit.items()
         assert f"{key}={value!r}" in err
         assert not (tmp_path / "o").exists()
+
+    def test_integer_past_float64_in_config(self, tmp_path, tiny_config, capsys):
+        raw = json.loads(tiny_config.read_text())
+        tiny_config.write_text(json.dumps({**raw, "lr": 10**400}))
+        err = assert_one_error_line(
+            capsys, ["train", "--config", str(tiny_config), "--out", str(tmp_path / "o")],
+            EXIT_VALIDATION,
+        )
+        assert "int too large to convert to float" in err
 
     @pytest.mark.parametrize("body,kind", [([1, 2], "list"), ("steps", "str"), (3, "int")])
     def test_config_must_be_an_object(self, tmp_path, capsys, body, kind):
@@ -314,6 +332,22 @@ class TestBackprojectCommand:
         assert "largest |coordinate| 1.5e+40 exceeds 3.40282e+38" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [("f", 10**400), ("T", [0, -(10**400), 0])],
+                             ids=["f", "T"])
+    def test_integer_past_float64_is_validation_error(self, tmp_path, capsys, key, value):
+        argv, out = self.backproject_args(tmp_path, np.ones((4, 4)), {**self.POSE, key: value})
+        err = assert_one_error_line(capsys, argv, EXIT_VALIDATION)
+        assert "int too large to convert to float" in err
+        assert not out.exists()
+
+    def test_points_past_float64_are_validation_error(self, tmp_path, capsys):
+        # (u - cx) / f overflows, and inf times R's zeros is nan: no warning either way
+        pose = {**self.POSE, "f": 2.2250738585e-313}
+        argv, out = self.backproject_args(tmp_path, np.ones((4, 4)), pose)
+        err = assert_one_error_line(capsys, argv, EXIT_VALIDATION)
+        assert "camera maps a pixel past the float64 range" in err
+        assert not out.exists()
+
     def test_deeply_nested_pose(self, tmp_path, capsys):
         argv, out = self.backproject_args(tmp_path, np.ones((4, 4)), DEEP_JSON)
         assert "recursion" in assert_one_error_line(capsys, argv, EXIT_IO)
@@ -380,6 +414,16 @@ class TestMetricsCommand:
         )
         assert "max_val" in err
 
+    def test_max_val_squared_past_float64_is_validation_error(self, tmp_path, capsys):
+        pa, pb = tmp_path / "a.pfm", tmp_path / "b.pfm"
+        write_pfm(pa, np.zeros((16, 16)))
+        write_pfm(pb, np.full((16, 16), 0.25))
+        err = assert_one_error_line(
+            capsys, ["metrics", "--a", str(pa), "--b", str(pb), "--max-val", "1e200"],
+            EXIT_VALIDATION,
+        )
+        assert "out of range" in err
+
     @pytest.mark.parametrize("name,header", [("a.pfm", b"Pf\n0 0\n-1.0\n"),
                                              ("a.pgm", b"P5\n0 3\n255\n")])
     def test_empty_image_is_validation_error(self, tmp_path, capsys, name, header):
@@ -435,3 +479,80 @@ class TestCheckCommand:
         tracer = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracer)
         assert [r["name"] for r in results] == list(tracer.PROPERTY_CHECKS)
+
+
+# numbers as json.load returns them: any size, NaN and the infinities too
+NUMBERS = st.integers() | st.floats() | st.sampled_from([10**400, -(10**400), 1e308, 5e-324])
+# any JSON value: strings, and nested or ragged lists and objects
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | NUMBERS | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+def pose_values(key, value):
+    """A pose key's value in TestBackprojectCommand.POSE (R also as three
+    rows), numbers in its shape, or any JSON value."""
+    valid = [value, np.reshape(value, (3, 3)).tolist()] if key == "R" else [value]
+    n = len(value) if isinstance(value, list) else None
+    shaped = NUMBERS if n is None else st.lists(NUMBERS, min_size=n, max_size=n)
+    return st.sampled_from(valid) | shaped | JSON_VALUES
+
+
+POSES = JSON_VALUES | st.fixed_dictionaries(
+    {}, optional={key: pose_values(key, value) for key, value in TestBackprojectCommand.POSE.items()}
+)
+SIZE_TOKENS = st.integers(-1, 12).map(lambda v: str(v).encode()) | st.sampled_from(
+    [b"99999999999", b"1" + b"0" * 18, b"2.0", b"x"]
+)
+
+
+@st.composite
+def image_files(draw):
+    """The bytes of a PGM, PPM or PFM file: fuzzed magic, size, maxval or
+    scale, and a payload of the size the header declares or of any length."""
+    magic = draw(st.sampled_from([b"P5", b"P6", b"Pf", b"PF", b"P2"]))
+    w, h = draw(SIZE_TOKENS), draw(SIZE_TOKENS)
+    if magic in (b"Pf", b"PF"):
+        last, itemsize = draw(st.sampled_from([b"-1.0", b"1.0", b"nan", b"0"])), 4
+    else:
+        last = draw(st.sampled_from([b"255", b"1", b"65535", b"0", b"70000"]))
+        itemsize = 1 if int(last) <= 255 else 2
+    need = itemsize * (3 if magic in (b"P6", b"PF") else 1)
+    need *= int(w) * int(h) if w.isdigit() and h.isdigit() else 0
+    size = need if 0 < need <= 4096 and draw(st.booleans()) else draw(st.integers(0, 64))
+    return b"%s\n%s %s\n%s\n" % (magic, w, h, last) + draw(st.binary(min_size=size, max_size=size))
+
+
+IMAGE_NAMES = st.sampled_from(["a.pfm", "a.pgm", "a.ppm"])
+FUZZ = settings(max_examples=120, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestHostileInputs:
+    """Generated poses and image files: every run exits with a documented
+    code, and every failing run prints one error line and no traceback."""
+
+    @FUZZ
+    @given(pose=POSES)
+    def test_backproject_poses(self, tmp_path, capsys, pose):
+        argv, _ = TestBackprojectCommand.backproject_args(tmp_path, np.full((2, 2), 2.0), pose)
+        assert_one_error_line(capsys, argv, None)
+
+    @FUZZ
+    @given(names=st.tuples(IMAGE_NAMES, IMAGE_NAMES), raw=image_files(), data=st.data())
+    def test_metrics_images(self, tmp_path, capsys, names, raw, data):
+        pa, pb = tmp_path / names[0], tmp_path / ("b" + names[1])
+        pa.write_bytes(raw)
+        pb.write_bytes(data.draw(st.just(raw) | image_files()))
+        assert_one_error_line(capsys, ["metrics", "--a", str(pa), "--b", str(pb)], None)
+
+    @FUZZ
+    @given(name=IMAGE_NAMES, raw=image_files(), patch=st.sampled_from(["1", "2", "4"]),
+           k=st.integers(1, 4), metric=st.sampled_from(["cosine", "euclidean"]))
+    def test_graph_images(self, tmp_path, capsys, name, raw, patch, k, metric):
+        path = tmp_path / name
+        path.write_bytes(raw)
+        argv = ["graph", "--input", str(path), "--patch-size", patch, "--k", str(k),
+                "--metric", metric]
+        assert_one_error_line(capsys, argv, None)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from degat_kit import conditioning
+from degat_kit import graph
 from degat_kit.conditioning import (
     Mlp2,
     bias_table_gradient,
@@ -31,9 +31,10 @@ from degat_kit.conditioning import (
 from degat_kit.numerics import check_arrays
 from degat_kit.properties import finite_diff_grad
 
-# the bias MLP's row block: the default (one block for every small test) and
-# a tiny one, under which a 25-pair frame spans four blocks
-BIAS_BLOCKS = (conditioning._BIAS_BLOCK_ROWS, 7)
+# the bias MLP's row blocks, as _BLOCK_ENTRIES for the tests' 4-wide hidden
+# layer: the default (one block for every small test) and 7 rows, under which
+# a 25-pair frame spans four blocks
+BIAS_BLOCKS = (graph._BLOCK_ENTRIES, 7 * 4)
 
 
 def assert_blocks_agree(runs):
@@ -47,17 +48,9 @@ def assert_blocks_agree(runs):
 
 
 class TestMlp2:
-    def test_hand_relu_values(self):
-        mlp = Mlp2(w1=np.array([[1.0], [-1.0]]), b1=np.array([0.0, 0.0]),
-                   w2=np.array([[2.0, 3.0]]), b2=np.array([0.5]))
-        y, _ = mlp2_forward(mlp, np.array([2.0]), "relu")
-        assert y[0] == pytest.approx(4.5)  # 2*relu(2) + 3*relu(-2) + 0.5
-        y, _ = mlp2_forward(mlp, np.array([-1.0]), "relu")
-        assert y[0] == pytest.approx(3.5)
-
     def test_gelu_value(self):
         mlp = init_mlp2(1, 1, 1, rng=1)._replace(w1=np.array([[1.0]]), w2=np.array([[1.0]]))
-        y, _ = mlp2_forward(mlp, np.array([1.0]), "gelu")
+        y, _ = mlp2_forward(mlp, np.array([1.0]))
         # exact GELU(1) = 0.5 * (1 + erf(1/sqrt(2)))
         assert y[0] == pytest.approx(0.8413447460685429, abs=1e-12)
 
@@ -74,17 +67,16 @@ class TestMlp2:
             yi, _ = mlp2_forward(mlp, x[i])
             np.testing.assert_allclose(y[i], yi, atol=1e-14)
 
-    @pytest.mark.parametrize("act", ["relu", "gelu"])
-    def test_backward_finite_difference(self, act):
+    def test_backward_finite_difference(self):
         rng = np.random.default_rng(4)
         mlp = init_mlp2(3, 4, 2, rng=4)
-        x = rng.standard_normal(3) + 0.1  # keep relu kinks away
+        x = rng.standard_normal(3) + 0.1
         w = rng.standard_normal(2)
-        _, cache = mlp2_forward(mlp, x, act)
-        grads, d_x = mlp2_backward(mlp, cache, w)  # reads the activation from the cache
+        _, cache = mlp2_forward(mlp, x)
+        grads, d_x = mlp2_backward(mlp, cache, w)
 
         def loss():
-            y, _ = mlp2_forward(mlp, x, act)
+            y, _ = mlp2_forward(mlp, x)
             return float(w @ y)
 
         for analytic, arr in [
@@ -93,11 +85,6 @@ class TestMlp2:
         ]:
             numeric = finite_diff_grad(loss, arr, step=1e-6)
             assert np.max(np.abs(analytic - numeric)) < 1e-7
-
-    def test_shape_validation(self):
-        # the activation is a call argument: an unknown one is rejected by the call
-        with pytest.raises(ValueError, match="unknown activation 'tanh'"):
-            mlp2_forward(init_mlp2(2, 3, 1, rng=0), np.zeros(2), "tanh")
 
 
 class TestTokenConditioning:
@@ -185,6 +172,14 @@ class TestMlpBias:
         np.testing.assert_array_equal(x[0], -np.ones((4, 4)))
         np.testing.assert_array_equal(x[1], mlp_bias_coords(frames[1]))
 
+    def test_hand_relu_values(self):
+        # two tokens: coordinate +1 off the diagonal and -1 on it
+        mlp = Mlp2(w1=np.array([[1.0], [-1.0]]), b1=np.array([0.0, 0.0]),
+                   w2=np.array([[2.0, 3.0]]), b2=np.array([0.5]))
+        bias, _ = mlp_bias(np.array([[0.0, 0.0], [3.0, 4.0]]), mlp)
+        # 2*relu(1) + 3*relu(-1) + 0.5 off the diagonal, 2*relu(-1) + 3*relu(1) + 0.5 on it
+        np.testing.assert_array_equal(bias, [[[3.5, 2.5], [2.5, 3.5]]])
+
     def test_zero_final_gives_zero_bias(self):
         mlp = init_mlp2(1, 4, 3, rng=18, zero_final=True)
         bias, _ = mlp_bias(np.random.default_rng(18).standard_normal((5, 2)), mlp)
@@ -202,7 +197,7 @@ class TestMlpBias:
 
         runs = []
         for block in BIAS_BLOCKS:
-            monkeypatch.setattr(conditioning, "_BIAS_BLOCK_ROWS", block)
+            monkeypatch.setattr(graph, "_BLOCK_ENTRIES", block)
             bias, cache = mlp_bias(feats, mlp)
             grads = mlp_bias_backward(mlp, cache, w)
             runs.append((bias, grads))
@@ -402,7 +397,7 @@ class TestFrameAxis:
         assert_close(mlp_bias_coords(feats), np.stack([mlp_bias_coords(f) for f in feats]))
         blocked = []
         for block in BIAS_BLOCKS:  # the tiny block splits the 36-pair frames mid-row
-            monkeypatch.setattr(conditioning, "_BIAS_BLOCK_ROWS", block)
+            monkeypatch.setattr(graph, "_BLOCK_ENTRIES", block)
             bias, cache = mlp_bias(feats, mlp)
             grads = mlp_bias_backward(mlp, cache, delta)
             blocked.append((bias, grads))

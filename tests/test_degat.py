@@ -262,7 +262,7 @@ def hop_in_blocks(monkeypatch, rows, x, params, k, metric, up):
     the K-NN build's blocks shrink alike."""
     c = x.shape[-1]
     width = k * max(c, params.w_proj.shape[0])
-    monkeypatch.setattr(graph, "_KNN_BLOCK_ENTRIES", rows * width)
+    monkeypatch.setattr(graph, "_BLOCK_ENTRIES", rows * width)
     out, cache = degat_forward(x, params, k, metric)
     return out, cache, degat_backward(cache, params, up)
 
@@ -291,7 +291,7 @@ class TestRowBlocks:
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
 
     def test_finite_differences_in_blocks(self, monkeypatch):
-        monkeypatch.setattr(graph, "_KNN_BLOCK_ENTRIES", 2 * 3 * 4)  # 2 of the 18 node rows
+        monkeypatch.setattr(graph, "_BLOCK_ENTRIES", 2 * 3 * 4)  # 2 of the 18 node rows
         loss, pairs = GRADIENT_CHECKS["degat"](np.random.default_rng(22), l=9, c=4, k=3, frames=2)
         assert finite_diff_error(loss, pairs) < 1e-7
 

@@ -395,6 +395,14 @@ class TestFileIo:
         assert raw.startswith(b"Pf\n3 2\n-1.0\n")
         assert len(raw) == len(b"Pf\n3 2\n-1.0\n") + 4 * 6
 
+    def test_pfm_signalling_nan_reads_as_nan(self, tmp_path):
+        # float32 0x7f810000 is a signalling NaN: its cast to float64 warns
+        # unless the reader allows it
+        path = tmp_path / "snan.pfm"
+        path.write_bytes(b"Pf\n2 1\n-1.0\n" + np.array([0x7F810000, 0x3F800000], "<u4").tobytes())
+        back = read_pfm(path)
+        assert np.isnan(back[0, 0]) and back[0, 1] == 1.0
+
     def test_pfm_bad_magic(self, tmp_path):
         path = tmp_path / "bad.pfm"
         path.write_bytes(b"P5\n1 1\n255\nx")
@@ -419,6 +427,22 @@ class TestFileIo:
         path = tmp_path / "clip.pgm"
         write_pnm(path, np.array([[-1.0, 2.0]]))
         np.testing.assert_array_equal(read_pnm(path), [[0.0, 1.0]])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_pnm_rejects_non_finite(self, tmp_path, value):
+        path = tmp_path / "nan.pgm"
+        with pytest.raises(ValueError, match="^PNM pixels contain non-finite values$"):
+            write_pnm(path, np.array([[0.5, value]]))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("write, name", [(write_pfm, "e.pfm"), (write_pnm, "e.pgm")])
+    @pytest.mark.parametrize("shape, size", [((0, 4), "4x0"), ((3, 0), "0x3"), ((0, 0, 3), "0x0")])
+    def test_writers_reject_empty_grid(self, tmp_path, write, name, shape, size):
+        """A grid that the readers would reject as empty is not written."""
+        path = tmp_path / name
+        with pytest.raises(ValueError, match=f"size {size} is empty"):
+            write(path, np.zeros(shape))
+        assert not path.exists()
 
     def test_pnm_16bit_big_endian(self, tmp_path):
         path = tmp_path / "deep.pgm"

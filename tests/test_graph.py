@@ -199,13 +199,13 @@ class TestBuildKnnGraph:
         """Neighbor sets are the near-tie rule's on exactly computed scores,
         and similarities are within tau of those scores, whether the build
         scores the frame in its default row blocks or in blocks of 7 rows."""
-        default = graph._KNN_BLOCK_ENTRIES
+        default = graph._BLOCK_ENTRIES
         for name, feats in oracle_inputs(n, np.random.default_rng(n)).items():
             score = exact_scores(feats, metric)
             for k in (1, 5, n - 2):
                 oracle = topk_oracle(score, k, metric)
                 for entries in (default, 7 * n):
-                    monkeypatch.setattr(graph, "_KNN_BLOCK_ENTRIES", entries)
+                    monkeypatch.setattr(graph, "_BLOCK_ENTRIES", entries)
                     g = build_knn_graph(feats, k, metric)
                     assert_matches_oracle(g, score, oracle, (name, k, entries))
 
@@ -214,7 +214,7 @@ class TestBuildKnnGraph:
     def test_bit_identical_to_argsort(self, n, metric, monkeypatch):
         """Scored in one block, a build selects exactly what the reference
         full stable argsort selects from the same keys, bit for bit."""
-        monkeypatch.setattr(graph, "_KNN_BLOCK_ENTRIES", one_block(n))
+        monkeypatch.setattr(graph, "_BLOCK_ENTRIES", one_block(n))
         rng = np.random.default_rng(n)
         for name, feats in oracle_inputs(n, rng).items():
             for k in (1, 5, n - 2):
@@ -241,7 +241,7 @@ class TestBuildKnnGraph:
                     alone = build_knn_graph(feats, k, metric)
                     assert np.array_equal(g.neighbors[f], alone.neighbors), (f, k)
                     assert np.array_equal(g.similarities[f], alone.similarities), (f, k)
-        monkeypatch.setattr(graph, "_KNN_BLOCK_ENTRIES", one_block(n))
+        monkeypatch.setattr(graph, "_BLOCK_ENTRIES", one_block(n))
         for frames in stacks:
             for k in (1, 5, n - 2):
                 g = build_knn_graph(frames, k, metric)
@@ -371,8 +371,8 @@ class TestPairwiseDistances:
         x = np.random.default_rng(31).standard_normal((12, 3))
         rows = np.arange(12)[:, None]
         full = pairwise_distances(x)
-        for entries in (graph._KNN_BLOCK_ENTRIES, 5 * 12):  # one block, then blocks of 5 rows
-            monkeypatch.setattr(graph, "_KNN_BLOCK_ENTRIES", entries)
+        for entries in (graph._BLOCK_ENTRIES, 5 * 12):  # one block, then blocks of 5 rows
+            monkeypatch.setattr(graph, "_BLOCK_ENTRIES", entries)
             g = build_knn_graph(x, 4, "euclidean")
             d = pairwise_distances(x)
             np.testing.assert_array_equal(g.similarities, d[rows, g.neighbors])

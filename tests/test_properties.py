@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degat_kit import conditioning
+from degat_kit import conditioning, graph
 from degat_kit.properties import GRADIENT_CHECKS, finite_diff_error, finite_diff_grad
 
 
@@ -16,7 +16,8 @@ def test_backward_matches_finite_difference(name, seed):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_bias_mlp_row_across_blocks(seed, monkeypatch):
-    monkeypatch.setattr(conditioning, "_BIAS_BLOCK_ROWS", 7)  # the row's 25 pairs in four blocks
+    # 7-row blocks of the row's 6-wide hidden layer: its 25 pairs in four blocks
+    monkeypatch.setattr(graph, "_BLOCK_ENTRIES", 7 * 6)
     loss, pairs = GRADIENT_CHECKS["bias_mlp"](np.random.default_rng(seed))
     assert finite_diff_error(loss, pairs) < 1e-7
 
