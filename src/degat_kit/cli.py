@@ -14,7 +14,7 @@ import numpy as np
 
 from . import fileio
 from .geometry import CameraParams, DepthMap, depth_to_pointcloud, write_ply
-from .graph import TokenGrid, build_knn_graph, dump_neighbors
+from .graph import build_knn_graph, dump_neighbors
 from .harness import (
     NumericAbort,
     ablate_k,
@@ -61,9 +61,8 @@ def _cmd_graph(args):
         return EXIT_VALIDATION
     gh, gw = h // p, w // p
     feats = img.reshape(gh, p, gw, p).transpose(0, 2, 1, 3).reshape(gh * gw, p * p)
-    tokens = TokenGrid(features=feats, grid_h=gh, grid_w=gw)
-    g = build_knn_graph(tokens, args.k, args.metric)
-    record = dump_neighbors(g, tokens, args.query)
+    g = build_knn_graph(feats, args.k, args.metric)
+    record = dump_neighbors(g, gw, args.query)
     print(json.dumps(record, indent=2))
     return EXIT_OK
 

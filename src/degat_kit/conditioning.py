@@ -269,19 +269,19 @@ def condition_cross_attention_backward(attn, ffn, cache, d_out):
     return attn_grads, ffn_grads, _rows(d_c1 + d_query[..., 0, :]).sum(axis=0), d_tokens
 
 
-def bucket_indices(features, n_buckets, eps=BUCKET_RATIO_EPS):
+def bucket_indices(features, n_buckets):
     """Quantize log-scaled pairwise distances into [0, n_buckets - 1]."""
     d = pairwise_distances(features)
     dl = np.log1p(d)
-    ratio = dl / (dl.max(axis=(-2, -1), keepdims=True) + eps)
+    ratio = dl / (dl.max(axis=(-2, -1), keepdims=True) + BUCKET_RATIO_EPS)
     idx = np.clip(np.floor(ratio * n_buckets).astype(np.intp), 0, n_buckets - 1)
     return idx
 
 
-def bucket_bias(features, table, eps=BUCKET_RATIO_EPS):
+def bucket_bias(features, table):
     """Per-head (..., H, L, L) bias looked up in the (K_b, H) table from the
     quantized distance bucket."""
-    idx = bucket_indices(features, table.shape[0], eps)
+    idx = bucket_indices(features, table.shape[0])
     bias = table[idx]  # (..., L, L, H)
     return np.ascontiguousarray(np.moveaxis(bias, -1, -3)), idx
 
@@ -314,9 +314,10 @@ def mlp_bias_coords(features):
 def _bias_hidden_blocks(mlp, x):
     """(rows, ReLU(x W1^T + b1) on those rows) for each row block of the
     (n, 1) coordinate column x; the blocks follow ``graph._row_blocks`` and
-    write their hidden layers into the front of one buffer per call."""
-    blocks = _row_blocks(len(x), mlp.w1.shape[0])
-    buf = np.empty((min(blocks[0].stop, len(x)) if blocks else 0, mlp.w1.shape[0]))
+    write their hidden layers into the front of one buffer per call, sized
+    by the rule's longest block."""
+    blocks, longest = _row_blocks(len(x), mlp.w1.shape[0])
+    buf = np.empty((longest, mlp.w1.shape[0]))
     for rows in blocks:
         # one input coordinate: x @ W1^T is the (rows, 1) x (1, M) broadcast
         # product, which skips a matmul whose inner dimension is 1
@@ -359,7 +360,8 @@ def mlp_bias_backward(mlp, cache, delta):
         d_pre *= h > 0.0  # ReLU'
         block = _mlp2_weight_grads(cache[rows], h, dy, d_pre)
         grads = block if grads is None else {k: grads[k] + g for k, g in block.items()}
-    return grads
+    # no pairs, no blocks: every weight's gradient is zero
+    return grads or {f: np.zeros_like(w) for f, w in zip(mlp._fields, mlp)}
 
 
 def biased_attention(q, k, v, bias=None):

@@ -11,8 +11,9 @@ projection, gather, softmax and backward run once over all F*L nodes.
 
 The pair terms z_ij = W_c x_i + W_n x_j and their LeakyReLU are (K, C')
 per node. Both directions make them, and every other per-edge array, in
-blocks of node rows sized like the K-NN build's row blocks, writing into
-buffers allocated once per call, so no (F*L, K, C') array is made: the
+blocks of node rows under the K-NN build's block rule, ``graph._row_blocks``,
+writing into three buffers that each call allocates once, sized by the
+rule's longest block, so no (F*L, K, C') array is made: the
 cache keeps the two (..., L, C') projections, and the backward rebuilds a
 block's pairs from them. Each row's arithmetic does not depend on the
 blocks, so outputs and alpha have the same bits at every block size; the
@@ -38,6 +39,7 @@ from .numerics import (
 
 __all__ = [
     "LEAKY_SLOPE",
+    "ALPHA_FLOOR",
     "DeGatParams",
     "degat_shapes",
     "DeGatCache",
@@ -52,6 +54,7 @@ __all__ = [
 
 
 LEAKY_SLOPE = 0.2  # negative-side slope of the attention LeakyReLU
+ALPHA_FLOOR = 1e-12  # affinity_to_log_bias clips alpha here, so an edge's bias stays finite
 
 
 class DeGatParams(NamedTuple):
@@ -99,22 +102,6 @@ def _node_neighbors(graph):
     return nb + np.arange(0, nb.size // k, n).reshape(nb.shape[:-2] + (1, 1))
 
 
-def _node_blocks(n, k, c, c_proj):
-    """The row blocks covering n node rows, and empty buffers for the first
-    block's per-edge arrays: two (rows, K, C') for pair terms and one
-    (rows, K, C) for the neighbors' values.
-
-    A block's (rows, K, max(C, C')) arrays hold as many entries as a K-NN
-    build's row block. Every block writes into the fronts of the buffers,
-    so that its arrays are allocated once per call, not once per block:
-    the megabytes a block frees would otherwise go back to the system and
-    be faulted in again by the next block.
-    """
-    blocks = _row_blocks(n, k * max(c, c_proj))
-    rows = min(blocks[0].stop, n)
-    return blocks, np.empty((rows, k, c_proj)), np.empty((rows, k, c_proj)), np.empty((rows, k, c))
-
-
 def _gather(a, nb, buf):
     """a[nb] for the (rows, K) node indices nb, into the front of ``buf``."""
     # the indices are in range; mode "raise" would copy the output first
@@ -148,7 +135,10 @@ def degat_forward(tokens, params, k, metric="cosine"):
     values = xs @ params.w_val.T  # row j is W_val x_j
     alpha = np.empty((n, k))
     messages = np.empty((n, c))
-    blocks, z_buf, e_buf, v_buf = _node_blocks(n, k, c, center.shape[1])
+    cp = center.shape[1]
+    # a block's (rows, K, max(C, C')) arrays hold as many entries as a key block
+    blocks, longest = _row_blocks(n, k * max(c, cp))
+    z_buf, e_buf, v_buf = (np.empty((longest, k, w)) for w in (cp, cp, c))
     for rows in blocks:
         nb_b = nb[rows]
         _, e = _pairs(center, neighbor, nb_b, rows, z_buf, e_buf)
@@ -193,7 +183,8 @@ def degat_backward(cache, params, upstream):
     d_a = np.zeros(cp)
     d_center = np.empty((n, cp))  # node i as center
     d_v, d_neighbor = np.zeros((n, c)), np.zeros((n, cp))  # node j as value, as neighbor
-    blocks, z_buf, e_buf, v_buf = _node_blocks(n, k, c, cp)
+    blocks, longest = _row_blocks(n, k * max(c, cp))
+    z_buf, e_buf, v_buf = (np.empty((longest, k, w)) for w in (cp, cp, c))
     for rows in blocks:
         nb_b, alpha_b, u_b = nb[rows], alpha[rows], u[rows]
         m = len(nb_b)
@@ -244,12 +235,10 @@ def _on_edges(cache, values):
     return out
 
 
-def affinity_to_log_bias(cache, eps=1e-12):
-    """Log-affinity attention bias: ln(max(alpha_ij, eps)) on edges, 0 off-edge;
-    (L, L), or (F, L, L) for a stacked hop."""
-    if eps <= 0.0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    return _on_edges(cache, np.log(np.maximum(cache.alpha, eps)))
+def affinity_to_log_bias(cache):
+    """Log-affinity attention bias: ln(max(alpha_ij, ALPHA_FLOOR)) on edges, 0
+    off-edge; (L, L), or (F, L, L) for a stacked hop."""
+    return _on_edges(cache, np.log(np.maximum(cache.alpha, ALPHA_FLOOR)))
 
 
 def dense_affinity(cache):

@@ -1,11 +1,15 @@
 """Dynamic K-nearest-neighbor graphs over token features.
 
-The graph is rebuilt from the current features on every forward pass; an
-(F, L, C) stack gives every frame its own graph in one batched build.
+The graph is rebuilt from the current features on every forward pass. Its
+input is one finite (L, C) array; an (F, L, C) stack gives every frame its
+own graph in one batched build. ``dump_neighbors`` reads a one-frame
+graph's patch-grid coordinates from the grid width alone.
 Each frame is scored in blocks of rows, and a block's Top-K is selected
 while its scores are in cache, so a build never holds an L x L score
 matrix. A block's scores are one matrix product, a gemm; a frame that
 fits in one block is scored as x times its own transpose, a syrk.
+``_row_blocks`` is the block rule of every blocked loop in the package,
+and gives the row count that sizes each loop's buffers.
 
 Selection avoids sorting whole rows. A partition finds each row's K-th
 key kth, and the near-tie rule picks the K survivors: with
@@ -28,12 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_finite, as_matrix
+from .numerics import as_finite
 
-__all__ = [
-    "TokenGrid", "NeighborGraph", "pairwise_distances", "build_knn_graph", "edge_count",
-    "dump_neighbors",
-]
+__all__ = ["NeighborGraph", "pairwise_distances", "build_knn_graph", "dump_neighbors"]
 
 METRICS = ("cosine", "euclidean")
 # entries in one row block of every blocked loop (the K-NN build, the DeGAT
@@ -44,28 +45,6 @@ _BLOCK_ENTRIES = 1 << 17
 # near-tie tolerance relative to 1 + |K-th key|, some 1e4 times the last-bit
 # differences (~1e-16) between BLAS kernels' roundings of one dot product
 _TIE_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class TokenGrid:
-    """Per-frame patch tokens plus their normalized grid coordinates."""
-
-    features: np.ndarray  # (L, C)
-    grid_h: int
-    grid_w: int
-
-    def __post_init__(self):
-        feats = as_matrix(self.features, "features")
-        object.__setattr__(self, "features", feats)
-        if self.grid_h * self.grid_w != feats.shape[0]:
-            raise ValueError(
-                f"token count {feats.shape[0]} != grid {self.grid_h}x{self.grid_w}"
-            )
-
-    def coord(self, i):
-        """Normalized (u, v) center of token i in [0, 1]^2."""
-        row, col = divmod(int(i), self.grid_w)
-        return ((col + 0.5) / self.grid_w, (row + 0.5) / self.grid_h)
 
 
 @dataclass(frozen=True)
@@ -80,11 +59,6 @@ class NeighborGraph:
 
     neighbors: np.ndarray  # (L, K) or (F, L, K) int
     similarities: np.ndarray  # same shape as neighbors
-    metric: str = "cosine"
-
-    @property
-    def n_nodes(self):
-        return self.neighbors.shape[-2]  # per frame
 
 
 def pairwise_distances(tokens):
@@ -100,25 +74,30 @@ def pairwise_distances(tokens):
         return np.empty(x.shape[:-1] + (0,))
     sq = np.add.reduce(x * x, axis=-1)
     d = np.empty(x.shape[:-1] + (n,))
-    for rows in _row_blocks(n, n):
+    for rows in _row_blocks(n, n)[0]:
         _distance_rows(x, sq, rows, out=d[..., rows, :])
     d.reshape(-1, n * n)[:, :: n + 1] = 0.0
     return d
 
 
 def _row_blocks(n, width):
-    """Slices of _BLOCK_ENTRIES // width rows (at least one) covering n
-    rows of ``width`` entries each; the last may reach past n.
+    """(blocks, rows): slices of _BLOCK_ENTRIES // width rows (at least one)
+    covering n rows of ``width`` entries each, the last of which may reach
+    past n, and the row count of the longest block, min(step, n).
 
     The one block rule of the package. A K-NN build's rows are a frame's n
     keys. There, a block of every row, x[..., 0:n, :], is a view with the
     data and strides of x, so its product with x's transpose is the syrk
     that x @ x.swapaxes(-1, -2) makes; a smaller block's product is a gemm.
     The DeGAT hop blocks its node rows of (K, C') pair terms, and the bias
-    MLP its pair rows of hidden activations, by the same rule.
+    MLP its pair rows of hidden activations, by the same rule. Those loops
+    size their buffers by ``rows`` and write every block into the fronts
+    of them, so a call allocates its per-block arrays once: the megabytes
+    a block frees would otherwise go back to the system and be faulted in
+    again by the next block.
     """
     step = max(1, _BLOCK_ENTRIES // width)
-    return [slice(s, s + step) for s in range(0, n, step)]
+    return [slice(s, s + step) for s in range(0, n, step)], min(step, n)
 
 
 def _distance_rows(x, sq, rows, out=None):
@@ -182,7 +161,7 @@ def build_knn_graph(tokens, k, metric="cosine"):
     (euclidean); ties, exact or within the near-tie tolerance of the K-th
     score, are resolved toward the lower node index.
     """
-    x = tokens.features if isinstance(tokens, TokenGrid) else as_finite(tokens, "features", (2, 3))
+    x = as_finite(tokens, "features", (2, 3))
     n = x.shape[-2]
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
@@ -197,7 +176,7 @@ def build_knn_graph(tokens, k, metric="cosine"):
         norms[norms == 0.0] = 1.0
         x = x / norms[..., None]  # zero rows give similarity 0 with everyone
     parts = []
-    for rows in _row_blocks(n, n):
+    for rows in _row_blocks(n, n)[0]:
         if metric == "cosine":
             key = x[..., rows, :] @ x.swapaxes(-1, -2)
             np.negative(key, out=key)  # ascending key = descending similarity
@@ -212,7 +191,7 @@ def build_knn_graph(tokens, k, metric="cosine"):
     nb, sims = _join_blocks(cols, shape), _join_blocks(vals, shape)
     if metric == "cosine":
         np.negative(sims, out=sims)
-    return NeighborGraph(nb, sims, metric)
+    return NeighborGraph(nb, sims)
 
 
 def _join_blocks(blocks, shape):
@@ -222,30 +201,31 @@ def _join_blocks(blocks, shape):
     return np.concatenate([b.reshape(shape[:-2] + (-1, shape[-1])) for b in blocks], axis=-2)
 
 
-def edge_count(g):
-    """Number of directed edges: exactly L*K per frame."""
-    return g.neighbors.size
+def dump_neighbors(g, grid_w, query):
+    """JSON-serializable record of one node's neighborhood in a one-frame
+    graph over a patch grid ``grid_w`` tokens wide.
 
-
-def dump_neighbors(g, tokens, query):
-    """JSON-serializable record of one node's neighborhood.
-
-    Coordinates are the normalized patch-grid centers; scores are taken
-    verbatim from the graph.
+    Coordinates are the normalized (u, v) patch-grid centers in [0, 1]^2;
+    scores are taken verbatim from the graph.
     """
-    if not isinstance(tokens, TokenGrid):
-        raise TypeError("dump_neighbors requires a TokenGrid")
-    if not 0 <= query < g.n_nodes:
-        raise ValueError(f"query {query} out of range [0, {g.n_nodes})")
+    if g.neighbors.ndim != 2:
+        raise ValueError(f"dump_neighbors takes one frame, got a stack of {len(g.neighbors)}")
+    n = len(g.neighbors)
+    if grid_w < 1 or n % grid_w:
+        raise ValueError(f"grid width {grid_w} does not divide token count {n}")
+    if not 0 <= query < n:
+        raise ValueError(f"query {query} out of range [0, {n})")
+    grid_h = n // grid_w
+
+    def coord(i):
+        row, col = divmod(int(i), grid_w)
+        return [(col + 0.5) / grid_w, (row + 0.5) / grid_h]
+
     return {
         "query": int(query),
-        "coord": list(tokens.coord(query)),
+        "coord": coord(query),
         "neighbors": [
-            {
-                "index": int(j),
-                "coord": list(tokens.coord(int(j))),
-                "score": float(s),
-            }
+            {"index": int(j), "coord": coord(j), "score": float(s)}
             for j, s in zip(g.neighbors[query], g.similarities[query])
         ],
     }

@@ -23,10 +23,27 @@ class SsimConfig:
     def __post_init__(self):
         if self.window < 3 or self.window % 2 == 0:
             raise ValueError(f"window must be odd and >= 3, got {self.window}")
-        if self.k1 <= 0.0 or self.k2 <= 0.0:
-            raise ValueError("k1 and k2 must be positive")
+        if not (0.0 < self.k1 < np.inf and 0.0 < self.k2 < np.inf):
+            raise ValueError("k1 and k2 must be finite and positive")
         if not 0.0 < self.dynamic_range < np.inf:
             raise ValueError(f"dynamic_range must be finite and > 0, got {self.dynamic_range}")
+        # c1 * c2 is what the SSIM products of flat windows reach
+        c1, c2 = _square(self.k1 * self.dynamic_range), _square(self.k2 * self.dynamic_range)
+        _check_range("dynamic_range", self.dynamic_range, "c1 * c2", c1 * c2)
+
+
+def _square(v):
+    """float(v) ** 2, or inf where that overflows and Python floats raise."""
+    try:
+        return float(v) ** 2
+    except OverflowError:
+        return np.inf
+
+
+def _check_range(name, value, label, derived):
+    """Raise unless ``derived``, computed from the argument ``name``, is finite and > 0."""
+    if not 0.0 < derived < np.inf:
+        raise ValueError(f"{name} {value!r} out of range: {label} = {derived!r} leaves float64")
 
 
 def _check_pair(a, b):
@@ -51,10 +68,14 @@ def psnr(a, b, max_val=1.0):
     """10 log10(MAX^2 / MSE); identical images give +inf."""
     if not 0.0 < max_val < np.inf:
         raise ValueError(f"max_val must be finite and > 0, got {max_val}")
+    peak = _square(max_val)
+    _check_range("max_val", max_val, "max_val**2", peak)
     err = mse(a, b)
     if err == 0.0:
         return float("inf")
-    return float(10.0 * np.log10(max_val**2 / err))
+    ratio = peak / err
+    _check_range("max_val", max_val, "max_val**2 / MSE", ratio)
+    return float(10.0 * np.log10(ratio))
 
 
 def _gaussian_taps(size, sigma):

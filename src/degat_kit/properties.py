@@ -17,7 +17,6 @@ import numpy as np
 
 from . import conditioning as cond
 from . import degat as dg
-from .graph import edge_count
 from .geometry import DepthMap
 from .numerics import elu
 from .objective import (
@@ -120,7 +119,7 @@ def check_sparse_dense(n_instances=100, seed=5, tol=1e-12):
         a_dense = dg.dense_affinity(cache)
         dense_out = x + elu(a_dense @ x @ params.w_val.T)
         worst = max(worst, float(np.max(np.abs(x_out - dense_out))))
-        if edge_count(cache.graph) != x.shape[0] * k:
+        if cache.graph.neighbors.size != x.shape[0] * k:
             return CheckResult("sparse_dense", False, "edge count mismatch")
     return CheckResult("sparse_dense", worst <= tol, f"max |sparse - dense| = {worst:.3e}")
 

@@ -423,6 +423,7 @@ class TestMetricsCommand:
             EXIT_VALIDATION,
         )
         assert "out of range" in err
+        assert "max_val" in err
 
     @pytest.mark.parametrize("name,header", [("a.pfm", b"Pf\n0 0\n-1.0\n"),
                                              ("a.pgm", b"P5\n0 3\n255\n")])

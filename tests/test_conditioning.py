@@ -209,6 +209,15 @@ class TestMlpBias:
                 np.testing.assert_allclose(analytic, numeric, atol=1e-7)
         assert_blocks_agree(runs)
 
+    def test_backward_without_pairs_is_zero(self):
+        mlp = init_mlp2(1, 4, 2, rng=21)
+        bias, cache = mlp_bias(np.zeros((0, 5, 3)), mlp)
+        assert bias.shape == (0, 2, 5, 5)
+        grads = mlp_bias_backward(mlp, cache, np.zeros((0, 2, 5, 5)))
+        assert set(grads) == set(mlp._fields)
+        for name, w in zip(mlp._fields, mlp):
+            np.testing.assert_array_equal(grads[name], np.zeros_like(w))
+
     def test_memory_bounded_by_block(self):
         # eval size: two frames of L = 256 are 131072 pairs; one (pairs, 32)
         # activation is 33.5 MB, the coordinate column 1.0 MB

@@ -353,11 +353,9 @@ class TestDerivedQuantities:
         x = rng.standard_normal((6, 3))
         _, cache = degat_forward(x, init_degat_params(3, rng=9), 2)
         cache.alpha[0, 0] = 0.0
-        b = affinity_to_log_bias(cache, eps=1e-12)
+        b = affinity_to_log_bias(cache)
         j = cache.graph.neighbors[0, 0]
         assert b[0, j] == pytest.approx(np.log(1e-12))
-        with pytest.raises(ValueError):
-            affinity_to_log_bias(cache, eps=0.0)
 
     def test_norm_bound(self):
         # per-node message is a convex combination; ELU is non-expansive

@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 
 from degat_kit import graph
-from degat_kit.graph import (
-    TokenGrid, build_knn_graph, dump_neighbors, edge_count, pairwise_distances,
-)
+from degat_kit.graph import build_knn_graph, dump_neighbors, pairwise_distances
 
 
 TAU = 1e-12  # the near-tie tolerance, relative to 1 + |K-th key|
@@ -294,7 +292,7 @@ class TestBuildKnnGraph:
         g = build_knn_graph(frames, 4, "euclidean")
         for nb in g.neighbors:
             assert nb.tolist() == [[j for j in range(5) if j != i] for i in range(5)]
-        assert edge_count(g) == 3 * 5 * 4
+        assert g.neighbors.size == 3 * 5 * 4
         with pytest.raises(ValueError, match="k=5"):
             build_knn_graph(frames, 5)
         with pytest.raises(ValueError, match="2-D or 3-D"):
@@ -304,11 +302,11 @@ class TestBuildKnnGraph:
     @pytest.mark.parametrize("shape", [(9, 4), (3, 9, 4)])
     def test_tokens_validated_once(self, monkeypatch, metric, shape):
         calls = []
-        for name in ("as_finite", "as_matrix"):
-            def counting(*args, _check=getattr(graph, name), **kwargs):
-                calls.append(name)
-                return _check(*args, **kwargs)
-            monkeypatch.setattr(graph, name, counting)
+
+        def counting(*args, _check=graph.as_finite, **kwargs):  # the module's one validator
+            calls.append(args[1:])
+            return _check(*args, **kwargs)
+        monkeypatch.setattr(graph, "as_finite", counting)
         build_knn_graph(np.random.default_rng(0).standard_normal(shape), 3, metric)
         assert len(calls) == 1, calls
 
@@ -384,45 +382,69 @@ class TestEdgeCount:
     def test_counts(self, l, k, expect):
         rng = np.random.default_rng(l)
         g = build_knn_graph(rng.standard_normal((l, 3)), k)
-        assert edge_count(g) == expect
+        assert g.neighbors.size == expect
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("width", [1, 3, graph._BLOCK_ENTRIES])
+    def test_rows_is_longest_block(self, width):
+        step = max(1, graph._BLOCK_ENTRIES // width)
+        for n in sorted({0, 1, step - 1, step, step + 1}):
+            blocks, rows = graph._row_blocks(n, width)
+            assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+            assert rows == max((len(range(n)[b]) for b in blocks), default=0)
+        assert graph._row_blocks(0, width) == ([], 0)
 
 
 class TestDumpNeighbors:
     def _grid(self, rng, gh=2, gw=2, c=4):
-        return TokenGrid(features=rng.standard_normal((gh * gw, c)), grid_h=gh, grid_w=gw)
+        return rng.standard_normal((gh * gw, c)), gw
 
     def test_record_shape(self):
         rng = np.random.default_rng(5)
-        tokens = self._grid(rng, 3, 3)
+        tokens, gw = self._grid(rng, 3, 3)
         g = build_knn_graph(tokens, 4)
-        rec = dump_neighbors(g, tokens, 5)
+        rec = dump_neighbors(g, gw, 5)
         assert rec["query"] == 5
         assert len(rec["neighbors"]) == 4
 
     def test_2x2_full(self):
         rng = np.random.default_rng(6)
-        tokens = self._grid(rng)
+        tokens, gw = self._grid(rng)
         g = build_knn_graph(tokens, 3)
-        rec = dump_neighbors(g, tokens, 0)
+        rec = dump_neighbors(g, gw, 0)
         assert sorted(n["index"] for n in rec["neighbors"]) == [1, 2, 3]
         assert rec["coord"] == [0.25, 0.25]
 
     def test_scores_match_graph(self):
         rng = np.random.default_rng(7)
-        tokens = self._grid(rng, 4, 4)
+        tokens, gw = self._grid(rng, 4, 4)
         g = build_knn_graph(tokens, 5)
-        rec = dump_neighbors(g, tokens, 9)
+        rec = dump_neighbors(g, gw, 9)
         for entry, sim in zip(rec["neighbors"], g.similarities[9]):
             assert entry["score"] == sim
 
     def test_out_of_range(self):
         rng = np.random.default_rng(8)
-        tokens = self._grid(rng)
+        tokens, gw = self._grid(rng)
         g = build_knn_graph(tokens, 2)
-        with pytest.raises(ValueError):
-            dump_neighbors(g, tokens, 4)
+        with pytest.raises(ValueError, match=r"query 4 out of range \[0, 4\)"):
+            dump_neighbors(g, gw, 4)
 
     def test_coords_invariant(self):
-        tokens = TokenGrid(features=np.eye(6), grid_h=2, grid_w=3)
-        assert tokens.coord(0) == (0.5 / 3, 0.25)
-        assert tokens.coord(5) == (2.5 / 3, 0.75)
+        g = build_knn_graph(np.eye(6), 5)
+        rec = dump_neighbors(g, 3, 0)
+        assert rec["coord"] == [0.5 / 3, 0.25]
+        assert {n["index"]: n["coord"] for n in rec["neighbors"]}[5] == [2.5 / 3, 0.75]
+        assert dump_neighbors(g, 3, 5)["coord"] == [2.5 / 3, 0.75]
+
+    @pytest.mark.parametrize("grid_w", [0, 4, 7])
+    def test_width_must_divide_tokens(self, grid_w):
+        g = build_knn_graph(np.eye(6), 2)
+        with pytest.raises(ValueError, match=f"grid width {grid_w} does not divide token count 6"):
+            dump_neighbors(g, grid_w, 0)
+
+    def test_stacked_graph_rejected(self):
+        g = build_knn_graph(np.random.default_rng(9).standard_normal((2, 6, 3)), 2)
+        with pytest.raises(ValueError, match="one frame, got a stack of 2"):
+            dump_neighbors(g, 3, 0)

@@ -109,6 +109,13 @@ class TestPsnr:
             with pytest.raises(ValueError, match="max_val"):
                 psnr(np.zeros((2, 2)), np.ones((2, 2)), bad)
 
+    @pytest.mark.parametrize("max_val", [1e-200, 1e154, 1e155])
+    def test_max_val_whose_square_leaves_float64(self, max_val):
+        # 1e-200**2 underflows to 0 and log10 would give -inf; 1e154**2 / MSE
+        # overflows to inf; Python's 1e155**2 raises OverflowError
+        with pytest.raises(ValueError, match=r"^max_val .* out of range"):
+            psnr(np.zeros((16, 16)), np.full((16, 16), 0.5), max_val)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_pixels(self, bad):
         a = np.zeros((12, 12))
@@ -181,8 +188,17 @@ class TestSsim:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SsimConfig(window=4)
-        with pytest.raises(ValueError):
-            SsimConfig(k1=0.0)
+        for bad in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="k1 and k2"):
+                SsimConfig(k1=bad)
+            with pytest.raises(ValueError, match="k1 and k2"):
+                SsimConfig(k2=bad)
         for bad in (np.nan, np.inf, 0.0, -1.0):
             with pytest.raises(ValueError, match="dynamic_range"):
                 SsimConfig(dynamic_range=bad)
+
+    @pytest.mark.parametrize("dynamic_range", [1e-200, 1e154, 1e155])
+    def test_dynamic_range_whose_constants_leave_float64(self, dynamic_range):
+        # c1 = (k1 R)^2 underflows to 0 at 1e-200; c1 * c2 overflows at 1e154
+        with pytest.raises(ValueError, match=r"^dynamic_range .* out of range"):
+            SsimConfig(dynamic_range=dynamic_range)
