@@ -22,10 +22,10 @@ cross-attention conditioning with the camera token as the single query.
 
 A layer's weights are a field-only ``NamedTuple`` (``Mlp2``,
 ``CrossAttnParams``) named like the gradient dict its backward returns; the
-bucket table is a bare (K_b, H) array. ``Mlp2`` is a GELU MLP; the bias MLP's
-ReLU hidden layer is its own helper. The head count is an argument of the
-forward call, and each backward reads it, and all else it needs, from its own
-forward's cache. ``mlp2_shapes`` and ``attn_shapes`` give
+bucket table is a bare (K_b, H) array. ``Mlp2`` is a GELU MLP; the ReLU bias
+MLP is evaluated as its piecewise-linear function. The head count is an
+argument of the forward call, and each backward reads it, and all else it
+needs, from its own forward's cache. ``mlp2_shapes`` and ``attn_shapes`` give
 the field shapes that the init constructors build and that
 ``numerics.check_arrays`` checks; the layer functions do not check weights.
 """
@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import erf
 
-from .graph import _row_blocks, pairwise_distances
+from .graph import pairwise_distances
 from .numerics import as_finite, as_vector, fan_in_uniform, softmax, softmax_backward
 
 __all__ = [
@@ -66,15 +66,6 @@ __all__ = [
 ]
 
 BUCKET_RATIO_EPS = 1e-8  # paper writes "+ eps" in the ratio without a value
-
-
-def _gelu(x):
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
-
-
-def _gelu_grad(x):
-    phi = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-    return 0.5 * (1.0 + erf(x / np.sqrt(2.0))) + x * phi
 
 
 def _rows(m):
@@ -110,29 +101,26 @@ def mlp2_forward(mlp, x):
     x = np.asarray(x, dtype=np.float64)
     pre = x @ mlp.w1.T
     pre += mlp.b1
-    hid = _gelu(pre)
-    y = hid @ mlp.w2.T
+    cdf = 0.5 * (1.0 + erf(pre / np.sqrt(2.0)))  # normal CDF: GELU(pre) = pre cdf
+    y = (pre * cdf) @ mlp.w2.T
     y += mlp.b2
-    return y, (x, pre, hid)
-
-
-def _mlp2_weight_grads(x, hid, d_y, d_pre):
-    """The weight grads dict from the layer input x, the hidden activations
-    and d(loss)/d(output) and d(loss)/d(pre-activation) on the same rows."""
-    # a single vector is one row: its outer products and sums are exact
-    flat_dy, flat_dpre = _rows(d_y), _rows(d_pre)
-    return {
-        "w1": flat_dpre.T @ _rows(x), "b1": flat_dpre.sum(axis=0),
-        "w2": flat_dy.T @ _rows(hid), "b2": flat_dy.sum(axis=0),
-    }
+    # the cache holds cdf in place of GELU(pre), which the backward recomputes
+    return y, (x, pre, cdf)
 
 
 def mlp2_backward(mlp, cache, d_y):
     """Returns (weight grads dict, d_x) given d(loss)/dy."""
-    x, pre, hid = cache
+    x, pre, cdf = cache
     d_y = np.asarray(d_y, dtype=np.float64)
-    d_pre = (d_y @ mlp.w2) * _gelu_grad(pre)
-    return _mlp2_weight_grads(x, hid, d_y, d_pre), d_pre @ mlp.w1
+    phi = np.exp(-0.5 * pre * pre) / np.sqrt(2.0 * np.pi)  # GELU' = cdf + pre phi
+    d_pre = (d_y @ mlp.w2) * (cdf + pre * phi)
+    # a single vector is one row: its outer products and sums are exact
+    flat_dy, flat_dpre = _rows(d_y), _rows(d_pre)
+    grads = {
+        "w1": flat_dpre.T @ _rows(x), "b1": flat_dpre.sum(axis=0),
+        "w2": flat_dy.T @ _rows(pre * cdf), "b2": flat_dy.sum(axis=0),
+    }
+    return grads, d_pre @ mlp.w1
 
 
 def condition_additive(base, g, mlp):
@@ -311,57 +299,63 @@ def mlp_bias_coords(features):
     return 2.0 * np.clip(delta, 0.0, 1.0) - 1.0
 
 
-def _bias_hidden_blocks(mlp, x):
-    """(rows, ReLU(x W1^T + b1) on those rows) for each row block of the
-    (n, 1) coordinate column x; the blocks follow ``graph._row_blocks`` and
-    write their hidden layers into the front of one buffer per call, sized
-    by the rule's longest block."""
-    blocks, longest = _row_blocks(len(x), mlp.w1.shape[0])
-    buf = np.empty((longest, mlp.w1.shape[0]))
-    for rows in blocks:
-        # one input coordinate: x @ W1^T is the (rows, 1) x (1, M) broadcast
-        # product, which skips a matmul whose inner dimension is 1
-        xb = x[rows]
-        h = np.multiply(xb, mlp.w1.T, out=buf[: len(xb)])
-        h += mlp.b1
-        yield rows, np.maximum(h, 0.0, out=h)
+def _bias_segments(mlp, x):
+    """(seg, act): each coordinate's segment of the line, which the M units'
+    switch points cut into M + 1, and the (M + 1, M) 0/1 unit activity there.
+
+    Unit m is on where w1_m x + b1_m > 0. A rising unit switches on at the
+    float after its kink -b1_m / w1_m and a falling one off at it, so a
+    coordinate on a kink finds the unit off (ReLU'(0) = 0); a unit with
+    w1_m = 0 is the constant ReLU(b1_m) and never switches.
+    """
+    w1, b1 = mlp.w1[:, 0], mlp.b1
+    with np.errstate(over="ignore"):  # a kink past float64 is past every coordinate too
+        kink = np.divide(-b1, w1, out=np.full_like(b1, np.inf), where=w1 != 0.0)
+    switch = np.where(w1 > 0.0, np.nextafter(kink, np.inf), kink)
+    order = np.argsort(switch)
+    before = np.where(w1 == 0.0, b1 > 0.0, w1 < 0.0)  # on left of all switch points
+    act = np.empty((len(order) + 1, len(order)))
+    act[:, order] = np.tri(*act.shape, -1, dtype=bool) != before[order]
+    return np.searchsorted(switch[order], x, side="right"), act
 
 
 def mlp_bias(features, mlp):
     """Per-head (..., H, L, L) bias from a 1 -> H ReLU MLP of the distance
-    coordinate.
-
-    The MLP runs over the flattened pairs in row blocks, so its hidden
-    activations never exceed one block. Returns (bias, cache); the cache is
-    the (... * L * L, 1) coordinate column alone.
+    coordinate, evaluated as the piecewise-linear function it is: slope x +
+    intercept, from (H, M + 1) tables for the segments of
+    ``_bias_segments``, with no hidden layer. Returns (bias, cache); the
+    cache is the (... * L * L, 1) coordinate column alone.
     """
     coords = mlp_bias_coords(features)
-    x = coords.reshape(-1, 1)
-    heads = mlp.w2.shape[0]
-    out = np.empty((x.shape[0], heads))
-    for rows, h in _bias_hidden_blocks(mlp, x):
-        np.matmul(h, mlp.w2.T, out=out[rows])
-        out[rows] += mlp.b2
-    return np.moveaxis(out.reshape(*coords.shape, heads), -1, -3), x
+    seg, act = _bias_segments(mlp, coords)
+    slope = (mlp.w2 * mlp.w1.T) @ act.T
+    intercept = (mlp.w2 * mlp.b1) @ act.T + mlp.b2[:, None]
+    # (H, ..., L, L), one contiguous block per head; seg is in range, and
+    # mode="clip" skips the bounds check and the output copy of "raise"
+    out = np.take(slope, seg, axis=1, mode="clip")
+    out *= coords
+    for head, b in zip(out, intercept):  # a temporary of one head, not of all H
+        head += np.take(b, seg, mode="clip")
+    return np.moveaxis(out, 0, -3), coords.reshape(-1, 1)
 
 
 def mlp_bias_backward(mlp, cache, delta):
     """MLP weight grads dict given the (..., H, L, L) upstream bias gradient.
 
-    Each block of rows recomputes only its hidden layer from the cached
-    coordinates (the coordinates get no gradient); the blocks' weight
-    gradients are summed.
+    Per segment of the cached coordinates x and head, ``bias_table_gradient``
+    sums S0 = sum(d_y) and S1 = sum(x d_y); the activity table sums them over
+    each unit's segments into U0 and U1, and d_w2 = w1 U1 + b1 U0,
+    d_w1 = sum_h w2 U1, d_b1 = sum_h w2 U0 and d_b2 = sum S0.
     """
-    d_y = _rows(np.moveaxis(delta, -3, -1))
-    grads = None
-    for rows, h in _bias_hidden_blocks(mlp, cache):
-        dy = d_y[rows]
-        d_pre = dy @ mlp.w2
-        d_pre *= h > 0.0  # ReLU'
-        block = _mlp2_weight_grads(cache[rows], h, dy, d_pre)
-        grads = block if grads is None else {k: grads[k] + g for k, g in block.items()}
-    # no pairs, no blocks: every weight's gradient is zero
-    return grads or {f: np.zeros_like(w) for f, w in zip(mlp._fields, mlp)}
+    x = cache.reshape(delta.shape[:-3] + (1,) + delta.shape[-2:])
+    seg, act = _bias_segments(mlp, x[..., 0, :, :])
+    s0 = bias_table_gradient(delta, seg, len(act))
+    s1 = bias_table_gradient(delta * x, seg, len(act))
+    u0, u1 = act.T @ s0, act.T @ s1  # (M, H)
+    return {
+        "w1": np.sum(mlp.w2.T * u1, axis=1, keepdims=True), "b1": np.sum(mlp.w2.T * u0, axis=1),
+        "w2": (u1 * mlp.w1 + u0 * mlp.b1[:, None]).T, "b2": s0.sum(axis=0),
+    }
 
 
 def biased_attention(q, k, v, bias=None):

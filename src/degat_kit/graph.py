@@ -37,10 +37,10 @@ from .numerics import as_finite
 __all__ = ["NeighborGraph", "pairwise_distances", "build_knn_graph", "dump_neighbors"]
 
 METRICS = ("cosine", "euclidean")
-# entries in one row block of every blocked loop (the K-NN build, the DeGAT
-# hop, the bias MLP): 1 MB of float64, 128 key rows at L = 1024 or 4096 bias
-# pairs at hidden = 32; a block stays in cache from its product on, and a
-# loop holds O(block) entries instead of the whole (rows, width) array
+# entries in one row block of every blocked loop (the K-NN build and the
+# DeGAT hop): 1 MB of float64, 128 key rows at L = 1024; a block stays in
+# cache from its product on, and a loop holds O(block) entries instead of
+# the whole (rows, width) array
 _BLOCK_ENTRIES = 1 << 17
 # near-tie tolerance relative to 1 + |K-th key|, some 1e4 times the last-bit
 # differences (~1e-16) between BLAS kernels' roundings of one dot product
@@ -89,12 +89,11 @@ def _row_blocks(n, width):
     keys. There, a block of every row, x[..., 0:n, :], is a view with the
     data and strides of x, so its product with x's transpose is the syrk
     that x @ x.swapaxes(-1, -2) makes; a smaller block's product is a gemm.
-    The DeGAT hop blocks its node rows of (K, C') pair terms, and the bias
-    MLP its pair rows of hidden activations, by the same rule. Those loops
-    size their buffers by ``rows`` and write every block into the fronts
-    of them, so a call allocates its per-block arrays once: the megabytes
-    a block frees would otherwise go back to the system and be faulted in
-    again by the next block.
+    The DeGAT hop blocks its node rows of (K, C') pair terms by the same
+    rule. It sizes its buffers by ``rows`` and writes every block into the
+    fronts of them, so a call allocates its per-block arrays once: the
+    megabytes a block frees would otherwise go back to the system and be
+    faulted in again by the next block.
     """
     step = max(1, _BLOCK_ENTRIES // width)
     return [slice(s, s + step) for s in range(0, n, step)], min(step, n)

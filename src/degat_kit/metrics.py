@@ -21,8 +21,12 @@ class SsimConfig:
     dynamic_range: float = 1.0
 
     def __post_init__(self):
+        if isinstance(self.window, bool) or not isinstance(self.window, (int, np.integer)):
+            raise ValueError(f"window must be an integer, got {self.window!r}")
         if self.window < 3 or self.window % 2 == 0:
             raise ValueError(f"window must be odd and >= 3, got {self.window}")
+        if not 0.0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma!r}")
         if not (0.0 < self.k1 < np.inf and 0.0 < self.k2 < np.inf):
             raise ValueError("k1 and k2 must be finite and positive")
         if not 0.0 < self.dynamic_range < np.inf:

@@ -31,9 +31,9 @@ from degat_kit.conditioning import (
 from degat_kit.numerics import check_arrays
 from degat_kit.properties import finite_diff_grad
 
-# the bias MLP's row blocks, as _BLOCK_ENTRIES for the tests' 4-wide hidden
-# layer: the default (one block for every small test) and 7 rows, under which
-# a 25-pair frame spans four blocks
+# block rules, as _BLOCK_ENTRIES: the default (one block for every small test)
+# and 28 entries, 4-row distance blocks in ``mlp_bias_coords`` at L = 6; the
+# bias MLP itself has no blocks, so its outputs must not depend on either
 BIAS_BLOCKS = (graph._BLOCK_ENTRIES, 7 * 4)
 
 
@@ -158,6 +158,29 @@ class TestBucketBias:
         grad = bias_table_gradient(delta, idx, 3)
         np.testing.assert_array_equal(grad[:, 0], [5.0, 5.0, 0.0])
 
+def assert_dense_relu_mlp(feats, mlp, delta, bias, grads):
+    """The bias and weight gradients agree, within 1e-12 * max|array|, with the
+    plain ReLU MLP run over every pair, one frame at a time, where a unit is
+    on where w1 x + b1 > 0."""
+    dense_bias, dense_grads = [], {name: 0.0 for name in mlp._fields}
+    coords = mlp_bias_coords(feats)
+    for coords, d_bias in zip(coords.reshape(-1, *coords.shape[-2:]),
+                              delta.reshape(-1, *delta.shape[-3:])):
+        x = coords.reshape(-1, 1)
+        pre = x @ mlp.w1.T + mlp.b1
+        hid = np.maximum(pre, 0.0)
+        dense_bias.append(np.moveaxis((hid @ mlp.w2.T + mlp.b2).reshape(*coords.shape, -1), -1, 0))
+        d_y = np.moveaxis(d_bias, 0, -1).reshape(-1, len(mlp.b2))
+        d_pre = (d_y @ mlp.w2) * (pre > 0.0)
+        for name, g in (("w1", d_pre.T @ x), ("b1", d_pre.sum(axis=0)),
+                        ("w2", d_y.T @ hid), ("b2", d_y.sum(axis=0))):
+            dense_grads[name] = dense_grads[name] + g
+    for got, want in [(bias, np.reshape(dense_bias, bias.shape))] + [
+            (grads[name], dense_grads[name]) for name in mlp._fields]:
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
+
+
 class TestMlpBias:
     def test_coords_range_and_degenerate(self):
         rng = np.random.default_rng(17)
@@ -179,6 +202,74 @@ class TestMlpBias:
         bias, _ = mlp_bias(np.array([[0.0, 0.0], [3.0, 4.0]]), mlp)
         # 2*relu(1) + 3*relu(-1) + 0.5 off the diagonal, 2*relu(-1) + 3*relu(1) + 0.5 on it
         np.testing.assert_array_equal(bias, [[[3.5, 2.5], [2.5, 3.5]]])
+
+    # two tokens: coordinate -1 on the diagonal (upstream 1 and 5) and +1 off
+    # it (upstream 2 and 3)
+    KINK_TOKENS = np.array([[0.0, 0.0], [3.0, 4.0]])
+    KINK_DELTA = np.array([[[1.0, 2.0], [3.0, 5.0]]])
+
+    def test_pair_on_a_kink_is_inactive(self):
+        # unit 0 rises through 0 at x = +1, unit 1 falls through 0 at x = -1,
+        # and unit 2 (kink -0.25) is on at +1 only: on a kink, ReLU'(0) = 0
+        mlp = Mlp2(w1=np.array([[1.0], [-1.0], [2.0]]), b1=np.array([-1.0, -1.0, 0.5]),
+                   w2=np.array([[1.0, 2.0, 3.0]]), b2=np.array([0.25]))
+        bias, cache = mlp_bias(self.KINK_TOKENS, mlp)
+        np.testing.assert_array_equal(bias, [[[0.25, 7.75], [7.75, 0.25]]])
+        grads = mlp_bias_backward(mlp, cache, self.KINK_DELTA)
+        np.testing.assert_array_equal(grads["w1"], [[0.0], [0.0], [15.0]])
+        np.testing.assert_array_equal(grads["b1"], [0.0, 0.0, 15.0])
+        np.testing.assert_array_equal(grads["w2"], [[0.0, 0.0, 12.5]])
+        np.testing.assert_array_equal(grads["b2"], [11.0])
+
+    def test_flat_unit_is_constant_relu_of_b1(self):
+        # w1 = 0: only b1 > 0 is on, at every coordinate
+        mlp = Mlp2(w1=np.zeros((3, 1)), b1=np.array([0.5, -0.5, 0.0]),
+                   w2=np.array([[2.0, 3.0, 5.0]]), b2=np.array([0.0]))
+        bias, cache = mlp_bias(self.KINK_TOKENS, mlp)
+        np.testing.assert_array_equal(bias, np.ones((1, 2, 2)))
+        grads = mlp_bias_backward(mlp, cache, self.KINK_DELTA)
+        # d_w1 = w2 * sum(x d_y) = 2 * (5 - 6) over the pairs where unit 0 is on
+        np.testing.assert_array_equal(grads["w1"], [[-2.0], [0.0], [0.0]])
+        np.testing.assert_array_equal(grads["b1"], [22.0, 0.0, 0.0])
+        np.testing.assert_array_equal(grads["w2"], [[5.5, 0.0, 0.0]])
+        np.testing.assert_array_equal(grads["b2"], [11.0])
+
+    def test_kink_past_float64(self):
+        # -b1 / w1 = 1e310 overflows to inf: the rising unit is never on and
+        # the falling one always, as w1 x + b1 says
+        mlp = Mlp2(w1=np.array([[1e-300], [-1e-300]]), b1=np.array([-1e10, 1e10]),
+                   w2=np.array([[1.0, 2e-10]]), b2=np.array([0.0]))
+        bias, cache = mlp_bias(self.KINK_TOKENS, mlp)
+        assert_dense_relu_mlp(self.KINK_TOKENS, mlp, self.KINK_DELTA, bias,
+                              mlp_bias_backward(mlp, cache, self.KINK_DELTA))
+
+    def test_init_kinks_all_at_zero(self):
+        # init_mlp2's b1 = 0 puts all 32 kinks at +-0.0; tokens 0, 1 and 3 on a
+        # line give the pairs (0, 1) and (1, 0) the coordinate 0.0 exactly,
+        # where every unit is off
+        feats = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
+        zero = mlp_bias_coords(feats) == 0.0
+        assert zero.sum() == 2
+        rng = np.random.default_rng(35)
+        mlp = init_mlp2(1, 32, 4, rng=35)._replace(b2=rng.standard_normal(4))
+        bias, cache = mlp_bias(feats, mlp)
+        np.testing.assert_array_equal(bias[:, zero], np.repeat(mlp.b2[:, None], 2, axis=1))
+        delta = rng.standard_normal((4, 3, 3))
+        grads = mlp_bias_backward(mlp, cache, delta)
+        # the zero-coordinate pairs reach only d_b2
+        without = mlp_bias_backward(mlp, cache, np.where(zero, 0.0, delta))
+        for name in ("w1", "b1", "w2"):
+            np.testing.assert_array_equal(without[name], grads[name])
+        assert_dense_relu_mlp(feats, mlp, delta, bias, grads)
+
+    @pytest.mark.parametrize("frames, tokens", [(2, 257), (4, 17)])
+    def test_matches_dense_relu_mlp(self, frames, tokens):
+        rng = np.random.default_rng(tokens)
+        feats = rng.standard_normal((frames, tokens, 8))
+        mlp = Mlp2(*(rng.standard_normal(shape) for shape in mlp2_shapes(1, 32, 4).values()))
+        delta = rng.standard_normal((frames, 4, tokens, tokens))
+        bias, cache = mlp_bias(feats, mlp)
+        assert_dense_relu_mlp(feats, mlp, delta, bias, mlp_bias_backward(mlp, cache, delta))
 
     def test_zero_final_gives_zero_bias(self):
         mlp = init_mlp2(1, 4, 3, rng=18, zero_final=True)

@@ -265,13 +265,24 @@ class TestBuildKnnGraph:
             "                nb = np.sort(build_knn_graph(feats, k, metric).neighbors, axis=1)\n"
             "                print(n, name, metric, k, hashlib.sha256(nb.tobytes()).hexdigest())\n"
         )
-        runs = []
+        # both children start before either is waited on: they are independent
+        children = []
         for threads in ("1", "2"):
             env = {**os.environ, "PYTHONPATH": os.pathsep.join(path),
                    "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
-            result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                                    text=True, timeout=300, check=True)
-            runs.append(result.stdout.splitlines())
+            children.append(subprocess.Popen([sys.executable, "-c", code], env=env, text=True,
+                                              stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+        runs = []
+        try:
+            for child in children:
+                out, err = child.communicate(timeout=300)
+                if child.returncode:
+                    raise subprocess.CalledProcessError(child.returncode, child.args, out, err)
+                runs.append(out.splitlines())
+        finally:
+            for child in children:
+                child.kill()
+                child.wait()
         assert len(runs[0]) == len(runs[1]) == 90
         assert [a for a, b in zip(*runs) if a != b] == []
 

@@ -197,6 +197,16 @@ class TestSsim:
             with pytest.raises(ValueError, match="dynamic_range"):
                 SsimConfig(dynamic_range=bad)
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+    def test_sigma_must_be_finite_and_positive(self, sigma):
+        with pytest.raises(ValueError, match="^sigma must be finite and > 0"):
+            SsimConfig(sigma=sigma)
+
+    @pytest.mark.parametrize("window", [5.5, True])
+    def test_window_must_be_an_integer(self, window):
+        with pytest.raises(ValueError, match="^window must be an integer"):
+            SsimConfig(window=window)
+
     @pytest.mark.parametrize("dynamic_range", [1e-200, 1e154, 1e155])
     def test_dynamic_range_whose_constants_leave_float64(self, dynamic_range):
         # c1 = (k1 R)^2 underflows to 0 at 1e-200; c1 * c2 overflows at 1e154

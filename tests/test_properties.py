@@ -16,7 +16,7 @@ def test_backward_matches_finite_difference(name, seed):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_bias_mlp_row_across_blocks(seed, monkeypatch):
-    # 7-row blocks of the row's 6-wide hidden layer: its 25 pairs in four blocks
+    # a 42-entry block rule; the bias MLP has no row blocks, so the row must not see it
     monkeypatch.setattr(graph, "_BLOCK_ENTRIES", 7 * 6)
     loss, pairs = GRADIENT_CHECKS["bias_mlp"](np.random.default_rng(seed))
     assert finite_diff_error(loss, pairs) < 1e-7
