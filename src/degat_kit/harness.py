@@ -1,5 +1,5 @@
-"""Synthetic deformable scenes, the training/evaluation loop, config and
-checkpoint I/O.
+"""Synthetic deformable scenes, the training/evaluation loop, config I/O,
+and checkpoints of two files: a JSON manifest and one float64 blob.
 
 The scene generator stands in for real endoscopic footage at desk scale:
 a smooth random depth surface, small rigid per-frame camera motion,
@@ -44,18 +44,13 @@ MODEL_KEYS = {f.name for f in fields(ModelConfig)}
 DEFAULT_TRAINER = {"steps": 300, "lr": 0.02, "n_frames": 4, "scene_seed": 0}
 
 
-def _is_real(v):
-    return type(v) in (int, float) and math.isfinite(v)
-
-
-# config key -> (what its value must be, test); bools are not integers here
+# trainer key -> (what its value must be, test); bools are not integers here
 CONFIG_VALUE_CHECKS = {
     "steps": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
     "n_frames": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
     "scene_seed": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
-    "lr": ("a finite number >= 0", lambda v: _is_real(v) and v >= 0),
-    "alpha": ("a finite number > 0", lambda v: _is_real(v) and v > 0),
-    "gamma": ("a finite number > 0", lambda v: _is_real(v) and v > 0),
+    "lr": ("a finite number >= 0",
+           lambda v: type(v) in (int, float) and math.isfinite(v) and v >= 0),
 }
 
 
@@ -242,7 +237,8 @@ def ablate_k(cfg, scene, k_values, steps, lr, weights=LossWeights()):
 
 def load_config(path):
     """Read a flat JSON config; unknown keys are errors (catches typos), and so
-    are trainer values and loss weights that ``CONFIG_VALUE_CHECKS`` rejects."""
+    are trainer values that ``CONFIG_VALUE_CHECKS`` rejects and loss weights
+    that ``LossWeights`` rejects."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -256,34 +252,34 @@ def load_config(path):
     if bad:
         raise ValueError(f"bad config values: {', '.join(bad)}")
     cfg = ModelConfig(**{k: v for k, v in raw.items() if k in MODEL_KEYS})
-    weights = LossWeights(
-        alpha=raw.get("alpha", 0.2), gamma=raw.get("gamma", 1.0)
-    )
+    weights = LossWeights(**{k: raw[k] for k in WEIGHT_KEYS if k in raw})
     trainer = {**DEFAULT_TRAINER, **{k: raw[k] for k in TRAINER_KEYS if k in raw}}
     return cfg, weights, trainer
 
 
 def save_checkpoint(path, cfg, params):
-    """JSON manifest plus one raw little-endian float64 blob per parameter."""
+    """Write ``manifest.json`` (the config and each parameter's shape) and
+    ``params.bin`` (every array as ``<f8``, concatenated in ``param_shapes(cfg)``
+    order). Params that ``check_arrays`` rejects raise ValueError unwritten."""
+    expected = param_shapes(cfg)
+    check_arrays(params, expected)
     os.makedirs(path, exist_ok=True)
-    manifest = {
-        "config": asdict(cfg),
-        "params": {k: list(v.shape) for k, v in sorted(params.items())},
-    }
+    manifest = {"config": asdict(cfg), "params": {k: list(s) for k, s in expected.items()}}
     with open(os.path.join(path, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
-    for k, v in params.items():
-        with open(os.path.join(path, f"{k}.bin"), "wb") as fh:
-            fh.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
+    blob = np.concatenate([np.ravel(params[k]) for k in expected]).astype("<f8", copy=False)
+    blob.tofile(os.path.join(path, "params.bin"))
 
 
 def load_checkpoint(path):
-    """Read a checkpoint written by ``save_checkpoint``.
+    """Read a checkpoint written by ``save_checkpoint``: the arrays are views
+    of one array, cut in ``param_shapes`` order whatever the manifest's order.
 
     The manifest must hold a config of known keys and list exactly the
     parameters, with the shapes, that ``param_shapes`` gives for that
     config, and every value must be finite; anything else raises
-    ValueError. A blob whose size does not match its shape raises OSError.
+    ValueError. A ``params.bin`` that is missing (as in the older format of
+    one file per parameter) or of the wrong size raises OSError.
     """
     with open(os.path.join(path, "manifest.json"), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
@@ -295,21 +291,19 @@ def load_checkpoint(path):
     if unknown:
         raise ValueError(f"unknown checkpoint config keys: {unknown}")
     cfg = ModelConfig(**config)
-    unsafe = sorted(k for k in shapes if "/" in k or "\\" in k)
-    if unsafe:
-        raise ValueError(f"checkpoint parameter names contain path separators: {unsafe}")
     not_shapes = sorted(k for k, shape in shapes.items()
                         if not (isinstance(shape, list) and all(type(d) is int for d in shape)))
     if not_shapes:
         raise ValueError(f"checkpoint parameter shapes are not lists of integers: {not_shapes}")
     expected = param_shapes(cfg)
     check_shapes(shapes, expected)
-    params = {}
-    for k in shapes:
-        blob_path = os.path.join(path, f"{k}.bin")
-        size, need = os.path.getsize(blob_path), 8 * int(np.prod(expected[k]))
-        if size != need:
-            raise OSError(f"{blob_path} has {size} bytes, shape {expected[k]} needs {need}")
-        params[k] = np.fromfile(blob_path, dtype="<f8").reshape(expected[k]).astype(np.float64)
+    sizes = [math.prod(shape) for shape in expected.values()]
+    blob_path = os.path.join(path, "params.bin")
+    size, need = os.path.getsize(blob_path), 8 * sum(sizes)
+    if size != need:
+        raise OSError(f"{blob_path} has {size} bytes, {len(sizes)} parameters need {need}")
+    blob = np.fromfile(blob_path, dtype="<f8").astype(np.float64, copy=False)
+    parts = np.split(blob, np.cumsum(sizes)[:-1])
+    params = {k: part.reshape(shape) for (k, shape), part in zip(expected.items(), parts)}
     check_arrays(params, expected)
     return cfg, params

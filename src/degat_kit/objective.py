@@ -9,6 +9,7 @@ the per-frame losses, and its gradients are those of that mean. Each
 gradient is a dict keyed by the field of the prediction it belongs to.
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,12 @@ class LossWeights:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.alpha <= 0.0 or self.gamma <= 0.0:
-            raise ValueError(f"loss weights must be positive: {self}")
+        # a finite int or float > 0, bools excluded; nan and an int past float64 fail
+        bad = [f"{k}={v!r}" for k, v in (("alpha", self.alpha), ("gamma", self.gamma))
+               if isinstance(v, bool) or not isinstance(v, (int, float))
+               or not 0 < v <= sys.float_info.max]
+        if bad:
+            raise ValueError(f"bad loss weights: {', '.join(bad)} (must be a finite number > 0)")
 
 
 @dataclass(frozen=True)

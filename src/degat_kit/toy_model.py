@@ -59,7 +59,6 @@ __all__ = [
     "init_model_params",
     "forward",
     "backward",
-    "zero_grads",
     "loss",
     "loss_and_grads",
     "sgd_step",
@@ -206,10 +205,6 @@ def init_model_params(cfg, rng=None):
         else:
             params[name] = fan_in_uniform(rng, shape)
     return params
-
-
-def zero_grads(params):
-    return {k: np.zeros_like(v) for k, v in params.items()}
 
 
 def _layer(cls, params, prefix):

@@ -16,6 +16,8 @@ from degat_kit.fileio import write_pfm, write_pnm
 from degat_kit.harness import save_checkpoint
 from degat_kit.toy_model import ModelConfig, init_model_params
 
+from checkpoint_tampering import TAMPERING, edit_param, tamper
+
 
 def assert_one_error_line(capsys, argv, code):
     """``main(argv)`` returns ``code``, prints nothing and writes one
@@ -184,12 +186,13 @@ class TestTrainEvalCommands:
 
 
 class TestEvalCheckpointValidation:
+    CFG = ModelConfig(image_h=16, image_w=16, patch_size=4, embed_dim=8, n_blocks=1,
+                      n_heads=2, k_neighbors=3, cond_hidden=4, bias_hidden=4, cam_hidden=4)
+
     @pytest.fixture
     def ckpt(self, tmp_path):
-        cfg = ModelConfig(image_h=16, image_w=16, patch_size=4, embed_dim=8, n_blocks=1,
-                          n_heads=2, k_neighbors=3, cond_hidden=4, bias_hidden=4, cam_hidden=4)
         path = tmp_path / "ckpt"
-        save_checkpoint(str(path), cfg, init_model_params(cfg))
+        save_checkpoint(str(path), self.CFG, init_model_params(self.CFG))
         return path
 
     @staticmethod
@@ -209,8 +212,8 @@ class TestEvalCheckpointValidation:
         (lambda p: p.pop("degat.a"), "missing ['degat.a']"),
         (lambda p: p.update({"extra.w": [2]}), "unexpected ['extra.w']"),
         (lambda p: p.update({"degat.a": [4, 2]}), "shapes"),
-        (lambda p: p.update({"../outside": [1]}), "path separators"),
-        (lambda p: p.update({"..\\outside": [1]}), "path separators"),
+        (lambda p: p.update({"../outside": [1]}), "unexpected ['../outside']"),
+        (lambda p: p.update({"..\\outside": [1]}), "unexpected ['..\\\\outside']"),
         (lambda p: p.update({"degat.a": 5}), "not lists of integers: ['degat.a']"),
         (lambda p: p.update({"degat.a": None}), "not lists of integers: ['degat.a']"),
         (lambda p: p.update({"degat.a": [8.0]}), "not lists of integers: ['degat.a']"),
@@ -232,31 +235,27 @@ class TestEvalCheckpointValidation:
 
     @pytest.mark.parametrize("cut", [8, 3])
     def test_truncated_blob_is_io_error(self, ckpt, capsys, cut):
-        blob = ckpt / "degat.w_val.bin"
+        blob = ckpt / "params.bin"
         blob.write_bytes(blob.read_bytes()[:-cut])
         err = assert_one_error_line(capsys, self.eval_args(ckpt), EXIT_IO)
-        assert "degat.w_val.bin" in err
+        assert "params.bin" in err
 
     def test_missing_blob_is_io_error(self, ckpt, capsys):
-        (ckpt / "cam_head.b2.bin").unlink()
+        (ckpt / "params.bin").unlink()
         assert main(self.eval_args(ckpt)) == EXIT_IO
 
     @pytest.mark.parametrize("name,bad", [
         ("depth_head.w", np.nan), ("embed.b", np.inf), ("embed.b", -np.inf),
     ], ids=["nan", "inf", "-inf"])
     def test_non_finite_value_is_validation_error(self, ckpt, capsys, name, bad):
-        blob = ckpt / f"{name}.bin"
-        values = np.fromfile(blob, dtype="<f8")
-        values[1] = bad
-        values.tofile(blob)
+        edit_param(ckpt, self.CFG, name, lambda v: np.where(np.arange(v.size) == 1, bad, v))
         err = assert_one_error_line(capsys, self.eval_args(ckpt), EXIT_VALIDATION)
         assert f"non-finite values: ['{name}']" in err
 
 
     def test_overflowing_prediction_is_numeric_error(self, ckpt, capsys):
         # finite parameters, but exp() of the depth head overflows
-        blob = ckpt / "depth_head.b.bin"
-        (np.fromfile(blob, dtype="<f8") + 1e4).tofile(blob)
+        edit_param(ckpt, self.CFG, "depth_head.b", lambda v: v + 1e4)
         err = assert_one_error_line(capsys, self.eval_args(ckpt), EXIT_NUMERIC)
         assert "non-finite scores ['mean_abs_depth_error', 'psnr', 'ssim']" in err
 
@@ -531,8 +530,9 @@ FUZZ = settings(max_examples=120, suppress_health_check=[HealthCheck.function_sc
 
 
 class TestHostileInputs:
-    """Generated poses and image files: every run exits with a documented
-    code, and every failing run prints one error line and no traceback."""
+    """Generated poses, image files and tampered checkpoints: every run exits
+    with a documented code, and every failing run prints one error line and no
+    traceback."""
 
     @FUZZ
     @given(pose=POSES)
@@ -547,6 +547,14 @@ class TestHostileInputs:
         pa.write_bytes(raw)
         pb.write_bytes(data.draw(st.just(raw) | image_files()))
         assert_one_error_line(capsys, ["metrics", "--a", str(pa), "--b", str(pb)], None)
+
+    @FUZZ
+    @given(tampering=TAMPERING)
+    def test_eval_checkpoints(self, tmp_path, capsys, tampering):
+        error = tamper(tmp_path, tampering)
+        code = EXIT_IO if error is OSError else EXIT_VALIDATION
+        assert_one_error_line(capsys, ["eval", "--checkpoint", str(tmp_path), "--n-frames", "1"],
+                              code)
 
     @FUZZ
     @given(name=IMAGE_NAMES, raw=image_files(), patch=st.sampled_from(["1", "2", "4"]),

@@ -14,23 +14,28 @@ from degat_kit.graph import build_knn_graph, dump_neighbors, pairwise_distances
 TAU = 1e-12  # the near-tie tolerance, relative to 1 + |K-th key|
 
 
-def near_tie_top_k(key, k):
-    """Each row's Top-K under the near-tie rule, by a full stable sort.
+def near_tie_top_k(key):
+    """Each row's Top-K under the near-tie rule, for every K from one full
+    stable sort of ``key``.
 
     With kth the row's K-th smallest key and tau = TAU * (1 + |kth|): every
     key below kth - tau, then the lowest-index keys within tau of kth up to
-    K places. Returns the chosen columns in stable-argsort order and each
-    row's tau.
+    K places. Returns a function of K that gives the chosen columns in
+    stable-argsort order and each row's tau.
     """
     ranked = np.argsort(key, axis=1, kind="stable")
-    kth = np.take_along_axis(key, ranked[:, k - 1:k], axis=1)
-    tau = TAU * (1.0 + np.abs(kth))
-    below = key < kth - tau
-    near = (key >= kth - tau) & (key <= kth + tau)
-    room = k - np.count_nonzero(below, axis=1, keepdims=True)
-    chosen = below | (near & (np.cumsum(near, axis=1) <= room))
-    in_order = np.take_along_axis(chosen, ranked, axis=1)
-    return ranked[in_order].reshape(len(key), k), tau[:, 0]
+
+    def top_k(k):
+        kth = np.take_along_axis(key, ranked[:, k - 1:k], axis=1)
+        tau = TAU * (1.0 + np.abs(kth))
+        below = key < kth - tau
+        near = (key >= kth - tau) & (key <= kth + tau)
+        room = k - np.count_nonzero(below, axis=1, keepdims=True)
+        chosen = below | (near & (np.cumsum(near, axis=1) <= room))
+        in_order = np.take_along_axis(chosen, ranked, axis=1)
+        return ranked[in_order].reshape(len(key), k), tau[:, 0]
+
+    return top_k
 
 
 def exact_scores(features, metric):
@@ -55,16 +60,18 @@ def exact_scores(features, metric):
     return np.where(denom == 0.0, 0.0, gram / np.where(denom == 0.0, 1.0, denom)).astype(np.float64)
 
 
-def topk_oracle(score, k, metric):
-    """The near-tie rule applied to exact_scores: (neighbor lists, each row's tau)."""
+def topk_oracle(score, metric):
+    """The near-tie rule applied to exact_scores: a function of K that gives
+    (neighbor lists, each row's tau)."""
     key = -score if metric == "cosine" else score.copy()
     np.fill_diagonal(key, np.inf)
-    return near_tie_top_k(key, k)
+    return near_tie_top_k(key)
 
 
-def argsort_top_k(features, k, metric):
+def argsort_top_k(features, metric):
     """Reference selection: the near-tie rule by a full stable argsort of the
-    key matrix a build scores in one block (x times its own transpose)."""
+    key matrix a build scores in one block (x times its own transpose). Returns
+    a function of K that gives the neighbor lists and their scores."""
     x = np.asarray(features, dtype=np.float64)
     if metric == "cosine":
         norms = np.linalg.norm(x, axis=1)
@@ -79,8 +86,13 @@ def argsort_top_k(features, k, metric):
         key = np.sqrt(d2)
         score = key
     np.fill_diagonal(key, np.inf)
-    nb, _ = near_tie_top_k(key, k)
-    return nb, np.take_along_axis(score, nb, axis=1)
+    top_k = near_tie_top_k(key)
+
+    def select(k):
+        nb, _ = top_k(k)
+        return nb, np.take_along_axis(score, nb, axis=1)
+
+    return select
 
 
 def assert_matches_oracle(g, score, oracle, label):
@@ -161,7 +173,7 @@ class TestBuildKnnGraph:
             k = int(rng.integers(1, n))
             feats = rng.standard_normal((n, c))
             g = build_knn_graph(feats, k, metric)
-            nb, _ = topk_oracle(exact_scores(feats, metric), k, metric)
+            nb, _ = topk_oracle(exact_scores(feats, metric), metric)(k)
             assert g.neighbors.tolist() == nb.tolist()
 
     def test_self_exclusion(self):
@@ -200,8 +212,9 @@ class TestBuildKnnGraph:
         default = graph._BLOCK_ENTRIES
         for name, feats in oracle_inputs(n, np.random.default_rng(n)).items():
             score = exact_scores(feats, metric)
+            top_k = topk_oracle(score, metric)
             for k in (1, 5, n - 2):
-                oracle = topk_oracle(score, k, metric)
+                oracle = top_k(k)
                 for entries in (default, 7 * n):
                     monkeypatch.setattr(graph, "_BLOCK_ENTRIES", entries)
                     g = build_knn_graph(feats, k, metric)
@@ -215,9 +228,10 @@ class TestBuildKnnGraph:
         monkeypatch.setattr(graph, "_BLOCK_ENTRIES", one_block(n))
         rng = np.random.default_rng(n)
         for name, feats in oracle_inputs(n, rng).items():
+            reference = argsort_top_k(feats, metric)
             for k in (1, 5, n - 2):
                 g = build_knn_graph(feats, k, metric)
-                nb, sims = argsort_top_k(feats, k, metric)
+                nb, sims = reference(k)
                 assert np.array_equal(g.neighbors, nb), (name, k)
                 assert np.array_equal(g.similarities, sims), (name, k)
 
@@ -241,10 +255,11 @@ class TestBuildKnnGraph:
                     assert np.array_equal(g.similarities[f], alone.similarities), (f, k)
         monkeypatch.setattr(graph, "_BLOCK_ENTRIES", one_block(n))
         for frames in stacks:
+            references = [argsort_top_k(feats, metric) for feats in frames]
             for k in (1, 5, n - 2):
                 g = build_knn_graph(frames, k, metric)
-                for f, feats in enumerate(frames):
-                    nb, sims = argsort_top_k(feats, k, metric)
+                for f, reference in enumerate(references):
+                    nb, sims = reference(k)
                     assert np.array_equal(g.neighbors[f], nb), (f, k)
                     assert np.array_equal(g.similarities[f], sims), (f, k)
 

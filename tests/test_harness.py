@@ -1,10 +1,9 @@
+import itertools
 import json
-from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 from degat_kit import harness
 from degat_kit.harness import (
@@ -19,7 +18,13 @@ from degat_kit.harness import (
     train,
 )
 from degat_kit.objective import LossWeights
-from degat_kit.toy_model import ModelConfig, init_model_params
+from degat_kit.toy_model import (
+    ATTENTION_BIAS, PLACEMENTS, TOKEN_CONDITIONING, ModelConfig, init_model_params, param_shapes,
+)
+
+from checkpoint_tampering import CFG as TAMPER_CFG
+from checkpoint_tampering import PARAMS as TAMPER_PARAMS
+from checkpoint_tampering import TAMPERING, param_slice, tamper
 
 
 def tiny_cfg(**kw):
@@ -179,7 +184,8 @@ class TestConfigIo:
     def test_trainer_values_and_weights_checked(self, tmp_path, key, value):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({key: value}))
-        with pytest.raises(ValueError, match=f"^bad config values: {key}=") as exc:
+        what = "loss weights" if key in ("alpha", "gamma") else "config values"
+        with pytest.raises(ValueError, match=f"^bad {what}: {key}=") as exc:
             load_config(path)
         assert len(str(exc.value).splitlines()) == 1
 
@@ -193,14 +199,23 @@ class TestConfigIo:
 
 class TestCheckpointIo:
     def test_roundtrip_bit_exact(self, tmp_path):
-        cfg = tiny_cfg(degat_placement="pre")
-        params = init_model_params(cfg)
-        save_checkpoint(tmp_path / "ckpt", cfg, params)
-        cfg2, params2 = load_checkpoint(tmp_path / "ckpt")
-        assert cfg2 == cfg
-        assert sorted(params2) == sorted(params)
-        for k in params:
-            np.testing.assert_array_equal(params2[k], params[k])
+        """Every variant's init params come back bit for bit, in table order
+        and as views of one buffer, from a directory of exactly two files."""
+        for variant in itertools.product(PLACEMENTS, TOKEN_CONDITIONING, ATTENTION_BIAS):
+            placement, conditioning, bias = variant
+            cfg = tiny_cfg(degat_placement=placement, token_conditioning=conditioning,
+                           attention_bias=bias)
+            params = init_model_params(cfg)
+            path = tmp_path / "-".join(variant)
+            save_checkpoint(path, cfg, params)
+            assert sorted(p.name for p in path.iterdir()) == ["manifest.json", "params.bin"]
+            cfg2, params2 = load_checkpoint(path)
+            assert cfg2 == cfg
+            assert list(params2) == list(param_shapes(cfg))
+            for k in params:
+                np.testing.assert_array_equal(params2[k], params[k])
+            base = params2["embed.w"].base
+            assert base is not None and all(v.base is base for v in params2.values())
 
     def test_manifest_contents(self, tmp_path):
         cfg = tiny_cfg()
@@ -209,34 +224,34 @@ class TestCheckpointIo:
         manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
         assert manifest["config"]["embed_dim"] == 8
         assert manifest["params"]["embed.w"] == [8, 16]
-        assert (tmp_path / "c" / "embed.w.bin").stat().st_size == 8 * 16 * 8
+        n_values = sum(v.size for v in params.values())
+        assert (tmp_path / "c" / "params.bin").stat().st_size == 8 * n_values
 
+    def test_blob_in_table_order_whatever_the_manifest_order(self, tmp_path):
+        # two arrays of one shape: a manifest listed in another order must not swap them
+        save_checkpoint(tmp_path, TAMPER_CFG, TAMPER_PARAMS)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["params"] = dict(reversed(manifest["params"].items()))
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        _, params = load_checkpoint(tmp_path)
+        assert params["block0.w_q"].shape == params["block0.w_k"].shape
+        assert all(np.array_equal(params[k], TAMPER_PARAMS[k]) for k in TAMPER_PARAMS)
+        values = np.fromfile(tmp_path / "params.bin", dtype="<f8")
+        np.testing.assert_array_equal(values[param_slice(TAMPER_CFG, "block0.w_k")],
+                                      TAMPER_PARAMS["block0.w_k"].ravel())
 
-TAMPER_CFG = tiny_cfg()
-TAMPER_PARAMS = init_model_params(TAMPER_CFG)
-NAMES = sorted(TAMPER_PARAMS)
-CONFIG_INTS = [f.name for f in fields(ModelConfig) if f.type is int]
-CONFIG_STRS = [f.name for f in fields(ModelConfig) if f.type is str]
-NOT_INT = st.one_of(st.floats(), st.booleans(), st.text(max_size=3), st.none(),
-                    st.lists(st.integers(0, 9), max_size=2))
-NOT_STR = st.one_of(st.integers(), st.floats(), st.booleans(), st.none(),
-                    st.lists(st.sampled_from(["none", "pre"]), max_size=2))
-SHAPE = st.lists(st.integers(0, 40), max_size=3)
-TAMPERING = st.one_of(
-    st.tuples(st.just("missing"), st.sampled_from(NAMES)),
-    st.tuples(st.just("extra"), st.text(min_size=1, max_size=6), SHAPE),
-    st.tuples(st.just("reshaped"), st.sampled_from(NAMES), SHAPE),
-    st.tuples(st.just("not_a_shape"), st.sampled_from(NAMES), st.one_of(
-        st.integers(), st.none(), st.text(max_size=3),
-        st.lists(st.one_of(st.floats(), st.booleans(), st.text(max_size=2)), min_size=1,
-                 max_size=2))),
-    st.tuples(st.just("separator"), st.sampled_from(["/", "\\"]), st.text(max_size=4)),
-    st.tuples(st.just("truncated"), st.sampled_from(NAMES), st.integers(1, 64)),
-    st.tuples(st.just("non_finite"), st.sampled_from(NAMES),
-              st.sampled_from([np.nan, np.inf, -np.inf]), st.integers(0, 10**6)),
-    st.tuples(st.just("config_value"), st.sampled_from(CONFIG_INTS), NOT_INT),
-    st.tuples(st.just("config_value"), st.sampled_from(CONFIG_STRS), NOT_STR),
-)
+    @pytest.mark.parametrize("edit", [
+        lambda p: p.pop("embed.b"),
+        lambda p: p.update({"embed.w": np.zeros((16, 8))}),
+        lambda p: p.update({"extra.w": np.zeros(2)}),
+        lambda p: p["degat.a"].__setitem__(0, np.nan),
+    ], ids=["missing", "reshaped", "extra", "nan"])
+    def test_save_rejects_params_that_do_not_match(self, tmp_path, edit):
+        params = {k: v.copy() for k, v in TAMPER_PARAMS.items()}
+        edit(params)
+        with pytest.raises(ValueError, match="^param"):
+            save_checkpoint(tmp_path / "c", TAMPER_CFG, params)
+        assert not (tmp_path / "c").exists()
 
 
 @settings(max_examples=150, deadline=None)
@@ -245,33 +260,6 @@ def test_tampered_checkpoint_raises_value_or_os_error(tmp_path_factory, tamperin
     """Whatever is tampered with in a saved checkpoint, loading it raises
     ValueError (a bad manifest, config or value) or OSError (a bad blob), and
     no other error, and never returns."""
-    kind, *args = tampering
     path = tmp_path_factory.mktemp("ckpt")
-    save_checkpoint(path, TAMPER_CFG, TAMPER_PARAMS)
-    manifest = json.loads((path / "manifest.json").read_text())
-    shapes = manifest["params"]
-    if kind == "missing":
-        del shapes[args[0]]
-    elif kind == "extra":
-        assume(args[0] not in shapes)
-        shapes[args[0]] = args[1]
-    elif kind == "reshaped":
-        assume(args[1] != shapes[args[0]])
-        shapes[args[0]] = args[1]
-    elif kind == "not_a_shape":  # [8.0] or [True] too, which compare equal to [8] or [1]
-        shapes[args[0]] = args[1]
-    elif kind == "separator":
-        shapes[args[1] + args[0] + NAMES[0]] = shapes.pop(NAMES[0])
-    elif kind == "truncated":
-        blob = path / f"{args[0]}.bin"
-        blob.write_bytes(blob.read_bytes()[:-args[1]])
-    elif kind == "non_finite":
-        blob = path / f"{args[0]}.bin"
-        values = np.fromfile(blob, dtype="<f8")
-        values[args[2] % values.size] = args[1]
-        values.tofile(blob)
-    else:
-        manifest["config"][args[0]] = args[1]
-    (path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises((ValueError, OSError)):
+    with pytest.raises(tamper(path, tampering)):
         load_checkpoint(path)

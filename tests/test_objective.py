@@ -210,3 +210,14 @@ class TestLossWeights:
             LossWeights(alpha=0.0)
         with pytest.raises(ValueError):
             LossWeights(gamma=-1.0)
+
+    @pytest.mark.parametrize("field", ["alpha", "gamma"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "0.3", 10**400],
+                             ids=["nan", "inf", "True", "str", "int-past-float64"])
+    def test_not_a_finite_number_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^bad loss weights: {field}=") as exc:
+            LossWeights(**{field: value})
+        assert len(str(exc.value).splitlines()) == 1
+
+    def test_ints_and_numpy_floats_accepted(self):
+        assert LossWeights(alpha=2, gamma=np.float64(0.5)) == LossWeights(alpha=2.0, gamma=0.5)

@@ -25,7 +25,6 @@ from degat_kit.toy_model import (
     loss_and_grads,
     param_shapes,
     sgd_step,
-    zero_grads,
 )
 
 
@@ -526,7 +525,7 @@ class TestTraining:
     def test_sgd_step_and_zero_grads(self):
         cfg = small_cfg()
         params = init_model_params(cfg)
-        grads = zero_grads(params)
+        grads = {k: np.zeros_like(v) for k, v in params.items()}
         after = sgd_step(params, grads, 0.1)
         for k in params:
             np.testing.assert_array_equal(after[k], params[k])
