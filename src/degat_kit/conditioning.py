@@ -19,6 +19,11 @@ frame's distances by that frame's maximum and return (F, H, L, L).
 All attention is ``multi_head_attention`` around the one kernel
 ``biased_attention``: self-attention in the model's blocks, and
 cross-attention conditioning with the camera token as the single query.
+The kernel takes a bias that broadcasts to its (..., H, N, M) scores, such
+as one (F, 1, N, M) bias shared by every head, scales the queries rather
+than the scores, and normalises its output rather than its weights: it
+caches the exponentiated scores and their row sums, and only its backward
+forms the weights.
 
 A layer's weights are a field-only ``NamedTuple`` (``Mlp2``,
 ``CrossAttnParams``) named like the gradient dict its backward returns; the
@@ -36,7 +41,7 @@ import numpy as np
 from scipy.special import erf
 
 from .graph import pairwise_distances
-from .numerics import as_finite, as_vector, fan_in_uniform, softmax, softmax_backward
+from .numerics import as_finite, as_vector, fan_in_uniform, softmax_backward, softmax_parts
 
 __all__ = [
     "Mlp2",
@@ -203,8 +208,11 @@ def multi_head_attention(x_q, x_kv, attn, n_heads, bias=None):
     """W_o concat_h attention(x_q W_q^T, x_kv W_k^T, x_kv W_v^T)_h over
     ``n_heads`` heads, which must divide C; returns (out, cache).
 
-    x_q is (..., N, C), x_kv (..., M, C) and the optional bias (..., H, N, M),
-    with the same leading (frame) axes on all of them.
+    x_q is (..., N, C) and x_kv (..., M, C), with the same leading (frame)
+    axes. The optional bias has the axes of the (..., H, N, M) scores and
+    broadcasts to them, as ``biased_attention`` takes it: (..., 1, N, M) is
+    one bias for every head. The cache holds the kernel's, whose
+    exponentiated scores and row sums stand in for the attention weights.
     """
     q = _split_heads(x_q @ attn.w_q.T, n_heads)
     k = _split_heads(x_kv @ attn.w_k.T, n_heads)
@@ -361,8 +369,15 @@ def mlp_bias_backward(mlp, cache, delta):
 def biased_attention(q, k, v, bias=None):
     """softmax(Q K^T / sqrt(d) + B) V over the last two axes; returns (out, cache).
 
-    q is (..., N, d), k (..., M, d), v (..., M, d_v) and bias (..., N, M);
-    the leading (head) axes must be the same on all of them.
+    q is (..., N, d), k (..., M, d) and v (..., M, d_v); the leading (head)
+    axes must be the same on all of them. The bias has as many axes as the
+    (..., N, M) scores and broadcasts to them, so an axis of 1, such as a
+    head axis shared by every head, is used for all its entries.
+
+    The queries are scaled by 1/sqrt(d) before the product, and the rows are
+    normalised at the output: with e = exp(scores - row max) and its row sums
+    ``total`` (``numerics.softmax_parts``), out = (e V) / total. The cache is
+    (q / sqrt(d), k, v, e, total); the backward forms the weights e / total.
     """
     q, k, v = (np.asarray(a, dtype=np.float64) for a in (q, k, v))
     if (
@@ -376,25 +391,30 @@ def biased_attention(q, k, v, bias=None):
         )
     if not all(np.isfinite(a).all() for a in (q, k, v)):
         raise ValueError("attention Q, K or V contains non-finite entries")
-    # one (..., N, M) buffer: the scores are scaled, biased and normalised in place
+    q = q / np.sqrt(q.shape[-1])
+    # one (..., N, M) buffer: the scores are biased and exponentiated in place
     scores = q @ k.swapaxes(-1, -2)
-    scores /= np.sqrt(q.shape[-1])
     if bias is not None:
         bias = np.asarray(bias, dtype=np.float64)
-        if bias.shape != scores.shape:
+        if bias.ndim != scores.ndim or any(
+            b not in (1, s) for b, s in zip(bias.shape, scores.shape)
+        ):
             raise ValueError(f"bias shape {bias.shape} != logits {scores.shape}")
         scores += bias
-    attn_w = softmax(scores, out=scores)
-    return attn_w @ v, (q, k, v, attn_w)
+    e, total = softmax_parts(scores, out=scores)
+    out = e @ v
+    out /= total
+    return out, (q, k, v, e, total)
 
 
 def biased_attention_backward(cache, d_out):
-    """Returns (d_q, d_k, d_v, d_bias), shaped like the forward inputs."""
-    q, k, v, attn_w = cache
-    scale = np.sqrt(q.shape[-1])
-    d_v = attn_w.swapaxes(-1, -2) @ d_out
+    """Returns (d_q, d_k, d_v, d_bias), shaped like the forward inputs; d_bias
+    is the full (..., N, M) score gradient, whatever axes the bias shared."""
+    q, k, v, e, total = cache
+    p = e / total  # the attention weights
+    d_v = p.swapaxes(-1, -2) @ d_out
     d_scores = d_out @ v.swapaxes(-1, -2)  # d(loss)/d(weights), then d(loss)/d(scores)
-    softmax_backward(attn_w, d_scores, out=d_scores)
-    d_q = d_scores @ k / scale
-    d_k = d_scores.swapaxes(-1, -2) @ q / scale
+    softmax_backward(p, d_scores, out=d_scores)
+    d_q = d_scores @ k / np.sqrt(q.shape[-1])
+    d_k = d_scores.swapaxes(-1, -2) @ q  # q is the scaled queries
     return d_q, d_k, d_v, d_scores

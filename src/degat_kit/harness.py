@@ -11,6 +11,7 @@ per seed.
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import asdict, dataclass, fields
 
@@ -49,8 +50,9 @@ CONFIG_VALUE_CHECKS = {
     "steps": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
     "n_frames": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
     "scene_seed": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
+    # an int past float64 compares exactly, so it fails here rather than overflow
     "lr": ("a finite number >= 0",
-           lambda v: type(v) in (int, float) and math.isfinite(v) and v >= 0),
+           lambda v: type(v) in (int, float) and 0 <= v <= sys.float_info.max),
 }
 
 

@@ -6,9 +6,12 @@ any single layer's fields.
 
 Everything here is a pure function of its inputs; arrays are treated as
 immutable, save an ``out`` array that the caller passes, and all arithmetic
-is done in 64-bit floating point. The softmax pair is the only one in the
-package: the DeGAT neighbor softmax and the attention kernel in
-``conditioning`` both call it.
+is done in 64-bit floating point. The softmax here is the only one in the
+package: ``softmax_parts`` (the row-max shift, the exponential and the row
+sums), ``softmax`` (those parts and the divide) and ``softmax_backward``.
+The DeGAT neighbor softmax calls ``softmax``; the attention kernel in
+``conditioning`` calls ``softmax_parts`` and divides its output by the row
+sums instead of its weights.
 """
 
 import numpy as np
@@ -23,6 +26,7 @@ __all__ = [
     "elu",
     "elu_grad",
     "leaky_relu",
+    "softmax_parts",
     "softmax",
     "softmax_backward",
 ]
@@ -104,16 +108,28 @@ def leaky_relu(x, slope=0.2, out=None):
     return np.maximum(x, np.multiply(x, slope, out=out), out=out)
 
 
-def softmax(logits, out=None):
-    """Softmax over the last axis, shifted by the row maximum for overflow safety.
+def softmax_parts(logits, out=None):
+    """(e, total): exp(logits - row max) over the last axis and its (..., 1)
+    row sums, so that the softmax is e / total.
 
-    Logits at -inf get probability 0, so a row may be masked that way as
-    long as one entry stays finite. The result is a new array, or ``out``
-    when given; ``out=logits`` normalises the logits in place.
+    The shift keeps every entry at most 1 and each row's total at least 1.
+    Logits at -inf get e = 0, so a row may be masked that way as long as one
+    entry stays finite. e is a new array, or ``out`` when given;
+    ``out=logits`` exponentiates the logits in place.
     """
     e = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    return e, e.sum(axis=-1, keepdims=True)
+
+
+def softmax(logits, out=None):
+    """Softmax over the last axis: ``softmax_parts`` and the divide.
+
+    The result is a new array, or ``out`` when given; ``out=logits``
+    normalises the logits in place.
+    """
+    e, total = softmax_parts(logits, out=out)
+    e /= total
     return e
 
 

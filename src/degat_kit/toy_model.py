@@ -3,7 +3,9 @@
 The F frames run as one (F, L, C) batch of patch tokens: linear patch
 embedding -> optional pre-transformer graph-attention hop -> camera-token
 conditioning, one token per frame -> N self-attention blocks over each
-frame's camera token and patches (optionally bias-injected) -> one global
+frame's camera token and patches (optionally bias-injected, with one
+(F, 1 or H, L + 1, L + 1) bias: the log-affinity bias is one for all
+heads, the bucket and MLP biases one per head) -> one global
 block over the (F * (L + 1), C) tokens of all frames when several frames
 are given -> optional post-transformer graph-attention hop -> linear
 per-patch depth/confidence head and an MLP camera head. The hop takes the
@@ -246,9 +248,9 @@ def _unpatchify(tokens, cfg):
 # backward (params, grads, cfg, cache, d_output) -> d_input; the backward
 # stores its parameter gradients in grads. From the heads back to the tokens
 # stage d_output is d(loss)/d of the (F, L + 1, C) token sequence. Each block
-# given the (F, H, L + 1, L + 1) attention bias of a kind with a backward
-# sums d(loss)/d(bias) into grads[_D_BIAS], not a parameter name, which the
-# tokens stage pops.
+# given the (F, Hb, L + 1, L + 1) attention bias of a kind with a backward
+# (bucket, MLP: Hb = H) sums d(loss)/d(bias) into grads[_D_BIAS], not a
+# parameter name, which the tokens stage pops.
 _D_BIAS = "d(attention bias)"
 
 
@@ -285,8 +287,11 @@ def _pre_hop(params, cfg, x0):
 
 def _tokens(params, cfg, x1, pre_degat):
     """The (F, L + 1, C) sequence of each frame's conditioned camera token and
-    its patch tokens, and the (F, H, L + 1, L + 1) attention bias, whose
-    camera-token row and column are 0, or None for ``attention_bias="none"``."""
+    its patch tokens, and the (F, Hb, L + 1, L + 1) attention bias, whose
+    camera-token row and column are 0, or None for ``attention_bias="none"``.
+    Hb is the patch bias's own head axis: 1 for the head-shared log-affinity
+    bias, which the attention kernel broadcasts over the heads, and H for
+    the per-head bucket and MLP biases."""
     condition, _ = TOKEN_CONDITIONING[cfg.token_conditioning]
     attention_bias, _ = ATTENTION_BIAS[cfg.attention_bias]
     c_tok, cond_cache = condition(params, cfg, x1)
@@ -294,7 +299,7 @@ def _tokens(params, cfg, x1, pre_degat):
     bias = None
     if bias_patch is not None:
         n = cfg.n_tokens + 1
-        bias = np.zeros((len(x1), cfg.n_heads, n, n))
+        bias = np.zeros(bias_patch.shape[:2] + (n, n))
         bias[:, :, 1:, 1:] = bias_patch
     seq = np.concatenate([c_tok[:, None], x1], axis=1)
     return (seq, bias), (cond_cache, bias_cache)
@@ -437,10 +442,11 @@ def _checked_upstream(upstream, cfg, nf):
 # Conditioning: (params, cfg, x1) -> ((F, C) camera tokens, cache); the
 # backward stores its parameter gradients, adds its token path into d_x1 in
 # place and returns d(loss)/d(camera_token).
-# Bias: (params, cfg, x1, pre-DeGAT cache) -> (patch-block bias, broadcast
-# to (F, H, L, L), or None for no bias; cache); the backward takes the patch
-# block of d(loss)/d(bias) summed over the blocks, and is None for a kind
-# without parameters, whose gradient no block computes.
+# Bias: (params, cfg, x1, pre-DeGAT cache) -> ((F, H, L, L) patch-block
+# bias, or (F, 1, L, L) for one shared by the heads, or None for no bias;
+# cache); the backward takes the (F, H, L, L) patch block of d(loss)/d(bias)
+# summed over the blocks, and is None for a kind without parameters, whose
+# gradient no block computes.
 
 
 def _cond_none(params, cfg, x1):
@@ -589,7 +595,7 @@ def _forward(params, cfg, frames, tape=None):
     del pre_degat  # off the tape, the hop's cache ends with the tokens stage
     for i in range(cfg.n_blocks):
         seq = run(_BLOCK, seq, f"block{i}", bias)
-    del bias  # (F, H, L + 1, L + 1): not held through the global block
+    del bias  # (F, 1 or H, L + 1, L + 1): not held through the global block
     if len(seq) > 1:
         seq = run(_GLOBAL, seq)
     if cfg.degat_placement == "post":

@@ -156,7 +156,7 @@ class TestTrainEvalCommands:
             capsys, ["train", "--config", str(tiny_config), "--out", str(tmp_path / "o")],
             EXIT_VALIDATION,
         )
-        assert "int too large to convert to float" in err
+        assert err.startswith("error: bad config values: lr=1000000"), err
 
     @pytest.mark.parametrize("body,kind", [([1, 2], "list"), ("steps", "str"), (3, "int")])
     def test_config_must_be_an_object(self, tmp_path, capsys, body, kind):
@@ -526,11 +526,56 @@ def image_files(draw):
 
 
 IMAGE_NAMES = st.sampled_from(["a.pfm", "a.pgm", "a.ppm"])
+
+# train config key -> (valid values, bad values of its own). Every mix of the
+# valid values is a consistent tiny model (at least 2 x 2 patches, so any
+# k <= 3 fits); no value is large, since generate_scene allocates every frame
+# and a step count is a loop count.
+TRAIN_KEYS = {
+    "image_h": ([16, 24], [17, 30, 0, -16]),  # 17 and 30: neither patch divides them
+    "image_w": ([16, 24], [17, 30, 0, -16]),
+    "patch_size": ([4, 8], [0, -4, 4.0]),
+    "embed_dim": ([4, 8], [0, -8]),
+    "n_heads": ([1, 2, 4], [0, -2, 3]),
+    "n_blocks": ([0, 1], [-1, 1.0]),
+    "k_neighbors": ([1, 3], [0, -1, 256]),
+    "cond_hidden": ([1, 4], [0, -1]),
+    "bias_hidden": ([1, 4], [0, -1]),
+    "cam_hidden": ([1, 4], [0, -1]),
+    "n_buckets": ([1, 4], [0, -1]),
+    "ffn_mult": ([1, 2], [0, -1]),
+    "seed": ([0, 3], [-1]),
+    "degat_placement": (["none", "pre", "post"], ["other", 1]),
+    "token_conditioning": (["none", "additive", "film", "cross_attn"], ["other", 1]),
+    "attention_bias": (["none", "bucket", "mlp_bias", "log_affinity"], ["other", 1]),
+    "knn_metric": (["cosine", "euclidean"], ["other", 1]),
+    "alpha": ([0.2, 1], [0, -0.2, 10**400]),
+    "gamma": ([1.0, 2], [0, -1.0, 10**400]),
+    "steps": ([0, 1], [-1, 1.0]),
+    "lr": ([0, 0.01], [-0.01, 10**400]),
+    "n_frames": ([1, 2], [0, -1, 1.0]),
+    "scene_seed": ([0, 5], [-1, 0.5]),
+}
+# wrong JSON types, bools, and the NaN and Infinity tokens, bad for every key
+WRONG_VALUES = [None, "1", [1], {"a": 1}, True, False, float("nan"), float("inf"), float("-inf")]
+
+
+@st.composite
+def train_configs(draw):
+    """(config, bad keys): every key of ``TRAIN_KEYS``, those in ``bad``
+    drawn from its bad values and ``WRONG_VALUES``, the rest valid."""
+    bad = draw(st.sets(st.sampled_from(sorted(TRAIN_KEYS)), max_size=3))
+    config = {
+        key: draw(st.sampled_from(extra + WRONG_VALUES if key in bad else valid))
+        for key, (valid, extra) in TRAIN_KEYS.items()
+    }
+    return config, bad
 FUZZ = settings(max_examples=120, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 class TestHostileInputs:
-    """Generated poses, image files and tampered checkpoints: every run exits
+    """Generated poses, image files, train configs and tampered checkpoints:
+    every run exits
     with a documented code, and every failing run prints one error line and no
     traceback."""
 
@@ -555,6 +600,15 @@ class TestHostileInputs:
         code = EXIT_IO if error is OSError else EXIT_VALIDATION
         assert_one_error_line(capsys, ["eval", "--checkpoint", str(tmp_path), "--n-frames", "1"],
                               code)
+
+    @FUZZ
+    @given(drawn=train_configs())
+    def test_train_configs(self, tmp_path, capsys, drawn):
+        config, bad = drawn
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))  # NaN and Infinity as their JSON tokens
+        argv = ["train", "--config", str(path), "--out", str(tmp_path / "o")]
+        assert_one_error_line(capsys, argv, EXIT_VALIDATION if bad else None)
 
     @FUZZ
     @given(name=IMAGE_NAMES, raw=image_files(), patch=st.sampled_from(["1", "2", "4"]),

@@ -28,7 +28,7 @@ from degat_kit.conditioning import (
     multi_head_attention,
     multi_head_attention_backward,
 )
-from degat_kit.numerics import check_arrays
+from degat_kit.numerics import check_arrays, softmax
 from degat_kit.properties import finite_diff_grad
 
 # block rules, as _BLOCK_ENTRIES: the default (one block for every small test)
@@ -406,6 +406,64 @@ class TestBiasedAttention:
         with pytest.raises(ValueError):
             biased_attention(np.zeros((2, 3)), np.zeros((4, 3)), np.zeros((4, 3)),
                              np.zeros((2, 5)))
+
+    @pytest.mark.parametrize("n, m", [(257, 257), (33, 70)])
+    def test_matches_softmax_of_scaled_biased_scores(self, n, m):
+        """(F, H) = (2, 4) at N = M = 257, the block shape of a 128x128 frame
+        with 8x8 patches, and at N != M."""
+        rng = np.random.default_rng(25)
+        f, h, d = 2, 4, 16
+        q, k, v = (rng.standard_normal((f, h, rows, d)) for rows in (n, m, m))
+        bias = 3.0 * rng.standard_normal((f, h, n, m))
+        out, _ = biased_attention(q, k, v, bias)
+        ref = softmax(q @ k.swapaxes(-1, -2) / np.sqrt(d) + bias) @ v
+        np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-14 * np.max(np.abs(ref)))
+
+    def test_head_shared_bias_bits_equal_its_copy(self):
+        rng = np.random.default_rng(26)
+        f, h, n, m, d = 2, 4, 9, 11, 6
+        q, k, v = (rng.standard_normal((f, h, rows, d)) for rows in (n, m, m))
+        shared = rng.standard_normal((f, 1, n, m))
+        w = rng.standard_normal((f, h, n, d))
+        out, cache = biased_attention(q, k, v, shared)
+        out_copy, cache_copy = biased_attention(q, k, v, np.broadcast_to(shared, (f, h, n, m)).copy())
+        assert out.tobytes() == out_copy.tobytes()
+        grads = biased_attention_backward(cache, w)
+        grads_copy = biased_attention_backward(cache_copy, w)
+        assert grads[3].shape == (f, h, n, m)  # the full score gradient
+        for g, g_copy in zip(grads, grads_copy):  # d_q, d_k, d_v and d_bias
+            assert g.tobytes() == g_copy.tobytes()
+
+    @pytest.mark.parametrize("bias_shape", [(2, 3, 5, 7), (1, 2, 4, 5, 7), (4, 5, 7)],
+                             ids=["three-heads", "extra-axis", "no-frame-axis"])
+    def test_bias_that_does_not_broadcast_is_one_line_error(self, bias_shape):
+        q, k, v = np.zeros((2, 4, 5, 3)), np.zeros((2, 4, 7, 3)), np.zeros((2, 4, 7, 3))
+        with pytest.raises(ValueError, match=r"^bias shape \(.*\) != logits \(2, 4, 5, 7\)$"):
+            biased_attention(q, k, v, np.zeros(bias_shape))
+
+    def test_wide_logit_span_stays_finite(self):
+        """Logits spanning 1440 overflow exp without the row-max shift."""
+        rng = np.random.default_rng(27)
+        q, k, v = np.zeros((2, 3)), rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+        bias = np.array([[720.0, -720.0, 0.0, 600.0], [-720.0, 0.0, 720.0, 1.0]])
+        out, (_, _, _, e, total) = biased_attention(q, k, v, bias)
+        assert np.all(np.isfinite(out))
+        weights = e / total
+        assert weights[0, 0] == 1.0 and weights[1, 2] == 1.0
+        np.testing.assert_allclose(out, v[[0, 2]], rtol=0.0, atol=1e-15)
+
+    def test_minus_inf_bias_gets_zero_weight(self):
+        rng = np.random.default_rng(28)
+        q, k, v = (rng.standard_normal((2, rows, 3)) for rows in (3, 5, 5))
+        bias = rng.standard_normal((2, 3, 5))
+        bias[0, 1, [0, 2, 3, 4]] = -np.inf  # one entry of the row stays finite
+        bias[1, 2, 3] = -np.inf
+        out, (_, _, _, e, total) = biased_attention(q, k, v, bias)
+        assert np.all(np.isfinite(out))
+        weights = e / total
+        assert np.all(weights[np.isneginf(bias)] == 0.0)
+        assert weights[0, 1, 1] == 1.0
+        np.testing.assert_allclose(out[0, 1], v[0, 1], rtol=0.0, atol=1e-15)
 
 
 def three_frames(rng, shape):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from degat_kit.numerics import (
-    as_finite, as_matrix, as_vector, elu, leaky_relu, softmax, softmax_backward,
+    as_finite, as_matrix, as_vector, elu, leaky_relu, softmax, softmax_backward, softmax_parts,
 )
 from degat_kit.properties import finite_diff_grad
 
@@ -99,6 +99,15 @@ class TestSoftmaxMasked:
         np.testing.assert_array_equal(logits, kept)  # the default leaves its input alone
         assert softmax(logits, out=logits) is logits
         np.testing.assert_array_equal(logits, fresh)
+
+    def test_softmax_is_its_parts_divided(self):
+        rng = np.random.default_rng(5)
+        logits = rng.uniform(-800.0, 800.0, (3, 4, 9))
+        logits[1, 2, :4] = -np.inf
+        e, total = softmax_parts(logits)
+        assert total.shape == (3, 4, 1)
+        assert np.all(e <= 1.0) and np.all(total >= 1.0)  # the row-max shift
+        assert softmax(logits).tobytes() == (e / total).tobytes()
 
     def test_backward_finite_difference(self):
         rng = np.random.default_rng(3)

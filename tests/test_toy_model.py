@@ -486,7 +486,7 @@ class TestTape:
     @pytest.mark.parametrize("variant", [("pre", "cross_attn", "log_affinity"),
                                          ("post", "film", "mlp_bias")])
     def test_no_stage_cache_outlives_the_next_stage(self, monkeypatch, variant):
-        """Without a tape, every earlier attention's weights and hop's cache
+        """Without a tape, every earlier attention's exponentiated scores and hop's cache
         are freed by the time a block's attention runs, and all are freed
         when ``forward`` returns; with a tape, all are kept."""
         placement, conditioning, bias = variant
@@ -500,7 +500,7 @@ class TestTape:
         def tracked_attention(*args, **kwargs):
             live_at_entry.append(sum(r() is not None for r in refs))
             out, cache = attention(*args, **kwargs)
-            refs.append(weakref.ref(cache[3]))  # the attention weights
+            refs.append(weakref.ref(cache[3]))  # the exponentiated scores
             return out, cache
 
         def tracked_hop(*args, **kwargs):
