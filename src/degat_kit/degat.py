@@ -34,7 +34,8 @@ import scipy.sparse as sp
 
 from .graph import NeighborGraph, _row_blocks, build_knn_graph
 from .numerics import (
-    as_finite, elu, elu_grad, fan_in_uniform, leaky_relu, softmax, softmax_backward,
+    as_finite, elu, elu_grad, fan_in_uniform, leaky_relu, leaky_relu_grad, softmax,
+    softmax_backward,
 )
 
 __all__ = [
@@ -205,7 +206,7 @@ def degat_backward(cache, params, upstream):
         # logits l_ij = a . LeakyReLU(z_ij)
         z, e = _pairs(center, neighbor, nb_b, rows, z_buf, e_buf)
         d_a += d_logits.ravel() @ e.reshape(m * k, -1)
-        e[...] = np.where(z < 0.0, LEAKY_SLOPE, 1.0)  # LeakyReLU'(z); e is spent
+        leaky_relu_grad(z, LEAKY_SLOPE, out=e)  # e is spent
         d_z = np.multiply(d_logits[:, :, None], params.a, out=z)  # z is spent
         d_z *= e
         np.sum(d_z, axis=1, out=d_center[rows])

@@ -261,8 +261,9 @@ def load_config(path):
 
 def save_checkpoint(path, cfg, params):
     """Write ``manifest.json`` (the config and each parameter's shape) and
-    ``params.bin`` (every array as ``<f8``, concatenated in ``param_shapes(cfg)``
-    order). Params that ``check_arrays`` rejects raise ValueError unwritten."""
+    ``params.bin`` (each array of the config's variant as ``<f8``, concatenated
+    in ``param_shapes(cfg)`` order). Params that ``check_arrays`` rejects raise
+    ValueError unwritten."""
     expected = param_shapes(cfg)
     check_arrays(params, expected)
     os.makedirs(path, exist_ok=True)
@@ -280,8 +281,10 @@ def load_checkpoint(path):
     The manifest must hold a config of known keys and list exactly the
     parameters, with the shapes, that ``param_shapes`` gives for that
     config, and every value must be finite; anything else raises
-    ValueError. A ``params.bin`` that is missing (as in the older format of
-    one file per parameter) or of the wrong size raises OSError.
+    ValueError, which names the missing and unexpected keys of a manifest
+    that lists other layers than the variant's. A ``params.bin`` that is
+    missing (as in the older format of one file per parameter) or of the
+    wrong size raises OSError.
     """
     with open(os.path.join(path, "manifest.json"), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)

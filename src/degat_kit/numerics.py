@@ -1,4 +1,5 @@
-"""Float64 validation, ELU/LeakyReLU, and the softmax with its backward.
+"""Float64 validation, ELU/LeakyReLU and their derivatives, and the softmax
+with its backward.
 
 ``check_arrays`` is the one check of named weight arrays against a shape
 table: the model's parameter dict on entry to a step, a checkpoint, and
@@ -26,6 +27,7 @@ __all__ = [
     "elu",
     "elu_grad",
     "leaky_relu",
+    "leaky_relu_grad",
     "softmax_parts",
     "softmax",
     "softmax_backward",
@@ -85,15 +87,22 @@ def fan_in_uniform(rng, shape):
 
 
 def elu(x):
-    """ELU activation: x for x >= 0, exp(x) - 1 otherwise."""
+    """ELU activation: x for x >= 0, exp(x) - 1 otherwise.
+
+    Computed branch-free as expm1(min(x, 0)) + max(x, 0), where one term is
+    an exact 0, so every value has the bits of the two-branch form except
+    -0.0, which maps to +0.0.
+    """
     x = np.asarray(x, dtype=np.float64)
-    return np.where(x >= 0.0, x, np.expm1(np.minimum(x, 0.0)))
+    out = np.expm1(np.minimum(x, 0.0))
+    out += np.maximum(x, 0.0)
+    return out
 
 
 def elu_grad(x):
-    """Derivative of ELU."""
+    """Derivative of ELU: exp(min(x, 0)), which is exactly 1 for x >= 0."""
     x = np.asarray(x, dtype=np.float64)
-    return np.where(x >= 0.0, 1.0, np.exp(np.minimum(x, 0.0)))
+    return np.exp(np.minimum(x, 0.0))
 
 
 def leaky_relu(x, slope=0.2, out=None):
@@ -106,6 +115,22 @@ def leaky_relu(x, slope=0.2, out=None):
     x = np.asarray(x, dtype=np.float64)
     # slope < 1: the bits of where(x >= 0, x, slope * x), -0.0 included
     return np.maximum(x, np.multiply(x, slope, out=out), out=out)
+
+
+def leaky_relu_grad(x, slope=0.2, out=None):
+    """Derivative of ``leaky_relu``: 1 for x >= 0 (-0.0 included), slope
+    otherwise.
+
+    Computed branch-free as slope + (1 - slope) * [x >= 0]; for every slope
+    in (0, 1), (1 - slope) + slope rounds to exactly 1. The result is a new
+    array, or ``out`` when given.
+    """
+    if not 0.0 < slope < 1.0:
+        raise ValueError(f"leaky_relu slope must be in (0, 1), got {slope}")
+    x = np.asarray(x, dtype=np.float64)
+    d = np.multiply(x >= 0.0, 1.0 - slope, out=out)
+    d += slope
+    return d
 
 
 def softmax_parts(logits, out=None):

@@ -25,20 +25,26 @@ one gradient to one; the blocks sum the gradient of a bias with parameters
 stop-gradient log-affinity bias gets none, and a bias-free variant
 (``attention_bias="none"``) builds no bias at all.
 
-The parameter dict is checked once, when it enters ``forward``: its names
-and shapes against ``param_shapes(cfg)``, which is assembled from the
-layers' own shape tables, and its values for finiteness
+A variant's parameters are those of the layers its stages read, and no
+others: ``param_shapes(cfg)`` is assembled from the layers' own shape
+tables, and the layers of a conditioning or bias kind are named in the
+kind's own table entry. ``init_model_params`` draws every layer of every
+variant in one fixed order and keeps the variant's, so a layer two
+variants share starts with the same values in both. The parameter dict is
+checked once, when it enters ``forward``: its names and shapes against
+``param_shapes(cfg)`` and its values for finiteness
 (``numerics.check_arrays``). Each layer then reads its weights through
 ``_layer``, a plain tuple of the arrays under its prefix. Gradients are
-allocated where they are first written; parameters a variant does not use
-get zero gradients.
+allocated where they are first written; a parameter that a call does not
+reach gets a zero gradient.
 
 Every attention layer is ``conditioning.multi_head_attention``, and the
-conditioning and bias kinds are the keys of two (forward, backward) tables.
-The stages look their layers up in ``conditioning`` and ``degat`` at call
-time, so a wrapper installed after import sees every call. Forward and
-backward are written by hand against explicit caches, and whole-model
-finite differences in the tests check every parameter gradient.
+conditioning and bias kinds are the keys of two (forward, backward,
+layers) tables. The stages look their layers up in ``conditioning`` and
+``degat`` at call time, so a wrapper installed after import sees every
+call. Forward and backward are written by hand against explicit caches,
+and whole-model finite differences in the tests check every parameter
+gradient.
 """
 
 import functools
@@ -116,6 +122,8 @@ class ModelConfig:
             bad.append(f"n_blocks={self.n_blocks}")
         if bad:
             raise ValueError(f"model sizes must be positive: {', '.join(bad)}")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError(f"model seed must be >= 0: seed={self.seed}")
         if self.image_h % self.patch_size or self.image_w % self.patch_size:
             raise ValueError(
                 f"patch size {self.patch_size} must divide image "
@@ -157,55 +165,92 @@ def _prefixed(prefix, layer_shapes):
 
 
 @functools.lru_cache(maxsize=32)
-def _shape_table(p2, c, n_heads, n_blocks, f, ch, bias_hidden, n_buckets, cam_hidden):
-    shapes = {
-        "embed.w": (c, p2), "embed.b": (c,), "camera_token": (c,),
-        **_prefixed("degat", dg.degat_shapes(c)),
-        **_prefixed("cond_add", cond.mlp2_shapes(c, ch, c)),
-        **_prefixed("cond_film", cond.mlp2_shapes(c, ch, 2 * c)),
-        **_prefixed("cond_xattn", cond.attn_shapes(c)),
-        **_prefixed("cond_xattn_ffn", cond.mlp2_shapes(c, ch, c)),
-        "bias_table": (n_buckets, n_heads),
-        **_prefixed("bias_mlp", cond.mlp2_shapes(1, bias_hidden, n_heads)),
+def _layer_table(p2, c, n_heads, n_blocks, f, ch, bias_hidden, n_buckets, cam_hidden):
+    """Layer -> (parameter name -> shape) of every layer that any variant of
+    these sizes has, in initialization order. A layer is named by its
+    parameters' prefix, or is one parameter under its own name."""
+    layers = {
+        "embed": {"embed.w": (c, p2), "embed.b": (c,)},
+        "camera_token": {"camera_token": (c,)},
+        "degat": _prefixed("degat", dg.degat_shapes(c)),
+        "cond_add": _prefixed("cond_add", cond.mlp2_shapes(c, ch, c)),
+        "cond_film": _prefixed("cond_film", cond.mlp2_shapes(c, ch, 2 * c)),
+        "cond_xattn": _prefixed("cond_xattn", cond.attn_shapes(c)),
+        "cond_xattn_ffn": _prefixed("cond_xattn_ffn", cond.mlp2_shapes(c, ch, c)),
+        "bias_table": {"bias_table": (n_buckets, n_heads)},
+        "bias_mlp": _prefixed("bias_mlp", cond.mlp2_shapes(1, bias_hidden, n_heads)),
     }
     for name in [f"block{i}" for i in range(n_blocks)] + ["global"]:
-        shapes.update(_prefixed(name, cond.attn_shapes(c)))
-        shapes.update(_prefixed(f"{name}_ffn", cond.mlp2_shapes(c, f, c)))
-    shapes.update({"depth_head.w": (2 * p2, c), "depth_head.b": (2 * p2,)})
-    shapes.update(_prefixed("cam_head", cond.mlp2_shapes(c, cam_hidden, 13)))
-    return MappingProxyType(shapes)
+        layers[name] = _prefixed(name, cond.attn_shapes(c))
+        layers[f"{name}_ffn"] = _prefixed(f"{name}_ffn", cond.mlp2_shapes(c, f, c))
+    layers["depth_head"] = {"depth_head.w": (2 * p2, c), "depth_head.b": (2 * p2,)}
+    layers["cam_head"] = _prefixed("cam_head", cond.mlp2_shapes(c, cam_hidden, 13))
+    return MappingProxyType(layers)
+
+
+def _sizes(cfg):
+    """The ``_layer_table`` arguments of the config."""
+    return (cfg.patch_size**2, cfg.embed_dim, cfg.n_heads, cfg.n_blocks,
+            cfg.ffn_mult * cfg.embed_dim, cfg.cond_hidden, cfg.bias_hidden, cfg.n_buckets,
+            cfg.cam_hidden)
+
+
+# one entry per variant's layers and set of sizes: the 48 variants make 32,
+# since the two hop placements read the same layers, so a round-robin over
+# all of them at a few sizes stays cached
+@functools.lru_cache(maxsize=256)
+def _shape_table(sizes, hop, conditioning, bias):
+    reads = (("degat",) if hop else ()) + TOKEN_CONDITIONING[conditioning].layers \
+        + ATTENTION_BIAS[bias].layers
+    return MappingProxyType({
+        name: shape for layer, shapes in _layer_table(*sizes).items()
+        if layer not in _OPTIONAL_LAYERS or layer in reads for name, shape in shapes.items()
+    })
 
 
 def _shapes_of(cfg):
-    """``param_shapes(cfg)`` read-only, built once per distinct set of sizes:
-    ``forward`` checks against it on every call."""
-    return _shape_table(
-        cfg.patch_size**2, cfg.embed_dim, cfg.n_heads, cfg.n_blocks, cfg.ffn_mult * cfg.embed_dim,
-        cfg.cond_hidden, cfg.bias_hidden, cfg.n_buckets, cfg.cam_hidden,
-    )
+    """``param_shapes(cfg)`` read-only, built once per variant and set of
+    sizes: ``forward`` checks against it on every call."""
+    return _shape_table(_sizes(cfg), cfg.degat_placement != "none", cfg.token_conditioning,
+                        cfg.attention_bias)
 
 
 def param_shapes(cfg):
-    """Name -> shape of every model parameter, in initialization order.
+    """Name -> shape of each parameter the variant's stages read, in
+    initialization order.
 
-    Every component is listed whichever flags are enabled, so configs that
-    differ only in flags share one parameter set.
+    Every variant has the patch embedding, the camera token, the blocks, the
+    global block (which any call on several frames runs) and the two heads.
+    The DeGAT layer is added by a hop placement, and by the log-affinity bias,
+    which runs a hop of its own when there is none; the conditioning and
+    bias kinds add the layers their ``TOKEN_CONDITIONING`` and
+    ``ATTENTION_BIAS`` entries name.
     """
     return dict(_shapes_of(cfg))
 
 
 def init_model_params(cfg, rng=None):
-    """Seeded parameter dict: uniform in +-1/sqrt(fan-in) over the last axis,
-    a small normal camera token, and zeros for biases and ``ZERO_INIT``."""
+    """Seeded parameter dict of the variant: uniform in +-1/sqrt(fan-in) over
+    the last axis, a small normal camera token, and zeros for biases and
+    ``ZERO_INIT``.
+
+    Every layer of every variant is drawn, in one fixed order, and the
+    variant keeps its own, so a layer that two variants of one config share
+    has the same values in both.
+    """
     rng = np.random.default_rng(cfg.seed if rng is None else rng)
+    keep = _shapes_of(cfg)
     params = {}
-    for name, shape in _shapes_of(cfg).items():
-        if name == "camera_token":
-            params[name] = rng.normal(0.0, 0.02, size=shape)
-        elif name in ZERO_INIT or name.rsplit(".", 1)[-1] in ("b", "b1", "b2"):
-            params[name] = np.zeros(shape)
-        else:
-            params[name] = fan_in_uniform(rng, shape)
+    for shapes in _layer_table(*_sizes(cfg)).values():
+        for name, shape in shapes.items():
+            if name == "camera_token":
+                value = rng.normal(0.0, 0.02, size=shape)
+            elif name in ZERO_INIT or name.rsplit(".", 1)[-1] in ("b", "b1", "b2"):
+                value = None  # draws nothing
+            else:
+                value = fan_in_uniform(rng, shape)
+            if name in keep:
+                params[name] = np.zeros(shape) if value is None else value
     return params
 
 
@@ -292,10 +337,8 @@ def _tokens(params, cfg, x1, pre_degat):
     Hb is the patch bias's own head axis: 1 for the head-shared log-affinity
     bias, which the attention kernel broadcasts over the heads, and H for
     the per-head bucket and MLP biases."""
-    condition, _ = TOKEN_CONDITIONING[cfg.token_conditioning]
-    attention_bias, _ = ATTENTION_BIAS[cfg.attention_bias]
-    c_tok, cond_cache = condition(params, cfg, x1)
-    bias_patch, bias_cache = attention_bias(params, cfg, x1, pre_degat)
+    c_tok, cond_cache = TOKEN_CONDITIONING[cfg.token_conditioning].forward(params, cfg, x1)
+    bias_patch, bias_cache = ATTENTION_BIAS[cfg.attention_bias].forward(params, cfg, x1, pre_degat)
     bias = None
     if bias_patch is not None:
         n = cfg.n_tokens + 1
@@ -307,12 +350,12 @@ def _tokens(params, cfg, x1, pre_degat):
 
 def _tokens_backward(params, grads, cfg, cache, d_seq):
     cond_cache, bias_cache = cache
-    _, condition_backward = TOKEN_CONDITIONING[cfg.token_conditioning]
-    _, bias_backward = ATTENTION_BIAS[cfg.attention_bias]
     if _D_BIAS in grads:  # some block read the bias
-        bias_backward(params, grads, cfg, bias_cache, grads.pop(_D_BIAS)[:, :, 1:, 1:])
+        ATTENTION_BIAS[cfg.attention_bias].backward(
+            params, grads, cfg, bias_cache, grads.pop(_D_BIAS)[:, :, 1:, 1:]
+        )
     d_x1 = d_seq[:, 1:].copy()
-    grads["camera_token"] = condition_backward(
+    grads["camera_token"] = TOKEN_CONDITIONING[cfg.token_conditioning].backward(
         params, grads, cfg, cond_cache, d_seq[:, 0], d_x1
     )
     return d_x1
@@ -326,7 +369,7 @@ def _attn_ffn(params, cfg, x, name, bias=None):
     y = x + attn_out
     ffn_out, ffn_cache = cond.mlp2_forward(ffn, y)
     # only a bias with a parameter path needs its gradient
-    biased = bias is not None and ATTENTION_BIAS[cfg.attention_bias][1] is not None
+    biased = bias is not None and ATTENTION_BIAS[cfg.attention_bias].backward is not None
     return y + ffn_out, (name, attn, attn_cache, ffn, ffn_cache, biased)
 
 
@@ -524,21 +567,40 @@ def _bias_log_affinity(params, cfg, x1, pre_degat):
     return dg.affinity_to_log_bias(cache)[:, None], None
 
 
+class _Kind(NamedTuple):
+    """A conditioning or bias kind: its forward, its backward, and the layers
+    that the two read."""
+
+    forward: object
+    backward: object  # None for a bias without parameters
+    layers: tuple
+
+
 TOKEN_CONDITIONING = {
-    "none": (_cond_none, _cond_none_backward),
-    "additive": (functools.partial(_cond_prior, "additive", "cond_add"),
-                 functools.partial(_cond_prior_backward, "additive", "cond_add")),
-    "film": (functools.partial(_cond_prior, "film", "cond_film"),
-             functools.partial(_cond_prior_backward, "film", "cond_film")),
-    "cross_attn": (_cond_cross_attn, _cond_cross_attn_backward),
+    "none": _Kind(_cond_none, _cond_none_backward, ()),
+    "additive": _Kind(functools.partial(_cond_prior, "additive", "cond_add"),
+                      functools.partial(_cond_prior_backward, "additive", "cond_add"),
+                      ("cond_add",)),
+    "film": _Kind(functools.partial(_cond_prior, "film", "cond_film"),
+                  functools.partial(_cond_prior_backward, "film", "cond_film"), ("cond_film",)),
+    "cross_attn": _Kind(_cond_cross_attn, _cond_cross_attn_backward,
+                        ("cond_xattn", "cond_xattn_ffn")),
 }
 
 ATTENTION_BIAS = {
-    "none": (_bias_none, None),
-    "bucket": (_bias_bucket, _bias_bucket_backward),
-    "mlp_bias": (_bias_mlp, _bias_mlp_backward),
-    "log_affinity": (_bias_log_affinity, None),  # a stop-gradient bias
+    "none": _Kind(_bias_none, None, ()),
+    "bucket": _Kind(_bias_bucket, _bias_bucket_backward, ("bias_table",)),
+    "mlp_bias": _Kind(_bias_mlp, _bias_mlp_backward, ("bias_mlp",)),
+    # a stop-gradient bias, from the hop's affinities or a hop of its own
+    "log_affinity": _Kind(_bias_log_affinity, None, ("degat",)),
 }
+
+# the layers that only some variants read: the hop's and the kinds' own
+_OPTIONAL_LAYERS = frozenset(
+    ["degat"]
+    + [layer for kinds in (TOKEN_CONDITIONING, ATTENTION_BIAS) for kind in kinds.values()
+       for layer in kind.layers]
+)
 
 
 # ---------------------------------------------------------------------------
@@ -609,9 +671,11 @@ def backward(params, cfg, tape, upstream):
     ``tape`` is the one that ``forward`` filled, and is replayed in reverse.
     ``upstream`` is one dict with keys depth and confidence (F, H, W),
     rotation (F, 3, 3), translation (F, 3) and focal (F,), as the
-    ``objective`` losses key their gradients. The result has
-    a gradient for every parameter; those the variant does not use are
-    zero.
+    ``objective`` losses key their gradients. The result has a gradient
+    for every parameter of the variant, ``param_shapes(cfg)``; it is zero
+    for a layer the pass did not reach: the stop-gradient DeGAT layer of a
+    log-affinity variant without a hop, the global block on one frame, and
+    a bias layer with no block to read its bias.
     """
     if not tape:
         raise ValueError("backward needs the tape of a forward pass run with tape=[]")

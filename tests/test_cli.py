@@ -105,7 +105,7 @@ class TestTrainEvalCommands:
 
         def nan_grad(*args, **kwargs):
             breakdown, grads = real(*args, **kwargs)
-            grads["degat.a"][0] = np.nan
+            grads["embed.b"][0] = np.nan
             return breakdown, grads
 
         monkeypatch.setattr(harness, "loss_and_grads", nan_grad)
@@ -124,7 +124,8 @@ class TestTrainEvalCommands:
     @pytest.mark.parametrize("edit,needle", [
         ({"patch_size": 0}, "patch_size=0"),
         ({"n_heads": 0}, "n_heads=0"),
-    ], ids=["patch_size", "n_heads"])
+        ({"seed": -1}, "seed=-1"),
+    ], ids=["patch_size", "n_heads", "seed"])
     def test_non_positive_size_in_config(self, tmp_path, tiny_config, capsys, edit, needle):
         raw = json.loads(tiny_config.read_text())
         tiny_config.write_text(json.dumps({**raw, **edit}))
@@ -209,16 +210,17 @@ class TestEvalCheckpointValidation:
         assert main(self.eval_args(ckpt)) == EXIT_OK
 
     @pytest.mark.parametrize("edit,needle", [
-        (lambda p: p.pop("degat.a"), "missing ['degat.a']"),
+        (lambda p: p.pop("embed.b"), "missing ['embed.b']"),
         (lambda p: p.update({"extra.w": [2]}), "unexpected ['extra.w']"),
-        (lambda p: p.update({"degat.a": [4, 2]}), "shapes"),
+        (lambda p: p.update({"embed.b": [4, 2]}), "shapes do not match the config: ['embed.b']"),
         (lambda p: p.update({"../outside": [1]}), "unexpected ['../outside']"),
         (lambda p: p.update({"..\\outside": [1]}), "unexpected ['..\\\\outside']"),
-        (lambda p: p.update({"degat.a": 5}), "not lists of integers: ['degat.a']"),
-        (lambda p: p.update({"degat.a": None}), "not lists of integers: ['degat.a']"),
-        (lambda p: p.update({"degat.a": [8.0]}), "not lists of integers: ['degat.a']"),
+        (lambda p: p.update({"embed.b": 5}), "not lists of integers: ['embed.b']"),
+        (lambda p: p.update({"embed.b": None}), "not lists of integers: ['embed.b']"),
+        (lambda p: p.update({"embed.b": [8.0]}), "not lists of integers: ['embed.b']"),
+        (lambda p: p.update({"degat.a": [8]}), "unexpected ['degat.a']"),
     ], ids=["missing", "extra", "reshaped", "slash", "backslash", "int-shape", "null-shape",
-            "float-shape"])
+            "float-shape", "other-variant"])
     def test_tampered_manifest_is_validation_error(self, ckpt, capsys, edit, needle):
         self.edit_manifest(ckpt, edit)
         err = assert_one_error_line(capsys, self.eval_args(ckpt), EXIT_VALIDATION)

@@ -290,6 +290,30 @@ class TestRowBlocks:
                 got, want = getattr(grads, name), getattr(one[2], name)
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
 
+    @pytest.mark.parametrize("slope", [0.2, 0.1, 1 / 3, 0.7, 2**-54])
+    def test_backward_leaky_slope_bits(self, monkeypatch, slope):
+        """With ``LEAKY_SLOPE`` monkeypatched, the backward's branch-free
+        LeakyReLU' gives the bits of the two-branch factor, also on the pairs
+        whose z is exactly 0 (a zero row of W_proj); ``numerics`` tests -0.0."""
+        monkeypatch.setattr(degat, "LEAKY_SLOPE", slope)
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal((2, 12, 4))
+        params = init_degat_params(4, c_proj=5, rng=24)
+        params.w_proj[...] *= 4.0  # both LeakyReLU branches
+        params.w_proj[0] = 0.0  # z = 0.0 on every pair of that channel
+        up = rng.standard_normal(x.shape)
+        _, cache = degat_forward(x, params, 3, "cosine")
+        got = degat_backward(cache, params, up)
+
+        def where_grad(z, slope, out):
+            out[...] = np.where(z < 0.0, slope, 1.0)
+            return out
+
+        monkeypatch.setattr(degat, "leaky_relu_grad", where_grad)
+        want = degat_backward(cache, params, up)
+        for name in ("d_w_proj", "d_a", "d_w_val", "d_x"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
     def test_finite_differences_in_blocks(self, monkeypatch):
         monkeypatch.setattr(graph, "_BLOCK_ENTRIES", 2 * 3 * 4)  # 2 of the 18 node rows
         loss, pairs = GRADIENT_CHECKS["degat"](np.random.default_rng(22), l=9, c=4, k=3, frames=2)

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -244,14 +246,36 @@ class TestCheckpointIo:
         lambda p: p.pop("embed.b"),
         lambda p: p.update({"embed.w": np.zeros((16, 8))}),
         lambda p: p.update({"extra.w": np.zeros(2)}),
-        lambda p: p["degat.a"].__setitem__(0, np.nan),
-    ], ids=["missing", "reshaped", "extra", "nan"])
+        lambda p: p["block0.w_q"].__setitem__((0, 0), np.nan),
+        lambda p: p.update({"degat.a": np.zeros(8)}),
+    ], ids=["missing", "reshaped", "extra", "nan", "other-variant"])
     def test_save_rejects_params_that_do_not_match(self, tmp_path, edit):
         params = {k: v.copy() for k, v in TAMPER_PARAMS.items()}
         edit(params)
         with pytest.raises(ValueError, match="^param"):
             save_checkpoint(tmp_path / "c", TAMPER_CFG, params)
         assert not (tmp_path / "c").exists()
+
+    def test_every_layer_checkpoint_names_unexpected_keys(self, tmp_path):
+        """A checkpoint that holds the layers of every variant, the format
+        of earlier versions, is rejected with an error naming the layers that
+        its config's variant does not read."""
+        cfg = tiny_cfg()
+        every = {}
+        for placement, conditioning, bias in itertools.product(
+                PLACEMENTS, TOKEN_CONDITIONING, ATTENTION_BIAS):
+            variant = tiny_cfg(degat_placement=placement, token_conditioning=conditioning,
+                               attention_bias=bias)
+            every.update(init_model_params(variant))
+        assert len(every) == 49  # 57 at two blocks, less one block's 8
+        manifest = {"config": dataclasses.asdict(cfg),
+                    "params": {k: list(v.shape) for k, v in every.items()}}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        np.concatenate([v.ravel() for v in every.values()]).tofile(tmp_path / "params.bin")
+        unexpected = sorted(set(every) - set(param_shapes(cfg)))
+        assert unexpected[0] == "bias_mlp.b1" and "degat.a" in unexpected
+        with pytest.raises(ValueError, match=re.escape(f"missing [], unexpected {unexpected}")):
+            load_checkpoint(tmp_path)
 
 
 @settings(max_examples=150, deadline=None)

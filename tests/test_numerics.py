@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from degat_kit.numerics import (
-    as_finite, as_matrix, as_vector, elu, leaky_relu, softmax, softmax_backward, softmax_parts,
+    as_finite, as_matrix, as_vector, elu, elu_grad, leaky_relu, leaky_relu_grad, softmax,
+    softmax_backward, softmax_parts,
 )
 from degat_kit.properties import finite_diff_grad
 
@@ -54,6 +55,37 @@ class TestActivations:
     def test_leaky_relu_slope_range(self):
         with pytest.raises(ValueError):
             leaky_relu(1.0, 1.5)
+        for slope in (0.0, 1.0, -0.2):
+            with pytest.raises(ValueError, match="slope must be in"):
+                leaky_relu_grad(1.0, slope)
+
+    SIGNED = np.array([0.0, -0.0, np.inf, -np.inf, 3.5, -3.5, 5e-324, -5e-324, 1e-310, -1e-310,
+                       1e308, -1e308, 709.0, -745.0, -40.0])
+
+    def test_elu_bits_match_where_but_negative_zero(self):
+        # expm1(min(x, 0)) + max(x, 0): one term is an exact 0, so every value
+        # keeps the bits of the two-branch form, save -0.0, which becomes +0.0
+        x = np.concatenate([self.SIGNED, np.random.default_rng(1).normal(0.0, 3.0, 1000)])
+        want = np.where(x >= 0.0, x, np.expm1(np.minimum(x, 0.0)))
+        got = elu(x)
+        assert np.delete(got, 1).tobytes() == np.delete(want, 1).tobytes()
+        assert x[1] == 0.0 and np.signbit(x[1]) and np.signbit(want[1])
+        assert got[1] == 0.0 and not np.signbit(got[1])  # the one flipped sign
+        grad_want = np.where(x >= 0.0, 1.0, np.exp(np.minimum(x, 0.0)))
+        assert elu_grad(x).tobytes() == grad_want.tobytes()  # exp(0) is exactly 1
+
+    def test_leaky_relu_grad_bits_match_where(self):
+        # slope + (1 - slope) [x >= 0] is exactly 1 or slope, -0.0 on the 1 side
+        rng = np.random.default_rng(2)
+        x = np.concatenate([self.SIGNED, rng.standard_normal(1000)])
+        slopes = [0.2, 0.1, 1 / 3, 0.5, 0.7, 1e-300, 5e-324, 2**-54, 1 - 2**-53]
+        for slope in slopes + list(rng.uniform(0.0, 1.0, 200)):
+            want = np.where(x < 0.0, slope, 1.0)
+            assert leaky_relu_grad(x, slope).tobytes() == want.tobytes(), slope
+            out = np.full_like(x, np.nan)
+            assert leaky_relu_grad(x, slope, out=out) is out
+            assert out.tobytes() == want.tobytes()
+        assert leaky_relu_grad(-0.0, 0.2) == 1.0 and leaky_relu_grad(0.0, 0.2) == 1.0
 
 
 class TestSoftmaxMasked:

@@ -86,6 +86,11 @@ class TestConfig:
             with pytest.raises(ValueError, match=f"must be strings: {name}"):
                 small_cfg(**{name: ["none"]})
         assert small_cfg(n_blocks=0).n_blocks == 0
+        # a negative seed is named before numpy's generator rejects it
+        for seed in (-1, -(2**70)):
+            with pytest.raises(ValueError, match=f"^model seed must be >= 0: seed={seed}$"):
+                small_cfg(seed=seed)
+        assert small_cfg(seed=0).seed == 0 and small_cfg(seed=2**70).seed == 2**70
 
     def test_grid_derivation(self):
         cfg = ModelConfig(image_h=32, image_w=64, patch_size=8, k_neighbors=9)
@@ -100,21 +105,19 @@ class TestInit:
         for k in a:
             np.testing.assert_array_equal(a[k], b[k])
 
-    def test_flags_do_not_change_params(self):
-        # every component is initialized in the same order, so configs
-        # differing only in integration flags share bit-identical params
-        base = init_model_params(small_cfg())
-        for kw in (
-            dict(degat_placement="pre"),
-            dict(token_conditioning="film"),
-            dict(attention_bias="bucket"),
-            dict(degat_placement="post", token_conditioning="cross_attn",
-                 attention_bias="mlp_bias"),
-        ):
-            other = init_model_params(small_cfg(**kw))
-            assert sorted(other) == sorted(base)
-            for k in base:
-                np.testing.assert_array_equal(other[k], base[k])
+    def test_shared_names_hold_the_same_array(self):
+        # every layer of every variant is drawn in one fixed order, so a name
+        # that two variants share holds the same array in both, and the 48
+        # variants together have every layer of the config once
+        first = {}
+        for placement, conditioning, bias in VARIANTS:
+            cfg = small_cfg(n_blocks=2, degat_placement=placement,
+                            token_conditioning=conditioning, attention_bias=bias)
+            params = init_model_params(cfg)
+            assert list(params) == list(param_shapes(cfg))
+            for k, v in params.items():
+                np.testing.assert_array_equal(v, first.setdefault(k, v))
+        assert len(first) == 57  # every layer at two blocks
 
     def test_param_shapes_match_init(self):
         cfg = small_cfg(n_blocks=2)
@@ -126,10 +129,61 @@ class TestInit:
         assert param_shapes(cfg)["embed.w"] == params["embed.w"].shape
 
     def test_zero_init_layers(self):
-        p = init_model_params(small_cfg())
-        for k in ("cond_add.w2", "cond_film.w2", "cond_xattn.w_o",
-                  "cond_xattn_ffn.w2", "bias_table", "bias_mlp.w2"):
-            assert np.all(p[k] == 0.0)
+        zero = set()
+        for placement, conditioning, bias in VARIANTS:
+            p = init_model_params(small_cfg(degat_placement=placement,
+                                            token_conditioning=conditioning, attention_bias=bias))
+            for k in toy_model.ZERO_INIT & set(p):
+                assert np.all(p[k] == 0.0), k
+                zero.add(k)
+        assert zero == {"cond_add.w2", "cond_film.w2", "cond_xattn.w_o",
+                        "cond_xattn_ffn.w2", "bias_table", "bias_mlp.w2"}
+
+
+class TestVariantParams:
+    """Each variant has the parameters that its stages read, and no others."""
+
+    class Recording(dict):
+        """A parameter dict that records every name a stage reads."""
+
+        def __init__(self, params):
+            super().__init__(params)
+            self.read = set()
+
+        def __getitem__(self, name):
+            self.read.add(name)
+            return super().__getitem__(name)
+
+    @pytest.mark.parametrize("placement,conditioning,bias", VARIANTS)
+    def test_stages_read_exactly_the_variant_params(self, placement, conditioning, bias):
+        cfg = small_cfg(degat_placement=placement, token_conditioning=conditioning,
+                        attention_bias=bias)
+        rng = np.random.default_rng(17)
+        params = self.Recording(init_model_params(cfg))
+        frames = make_frames(rng, cfg, 2)  # two frames: the global block runs
+        tape = []
+        toy_model._forward(params, cfg, frames, tape)
+        assert params.read == set(param_shapes(cfg))
+        hw = (cfg.image_h, cfg.image_w)
+        upstream = {"depth": rng.standard_normal((2, *hw)),
+                    "confidence": rng.standard_normal((2, *hw)),
+                    "rotation": rng.standard_normal((2, 3, 3)),
+                    "translation": rng.standard_normal((2, 3)), "focal": rng.standard_normal(2)}
+        assert list(backward(params, cfg, tape, upstream)) == list(param_shapes(cfg))
+
+    def test_layers_of_each_variant(self):
+        layers = lambda cfg: {k.split(".")[0] for k in param_shapes(cfg)}
+        base = {"embed", "camera_token", "block0", "block0_ffn", "global", "global_ffn",
+                "depth_head", "cam_head"}
+        assert layers(small_cfg()) == base
+        for placement, conditioning, bias in VARIANTS:
+            cfg = small_cfg(degat_placement=placement, token_conditioning=conditioning,
+                            attention_bias=bias)
+            hop = placement != "none" or bias == "log_affinity"
+            want = (base | ({"degat"} if hop else set())
+                    | set(TOKEN_CONDITIONING[conditioning].layers)
+                    | set(ATTENTION_BIAS[bias].layers))
+            assert layers(cfg) == want
 
 
 class TestForward:
@@ -153,9 +207,10 @@ class TestForward:
         (lambda p: [p[k].__setitem__(0, np.inf) for k in ("embed.b", "cam_head.b2")],
          "non-finite values: ['cam_head.b2', 'embed.b']"),
         (lambda p: p.update({"embed.w": p["embed.w"].T}), "shapes do not match the config: ['embed.w']"),
-        (lambda p: p.pop("degat.a"), "missing ['degat.a']"),
+        (lambda p: p.pop("embed.b"), "missing ['embed.b']"),
         (lambda p: p.update({"extra.w": np.zeros(2)}), "unexpected ['extra.w']"),
-    ], ids=["nan", "inf-two-keys", "reshaped", "missing", "extra"])
+        (lambda p: p.update({"degat.a": np.zeros(8)}), "unexpected ['degat.a']"),
+    ], ids=["nan", "inf-two-keys", "reshaped", "missing", "extra", "other-variant"])
     def test_params_checked_on_entry(self, edit, needle):
         cfg = small_cfg()
         params = init_model_params(cfg)
@@ -202,22 +257,22 @@ class TestForward:
         # zero-initialized conditioning heads: outputs match the "none" variant
         rng = np.random.default_rng(1)
         cfg0 = small_cfg()
-        params = init_model_params(cfg0)
         frames = make_frames(rng, cfg0)
-        d0, c0, _ = forward(params, cfg0, frames)
+        d0, c0, _ = forward(init_model_params(cfg0), cfg0, frames)
         for kind in ("additive", "film", "cross_attn"):
-            dk, ck, _ = forward(params, small_cfg(token_conditioning=kind), frames)
+            cfg = small_cfg(token_conditioning=kind)
+            dk, ck, _ = forward(init_model_params(cfg), cfg, frames)
             np.testing.assert_array_equal(dk[0].depth, d0[0].depth)
             np.testing.assert_array_equal(ck[0].rotation, c0[0].rotation)
 
     def test_zero_bias_tables_are_identity(self):
         rng = np.random.default_rng(2)
         cfg0 = small_cfg()
-        params = init_model_params(cfg0)
         frames = make_frames(rng, cfg0)
-        d0, _, _ = forward(params, cfg0, frames)
+        d0, _, _ = forward(init_model_params(cfg0), cfg0, frames)
         for kind in ("bucket", "mlp_bias"):
-            dk, _, _ = forward(params, small_cfg(attention_bias=kind), frames)
+            cfg = small_cfg(attention_bias=kind)
+            dk, _, _ = forward(init_model_params(cfg), cfg, frames)
             np.testing.assert_array_equal(dk[0].depth, d0[0].depth)
 
     def test_per_frame_cameras_built_only_by_forward(self, monkeypatch):
