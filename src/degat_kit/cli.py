@@ -157,7 +157,10 @@ def _cmd_ablate_k(args):
     scene = generate_scene(
         trainer["scene_seed"], trainer["n_frames"], cfg.image_h, cfg.image_w
     )
-    ks = [int(s) for s in args.ks.split(",")]
+    try:
+        ks = [int(s) for s in args.ks.split(",")]
+    except ValueError:
+        raise ValueError(f"--ks must be comma-separated integers, got {args.ks!r}") from None
     rows = ablate_k(cfg, scene, ks, trainer["steps"], trainer["lr"], weights)
     writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0].keys()))
     writer.writeheader()
@@ -226,6 +229,9 @@ def main(argv=None):
         return EXIT_IO
     except (ValueError, TypeError, OverflowError) as exc:  # a JSON int past float64
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:  # a last resort: no command bounds what its input allocates
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -14,16 +14,21 @@ gradients.
 Everything takes one frame or a leading frame axis: a prior g (F, C) or
 tokens (F, L, C) give one conditioned token per frame, and the backward
 passes sum d(base) over the frames; the bias generators normalise each
-frame's distances by that frame's maximum and return (F, H, L, L).
+frame's distances by that frame's maximum and return (F, H, L, L), which
+``mlp_bias`` writes one head at a time into a new array or a given one.
 
 All attention is ``multi_head_attention`` around the one kernel
 ``biased_attention``: self-attention in the model's blocks, and
 cross-attention conditioning with the camera token as the single query.
 The kernel takes a bias that broadcasts to its (..., H, N, M) scores, such
 as one (F, 1, N, M) bias shared by every head, scales the queries rather
-than the scores, and normalises its output rather than its weights: it
-caches the exponentiated scores and their row sums, and only its backward
-forms the weights.
+than the scores, and normalises its output rather than its weights. It runs
+the query rows in the blocks of ``graph._row_blocks``, so it never holds the
+whole score array: a call whose scores fit one block caches that block's
+exponentiated scores and their row sums, and a call in several blocks caches
+the bias and each row's shift and sum instead, from which its backward
+rebuilds each block's exponentiated scores with the forward's own
+operations. Only the backward forms the weights.
 
 A layer's weights are a field-only ``NamedTuple`` (``Mlp2``,
 ``CrossAttnParams``) named like the gradient dict its backward returns; the
@@ -35,13 +40,14 @@ the field shapes that the init constructors build and that
 ``numerics.check_arrays`` checks; the layer functions do not check weights.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erf
 
-from .graph import pairwise_distances
-from .numerics import as_finite, as_vector, fan_in_uniform, softmax_backward, softmax_parts
+from .graph import _row_blocks, pairwise_distances
+from .numerics import as_finite, as_vector, fan_in_uniform, softmax_backward
 
 __all__ = [
     "Mlp2",
@@ -299,12 +305,16 @@ def bias_table_gradient(delta, idx, n_buckets):
 
 def mlp_bias_coords(features):
     """Continuous distance coordinate x_ij in [-1, 1] (log-normalized)."""
-    d = pairwise_distances(features)
-    dl = np.log1p(d)
-    d_max = d.max(axis=(-2, -1), keepdims=True)
-    # a frame of identical tokens (d_max = 0) is defined as 0
-    delta = np.divide(dl, np.log1p(d_max), out=np.zeros_like(dl), where=d_max > 0.0)
-    return 2.0 * np.clip(delta, 0.0, 1.0) - 1.0
+    # one (..., L, L) buffer: the distances become the coordinates in place
+    x = pairwise_distances(features)
+    d_max = x.max(axis=(-2, -1), keepdims=True)
+    np.log1p(x, out=x)
+    # a frame of identical tokens (d_max = 0) is all 0 and is left so
+    np.divide(x, np.log1p(d_max), out=x, where=d_max > 0.0)
+    np.clip(x, 0.0, 1.0, out=x)
+    x *= 2.0
+    x -= 1.0
+    return x
 
 
 def _bias_segments(mlp, x):
@@ -327,24 +337,27 @@ def _bias_segments(mlp, x):
     return np.searchsorted(switch[order], x, side="right"), act
 
 
-def mlp_bias(features, mlp):
+def mlp_bias(features, mlp, out=None):
     """Per-head (..., H, L, L) bias from a 1 -> H ReLU MLP of the distance
     coordinate, evaluated as the piecewise-linear function it is: slope x +
     intercept, from (H, M + 1) tables for the segments of
     ``_bias_segments``, with no hidden layer. Returns (bias, cache); the
-    cache is the (... * L * L, 1) coordinate column alone.
+    cache is the (... * L * L, 1) coordinate column alone. The bias is a new
+    array, or ``out`` when given, which may be a view such as the patch block
+    of a padded bias; it is written one head at a time, so the call holds
+    temporaries of one head, not of all H.
     """
     coords = mlp_bias_coords(features)
     seg, act = _bias_segments(mlp, coords)
     slope = (mlp.w2 * mlp.w1.T) @ act.T
     intercept = (mlp.w2 * mlp.b1) @ act.T + mlp.b2[:, None]
-    # (H, ..., L, L), one contiguous block per head; seg is in range, and
-    # mode="clip" skips the bounds check and the output copy of "raise"
-    out = np.take(slope, seg, axis=1, mode="clip")
-    out *= coords
-    for head, b in zip(out, intercept):  # a temporary of one head, not of all H
+    if out is None:
+        out = np.empty(coords.shape[:-2] + (len(slope),) + coords.shape[-2:])
+    for h, (s, b) in enumerate(zip(slope, intercept)):
+        # seg is in range, and mode="clip" skips the bounds check of "raise"
+        head = np.multiply(np.take(s, seg, mode="clip"), coords, out=out[..., h, :, :])
         head += np.take(b, seg, mode="clip")
-    return np.moveaxis(out, 0, -3), coords.reshape(-1, 1)
+    return out, coords.reshape(-1, 1)
 
 
 def mlp_bias_backward(mlp, cache, delta):
@@ -366,6 +379,33 @@ def mlp_bias_backward(mlp, cache, delta):
     }
 
 
+def _query_blocks(q, k):
+    """The row blocks of the (..., N, M) scores of q and k: ``graph._row_blocks``
+    over the N query rows, each row being M entries in every leading slab. N
+    = 0 is one empty block."""
+    width = max(1, k.shape[-2] * math.prod(q.shape[:-2]))
+    return _row_blocks(max(1, q.shape[-2]), width)[0]
+
+
+def _exp_scores(q, k, bias, rows, shift=None):
+    """(e, shift): e = exp(q k^T + bias - shift) over the query rows ``rows``,
+    in one new (..., rows, M) buffer, the shift being the rows' max unless
+    given. The forward and the backward's rebuild both come here, so a
+    rebuilt block has the bits of the forward's."""
+    e = q[..., rows, :] @ k.swapaxes(-1, -2)
+    if bias is not None:
+        e += bias if bias.shape[-2] == 1 else bias[..., rows, :]
+    if shift is None:
+        shift = e.max(axis=-1, keepdims=True)
+    e -= shift
+    return np.exp(e, out=e), shift
+
+
+def _joined(blocks):
+    """The row blocks of an array joined along its row axis."""
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-2)
+
+
 def biased_attention(q, k, v, bias=None):
     """softmax(Q K^T / sqrt(d) + B) V over the last two axes; returns (out, cache).
 
@@ -375,9 +415,15 @@ def biased_attention(q, k, v, bias=None):
     head axis shared by every head, is used for all its entries.
 
     The queries are scaled by 1/sqrt(d) before the product, and the rows are
-    normalised at the output: with e = exp(scores - row max) and its row sums
-    ``total`` (``numerics.softmax_parts``), out = (e V) / total. The cache is
-    (q / sqrt(d), k, v, e, total); the backward forms the weights e / total.
+    normalised at the output: with e = exp(scores - shift), the shift being
+    each row's max, and its row sums ``total``, out = (e V) / total. The
+    query rows run in the blocks of ``graph._row_blocks``: each block's
+    scores are formed, biased, shifted, exponentiated, summed and multiplied
+    by V, then dropped, so a call never holds more than one block of scores.
+    The cache of a call whose scores fit one block is (q / sqrt(d), k, v, e,
+    total), as the one block's e costs nothing to keep; that of a call in
+    several blocks is (q / sqrt(d), k, v, bias, shift, total), from which
+    the backward rebuilds each block's e.
     """
     q, k, v = (np.asarray(a, dtype=np.float64) for a in (q, k, v))
     if (
@@ -391,30 +437,57 @@ def biased_attention(q, k, v, bias=None):
         )
     if not all(np.isfinite(a).all() for a in (q, k, v)):
         raise ValueError("attention Q, K or V contains non-finite entries")
-    q = q / np.sqrt(q.shape[-1])
-    # one (..., N, M) buffer: the scores are biased and exponentiated in place
-    scores = q @ k.swapaxes(-1, -2)
     if bias is not None:
         bias = np.asarray(bias, dtype=np.float64)
-        if bias.ndim != scores.ndim or any(
-            b not in (1, s) for b, s in zip(bias.shape, scores.shape)
-        ):
-            raise ValueError(f"bias shape {bias.shape} != logits {scores.shape}")
-        scores += bias
-    e, total = softmax_parts(scores, out=scores)
-    out = e @ v
+        logits = q.shape[:-1] + k.shape[-2:-1]
+        if bias.ndim != len(logits) or any(b not in (1, s) for b, s in zip(bias.shape, logits)):
+            raise ValueError(f"bias shape {bias.shape} != logits {logits}")
+    q = q / np.sqrt(q.shape[-1])
+    blocks = _query_blocks(q, k)
+    parts = []
+    for rows in blocks:
+        e, shift = _exp_scores(q, k, bias, rows)
+        parts.append((e @ v, shift, e.sum(axis=-1, keepdims=True)))
+        if len(blocks) > 1:
+            del e  # before the next block's e is formed
+    out, shift, total = map(_joined, zip(*parts))
     out /= total
-    return out, (q, k, v, e, total)
+    if len(blocks) == 1:
+        return out, (q, k, v, e, total)
+    return out, (q, k, v, bias, shift, total)
 
 
 def biased_attention_backward(cache, d_out):
     """Returns (d_q, d_k, d_v, d_bias), shaped like the forward inputs; d_bias
-    is the full (..., N, M) score gradient, whatever axes the bias shared."""
-    q, k, v, e, total = cache
-    p = e / total  # the attention weights
-    d_v = p.swapaxes(-1, -2) @ d_out
-    d_scores = d_out @ v.swapaxes(-1, -2)  # d(loss)/d(weights), then d(loss)/d(scores)
-    softmax_backward(p, d_scores, out=d_scores)
-    d_q = d_scores @ k / np.sqrt(q.shape[-1])
-    d_k = d_scores.swapaxes(-1, -2) @ q  # q is the scaled queries
+    is the full (..., N, M) score gradient, whatever axes the bias shared.
+
+    It runs the forward's query blocks. Each block's weights p = e / total
+    come from the kept e of a one-block call, or are rebuilt by the
+    forward's own operations from the cached bias and shift; d_q and d_bias
+    are written block by block, and d_k and d_v summed over the blocks.
+    """
+    q, k, v, *kept, total = cache  # kept: (e,) of one block, or (bias, shift)
+    blocks = _query_blocks(q, k)
+    d_q = np.empty_like(q)
+    d_scores = np.empty(q.shape[:-1] + k.shape[-2:-1])
+    d_k = d_v = None
+    for rows in blocks:
+        if len(blocks) == 1:
+            p = kept[0] / total  # the attention weights
+        else:
+            bias, shift = kept
+            p, _ = _exp_scores(q, k, bias, rows, shift[..., rows, :])
+            p /= total[..., rows, :]
+        d_rows = d_out[..., rows, :]
+        d_v_rows = p.swapaxes(-1, -2) @ d_rows
+        # d(loss)/d(weights), then d(loss)/d(scores)
+        d_s = np.matmul(d_rows, v.swapaxes(-1, -2), out=d_scores[..., rows, :])
+        softmax_backward(p, d_s, out=d_s)
+        np.divide(d_s @ k, np.sqrt(q.shape[-1]), out=d_q[..., rows, :])
+        d_k_rows = d_s.swapaxes(-1, -2) @ q[..., rows, :]  # q is the scaled queries
+        if d_v is None:
+            d_k, d_v = d_k_rows, d_v_rows
+        else:
+            d_k += d_k_rows
+            d_v += d_v_rows
     return d_q, d_k, d_v, d_scores

@@ -10,9 +10,11 @@ immutable, save an ``out`` array that the caller passes, and all arithmetic
 is done in 64-bit floating point. The softmax here is the only one in the
 package: ``softmax_parts`` (the row-max shift, the exponential and the row
 sums), ``softmax`` (those parts and the divide) and ``softmax_backward``.
-The DeGAT neighbor softmax calls ``softmax``; the attention kernel in
-``conditioning`` calls ``softmax_parts`` and divides its output by the row
-sums instead of its weights.
+The DeGAT neighbor softmax calls ``softmax``. The attention kernel in
+``conditioning`` takes the same three steps over blocks of query rows and
+keeps each row's shift, so that its backward can rebuild a block; it
+divides its output by the row sums instead of its weights, and calls
+``softmax_backward``.
 """
 
 import numpy as np

@@ -3,8 +3,9 @@
 The F frames run as one (F, L, C) batch of patch tokens: linear patch
 embedding -> optional pre-transformer graph-attention hop -> camera-token
 conditioning, one token per frame -> N self-attention blocks over each
-frame's camera token and patches (optionally bias-injected, with one
-(F, 1 or H, L + 1, L + 1) bias: the log-affinity bias is one for all
+frame's camera token and patches (optionally bias-injected, with the one
+(F, 1 or H, L + 1, L + 1) bias that the bias kind returns, its
+camera-token row and column 0: the log-affinity bias is one for all
 heads, the bucket and MLP biases one per head) -> one global
 block over the (F * (L + 1), C) tokens of all frames when several frames
 are given -> optional post-transformer graph-attention hop -> linear
@@ -332,18 +333,10 @@ def _pre_hop(params, cfg, x0):
 
 def _tokens(params, cfg, x1, pre_degat):
     """The (F, L + 1, C) sequence of each frame's conditioned camera token and
-    its patch tokens, and the (F, Hb, L + 1, L + 1) attention bias, whose
-    camera-token row and column are 0, or None for ``attention_bias="none"``.
-    Hb is the patch bias's own head axis: 1 for the head-shared log-affinity
-    bias, which the attention kernel broadcasts over the heads, and H for
-    the per-head bucket and MLP biases."""
+    its patch tokens, and the bias kind's (F, Hb, L + 1, L + 1) attention
+    bias, or None for ``attention_bias="none"``."""
     c_tok, cond_cache = TOKEN_CONDITIONING[cfg.token_conditioning].forward(params, cfg, x1)
-    bias_patch, bias_cache = ATTENTION_BIAS[cfg.attention_bias].forward(params, cfg, x1, pre_degat)
-    bias = None
-    if bias_patch is not None:
-        n = cfg.n_tokens + 1
-        bias = np.zeros(bias_patch.shape[:2] + (n, n))
-        bias[:, :, 1:, 1:] = bias_patch
+    bias, bias_cache = ATTENTION_BIAS[cfg.attention_bias].forward(params, cfg, x1, pre_degat)
     seq = np.concatenate([c_tok[:, None], x1], axis=1)
     return (seq, bias), (cond_cache, bias_cache)
 
@@ -485,11 +478,14 @@ def _checked_upstream(upstream, cfg, nf):
 # Conditioning: (params, cfg, x1) -> ((F, C) camera tokens, cache); the
 # backward stores its parameter gradients, adds its token path into d_x1 in
 # place and returns d(loss)/d(camera_token).
-# Bias: (params, cfg, x1, pre-DeGAT cache) -> ((F, H, L, L) patch-block
-# bias, or (F, 1, L, L) for one shared by the heads, or None for no bias;
-# cache); the backward takes the (F, H, L, L) patch block of d(loss)/d(bias)
-# summed over the blocks, and is None for a kind without parameters, whose
-# gradient no block computes.
+# Bias: (params, cfg, x1, pre-DeGAT cache) -> ((F, Hb, L + 1, L + 1) bias,
+# or None for no bias; cache). Hb is the kind's own head axis: 1 for the
+# head-shared log-affinity bias, which the attention kernel broadcasts over
+# the heads, and H for the per-head bucket and MLP biases. The camera
+# token's row and column are 0, and the patch block [:, :, 1:, 1:] is the
+# kind's (F, Hb, L, L) bias of the patch tokens. The backward takes the (F,
+# H, L, L) patch block of d(loss)/d(bias) summed over the blocks, and is
+# None for a kind without parameters, whose gradient no block computes.
 
 
 def _cond_none(params, cfg, x1):
@@ -536,12 +532,21 @@ def _cond_cross_attn_backward(params, grads, cfg, cache, d_cond, d_x1):
     return d_base
 
 
+def _padded(patch_bias):
+    """The bias whose patch block is the (F, Hb, L, L) ``patch_bias``."""
+    f, hb, n, _ = patch_bias.shape
+    bias = np.zeros((f, hb, n + 1, n + 1))
+    bias[:, :, 1:, 1:] = patch_bias
+    return bias
+
+
 def _bias_none(params, cfg, x1, pre_degat):
     return None, None
 
 
 def _bias_bucket(params, cfg, x1, pre_degat):
-    return cond.bucket_bias(x1, params["bias_table"])
+    patch_bias, idx = cond.bucket_bias(x1, params["bias_table"])
+    return _padded(patch_bias), idx
 
 
 def _bias_bucket_backward(params, grads, cfg, idx, d_bias):
@@ -549,7 +554,11 @@ def _bias_bucket_backward(params, grads, cfg, idx, d_bias):
 
 
 def _bias_mlp(params, cfg, x1, pre_degat):
-    return cond.mlp_bias(x1, _layer(cond.Mlp2, params, "bias_mlp"))
+    # the heads are written into the patch block, with no (F, H, L, L) copy
+    n = cfg.n_tokens + 1
+    bias = np.zeros((len(x1), cfg.n_heads, n, n))
+    _, cache = cond.mlp_bias(x1, _layer(cond.Mlp2, params, "bias_mlp"), out=bias[:, :, 1:, 1:])
+    return bias, cache
 
 
 def _bias_mlp_backward(params, grads, cfg, cache, d_bias):
@@ -564,7 +573,7 @@ def _bias_log_affinity(params, cfg, x1, pre_degat):
     if cache is None:
         degat = _layer(dg.DeGatParams, params, "degat")
         _, cache = dg.degat_forward(x1, degat, cfg.k_neighbors, cfg.knn_metric)
-    return dg.affinity_to_log_bias(cache)[:, None], None
+    return _padded(dg.affinity_to_log_bias(cache)[:, None]), None
 
 
 class _Kind(NamedTuple):

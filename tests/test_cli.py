@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import degat_kit
-from degat_kit import harness
+from degat_kit import cli, harness
 from degat_kit.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from degat_kit.fileio import write_pfm, write_pnm
 from degat_kit.harness import save_checkpoint
@@ -451,6 +451,27 @@ class TestAblateCommand:
         assert len(lines) == 3
         assert lines[1].split(",")[0] == "2"
         assert lines[2].split(",")[0] == "3"
+
+    @pytest.mark.parametrize("ks", ["2,x", "", "2,,5"])
+    def test_ks_not_integers_names_the_option(self, tiny_config, capsys, ks):
+        err = assert_one_error_line(
+            capsys, ["ablate-k", "--config", str(tiny_config), "--ks", ks], EXIT_VALIDATION
+        )
+        assert err == f"error: --ks must be comma-separated integers, got {ks!r}\n"
+
+
+class TestOutOfMemory:
+    """``main`` turns a MemoryError from any command into one ``error:``
+    line and exit 1; the commands raise it here, nothing is allocated."""
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB for an array", ""])
+    def test_memory_error_is_one_line(self, monkeypatch, capsys, message):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "run_property_suite", out_of_memory)
+        err = assert_one_error_line(capsys, ["check", "--fast"], EXIT_VALIDATION)
+        assert err == f"error: out of memory{f': {message}' if message else ''}\n"
 
 
 def test_import_does_not_load_scipy_signal():

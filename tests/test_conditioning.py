@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from degat_kit import graph
+from degat_kit import graph, harness, toy_model
 from degat_kit.conditioning import (
     Mlp2,
     bias_table_gradient,
@@ -28,7 +28,7 @@ from degat_kit.conditioning import (
     multi_head_attention,
     multi_head_attention_backward,
 )
-from degat_kit.numerics import check_arrays, softmax
+from degat_kit.numerics import check_arrays, softmax, softmax_backward, softmax_parts
 from degat_kit.properties import finite_diff_grad
 
 # block rules, as _BLOCK_ENTRIES: the default (one block for every small test)
@@ -324,6 +324,21 @@ class TestMlpBias:
         np.testing.assert_array_equal(cache, mlp_bias_coords(feats).reshape(-1, 1))
         assert fwd_peak < 16e6 and bwd_peak - held < 16e6
 
+    def test_out_bits_equal_the_returned_bias(self):
+        """``out=`` the patch block of a padded bias writes the returned
+        form's bits there, and nothing outside it."""
+        rng = np.random.default_rng(35)
+        feats = three_frames(rng, (6, 3))
+        mlp = init_mlp2(1, 5, 2, rng=35)
+        mlp = mlp._replace(b1=rng.standard_normal(5), b2=rng.standard_normal(2))
+        bias, cache = mlp_bias(feats, mlp)
+        padded = np.full((3, 2, 7, 7), np.nan)
+        written, out_cache = mlp_bias(feats, mlp, out=padded[:, :, 1:, 1:])
+        assert np.shares_memory(written, padded) and written.shape == bias.shape
+        assert padded[:, :, 1:, 1:].tobytes() == bias.tobytes()
+        assert np.isnan(padded[:, :, 0]).all() and np.isnan(padded[:, :, :, 0]).all()
+        assert out_cache.tobytes() == cache.tobytes()
+
     def test_requires_scalar_input(self):
         # the bias MLP maps 1 -> H: the shared check rejects a 2-input one
         mlp = init_mlp2(2, 3, 2, rng=20)
@@ -446,9 +461,9 @@ class TestBiasedAttention:
         rng = np.random.default_rng(27)
         q, k, v = np.zeros((2, 3)), rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
         bias = np.array([[720.0, -720.0, 0.0, 600.0], [-720.0, 0.0, 720.0, 1.0]])
-        out, (_, _, _, e, total) = biased_attention(q, k, v, bias)
+        out, _ = biased_attention(q, k, v, bias)
         assert np.all(np.isfinite(out))
-        weights = e / total
+        weights = biased_attention(q, k, np.eye(4), bias)[0]  # V = I gives the weights
         assert weights[0, 0] == 1.0 and weights[1, 2] == 1.0
         np.testing.assert_allclose(out, v[[0, 2]], rtol=0.0, atol=1e-15)
 
@@ -458,12 +473,155 @@ class TestBiasedAttention:
         bias = rng.standard_normal((2, 3, 5))
         bias[0, 1, [0, 2, 3, 4]] = -np.inf  # one entry of the row stays finite
         bias[1, 2, 3] = -np.inf
-        out, (_, _, _, e, total) = biased_attention(q, k, v, bias)
+        out, _ = biased_attention(q, k, v, bias)
         assert np.all(np.isfinite(out))
-        weights = e / total
+        weights = biased_attention(q, k, np.broadcast_to(np.eye(5), (2, 5, 5)), bias)[0]
         assert np.all(weights[np.isneginf(bias)] == 0.0)
         assert weights[0, 1, 1] == 1.0
         np.testing.assert_allclose(out[0, 1], v[0, 1], rtol=0.0, atol=1e-15)
+
+
+def unblocked_attention(q, k, v, bias=None):
+    """The kernel's arithmetic before its query blocks: one (..., N, M)
+    buffer, and the cache (q / sqrt(d), k, v, e, total)."""
+    q = q / np.sqrt(q.shape[-1])
+    scores = q @ k.swapaxes(-1, -2)
+    if bias is not None:
+        scores += bias
+    e, total = softmax_parts(scores, out=scores)
+    out = e @ v
+    out /= total
+    return out, (q, k, v, e, total)
+
+
+def unblocked_attention_backward(cache, d_out):
+    q, k, v, e, total = cache
+    p = e / total
+    d_v = p.swapaxes(-1, -2) @ d_out
+    d_scores = d_out @ v.swapaxes(-1, -2)
+    softmax_backward(p, d_scores, out=d_scores)
+    d_q = d_scores @ k / np.sqrt(q.shape[-1])
+    d_k = d_scores.swapaxes(-1, -2) @ q
+    return d_q, d_k, d_v, d_scores
+
+
+# (leading axes, N, M, bias shape or None, -inf bias entries): a (F, H) = (2,
+# 3) stack of N x M scores, and a bias that may share axes of 1
+BLOCK_CASES = {
+    "short-last-block": ((2, 3), 7, 5, (2, 3, 7, 5), False),
+    "head-shared-bias": ((2, 3), 7, 5, (2, 1, 7, 5), False),
+    "row-shared-bias": ((2, 3), 7, 5, (2, 3, 1, 5), False),
+    "minus-inf-bias": ((2, 3), 7, 5, (2, 3, 7, 5), True),
+    "no-bias": ((2, 3), 7, 5, None, False),
+    "n-ne-m": ((2, 3), 10, 4, (2, 3, 10, 4), False),
+    "n-1": ((2, 3), 1, 6, (2, 3, 1, 6), False),
+}
+
+
+def block_case(rng, lead, n, m, bias_shape, minus_inf):
+    q = rng.standard_normal(lead + (n, 4))
+    k = rng.standard_normal(lead + (m, 4))
+    v = rng.standard_normal(lead + (m, 3))
+    bias = None
+    if bias_shape is not None:
+        bias = 2.0 * rng.standard_normal(bias_shape)
+        if minus_inf:  # every row keeps its first entry finite
+            bias[..., 1:][rng.uniform(size=bias[..., 1:].shape) < 0.4] = -np.inf
+    return q, k, v, bias, rng.standard_normal(lead + (n, 3))
+
+
+class TestQueryBlocks:
+    """``biased_attention`` in query-row blocks: a call in several blocks
+    matches one in one block, and a one-block call keeps the bits of the
+    arithmetic before the blocks."""
+
+    @staticmethod
+    def block_rows(monkeypatch, q, k, rows):
+        """Set the block rule to ``rows`` query rows of these scores."""
+        width = k.shape[-2] * int(np.prod(q.shape[:-2]))
+        monkeypatch.setattr(graph, "_BLOCK_ENTRIES", rows * width)
+
+    @pytest.mark.parametrize("case", BLOCK_CASES.values(), ids=BLOCK_CASES.keys())
+    def test_blocks_match_one_block(self, monkeypatch, case):
+        rng = np.random.default_rng(36)
+        q, k, v, bias, w = block_case(rng, *case)
+        out, cache = biased_attention(q, k, v, bias)
+        grads = biased_attention_backward(cache, w)
+        assert len(cache) == 5  # the default rule: one block, e kept
+        self.block_rows(monkeypatch, q, k, 3)  # 3 + 3 + 1 rows at N = 7
+        out_b, cache_b = biased_attention(q, k, v, bias)
+        grads_b = biased_attention_backward(cache_b, w)
+        assert len(cache_b) == (5 if q.shape[-2] <= 3 else 6)  # e kept, or rebuilt
+        for got, ref in zip((out_b,) + grads_b, (out,) + grads):
+            assert got.shape == ref.shape
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-14 * np.max(np.abs(ref)))
+        if bias is not None and np.isneginf(bias).any():
+            assert np.all(grads_b[3][np.broadcast_to(np.isneginf(bias), grads_b[3].shape)] == 0.0)
+
+    @pytest.mark.parametrize("case", BLOCK_CASES.values(), ids=BLOCK_CASES.keys())
+    def test_one_block_bits_equal_unblocked(self, case):
+        rng = np.random.default_rng(37)
+        q, k, v, bias, w = block_case(rng, *case)
+        out, cache = biased_attention(q, k, v, bias)
+        ref, ref_cache = unblocked_attention(q, k, v, bias)
+        assert len(cache) == 5
+        for got, want in zip((out,) + cache, (ref,) + ref_cache):
+            assert np.array_equal(got, want)
+        grads = biased_attention_backward(cache, w)
+        for got, want in zip(grads, unblocked_attention_backward(ref_cache, w)):
+            assert np.array_equal(got, want)
+
+    def test_backward_fd_across_block_boundaries(self, monkeypatch):
+        rng = np.random.default_rng(38)
+        q, k, v, bias, w = block_case(rng, (2, 2), 5, 4, (2, 1, 5, 4), False)
+        self.block_rows(monkeypatch, q, k, 2)  # blocks of rows 0-1, 2-3 and 4
+        _, cache = biased_attention(q, k, v, bias)
+        assert len(cache) == 6
+        d_q, d_k, d_v, d_scores = biased_attention_backward(cache, w)
+
+        def loss():
+            out, _ = biased_attention(q, k, v, bias)
+            return float(np.sum(w * out))
+
+        d_bias = d_scores.sum(axis=1, keepdims=True)  # the bias is shared by the heads
+        for analytic, arr in [(d_q, q), (d_k, k), (d_v, v), (d_bias, bias)]:
+            numeric = finite_diff_grad(loss, arr, step=1e-6)
+            np.testing.assert_allclose(analytic, numeric, atol=1e-7)
+
+    def test_memory_bounded_by_block(self):
+        """A tapeless call at (2, 4, 257, 257), the eval block shape, holds
+        one row block of scores (1.0 MB), not the whole 4.2 MB array."""
+        rng = np.random.default_rng(39)
+        q, k, v = (rng.standard_normal((2, 4, 257, 16)) for _ in range(3))
+        bias = rng.standard_normal((2, 1, 257, 257))
+        tracemalloc.start()
+        try:
+            biased_attention(q, k, v, bias)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
+
+    @pytest.mark.parametrize("variant, bound", [
+        (("pre", "cross_attn", "log_affinity"), 6e6),
+        (("post", "film", "mlp_bias"), 9e6),
+    ], ids=["log_affinity", "mlp_bias"])
+    def test_eval_forward_memory(self, variant, bound):
+        """``toy_model.forward`` on two 128x128 frames, the eval-export
+        variants: no (F, H, 257, 257) or (4, 514, 514) score array is held,
+        and the MLP bias is written into its padded array."""
+        placement, conditioning, bias = variant
+        cfg = toy_model.ModelConfig(image_h=128, image_w=128, degat_placement=placement,
+                                    token_conditioning=conditioning, attention_bias=bias)
+        params = toy_model.init_model_params(cfg)
+        frames = harness.generate_scene(3, n_frames=2, h=128, w=128).frames
+        tracemalloc.start()
+        try:
+            toy_model.forward(params, cfg, frames)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 def three_frames(rng, shape):

@@ -541,9 +541,9 @@ class TestTape:
     @pytest.mark.parametrize("variant", [("pre", "cross_attn", "log_affinity"),
                                          ("post", "film", "mlp_bias")])
     def test_no_stage_cache_outlives_the_next_stage(self, monkeypatch, variant):
-        """Without a tape, every earlier attention's exponentiated scores and hop's cache
-        are freed by the time a block's attention runs, and all are freed
-        when ``forward`` returns; with a tape, all are kept."""
+        """Without a tape, every earlier attention's largest cached array and hop's
+        cache are freed by the time a block's attention runs, and all are
+        freed when ``forward`` returns; with a tape, all are kept."""
         placement, conditioning, bias = variant
         cfg = small_cfg(degat_placement=placement, token_conditioning=conditioning,
                         attention_bias=bias)
@@ -555,7 +555,9 @@ class TestTape:
         def tracked_attention(*args, **kwargs):
             live_at_entry.append(sum(r() is not None for r in refs))
             out, cache = attention(*args, **kwargs)
-            refs.append(weakref.ref(cache[3]))  # the exponentiated scores
+            # the exponentiated scores of a block's self-attention, K of the
+            # cross-attention's one query row
+            refs.append(weakref.ref(max(cache, key=lambda a: -1 if a is None else a.size)))
             return out, cache
 
         def tracked_hop(*args, **kwargs):
