@@ -18,6 +18,7 @@ from .graph import build_knn_graph, dump_neighbors
 from .harness import (
     NumericAbort,
     ablate_k,
+    check_run_size,
     generate_scene,
     load_checkpoint,
     load_config,
@@ -69,6 +70,7 @@ def _cmd_graph(args):
 
 def _cmd_train(args):
     cfg, weights, trainer = load_config(args.config)
+    check_run_size(cfg, trainer["n_frames"])
     scene = generate_scene(
         trainer["scene_seed"], trainer["n_frames"], cfg.image_h, cfg.image_w
     )
@@ -95,6 +97,7 @@ def _cmd_train(args):
 
 def _cmd_eval(args):
     cfg, params = load_checkpoint(args.checkpoint)
+    check_run_size(cfg, args.n_frames)
     scene = generate_scene(args.scene_seed, args.n_frames, cfg.image_h, cfg.image_w)
     with np.errstate(all="ignore"):  # an overflowed prediction is reported below
         scores = evaluate(params, cfg, scene)
@@ -154,6 +157,7 @@ def _cmd_metrics(args):
 
 def _cmd_ablate_k(args):
     cfg, weights, trainer = load_config(args.config)
+    check_run_size(cfg, trainer["n_frames"])
     scene = generate_scene(
         trainer["scene_seed"], trainer["n_frames"], cfg.image_h, cfg.image_w
     )

@@ -24,11 +24,11 @@ The kernel takes a bias that broadcasts to its (..., H, N, M) scores, such
 as one (F, 1, N, M) bias shared by every head, scales the queries rather
 than the scores, and normalises its output rather than its weights. It runs
 the query rows in the blocks of ``graph._row_blocks``, so it never holds the
-whole score array: a call whose scores fit one block caches that block's
-exponentiated scores and their row sums, and a call in several blocks caches
-the bias and each row's shift and sum instead, from which its backward
-rebuilds each block's exponentiated scores with the forward's own
-operations. Only the backward forms the weights.
+whole score array: it caches the bias, the row sums, and the one block's
+exponentiated scores or each row's shift, from which its backward rebuilds
+each block's with the forward's own operations; only the backward forms the
+weights. Each gradient has its input's shape: the bias's is the score
+gradient summed over the axes the bias broadcast, None without a bias.
 
 A layer's weights are a field-only ``NamedTuple`` (``Mlp2``,
 ``CrossAttnParams``) named like the gradient dict its backward returns; the
@@ -229,7 +229,8 @@ def multi_head_attention(x_q, x_kv, attn, n_heads, bias=None):
 
 
 def multi_head_attention_backward(attn, cache, d_out):
-    """Returns (weight grads dict, d_x_q, d_x_kv, d_bias)."""
+    """Returns (weight grads dict, d_x_q, d_x_kv, d_bias), d_bias shaped like
+    the forward's bias, or None without one."""
     x_q, x_kv, ctx, kernel_cache, n_heads = cache
     d_ctx = _split_heads(d_out @ attn.w_o, n_heads)
     d_q, d_k, d_v, d_bias = biased_attention_backward(kernel_cache, d_ctx)
@@ -387,6 +388,11 @@ def _query_blocks(q, k):
     return _row_blocks(max(1, q.shape[-2]), width)[0]
 
 
+def _bias_rows(bias, rows):
+    """The rows ``rows`` of a bias or its gradient; all of a shared row axis."""
+    return bias if bias.shape[-2] == 1 else bias[..., rows, :]
+
+
 def _exp_scores(q, k, bias, rows, shift=None):
     """(e, shift): e = exp(q k^T + bias - shift) over the query rows ``rows``,
     in one new (..., rows, M) buffer, the shift being the rows' max unless
@@ -394,7 +400,7 @@ def _exp_scores(q, k, bias, rows, shift=None):
     rebuilt block has the bits of the forward's."""
     e = q[..., rows, :] @ k.swapaxes(-1, -2)
     if bias is not None:
-        e += bias if bias.shape[-2] == 1 else bias[..., rows, :]
+        e += _bias_rows(bias, rows)
     if shift is None:
         shift = e.max(axis=-1, keepdims=True)
     e -= shift
@@ -420,9 +426,9 @@ def biased_attention(q, k, v, bias=None):
     query rows run in the blocks of ``graph._row_blocks``: each block's
     scores are formed, biased, shifted, exponentiated, summed and multiplied
     by V, then dropped, so a call never holds more than one block of scores.
-    The cache of a call whose scores fit one block is (q / sqrt(d), k, v, e,
-    total), as the one block's e costs nothing to keep; that of a call in
-    several blocks is (q / sqrt(d), k, v, bias, shift, total), from which
+    The cache is (q / sqrt(d), k, v, bias, kept, total): kept is the one
+    block's e for a call whose scores fit one block, as that e costs nothing
+    to keep, and each row's shift for a call in several blocks, from which
     the backward rebuilds each block's e.
     """
     q, k, v = (np.asarray(a, dtype=np.float64) for a in (q, k, v))
@@ -452,37 +458,42 @@ def biased_attention(q, k, v, bias=None):
             del e  # before the next block's e is formed
     out, shift, total = map(_joined, zip(*parts))
     out /= total
-    if len(blocks) == 1:
-        return out, (q, k, v, e, total)
-    return out, (q, k, v, bias, shift, total)
+    return out, (q, k, v, bias, e if len(blocks) == 1 else shift, total)
 
 
 def biased_attention_backward(cache, d_out):
-    """Returns (d_q, d_k, d_v, d_bias), shaped like the forward inputs; d_bias
-    is the full (..., N, M) score gradient, whatever axes the bias shared.
+    """Returns (d_q, d_k, d_v, d_bias), each shaped like its forward input:
+    d_bias is d(loss)/d(scores) summed over the axes the bias broadcast, so
+    (..., 1, N, M) for a head-shared bias, or None without a bias.
 
-    It runs the forward's query blocks. Each block's weights p = e / total
-    come from the kept e of a one-block call, or are rebuilt by the
-    forward's own operations from the cached bias and shift; d_q and d_bias
-    are written block by block, and d_k and d_v summed over the blocks.
+    It runs the forward's query blocks, each block's weights p = e / total
+    from the kept e of a one-block call or rebuilt by the forward's own
+    operations. A block's d(scores) is written into d_bias when the bias
+    shares no axis, and is otherwise one block-sized array summed into it;
+    d_q is written, and d_k and d_v summed, block by block.
     """
-    q, k, v, *kept, total = cache  # kept: (e,) of one block, or (bias, shift)
+    q, k, v, bias, kept, total = cache  # kept: the one block's e, or each row's shift
     blocks = _query_blocks(q, k)
     d_q = np.empty_like(q)
-    d_scores = np.empty(q.shape[:-1] + k.shape[-2:-1])
-    d_k = d_v = None
+    d_k = d_v = d_bias = shared = None
+    if bias is not None:  # shared: the axes it broadcast, over which d_bias sums
+        d_bias = np.zeros(bias.shape)
+        scores = q.shape[:-1] + k.shape[-2:-1]
+        shared = tuple(i for i, (b, s) in enumerate(zip(bias.shape, scores)) if b < s)
     for rows in blocks:
         if len(blocks) == 1:
-            p = kept[0] / total  # the attention weights
+            p = kept / total  # the attention weights
         else:
-            bias, shift = kept
-            p, _ = _exp_scores(q, k, bias, rows, shift[..., rows, :])
+            p, _ = _exp_scores(q, k, bias, rows, kept[..., rows, :])
             p /= total[..., rows, :]
         d_rows = d_out[..., rows, :]
         d_v_rows = p.swapaxes(-1, -2) @ d_rows
         # d(loss)/d(weights), then d(loss)/d(scores)
-        d_s = np.matmul(d_rows, v.swapaxes(-1, -2), out=d_scores[..., rows, :])
+        d_bias_rows = None if bias is None else _bias_rows(d_bias, rows)
+        d_s = np.matmul(d_rows, v.swapaxes(-1, -2), out=None if shared else d_bias_rows)
         softmax_backward(p, d_s, out=d_s)
+        if shared:
+            d_bias_rows += d_s.sum(axis=shared, keepdims=True)
         np.divide(d_s @ k, np.sqrt(q.shape[-1]), out=d_q[..., rows, :])
         d_k_rows = d_s.swapaxes(-1, -2) @ q[..., rows, :]  # q is the scaled queries
         if d_v is None:
@@ -490,4 +501,4 @@ def biased_attention_backward(cache, d_out):
         else:
             d_k += d_k_rows
             d_v += d_v_rows
-    return d_q, d_k, d_v, d_scores
+    return d_q, d_k, d_v, d_bias

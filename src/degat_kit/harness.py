@@ -34,6 +34,7 @@ __all__ = [
     "evaluate",
     "ablate_k",
     "load_config",
+    "check_run_size",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -54,6 +55,11 @@ CONFIG_VALUE_CHECKS = {
     "lr": ("a finite number >= 0",
            lambda v: type(v) in (int, float) and 0 <= v <= sys.float_info.max),
 }
+
+
+# the most entries one array of a run may hold, 512 MiB of float64; a larger
+# run is refused before any work (``check_run_size``)
+MAX_ARRAY_ENTRIES = 1 << 26
 
 
 class NumericAbort(RuntimeError):
@@ -89,7 +95,8 @@ def _rodrigues(axis, angle):
 
 
 def generate_scene(seed, n_frames=4, h=32, w=32):
-    """Deterministic synthetic deformable scene with an occluding bar."""
+    """Deterministic synthetic deformable scene with an occluding bar, whose
+    own depth, 0.6, and not the tissue's behind it, is the depth in its mask."""
     if h < 16 or w < 16:
         raise ValueError(f"scene must be at least 16x16, got {h}x{w}")
     if n_frames < 1:
@@ -156,7 +163,8 @@ def _normalized(depth):
 
 def evaluate(params, cfg, scene):
     """Depth error, camera loss, and PSNR/SSIM on normalized depth images;
-    PSNR and SSIM read nan when a predicted depth map is not finite."""
+    PSNR and SSIM read nan when a predicted depth map is not finite. In the
+    occluder mask the error scores the bar's depth, 0.6, not the tissue's."""
     depth_maps, cams, _ = forward(params, cfg, scene.frames)
     abs_err = float(
         np.mean([np.abs(dm.depth - gt).mean() for dm, gt in zip(depth_maps, scene.gt_depth)])
@@ -257,6 +265,28 @@ def load_config(path):
     weights = LossWeights(**{k: raw[k] for k in WEIGHT_KEYS if k in raw})
     trainer = {**DEFAULT_TRAINER, **{k: raw[k] for k in TRAINER_KEYS if k in raw}}
     return cfg, weights, trainer
+
+
+def check_run_size(cfg, n_frames):
+    """Raise ValueError, naming the keys and the estimate, when the largest
+    array of a run on ``n_frames`` frames of ``cfg`` would hold more than
+    ``MAX_ARRAY_ENTRIES`` entries. The estimate reads the config alone: the
+    n_frames x image_h x image_w pixels of the frames, and the n_frames x
+    n_heads x (L + 1)^2 entries of a per-head attention bias over the L
+    patches and the camera token."""
+    pixels = n_frames * cfg.image_h * cfg.image_w
+    bias = n_frames * cfg.n_heads * (cfg.n_tokens + 1) ** 2
+    if max(pixels, bias) <= MAX_ARRAY_ENTRIES:
+        return
+    if pixels >= bias:
+        what = (f"n_frames x image_h x image_w = {n_frames} x {cfg.image_h} x {cfg.image_w}"
+                f" = {pixels} pixels")
+    else:
+        what = (f"n_frames x n_heads x (L + 1)^2 = {n_frames} x {cfg.n_heads} x "
+                f"{cfg.n_tokens + 1}^2 = {bias} attention-bias entries, "
+                f"L = image_h x image_w / patch_size^2 = {cfg.n_tokens}")
+    raise ValueError(f"run too large: {what}, past the cap of {MAX_ARRAY_ENTRIES} entries "
+                     "in one array")
 
 
 def save_checkpoint(path, cfg, params):

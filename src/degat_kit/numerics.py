@@ -7,14 +7,12 @@ any single layer's fields.
 
 Everything here is a pure function of its inputs; arrays are treated as
 immutable, save an ``out`` array that the caller passes, and all arithmetic
-is done in 64-bit floating point. The softmax here is the only one in the
-package: ``softmax_parts`` (the row-max shift, the exponential and the row
-sums), ``softmax`` (those parts and the divide) and ``softmax_backward``.
-The DeGAT neighbor softmax calls ``softmax``. The attention kernel in
-``conditioning`` takes the same three steps over blocks of query rows and
-keeps each row's shift, so that its backward can rebuild a block; it
-divides its output by the row sums instead of its weights, and calls
-``softmax_backward``.
+is done in 64-bit floating point. ``softmax`` is the only softmax in the
+package, with ``softmax_backward``: the DeGAT neighbor softmax calls it. The
+attention kernel in ``conditioning`` takes its steps (the row-max shift, the
+exponential and the row sums) over blocks of query rows and keeps each
+row's shift, so that its backward can rebuild a block; it divides its output
+by the row sums instead of its weights, and calls ``softmax_backward``.
 """
 
 import numpy as np
@@ -30,7 +28,6 @@ __all__ = [
     "elu_grad",
     "leaky_relu",
     "leaky_relu_grad",
-    "softmax_parts",
     "softmax",
     "softmax_backward",
 ]
@@ -135,28 +132,16 @@ def leaky_relu_grad(x, slope=0.2, out=None):
     return d
 
 
-def softmax_parts(logits, out=None):
-    """(e, total): exp(logits - row max) over the last axis and its (..., 1)
-    row sums, so that the softmax is e / total.
-
-    The shift keeps every entry at most 1 and each row's total at least 1.
-    Logits at -inf get e = 0, so a row may be masked that way as long as one
-    entry stays finite. e is a new array, or ``out`` when given;
-    ``out=logits`` exponentiates the logits in place.
+def softmax(logits, out=None):
+    """Softmax over the last axis: e = exp(logits - row max), each entry at
+    most 1 and each row sum at least 1, divided by its row sums. Logits at
+    -inf get 0, so a row may be masked that way as long as one entry stays
+    finite. The result is a new array, or ``out`` when given; ``out=logits``
+    normalises the logits in place.
     """
     e = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
-    return e, e.sum(axis=-1, keepdims=True)
-
-
-def softmax(logits, out=None):
-    """Softmax over the last axis: ``softmax_parts`` and the divide.
-
-    The result is a new array, or ``out`` when given; ``out=logits``
-    normalises the logits in place.
-    """
-    e, total = softmax_parts(logits, out=out)
-    e /= total
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 

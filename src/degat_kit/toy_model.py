@@ -484,8 +484,8 @@ def _checked_upstream(upstream, cfg, nf):
 # the heads, and H for the per-head bucket and MLP biases. The camera
 # token's row and column are 0, and the patch block [:, :, 1:, 1:] is the
 # kind's (F, Hb, L, L) bias of the patch tokens. The backward takes the (F,
-# H, L, L) patch block of d(loss)/d(bias) summed over the blocks, and is
-# None for a kind without parameters, whose gradient no block computes.
+# H, L, L) patch block of d(loss)/d(bias), in the bias's shape and summed over
+# the blocks, and is None for a kind without parameters, which no block sums.
 
 
 def _cond_none(params, cfg, x1):

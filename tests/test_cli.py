@@ -34,6 +34,16 @@ def assert_one_error_line(capsys, argv, code):
     return err
 
 
+def forbid_scene(monkeypatch):
+    """Fail the test if a command reaches the scene generator, so that a run
+    past ``harness.MAX_ARRAY_ENTRIES`` allocates nothing."""
+    def reached(*args, **kwargs):
+        pytest.fail("a run past the size cap reached generate_scene")
+
+    for module in (harness, cli):  # cli holds its own binding of the name
+        monkeypatch.setattr(module, "generate_scene", reached)
+
+
 # parsing it exceeds Python's recursion limit
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
 EXIT_CODES = (EXIT_OK, EXIT_VALIDATION, EXIT_IO, EXIT_NUMERIC)
@@ -114,6 +124,24 @@ class TestTrainEvalCommands:
             EXIT_NUMERIC,
         )
         assert "non-finite gradient" in err
+
+    @pytest.mark.parametrize("command", ["train", "ablate-k"])
+    @pytest.mark.parametrize("edit,needle", [
+        ({"n_frames": 10**9}, "n_frames x n_heads x (L + 1)^2 = 1000000000 x 2 x 17^2"),
+        ({"image_h": 2**20, "image_w": 2**20}, "L = image_h x image_w / patch_size^2 = "),
+        ({"image_h": 8192, "image_w": 8192, "patch_size": 256, "n_frames": 2},
+         "n_frames x image_h x image_w = 2 x 8192 x 8192 = 134217728 pixels"),
+    ], ids=["n_frames", "image-size", "pixels"])
+    def test_run_past_the_cap_is_refused_unallocated(self, tmp_path, tiny_config, capsys,
+                                                      monkeypatch, command, edit, needle):
+        raw = json.loads(tiny_config.read_text())
+        tiny_config.write_text(json.dumps({**raw, **edit}))
+        forbid_scene(monkeypatch)
+        argv = [command, "--config", str(tiny_config)]
+        argv += ["--out", str(tmp_path / "o")] if command == "train" else []
+        err = assert_one_error_line(capsys, argv, EXIT_VALIDATION)
+        assert err.startswith("error: run too large: ") and needle in err
+        assert err.endswith(f"past the cap of {harness.MAX_ARRAY_ENTRIES} entries in one array\n")
 
     def test_bad_config_key(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -208,6 +236,12 @@ class TestEvalCheckpointValidation:
 
     def test_intact(self, ckpt, capsys):
         assert main(self.eval_args(ckpt)) == EXIT_OK
+
+    def test_n_frames_past_the_cap_is_refused_unallocated(self, ckpt, capsys, monkeypatch):
+        forbid_scene(monkeypatch)
+        argv = ["eval", "--checkpoint", str(ckpt), "--n-frames", "1000000000"]
+        err = assert_one_error_line(capsys, argv, EXIT_VALIDATION)
+        assert err.startswith("error: run too large: n_frames x n_heads x (L + 1)^2 = 1000000000 x")
 
     @pytest.mark.parametrize("edit,needle", [
         (lambda p: p.pop("embed.b"), "missing ['embed.b']"),
@@ -552,11 +586,13 @@ IMAGE_NAMES = st.sampled_from(["a.pfm", "a.pgm", "a.ppm"])
 
 # train config key -> (valid values, bad values of its own). Every mix of the
 # valid values is a consistent tiny model (at least 2 x 2 patches, so any
-# k <= 3 fits); no value is large, since generate_scene allocates every frame
-# and a step count is a loop count.
+# k <= 3 fits); no valid value is large, since generate_scene allocates every
+# frame and a step count is a loop count. The large bad values are past the
+# size cap, which must refuse them before generate_scene runs.
 TRAIN_KEYS = {
-    "image_h": ([16, 24], [17, 30, 0, -16]),  # 17 and 30: neither patch divides them
-    "image_w": ([16, 24], [17, 30, 0, -16]),
+    # 17 and 30: neither patch divides them; 2**20 is past the size cap
+    "image_h": ([16, 24], [17, 30, 0, -16, 2**20]),
+    "image_w": ([16, 24], [17, 30, 0, -16, 2**20]),
     "patch_size": ([4, 8], [0, -4, 4.0]),
     "embed_dim": ([4, 8], [0, -8]),
     "n_heads": ([1, 2, 4], [0, -2, 3]),
@@ -576,7 +612,7 @@ TRAIN_KEYS = {
     "gamma": ([1.0, 2], [0, -1.0, 10**400]),
     "steps": ([0, 1], [-1, 1.0]),
     "lr": ([0, 0.01], [-0.01, 10**400]),
-    "n_frames": ([1, 2], [0, -1, 1.0]),
+    "n_frames": ([1, 2], [0, -1, 1.0, 10**9]),  # 10**9: past the size cap
     "scene_seed": ([0, 5], [-1, 0.5]),
 }
 # wrong JSON types, bools, and the NaN and Infinity tokens, bad for every key
@@ -626,12 +662,15 @@ class TestHostileInputs:
 
     @FUZZ
     @given(drawn=train_configs())
-    def test_train_configs(self, tmp_path, capsys, drawn):
+    def test_train_configs(self, tmp_path, capsys, monkeypatch, drawn):
         config, bad = drawn
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))  # NaN and Infinity as their JSON tokens
         argv = ["train", "--config", str(path), "--out", str(tmp_path / "o")]
-        assert_one_error_line(capsys, argv, EXIT_VALIDATION if bad else None)
+        with monkeypatch.context() as patch:
+            if any(config[key] in (10**9, 2**20) for key in ("n_frames", "image_h", "image_w")):
+                forbid_scene(patch)  # a size past the cap must be refused unallocated
+            assert_one_error_line(capsys, argv, EXIT_VALIDATION if bad else None)
 
     @FUZZ
     @given(name=IMAGE_NAMES, raw=image_files(), patch=st.sampled_from(["1", "2", "4"]),

@@ -28,7 +28,7 @@ from degat_kit.conditioning import (
     multi_head_attention,
     multi_head_attention_backward,
 )
-from degat_kit.numerics import check_arrays, softmax, softmax_backward, softmax_parts
+from degat_kit.numerics import check_arrays, softmax, softmax_backward
 from degat_kit.properties import finite_diff_grad
 
 # block rules, as _BLOCK_ENTRIES: the default (one block for every small test)
@@ -445,9 +445,11 @@ class TestBiasedAttention:
         assert out.tobytes() == out_copy.tobytes()
         grads = biased_attention_backward(cache, w)
         grads_copy = biased_attention_backward(cache_copy, w)
-        assert grads[3].shape == (f, h, n, m)  # the full score gradient
-        for g, g_copy in zip(grads, grads_copy):  # d_q, d_k, d_v and d_bias
+        for g, g_copy in zip(grads[:3], grads_copy[:3]):  # d_q, d_k and d_v
             assert g.tobytes() == g_copy.tobytes()
+        # the shared bias's gradient is the copy's summed over the heads
+        assert grads[3].shape == (f, 1, n, m) and grads_copy[3].shape == (f, h, n, m)
+        assert grads[3].tobytes() == grads_copy[3].sum(axis=1, keepdims=True).tobytes()
 
     @pytest.mark.parametrize("bias_shape", [(2, 3, 5, 7), (1, 2, 4, 5, 7), (4, 5, 7)],
                              ids=["three-heads", "extra-axis", "no-frame-axis"])
@@ -483,26 +485,40 @@ class TestBiasedAttention:
 
 def unblocked_attention(q, k, v, bias=None):
     """The kernel's arithmetic before its query blocks: one (..., N, M)
-    buffer, and the cache (q / sqrt(d), k, v, e, total)."""
+    buffer, and the cache (q / sqrt(d), k, v, bias, e, total)."""
     q = q / np.sqrt(q.shape[-1])
     scores = q @ k.swapaxes(-1, -2)
     if bias is not None:
         scores += bias
-    e, total = softmax_parts(scores, out=scores)
+    e = np.subtract(scores, scores.max(axis=-1, keepdims=True), out=scores)
+    np.exp(e, out=e)
+    total = e.sum(axis=-1, keepdims=True)
     out = e @ v
     out /= total
-    return out, (q, k, v, e, total)
+    return out, (q, k, v, bias, e, total)
 
 
 def unblocked_attention_backward(cache, d_out):
-    q, k, v, e, total = cache
+    """The backward before the query blocks: the whole (..., N, M) score
+    gradient, summed over the axes that the bias broadcast for d_bias."""
+    q, k, v, bias, e, total = cache
     p = e / total
     d_v = p.swapaxes(-1, -2) @ d_out
     d_scores = d_out @ v.swapaxes(-1, -2)
     softmax_backward(p, d_scores, out=d_scores)
     d_q = d_scores @ k / np.sqrt(q.shape[-1])
     d_k = d_scores.swapaxes(-1, -2) @ q
-    return d_q, d_k, d_v, d_scores
+    if bias is None:
+        return d_q, d_k, d_v, None
+    shared = tuple(i for i, n in enumerate(bias.shape) if n < d_scores.shape[i])
+    return d_q, d_k, d_v, d_scores.sum(axis=shared, keepdims=True) if shared else d_scores
+
+
+def assert_equal_or_none(got, want):
+    """Both None, or arrays of one shape that ``np.array_equal`` finds equal."""
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 # (leading axes, N, M, bias shape or None, -inf bias entries): a (F, H) = (2,
@@ -547,16 +563,21 @@ class TestQueryBlocks:
         q, k, v, bias, w = block_case(rng, *case)
         out, cache = biased_attention(q, k, v, bias)
         grads = biased_attention_backward(cache, w)
-        assert len(cache) == 5  # the default rule: one block, e kept
+        m = k.shape[-2]
+        assert cache[4].shape[-1] == m  # the default rule: one block, e kept
         self.block_rows(monkeypatch, q, k, 3)  # 3 + 3 + 1 rows at N = 7
         out_b, cache_b = biased_attention(q, k, v, bias)
         grads_b = biased_attention_backward(cache_b, w)
-        assert len(cache_b) == (5 if q.shape[-2] <= 3 else 6)  # e kept, or rebuilt
+        # e kept, or each row's shift, from which the backward rebuilds e
+        assert cache_b[4].shape[-1] == (m if q.shape[-2] <= 3 else 1)
         for got, ref in zip((out_b,) + grads_b, (out,) + grads):
+            if ref is None:  # d_bias without a bias
+                assert got is None
+                continue
             assert got.shape == ref.shape
             np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-14 * np.max(np.abs(ref)))
         if bias is not None and np.isneginf(bias).any():
-            assert np.all(grads_b[3][np.broadcast_to(np.isneginf(bias), grads_b[3].shape)] == 0.0)
+            assert np.all(grads_b[3][np.isneginf(bias)] == 0.0)
 
     @pytest.mark.parametrize("case", BLOCK_CASES.values(), ids=BLOCK_CASES.keys())
     def test_one_block_bits_equal_unblocked(self, case):
@@ -564,29 +585,80 @@ class TestQueryBlocks:
         q, k, v, bias, w = block_case(rng, *case)
         out, cache = biased_attention(q, k, v, bias)
         ref, ref_cache = unblocked_attention(q, k, v, bias)
-        assert len(cache) == 5
+        assert len(cache) == 6
         for got, want in zip((out,) + cache, (ref,) + ref_cache):
-            assert np.array_equal(got, want)
+            assert_equal_or_none(got, want)
         grads = biased_attention_backward(cache, w)
         for got, want in zip(grads, unblocked_attention_backward(ref_cache, w)):
-            assert np.array_equal(got, want)
+            assert_equal_or_none(got, want)
 
     def test_backward_fd_across_block_boundaries(self, monkeypatch):
         rng = np.random.default_rng(38)
         q, k, v, bias, w = block_case(rng, (2, 2), 5, 4, (2, 1, 5, 4), False)
         self.block_rows(monkeypatch, q, k, 2)  # blocks of rows 0-1, 2-3 and 4
         _, cache = biased_attention(q, k, v, bias)
-        assert len(cache) == 6
-        d_q, d_k, d_v, d_scores = biased_attention_backward(cache, w)
+        assert cache[4].shape == (2, 2, 5, 1)  # each row's shift: several blocks
+        d_q, d_k, d_v, d_bias = biased_attention_backward(cache, w)
+        assert d_bias.shape == bias.shape  # summed over the heads that share it
 
         def loss():
             out, _ = biased_attention(q, k, v, bias)
             return float(np.sum(w * out))
 
-        d_bias = d_scores.sum(axis=1, keepdims=True)  # the bias is shared by the heads
         for analytic, arr in [(d_q, q), (d_k, k), (d_v, v), (d_bias, bias)]:
             numeric = finite_diff_grad(loss, arr, step=1e-6)
             np.testing.assert_allclose(analytic, numeric, atol=1e-7)
+
+    @pytest.mark.parametrize("rows", [None, 3], ids=["one-block", "3-row-blocks"])
+    @pytest.mark.parametrize("case", BLOCK_CASES.values(), ids=BLOCK_CASES.keys())
+    def test_d_bias_has_the_bias_shape(self, monkeypatch, case, rows):
+        rng = np.random.default_rng(40)
+        q, k, v, bias, w = block_case(rng, *case)
+        if rows is not None:
+            self.block_rows(monkeypatch, q, k, rows)
+        d_bias = biased_attention_backward(biased_attention(q, k, v, bias)[1], w)[3]
+        if bias is None:
+            assert d_bias is None
+        else:
+            assert d_bias.shape == bias.shape
+
+    def test_bias_free_backward_memory_bounded_by_block(self):
+        """The backward at (4, 514, 514), d = 8, the global block's shape on
+        two 128x128 frames, in its 9 blocks of 63 rows: without a bias it holds
+        blocks of about 1.0 MB, no whole 8.5 MB score gradient."""
+        rng = np.random.default_rng(41)
+        q, k, v, w = (rng.standard_normal((4, 514, 8)) for _ in range(4))
+        _, cache = biased_attention(q, k, v)
+        assert cache[4].shape == (4, 514, 1)  # each row's shift: several blocks
+        tracemalloc.start()
+        try:
+            d_bias = biased_attention_backward(cache, w)[3]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert d_bias is None
+        assert peak < 5e6
+
+    @pytest.mark.parametrize("variant, bound", [
+        (("pre", "cross_attn", "log_affinity"), 16e6),
+        (("post", "film", "none"), 14e6),
+    ], ids=["log_affinity", "none"])
+    def test_training_step_memory(self, variant, bound):
+        """``loss_and_grads`` on two 128x128 frames: the bias-free global block
+        and cross-attention return no score gradient, and the head-shared
+        blocks one summed over the heads, not (2, 4, 257, 257)."""
+        placement, conditioning, bias = variant
+        cfg = toy_model.ModelConfig(image_h=128, image_w=128, degat_placement=placement,
+                                    token_conditioning=conditioning, attention_bias=bias)
+        params = toy_model.init_model_params(cfg)
+        scene = harness.generate_scene(3, n_frames=2, h=128, w=128)
+        tracemalloc.start()
+        try:
+            toy_model.loss_and_grads(params, cfg, scene.frames, scene.gt_depth, scene.gt_cameras)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_memory_bounded_by_block(self):
         """A tapeless call at (2, 4, 257, 257), the eval block shape, holds

@@ -556,8 +556,9 @@ class TestTape:
             live_at_entry.append(sum(r() is not None for r in refs))
             out, cache = attention(*args, **kwargs)
             # the exponentiated scores of a block's self-attention, K of the
-            # cross-attention's one query row
-            refs.append(weakref.ref(max(cache, key=lambda a: -1 if a is None else a.size)))
+            # cross-attention's one query row; not the bias, which the caller holds
+            q, k, v, _, kept, total = cache
+            refs.append(weakref.ref(max((q, k, v, kept, total), key=lambda a: a.size)))
             return out, cache
 
         def tracked_hop(*args, **kwargs):
