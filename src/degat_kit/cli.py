@@ -68,12 +68,17 @@ def _cmd_graph(args):
     return EXIT_OK
 
 
-def _cmd_train(args):
-    cfg, weights, trainer = load_config(args.config)
+def _load_run(path):
+    """The config, loss weights, trainer settings and scene of a training run,
+    the run's size checked before its scene is made."""
+    cfg, weights, trainer = load_config(path)
     check_run_size(cfg, trainer["n_frames"])
-    scene = generate_scene(
-        trainer["scene_seed"], trainer["n_frames"], cfg.image_h, cfg.image_w
-    )
+    scene = generate_scene(trainer["scene_seed"], trainer["n_frames"], cfg.image_h, cfg.image_w)
+    return cfg, weights, trainer, scene
+
+
+def _cmd_train(args):
+    cfg, weights, trainer, scene = _load_run(args.config)
     report, params = train(cfg, scene, trainer["steps"], trainer["lr"], weights)
     os.makedirs(args.out, exist_ok=True)
     out = {
@@ -156,15 +161,11 @@ def _cmd_metrics(args):
 
 
 def _cmd_ablate_k(args):
-    cfg, weights, trainer = load_config(args.config)
-    check_run_size(cfg, trainer["n_frames"])
-    scene = generate_scene(
-        trainer["scene_seed"], trainer["n_frames"], cfg.image_h, cfg.image_w
-    )
     try:
         ks = [int(s) for s in args.ks.split(",")]
     except ValueError:
         raise ValueError(f"--ks must be comma-separated integers, got {args.ks!r}") from None
+    cfg, weights, trainer, scene = _load_run(args.config)
     rows = ablate_k(cfg, scene, ks, trainer["steps"], trainer["lr"], weights)
     writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0].keys()))
     writer.writeheader()

@@ -46,8 +46,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import erf
 
-from .graph import _row_blocks, pairwise_distances
-from .numerics import as_finite, as_vector, fan_in_uniform, softmax_backward
+from .graph import _joined, _row_blocks, pairwise_distances
+from .numerics import as_finite, fan_in_uniform, softmax_backward
 
 __all__ = [
     "Mlp2",
@@ -137,7 +137,7 @@ def mlp2_backward(mlp, cache, d_y):
 def condition_additive(base, g, mlp):
     """c' = c + MLP(g); returns (c', cache), c' being (C,), or (F, C) with one
     token per frame of g."""
-    base = as_vector(base, "base")
+    base = as_finite(base, "base", (1,))
     g = as_finite(g, "g", (1, 2))
     if mlp.w1.shape[1] != g.shape[-1] or mlp.w2.shape[0] != base.shape[0]:
         raise ValueError(
@@ -156,7 +156,7 @@ def condition_additive_backward(mlp, cache, d_cond):
 
 def condition_film(base, g, mlp):
     """c' = (1 + gamma) * c + beta with [gamma, beta] = MLP(g)."""
-    base = as_vector(base, "base")
+    base = as_finite(base, "base", (1,))
     g = as_finite(g, "g", (1, 2))
     c = base.shape[0]
     if mlp.w2.shape[0] != 2 * c:
@@ -249,7 +249,7 @@ def condition_cross_attention(base, tokens, attn, ffn, n_heads):
     frame. With zero-initialized output projection and FFN final layer, the
     whole block is the identity on the base token.
     """
-    base = as_vector(base, "base")
+    base = as_finite(base, "base", (1,))
     tokens = as_finite(tokens, "tokens", (2, 3))
     c = attn.w_q.shape[0]
     if base.shape[0] != c or tokens.shape[-1] != c:
@@ -405,11 +405,6 @@ def _exp_scores(q, k, bias, rows, shift=None):
         shift = e.max(axis=-1, keepdims=True)
     e -= shift
     return np.exp(e, out=e), shift
-
-
-def _joined(blocks):
-    """The row blocks of an array joined along its row axis."""
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-2)
 
 
 def biased_attention(q, k, v, bias=None):

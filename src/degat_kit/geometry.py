@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_matrix
+from .numerics import as_finite
 
 __all__ = [
     "CameraParams",
@@ -41,7 +41,7 @@ class CameraParams:
     principal: tuple = (0.0, 0.0)  # (cx, cy) in pixels
 
     def __post_init__(self):
-        self.rotation = as_matrix(self.rotation, "rotation")
+        self.rotation = as_finite(self.rotation, "rotation", (2,))
         if self.rotation.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got {self.rotation.shape}")
         self.translation = np.asarray(self.translation, dtype=np.float64).reshape(3)

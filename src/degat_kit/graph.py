@@ -99,6 +99,11 @@ def _row_blocks(n, width):
     return [slice(s, s + step) for s in range(0, n, step)], min(step, n)
 
 
+def _joined(blocks):
+    """The row blocks of an array joined along its row axis."""
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-2)
+
+
 def _distance_rows(x, sq, rows, out=None):
     """Euclidean distances of the rows ``rows`` of each frame to all its rows,
     given the squared row norms ``sq``, diagonal left as computed."""
@@ -184,20 +189,12 @@ def build_knn_graph(tokens, k, metric="cosine"):
             # values, and those merged keys must tie exactly as they always have
             key = _distance_rows(x, sq, rows)
         key.reshape(-1, key.shape[-2] * n)[:, rows.start :: n + 1] = np.inf  # self sorts last
-        parts.append(_select_top_k(key.reshape(-1, n), k))  # every frame's rows at once
-    cols, vals = zip(*parts)
-    shape = x.shape[:-1] + (k,)
-    nb, sims = _join_blocks(cols, shape), _join_blocks(vals, shape)
+        picks = _select_top_k(key.reshape(-1, n), k)  # every frame's rows at once
+        parts.append([a.reshape(key.shape[:-1] + (k,)) for a in picks])
+    nb, sims = map(_joined, zip(*parts))
     if metric == "cosine":
         np.negative(sims, out=sims)
     return NeighborGraph(nb, sims)
-
-
-def _join_blocks(blocks, shape):
-    """The (..., L, K) result from its row blocks, each (F * rows, K)."""
-    if len(blocks) == 1:
-        return blocks[0].reshape(shape)
-    return np.concatenate([b.reshape(shape[:-2] + (-1, shape[-1])) for b in blocks], axis=-2)
 
 
 def dump_neighbors(g, grid_w, query):

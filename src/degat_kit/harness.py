@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -223,15 +223,16 @@ def train(cfg, scene, steps, lr, weights=LossWeights(), params=None):
 
 
 def ablate_k(cfg, scene, k_values, steps, lr, weights=LossWeights()):
-    """One train+evaluate run per neighbor count, same seed throughout."""
+    """One train+evaluate run per neighbor count, same seed throughout; every
+    count's config is built, and so checked, before any run."""
+    configs = [replace(cfg, k_neighbors=int(k)) for k in k_values]
     rows = []
-    for k in k_values:
-        cfg_k = ModelConfig(**{**asdict(cfg), "k_neighbors": int(k)})
+    for cfg_k in configs:
         report, _ = train(cfg_k, scene, steps, lr, weights)
         final = report.history[-1] if report.history else None
         rows.append(
             {
-                "k": int(k),
+                "k": cfg_k.k_neighbors,
                 "final_total": final.total if final else None,
                 "final_cam": final.cam if final else None,
                 "final_reg": final.reg if final else None,

@@ -19,8 +19,6 @@ import numpy as np
 
 __all__ = [
     "as_finite",
-    "as_matrix",
-    "as_vector",
     "check_shapes",
     "check_arrays",
     "fan_in_uniform",
@@ -43,16 +41,6 @@ def as_finite(a, name, ndims):
     if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
-
-
-def as_matrix(a, name="matrix"):
-    """Coerce to a finite float64 2-D array, raising on anything else."""
-    return as_finite(a, name, (2,))
-
-
-def as_vector(a, name="vector"):
-    """Coerce to a finite float64 1-D array, raising on anything else."""
-    return as_finite(a, name, (1,))
 
 
 def check_shapes(shapes, expected):

@@ -27,17 +27,18 @@ stop-gradient log-affinity bias gets none, and a bias-free variant
 (``attention_bias="none"``) builds no bias at all.
 
 A variant's parameters are those of the layers its stages read, and no
-others: ``param_shapes(cfg)`` is assembled from the layers' own shape
-tables, and the layers of a conditioning or bias kind are named in the
-kind's own table entry. ``init_model_params`` draws every layer of every
-variant in one fixed order and keeps the variant's, so a layer two
-variants share starts with the same values in both. The parameter dict is
-checked once, when it enters ``forward``: its names and shapes against
-``param_shapes(cfg)`` and its values for finiteness
-(``numerics.check_arrays``). Each layer then reads its weights through
-``_layer``, a plain tuple of the arrays under its prefix. Gradients are
-allocated where they are first written; a parameter that a call does not
-reach gets a zero gradient.
+others: ``param_shapes(cfg)`` is assembled once per config from the
+layers' own shape tables, the layers of a conditioning or bias kind being
+named in the kind's own table entry, and the dicts of
+``init_model_params``, ``backward`` and ``sgd_step`` keep its order.
+``init_model_params`` draws every layer of every variant in one fixed
+order and keeps the variant's, so a layer two variants share starts with
+the same values in both. The parameter dict is checked once, when it
+enters ``forward``: its names and shapes against ``param_shapes(cfg)`` and
+its values for finiteness (``numerics.check_arrays``). Each layer then
+reads its weights through ``_layer``, a plain tuple of the arrays under
+its prefix. Gradients are allocated where they are first written; a
+parameter that a call does not reach gets a zero gradient.
 
 Every attention layer is ``conditioning.multi_head_attention``, and the
 conditioning and bias kinds are the keys of two (forward, backward,
@@ -165,11 +166,12 @@ def _prefixed(prefix, layer_shapes):
     return {f"{prefix}.{w}": shape for w, shape in layer_shapes.items()}
 
 
-@functools.lru_cache(maxsize=32)
-def _layer_table(p2, c, n_heads, n_blocks, f, ch, bias_hidden, n_buckets, cam_hidden):
+def _layer_table(cfg):
     """Layer -> (parameter name -> shape) of every layer that any variant of
-    these sizes has, in initialization order. A layer is named by its
+    the config's sizes has, in initialization order. A layer is named by its
     parameters' prefix, or is one parameter under its own name."""
+    c, ch, n_heads = cfg.embed_dim, cfg.cond_hidden, cfg.n_heads
+    p2, f = cfg.patch_size**2, cfg.ffn_mult * cfg.embed_dim
     layers = {
         "embed": {"embed.w": (c, p2), "embed.b": (c,)},
         "camera_token": {"camera_token": (c,)},
@@ -178,42 +180,28 @@ def _layer_table(p2, c, n_heads, n_blocks, f, ch, bias_hidden, n_buckets, cam_hi
         "cond_film": _prefixed("cond_film", cond.mlp2_shapes(c, ch, 2 * c)),
         "cond_xattn": _prefixed("cond_xattn", cond.attn_shapes(c)),
         "cond_xattn_ffn": _prefixed("cond_xattn_ffn", cond.mlp2_shapes(c, ch, c)),
-        "bias_table": {"bias_table": (n_buckets, n_heads)},
-        "bias_mlp": _prefixed("bias_mlp", cond.mlp2_shapes(1, bias_hidden, n_heads)),
+        "bias_table": {"bias_table": (cfg.n_buckets, n_heads)},
+        "bias_mlp": _prefixed("bias_mlp", cond.mlp2_shapes(1, cfg.bias_hidden, n_heads)),
     }
-    for name in [f"block{i}" for i in range(n_blocks)] + ["global"]:
+    for name in [f"block{i}" for i in range(cfg.n_blocks)] + ["global"]:
         layers[name] = _prefixed(name, cond.attn_shapes(c))
         layers[f"{name}_ffn"] = _prefixed(f"{name}_ffn", cond.mlp2_shapes(c, f, c))
     layers["depth_head"] = {"depth_head.w": (2 * p2, c), "depth_head.b": (2 * p2,)}
-    layers["cam_head"] = _prefixed("cam_head", cond.mlp2_shapes(c, cam_hidden, 13))
-    return MappingProxyType(layers)
+    layers["cam_head"] = _prefixed("cam_head", cond.mlp2_shapes(c, cfg.cam_hidden, 13))
+    return layers
 
 
-def _sizes(cfg):
-    """The ``_layer_table`` arguments of the config."""
-    return (cfg.patch_size**2, cfg.embed_dim, cfg.n_heads, cfg.n_blocks,
-            cfg.ffn_mult * cfg.embed_dim, cfg.cond_hidden, cfg.bias_hidden, cfg.n_buckets,
-            cfg.cam_hidden)
-
-
-# one entry per variant's layers and set of sizes: the 48 variants make 32,
-# since the two hop placements read the same layers, so a round-robin over
-# all of them at a few sizes stays cached
-@functools.lru_cache(maxsize=256)
-def _shape_table(sizes, hop, conditioning, bias):
-    reads = (("degat",) if hop else ()) + TOKEN_CONDITIONING[conditioning].layers \
-        + ATTENTION_BIAS[bias].layers
+@functools.lru_cache(maxsize=256)  # the 48 variants at a few sizes
+def _shapes_of(cfg):
+    """``param_shapes(cfg)`` read-only, built once per frozen config:
+    ``forward`` checks against it on every call."""
+    reads = (("degat",) if cfg.degat_placement != "none" else ()) \
+        + TOKEN_CONDITIONING[cfg.token_conditioning].layers \
+        + ATTENTION_BIAS[cfg.attention_bias].layers
     return MappingProxyType({
-        name: shape for layer, shapes in _layer_table(*sizes).items()
+        name: shape for layer, shapes in _layer_table(cfg).items()
         if layer not in _OPTIONAL_LAYERS or layer in reads for name, shape in shapes.items()
     })
-
-
-def _shapes_of(cfg):
-    """``param_shapes(cfg)`` read-only, built once per variant and set of
-    sizes: ``forward`` checks against it on every call."""
-    return _shape_table(_sizes(cfg), cfg.degat_placement != "none", cfg.token_conditioning,
-                        cfg.attention_bias)
 
 
 def param_shapes(cfg):
@@ -242,7 +230,7 @@ def init_model_params(cfg, rng=None):
     rng = np.random.default_rng(cfg.seed if rng is None else rng)
     keep = _shapes_of(cfg)
     params = {}
-    for shapes in _layer_table(*_sizes(cfg)).values():
+    for shapes in _layer_table(cfg).values():
         for name, shape in shapes.items():
             if name == "camera_token":
                 value = rng.normal(0.0, 0.02, size=shape)
@@ -729,7 +717,8 @@ def loss_and_grads(params, cfg, frames, gt_depths, gt_cams, weights=LossWeights(
 
 
 def sgd_step(params, grads, lr):
-    """Plain gradient-descent update in a fixed key order."""
+    """Plain gradient-descent update; the result keeps the key order of
+    ``params``, the ``param_shapes(cfg)`` order for ``init_model_params``'s."""
     if lr < 0.0:
         raise ValueError(f"learning rate must be >= 0, got {lr}")
-    return {k: params[k] - lr * grads[k] for k in sorted(params)}
+    return {k: params[k] - lr * grads[k] for k in params}

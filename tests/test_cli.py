@@ -36,9 +36,10 @@ def assert_one_error_line(capsys, argv, code):
 
 def forbid_scene(monkeypatch):
     """Fail the test if a command reaches the scene generator, so that a run
-    past ``harness.MAX_ARRAY_ENTRIES`` allocates nothing."""
+    refused on its arguments or config, such as one past
+    ``harness.MAX_ARRAY_ENTRIES``, allocates nothing."""
     def reached(*args, **kwargs):
-        pytest.fail("a run past the size cap reached generate_scene")
+        pytest.fail("a refused run reached generate_scene")
 
     for module in (harness, cli):  # cli holds its own binding of the name
         monkeypatch.setattr(module, "generate_scene", reached)
@@ -487,11 +488,22 @@ class TestAblateCommand:
         assert lines[2].split(",")[0] == "3"
 
     @pytest.mark.parametrize("ks", ["2,x", "", "2,,5"])
-    def test_ks_not_integers_names_the_option(self, tiny_config, capsys, ks):
+    def test_ks_not_integers_names_the_option(self, tiny_config, capsys, monkeypatch, ks):
+        forbid_scene(monkeypatch)  # --ks is parsed before the config is loaded
         err = assert_one_error_line(
             capsys, ["ablate-k", "--config", str(tiny_config), "--ks", ks], EXIT_VALIDATION
         )
         assert err == f"error: --ks must be comma-separated integers, got {ks!r}\n"
+
+    def test_bad_k_is_refused_before_any_run(self, tiny_config, capsys, monkeypatch):
+        def reached(*args, **kwargs):
+            pytest.fail("ablate-k trained before refusing k_neighbors=99")
+
+        monkeypatch.setattr(harness, "train", reached)
+        err = assert_one_error_line(
+            capsys, ["ablate-k", "--config", str(tiny_config), "--ks", "2,99"], EXIT_VALIDATION
+        )
+        assert err == "error: k_neighbors=99 invalid for 16 tokens\n"
 
 
 class TestOutOfMemory:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from degat_kit.numerics import (
-    as_finite, as_matrix, as_vector, elu, elu_grad, leaky_relu, leaky_relu_grad, softmax,
-    softmax_backward,
+    as_finite, elu, elu_grad, leaky_relu, leaky_relu_grad, softmax, softmax_backward,
 )
 from degat_kit.properties import finite_diff_grad
 
@@ -17,9 +16,9 @@ class TestValidation:
         with pytest.raises(ValueError, match="x must be 2-D or 3-D, got shape"):
             as_finite(np.zeros(3), "x", (2, 3))
         with pytest.raises(ValueError, match="m must be 2-D, got shape"):
-            as_matrix(np.zeros((1, 2, 3)), "m")
+            as_finite(np.zeros((1, 2, 3)), "m", (2,))
         with pytest.raises(ValueError, match="v must be 1-D, got shape"):
-            as_vector(np.zeros((2, 2)), "v")
+            as_finite(np.zeros((2, 2)), "v", (1,))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite(self, bad):

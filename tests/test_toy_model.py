@@ -585,6 +585,7 @@ class TestTraining:
         params = init_model_params(cfg)
         grads = {k: np.zeros_like(v) for k, v in params.items()}
         after = sgd_step(params, grads, 0.1)
+        assert list(after) == list(params)  # the param_shapes(cfg) order
         for k in params:
             np.testing.assert_array_equal(after[k], params[k])
         with pytest.raises(ValueError):
