@@ -15,7 +15,8 @@ Everything takes one frame or a leading frame axis: a prior g (F, C) or
 tokens (F, L, C) give one conditioned token per frame, and the backward
 passes sum d(base) over the frames; the bias generators normalise each
 frame's distances by that frame's maximum and return (F, H, L, L), which
-``mlp_bias`` writes one head at a time into a new array or a given one.
+``bucket_bias`` and ``mlp_bias`` write one head at a time into a new array or
+a given one.
 
 All attention is ``multi_head_attention`` around the one kernel
 ``biased_attention``: self-attention in the model's blocks, and
@@ -27,8 +28,9 @@ the query rows in the blocks of ``graph._row_blocks``, so it never holds the
 whole score array: it caches the bias, the row sums, and the one block's
 exponentiated scores or each row's shift, from which its backward rebuilds
 each block's with the forward's own operations; only the backward forms the
-weights. Each gradient has its input's shape: the bias's is the score
-gradient summed over the axes the bias broadcast, None without a bias.
+weights; each block is written into the call's output and row sums. Each
+gradient has its input's shape: the bias's is the score gradient summed over
+the axes the bias broadcast, None without a bias or with ``bias_grad=False``.
 
 A layer's weights are a field-only ``NamedTuple`` (``Mlp2``,
 ``CrossAttnParams``) named like the gradient dict its backward returns; the
@@ -46,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import erf
 
-from .graph import _joined, _row_blocks, pairwise_distances
+from .graph import _row_blocks, pairwise_distances
 from .numerics import as_finite, fan_in_uniform, softmax_backward
 
 __all__ = [
@@ -77,6 +79,8 @@ __all__ = [
 ]
 
 BUCKET_RATIO_EPS = 1e-8  # paper writes "+ eps" in the ratio without a value
+_SQRT2 = math.sqrt(2.0)  # the GELU's normal CDF is (1 + erf(x / sqrt 2)) / 2
+_SQRT_2PI = math.sqrt(2.0 * math.pi)  # and its density exp(-x^2 / 2) / sqrt(2 pi)
 
 
 def _rows(m):
@@ -112,7 +116,9 @@ def mlp2_forward(mlp, x):
     x = np.asarray(x, dtype=np.float64)
     pre = x @ mlp.w1.T
     pre += mlp.b1
-    cdf = 0.5 * (1.0 + erf(pre / np.sqrt(2.0)))  # normal CDF: GELU(pre) = pre cdf
+    cdf = erf(pre / _SQRT2)  # the normal CDF, in place: GELU(pre) = pre cdf
+    cdf += 1.0
+    cdf *= 0.5
     y = (pre * cdf) @ mlp.w2.T
     y += mlp.b2
     # the cache holds cdf in place of GELU(pre), which the backward recomputes
@@ -123,13 +129,15 @@ def mlp2_backward(mlp, cache, d_y):
     """Returns (weight grads dict, d_x) given d(loss)/dy."""
     x, pre, cdf = cache
     d_y = np.asarray(d_y, dtype=np.float64)
-    phi = np.exp(-0.5 * pre * pre) / np.sqrt(2.0 * np.pi)  # GELU' = cdf + pre phi
-    d_pre = (d_y @ mlp.w2) * (cdf + pre * phi)
+    d_pre = np.exp(-0.5 * pre * pre) / _SQRT_2PI  # the normal density phi, then
+    d_pre *= pre  # GELU' = cdf + pre phi in place
+    d_pre += cdf
+    d_pre *= d_y @ mlp.w2
     # a single vector is one row: its outer products and sums are exact
     flat_dy, flat_dpre = _rows(d_y), _rows(d_pre)
     grads = {
-        "w1": flat_dpre.T @ _rows(x), "b1": flat_dpre.sum(axis=0),
-        "w2": flat_dy.T @ _rows(pre * cdf), "b2": flat_dy.sum(axis=0),
+        "w1": flat_dpre.T @ _rows(x), "b1": np.add.reduce(flat_dpre, axis=0),
+        "w2": flat_dy.T @ _rows(pre * cdf), "b2": np.add.reduce(flat_dy, axis=0),
     }
     return grads, d_pre @ mlp.w1
 
@@ -228,12 +236,12 @@ def multi_head_attention(x_q, x_kv, attn, n_heads, bias=None):
     return ctx @ attn.w_o.T, (x_q, x_kv, ctx, kernel_cache, n_heads)
 
 
-def multi_head_attention_backward(attn, cache, d_out):
+def multi_head_attention_backward(attn, cache, d_out, bias_grad=True):
     """Returns (weight grads dict, d_x_q, d_x_kv, d_bias), d_bias shaped like
-    the forward's bias, or None without one."""
+    the forward's bias, or None without one or with ``bias_grad`` false."""
     x_q, x_kv, ctx, kernel_cache, n_heads = cache
     d_ctx = _split_heads(d_out @ attn.w_o, n_heads)
-    d_q, d_k, d_v, d_bias = biased_attention_backward(kernel_cache, d_ctx)
+    d_q, d_k, d_v, d_bias = biased_attention_backward(kernel_cache, d_ctx, bias_grad)
     d_q, d_k, d_v = _merge_heads(d_q), _merge_heads(d_k), _merge_heads(d_v)
     grads = {
         "w_q": _rows(d_q).T @ _rows(x_q), "w_k": _rows(d_k).T @ _rows(x_kv),
@@ -269,24 +277,29 @@ def condition_cross_attention_backward(attn, ffn, cache, d_out):
     attn_grads, d_query, d_tokens, _ = multi_head_attention_backward(
         attn, attn_cache, d_c1[..., None, :]
     )
-    return attn_grads, ffn_grads, _rows(d_c1 + d_query[..., 0, :]).sum(axis=0), d_tokens
+    return attn_grads, ffn_grads, np.add.reduce(_rows(d_c1 + d_query[..., 0, :]), axis=0), d_tokens
 
 
 def bucket_indices(features, n_buckets):
     """Quantize log-scaled pairwise distances into [0, n_buckets - 1]."""
-    d = pairwise_distances(features)
-    dl = np.log1p(d)
-    ratio = dl / (dl.max(axis=(-2, -1), keepdims=True) + BUCKET_RATIO_EPS)
-    idx = np.clip(np.floor(ratio * n_buckets).astype(np.intp), 0, n_buckets - 1)
-    return idx
+    x = pairwise_distances(features)  # made the bucket positions in place
+    np.log1p(x, out=x)
+    x /= x.max(axis=(-2, -1), keepdims=True) + BUCKET_RATIO_EPS
+    x *= n_buckets
+    idx = np.floor(x, out=x).astype(np.intp)
+    return np.clip(idx, 0, n_buckets - 1, out=idx)
 
 
-def bucket_bias(features, table):
+def bucket_bias(features, table, out=None):
     """Per-head (..., H, L, L) bias looked up in the (K_b, H) table from the
-    quantized distance bucket."""
+    quantized distance bucket; returns (bias, idx). The bias is written one
+    head at a time into a new array or ``out``, as in ``mlp_bias``."""
     idx = bucket_indices(features, table.shape[0])
-    bias = table[idx]  # (..., L, L, H)
-    return np.ascontiguousarray(np.moveaxis(bias, -1, -3)), idx
+    if out is None:
+        out = np.empty(idx.shape[:-2] + table.shape[1:] + idx.shape[-2:])
+    for h, column in enumerate(table.T):  # idx is in range: "clip" checks no bounds
+        column.take(idx, out=out[..., h, :, :], mode="clip")
+    return out, idx
 
 
 def bias_table_gradient(delta, idx, n_buckets):
@@ -402,7 +415,7 @@ def _exp_scores(q, k, bias, rows, shift=None):
     if bias is not None:
         e += _bias_rows(bias, rows)
     if shift is None:
-        shift = e.max(axis=-1, keepdims=True)
+        shift = np.maximum.reduce(e, axis=-1, keepdims=True)
     e -= shift
     return np.exp(e, out=e), shift
 
@@ -420,7 +433,8 @@ def biased_attention(q, k, v, bias=None):
     each row's max, and its row sums ``total``, out = (e V) / total. The
     query rows run in the blocks of ``graph._row_blocks``: each block's
     scores are formed, biased, shifted, exponentiated, summed and multiplied
-    by V, then dropped, so a call never holds more than one block of scores.
+    by V into its rows of the output and row sums, then dropped, so a call
+    never holds more than one block of scores.
     The cache is (q / sqrt(d), k, v, bias, kept, total): kept is the one
     block's e for a call whose scores fit one block, as that e costs nothing
     to keep, and each row's shift for a call in several blocks, from which
@@ -436,30 +450,33 @@ def biased_attention(q, k, v, bias=None):
         raise ValueError(
             f"attention shape mismatch: Q {q.shape}, K {k.shape}, V {v.shape}"
         )
-    if not all(np.isfinite(a).all() for a in (q, k, v)):
+    if not (np.isfinite(q).all() and np.isfinite(k).all() and np.isfinite(v).all()):
         raise ValueError("attention Q, K or V contains non-finite entries")
     if bias is not None:
         bias = np.asarray(bias, dtype=np.float64)
         logits = q.shape[:-1] + k.shape[-2:-1]
         if bias.ndim != len(logits) or any(b not in (1, s) for b, s in zip(bias.shape, logits)):
             raise ValueError(f"bias shape {bias.shape} != logits {logits}")
-    q = q / np.sqrt(q.shape[-1])
+    q = q / math.sqrt(q.shape[-1])
     blocks = _query_blocks(q, k)
-    parts = []
+    out, total = np.empty(q.shape[:-1] + v.shape[-1:]), np.empty(q.shape[:-1] + (1,))
+    shift = None if len(blocks) == 1 else np.empty(total.shape)
     for rows in blocks:
-        e, shift = _exp_scores(q, k, bias, rows)
-        parts.append((e @ v, shift, e.sum(axis=-1, keepdims=True)))
-        if len(blocks) > 1:
+        e, shift_rows = _exp_scores(q, k, bias, rows)
+        np.matmul(e, v, out=out[..., rows, :])
+        np.add.reduce(e, axis=-1, keepdims=True, out=total[..., rows, :])
+        if shift is not None:
+            shift[..., rows, :] = shift_rows
             del e  # before the next block's e is formed
-    out, shift, total = map(_joined, zip(*parts))
     out /= total
-    return out, (q, k, v, bias, e if len(blocks) == 1 else shift, total)
+    return out, (q, k, v, bias, e if shift is None else shift, total)
 
 
-def biased_attention_backward(cache, d_out):
+def biased_attention_backward(cache, d_out, bias_grad=True):
     """Returns (d_q, d_k, d_v, d_bias), each shaped like its forward input:
     d_bias is d(loss)/d(scores) summed over the axes the bias broadcast, so
-    (..., 1, N, M) for a head-shared bias, or None without a bias.
+    (..., 1, N, M) for a head-shared bias, or None without a bias or with
+    ``bias_grad`` false.
 
     It runs the forward's query blocks, each block's weights p = e / total
     from the kept e of a one-block call or rebuilt by the forward's own
@@ -471,7 +488,7 @@ def biased_attention_backward(cache, d_out):
     blocks = _query_blocks(q, k)
     d_q = np.empty_like(q)
     d_k = d_v = d_bias = shared = None
-    if bias is not None:  # shared: the axes it broadcast, over which d_bias sums
+    if bias is not None and bias_grad:  # shared: the axes it broadcast, over which d_bias sums
         d_bias = np.zeros(bias.shape)
         scores = q.shape[:-1] + k.shape[-2:-1]
         shared = tuple(i for i, (b, s) in enumerate(zip(bias.shape, scores)) if b < s)
@@ -484,12 +501,12 @@ def biased_attention_backward(cache, d_out):
         d_rows = d_out[..., rows, :]
         d_v_rows = p.swapaxes(-1, -2) @ d_rows
         # d(loss)/d(weights), then d(loss)/d(scores)
-        d_bias_rows = None if bias is None else _bias_rows(d_bias, rows)
+        d_bias_rows = None if d_bias is None else _bias_rows(d_bias, rows)
         d_s = np.matmul(d_rows, v.swapaxes(-1, -2), out=None if shared else d_bias_rows)
         softmax_backward(p, d_s, out=d_s)
         if shared:
             d_bias_rows += d_s.sum(axis=shared, keepdims=True)
-        np.divide(d_s @ k, np.sqrt(q.shape[-1]), out=d_q[..., rows, :])
+        np.divide(d_s @ k, math.sqrt(q.shape[-1]), out=d_q[..., rows, :])
         d_k_rows = d_s.swapaxes(-1, -2) @ q[..., rows, :]  # q is the scaled queries
         if d_v is None:
             d_k, d_v = d_k_rows, d_v_rows

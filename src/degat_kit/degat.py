@@ -7,13 +7,15 @@ the (non-differentiable) Top-K graph topology.
 
 The hop takes one (L, C) frame or an (F, L, C) stack. Each frame gets its
 own K-NN graph; its neighbors are then offset by f*L, so that the
-projection, gather, softmax and backward run once over all F*L nodes.
+projection, gather, softmax and backward run once over all F*L nodes. A
+one-frame hop offsets and reshapes nothing: it indexes with the graph's own
+neighbor array, which neither direction writes, and caches its own arrays.
 
 The pair terms z_ij = W_c x_i + W_n x_j and their LeakyReLU are (K, C')
 per node. Both directions make them, and every other per-edge array, in
-blocks of node rows under the K-NN build's block rule, ``graph._row_blocks``,
-writing into three buffers that each call allocates once, sized by the
-rule's longest block, so no (F*L, K, C') array is made: the
+blocks of node rows under the K-NN build's cached block rule,
+``graph._row_blocks``, writing into three buffers that each call allocates
+once, sized by the rule's longest block, so no (F*L, K, C') array is made: the
 cache keeps the two (..., L, C') projections, and the backward rebuilds a
 block's pairs from them. Each row's arithmetic does not depend on the
 blocks, so outputs and alpha have the same bits at every block size; the
@@ -96,17 +98,19 @@ class DeGatGrads:
 
 
 def _node_neighbors(graph):
-    """Frame f's neighbor indices offset by f*L: rows of the (F*L, C) node
-    matrix of all frames."""
+    """(F*L, K) rows of the (F*L, C) node matrix of all frames: frame f's
+    neighbor indices offset by f*L, or a one-frame graph's own array."""
     nb = graph.neighbors
-    n, k = nb.shape[-2:]
-    return nb + np.arange(0, nb.size // k, n).reshape(nb.shape[:-2] + (1, 1))
+    if nb.ndim == 2:
+        return nb
+    f, n, k = nb.shape
+    return (nb + np.arange(0, f * n, n)[:, None, None]).reshape(-1, k)
 
 
 def _gather(a, nb, buf):
     """a[nb] for the (rows, K) node indices nb, into the front of ``buf``."""
     # the indices are in range; mode "raise" would copy the output first
-    return np.take(a, nb, axis=0, out=buf[: len(nb)], mode="clip")
+    return a.take(nb, axis=0, out=buf[: len(nb)], mode="clip")
 
 
 def _pairs(center, neighbor, nb, rows, z_buf, e_buf):
@@ -125,9 +129,9 @@ def degat_forward(tokens, params, k, metric="cosine"):
     c = x.shape[-1]
     if params.w_val.shape[0] != c:
         raise ValueError(f"params expect C={params.w_val.shape[0]}, tokens have C={c}")
-    nb = _node_neighbors(g).reshape(-1, k)
-    xs = x.reshape(-1, c)  # the node rows of all frames
-    n = xs.shape[0]
+    nb = _node_neighbors(g)
+    xs = x if x.ndim == 2 else x.reshape(-1, c)  # the node rows of all frames
+    n = len(xs)
 
     # W_proj [x_i || x_j] = W_c x_i + W_n x_j: project the nodes once; each
     # block gathers its pairs from the projections
@@ -146,15 +150,12 @@ def degat_forward(tokens, params, k, metric="cosine"):
         logits = np.matmul(e, params.a, out=alpha[rows])
         softmax(logits, out=logits)
         np.einsum("lk,lkc->lc", logits, _gather(values, nb_b, v_buf), out=messages[rows])
-    x_out = x + elu(messages.reshape(x.shape))
 
-    lead = x.shape[:-1]
-    cache = DeGatCache(
-        x=x, graph=g, center=center.reshape(lead + (-1,)), neighbor=neighbor.reshape(lead + (-1,)),
-        alpha=alpha.reshape(lead + (k,)), values=values.reshape(x.shape),
-        messages=messages.reshape(x.shape),
-    )
-    return x_out, cache
+    nodes = center, neighbor, alpha, values, messages
+    if x.ndim == 3:  # each per-node array takes the frame axis back
+        nodes = [a.reshape(x.shape[:-1] + (-1,)) for a in nodes]
+    cache = DeGatCache(x, g, *nodes)
+    return x + elu(cache.messages), cache
 
 
 def degat_backward(cache, params, upstream):
@@ -168,18 +169,17 @@ def degat_backward(cache, params, upstream):
     upstream = as_finite(upstream, "upstream", (2, 3))
     if upstream.shape != cache.x.shape:
         raise ValueError(f"upstream shape {upstream.shape} != features {cache.x.shape}")
-    k, c = cache.graph.neighbors.shape[-1], cache.x.shape[-1]
-    nb = _node_neighbors(cache.graph).reshape(-1, k)
-    n = nb.shape[0]
-    x = cache.x.reshape(n, c)
-    alpha = cache.alpha.reshape(n, k)
-    values = cache.values.reshape(n, c)
-    center, neighbor = cache.center.reshape(n, -1), cache.neighbor.reshape(n, -1)
+    nb = _node_neighbors(cache.graph)  # read only: a one-frame graph's own array
+    (n, k), c = nb.shape, cache.x.shape[-1]
+    nodes = (cache.x, cache.center, cache.neighbor, cache.alpha, cache.values, cache.messages,
+             upstream)
+    if upstream.ndim == 3:  # the node rows of all frames
+        nodes = [a.reshape(n, -1) for a in nodes]
+    x, center, neighbor, alpha, values, messages, up = nodes
     cp = center.shape[1]
 
-    up = upstream.reshape(n, c)
     d_x = up.copy()  # residual path
-    u = up * elu_grad(cache.messages.reshape(n, c))  # (F*L, C) = dL/dm_i
+    u = up * elu_grad(messages)  # (F*L, C) = dL/dm_i
 
     d_a = np.zeros(cp)
     d_center = np.empty((n, cp))  # node i as center

@@ -9,7 +9,8 @@ while its scores are in cache, so a build never holds an L x L score
 matrix. A block's scores are one matrix product, a gemm; a frame that
 fits in one block is scored as x times its own transpose, a syrk.
 ``_row_blocks`` is the block rule of every blocked loop in the package,
-and gives the row count that sizes each loop's buffers.
+and gives the row count that sizes each loop's buffers; it is cached on
+(n, width, _BLOCK_ENTRIES). A one-frame, one-block build joins nothing.
 
 Selection avoids sorting whole rows. A partition finds each row's K-th
 key kth, and the near-tie rule picks the K survivors: with
@@ -28,6 +29,7 @@ deterministic on one machine; the permutation-equivariance property
 relies on that rule.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,9 +83,9 @@ def pairwise_distances(tokens):
 
 
 def _row_blocks(n, width):
-    """(blocks, rows): slices of _BLOCK_ENTRIES // width rows (at least one)
-    covering n rows of ``width`` entries each, the last of which may reach
-    past n, and the row count of the longest block, min(step, n).
+    """(blocks, rows): a tuple of slices of _BLOCK_ENTRIES // width rows (at
+    least one) covering n rows of ``width`` entries each, the last of which
+    may reach past n, and the row count of the longest block, min(step, n).
 
     The one block rule of the package. A K-NN build's rows are a frame's n
     keys. There, a block of every row, x[..., 0:n, :], is a view with the
@@ -95,13 +97,13 @@ def _row_blocks(n, width):
     megabytes a block frees would otherwise go back to the system and be
     faulted in again by the next block.
     """
-    step = max(1, _BLOCK_ENTRIES // width)
-    return [slice(s, s + step) for s in range(0, n, step)], min(step, n)
+    return _cached_row_blocks(n, width, _BLOCK_ENTRIES)
 
 
-def _joined(blocks):
-    """The row blocks of an array joined along its row axis."""
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-2)
+@functools.lru_cache(maxsize=1024)
+def _cached_row_blocks(n, width, entries):
+    step = max(1, entries // width)
+    return tuple(slice(s, s + step) for s in range(0, n, step)), min(step, n)
 
 
 def _distance_rows(x, sq, rows, out=None):
@@ -128,12 +130,16 @@ def _select_top_k(key, k):
     by far more (ROADMAP item 2).
     """
     n_rows, n = key.shape
-    kth = np.partition(key, k - 1, axis=1)[:, k - 1]
+    kth = key.copy()
+    kth.partition(k - 1, axis=1)
+    kth = kth[:, k - 1]
     if not np.isfinite(kth).all():
         # finite features give inf or NaN keys off the diagonal only when
         # their distances overflow; such a row would pick itself or nothing
         raise ValueError("features too large: pairwise distances overflow float64")
-    tau = _TIE_RTOL * (1.0 + np.abs(kth))
+    tau = np.abs(kth)
+    tau += 1.0
+    tau *= _TIE_RTOL
     at = (key <= (kth + tau)[:, None]).ravel().nonzero()[0]  # row-major, ascending columns
     vals = key.ravel()[at]
     if at.size > n_rows * k:
@@ -152,9 +158,10 @@ def _select_top_k(key, k):
         rank = tied_upto - tied_before_row[rows]  # 1-based among the row's ties
         keep = ~tied | (rank <= room[rows])
         at, vals = at[keep], vals[keep]
-    order = np.argsort(vals.reshape(n_rows, k), axis=1, kind="stable")
+    at %= n  # the columns
+    order = vals.reshape(n_rows, k).argsort(axis=1, kind="stable")
     order += np.arange(0, n_rows * k, k)[:, None]  # positions in the flat candidates
-    return at[order] % n, vals[order]
+    return at[order], vals[order]
 
 
 def build_knn_graph(tokens, k, metric="cosine"):
@@ -189,9 +196,12 @@ def build_knn_graph(tokens, k, metric="cosine"):
             # values, and those merged keys must tie exactly as they always have
             key = _distance_rows(x, sq, rows)
         key.reshape(-1, key.shape[-2] * n)[:, rows.start :: n + 1] = np.inf  # self sorts last
-        picks = _select_top_k(key.reshape(-1, n), k)  # every frame's rows at once
-        parts.append([a.reshape(key.shape[:-1] + (k,)) for a in picks])
-    nb, sims = map(_joined, zip(*parts))
+        parts.append(_select_top_k(key.reshape(-1, n), k))  # every frame's rows at once
+    if x.ndim == 2 and len(parts) == 1:  # one frame in one block: the picks are the graph
+        nb, sims = parts[0]
+    else:  # each frame's rows of every block, joined along its row axis
+        lead = x.shape[:-2] + (-1, k)
+        nb, sims = (np.concatenate([a.reshape(lead) for a in p], axis=-2) for p in zip(*parts))
     if metric == "cosine":
         np.negative(sims, out=sims)
     return NeighborGraph(nb, sims)

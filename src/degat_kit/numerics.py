@@ -127,9 +127,10 @@ def softmax(logits, out=None):
     finite. The result is a new array, or ``out`` when given; ``out=logits``
     normalises the logits in place.
     """
-    e = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
+    # the reductions of the max and sum methods, without their wrappers
+    e = np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 

@@ -10,6 +10,7 @@ backward, through the one finite-difference routine ``finite_diff_grad``.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -143,7 +144,7 @@ def finite_diff_grad(loss, array, step=1e-5):
             f_minus = loss()
         finally:
             array[idx] = orig
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+        if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
             raise FloatingPointError(f"non-finite evaluation at index {idx}")
         grad[idx] = (f_plus - f_minus) / (2.0 * step)
     return grad

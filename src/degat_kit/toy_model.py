@@ -362,7 +362,7 @@ def _attn_ffn_backward(params, grads, cfg, cache, d_z):
     _store(grads, f"{name}_ffn", ffn_grads)
     d_y = d_z + d_y_ffn
     attn_grads, d_x_q, d_x_kv, d_bias = cond.multi_head_attention_backward(
-        attn, attn_cache, d_y
+        attn, attn_cache, d_y, bias_grad=biased
     )
     _store(grads, name, attn_grads)
     if biased and _D_BIAS in grads:
@@ -520,12 +520,10 @@ def _cond_cross_attn_backward(params, grads, cfg, cache, d_cond, d_x1):
     return d_base
 
 
-def _padded(patch_bias):
-    """The bias whose patch block is the (F, Hb, L, L) ``patch_bias``."""
-    f, hb, n, _ = patch_bias.shape
-    bias = np.zeros((f, hb, n + 1, n + 1))
-    bias[:, :, 1:, 1:] = patch_bias
-    return bias
+def _padded(cfg, n_frames, n_heads):
+    """A zero (F, Hb, L + 1, L + 1) bias, whose patch block a bias kind fills."""
+    n = cfg.n_tokens + 1
+    return np.zeros((n_frames, n_heads, n, n))
 
 
 def _bias_none(params, cfg, x1, pre_degat):
@@ -533,8 +531,9 @@ def _bias_none(params, cfg, x1, pre_degat):
 
 
 def _bias_bucket(params, cfg, x1, pre_degat):
-    patch_bias, idx = cond.bucket_bias(x1, params["bias_table"])
-    return _padded(patch_bias), idx
+    bias = _padded(cfg, len(x1), cfg.n_heads)
+    _, idx = cond.bucket_bias(x1, params["bias_table"], out=bias[:, :, 1:, 1:])
+    return bias, idx
 
 
 def _bias_bucket_backward(params, grads, cfg, idx, d_bias):
@@ -542,9 +541,7 @@ def _bias_bucket_backward(params, grads, cfg, idx, d_bias):
 
 
 def _bias_mlp(params, cfg, x1, pre_degat):
-    # the heads are written into the patch block, with no (F, H, L, L) copy
-    n = cfg.n_tokens + 1
-    bias = np.zeros((len(x1), cfg.n_heads, n, n))
+    bias = _padded(cfg, len(x1), cfg.n_heads)
     _, cache = cond.mlp_bias(x1, _layer(cond.Mlp2, params, "bias_mlp"), out=bias[:, :, 1:, 1:])
     return bias, cache
 
@@ -561,7 +558,9 @@ def _bias_log_affinity(params, cfg, x1, pre_degat):
     if cache is None:
         degat = _layer(dg.DeGatParams, params, "degat")
         _, cache = dg.degat_forward(x1, degat, cfg.k_neighbors, cfg.knn_metric)
-    return _padded(dg.affinity_to_log_bias(cache)[:, None]), None
+    bias = _padded(cfg, len(x1), 1)
+    bias[:, 0, 1:, 1:] = dg.affinity_to_log_bias(cache)
+    return bias, None
 
 
 class _Kind(NamedTuple):

@@ -116,12 +116,16 @@ def per_frame_mha_forward(x_q, x_kv, attn, h, bias=None):
     return np.stack([out for out, _ in runs]), [cache for _, cache in runs]
 
 
-def per_frame_mha_backward(attn, cache, d_out):
+def per_frame_mha_backward(attn, cache, d_out, bias_grad=True):
+    """ref_mha_backward over a leading frame axis, with no d(scores) when
+    ``bias_grad`` is false."""
     if d_out.ndim == 2:
-        return ref_mha_backward(attn, cache, d_out)
-    runs = [ref_mha_backward(attn, c, d) for c, d in zip(cache, d_out)]
-    grads = {w: sum(r[0][w] for r in runs) for w in runs[0][0]}
-    return (grads, *(np.stack([r[i] for r in runs]) for i in (1, 2, 3)))
+        grads, d_q, d_kv, d_scores = ref_mha_backward(attn, cache, d_out)
+    else:
+        runs = [ref_mha_backward(attn, c, d) for c, d in zip(cache, d_out)]
+        grads = {w: sum(r[0][w] for r in runs) for w in runs[0][0]}
+        d_q, d_kv, d_scores = (np.stack([r[i] for r in runs]) for i in (1, 2, 3))
+    return grads, d_q, d_kv, d_scores if bias_grad else None
 
 
 def per_frame_cross_attention(base, tokens, attn, ffn, h):
@@ -203,9 +207,9 @@ def run_with_references(monkeypatch, cfg, module, refs, n_frames=2):
     used = set()
 
     def spy(name, ref):
-        def call(*args):
+        def call(*args, **kwargs):
             used.add(name)
-            return ref(*args)
+            return ref(*args, **kwargs)
         return call
 
     with monkeypatch.context() as mp:

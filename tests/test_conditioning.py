@@ -451,6 +451,25 @@ class TestBiasedAttention:
         assert grads[3].shape == (f, 1, n, m) and grads_copy[3].shape == (f, h, n, m)
         assert grads[3].tobytes() == grads_copy[3].sum(axis=1, keepdims=True).tobytes()
 
+    @pytest.mark.parametrize("bias_heads", [1, 4], ids=["shared", "per-head"])
+    @pytest.mark.parametrize("rows", [None, 2], ids=["one-block", "rows-2"])
+    def test_no_bias_grad_keeps_the_other_bytes(self, bias_heads, rows, monkeypatch):
+        """``bias_grad=False``, for a bias no gradient flows through, returns
+        None for d_bias, and d_q, d_k and d_v with the bytes of a full call."""
+        rng = np.random.default_rng(28)
+        f, h, n, m, d = 2, 4, 9, 11, 6
+        q, k, v = (rng.standard_normal((f, h, r, d)) for r in (n, m, m))
+        bias = rng.standard_normal((f, bias_heads, n, m))
+        w = rng.standard_normal((f, h, n, d))
+        if rows is not None:
+            monkeypatch.setattr(graph, "_BLOCK_ENTRIES", rows * m * f * h)
+        _, cache = biased_attention(q, k, v, bias)
+        full = biased_attention_backward(cache, w)
+        bare = biased_attention_backward(cache, w, bias_grad=False)
+        assert full[3].shape == bias.shape and bare[3] is None
+        for g, g_bare in zip(full[:3], bare[:3]):
+            assert g.tobytes() == g_bare.tobytes()
+
     @pytest.mark.parametrize("bias_shape", [(2, 3, 5, 7), (1, 2, 4, 5, 7), (4, 5, 7)],
                              ids=["three-heads", "extra-axis", "no-frame-axis"])
     def test_bias_that_does_not_broadcast_is_one_line_error(self, bias_shape):
@@ -677,11 +696,14 @@ class TestQueryBlocks:
     @pytest.mark.parametrize("variant, bound", [
         (("pre", "cross_attn", "log_affinity"), 6e6),
         (("post", "film", "mlp_bias"), 9e6),
-    ], ids=["log_affinity", "mlp_bias"])
+        (("post", "additive", "bucket"), 7.5e6),
+    ], ids=["log_affinity", "mlp_bias", "bucket"])
     def test_eval_forward_memory(self, variant, bound):
         """``toy_model.forward`` on two 128x128 frames, the eval-export
-        variants: no (F, H, 257, 257) or (4, 514, 514) score array is held,
-        and the MLP bias is written into its padded array."""
+        variants and a bucket one: no (F, H, 257, 257) or (4, 514, 514) score
+        array is held, and the MLP and bucket biases are written into their
+        padded array (4.2 MB), the bucket bias with no (F, L, L, H) lookup or
+        copy of it (a 9.6 MB peak)."""
         placement, conditioning, bias = variant
         cfg = toy_model.ModelConfig(image_h=128, image_w=128, degat_placement=placement,
                                     token_conditioning=conditioning, attention_bias=bias)

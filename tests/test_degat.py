@@ -247,6 +247,46 @@ class TestStackedFrames:
             want = sum(getattr(r, name) for r in runs)
             assert np.max(np.abs(getattr(grads, name) - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    @pytest.mark.parametrize("rows", [None, 1, 5], ids=["one-block", "rows-1", "rows-5"])
+    def test_one_frame_bits_equal_its_stack(self, metric, rows, monkeypatch):
+        """An (L, C) frame, whose hop joins and offsets nothing, and the same
+        frame as a (1, L, C) stack give the same bytes, in one block and in
+        blocks of ``rows`` node rows."""
+        monkeypatch.setattr(degat, "LEAKY_SLOPE", 0.1)
+        rng = np.random.default_rng(26)
+        n, c, cp, k = 23, 6, 5, 4
+        x = hub_tokens(n, c, rng)[rng.permutation(n)]
+        params = init_degat_params(c, c_proj=cp, rng=26)
+        params.w_proj[...] *= 4.0
+        up = rng.standard_normal(x.shape)
+        if rows is not None:
+            monkeypatch.setattr(graph, "_BLOCK_ENTRIES", rows * k * max(c, cp))
+        out, cache = degat_forward(x, params, k, metric)
+        grads = degat_backward(cache, params, up)
+        out_s, cache_s = degat_forward(x[None], params, k, metric)
+        grads_s = degat_backward(cache_s, params, up[None])
+        pairs = [(out, out_s[0]), (cache.alpha, cache_s.alpha[0]),
+                 (cache.graph.neighbors, cache_s.graph.neighbors[0]),
+                 (cache.graph.similarities, cache_s.graph.similarities[0]),
+                 (grads.d_x, grads_s.d_x[0])]
+        pairs += [(getattr(grads, w), getattr(grads_s, w)) for w in ("d_w_proj", "d_a", "d_w_val")]
+        for got, want in pairs:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("frames", [None, 2])
+    def test_backward_leaves_the_graph(self, frames):
+        """The backward indexes with a one-frame graph's own neighbor array,
+        and writes into no neighbor array, one frame or a stack."""
+        rng = np.random.default_rng(27)
+        x = rng.standard_normal((12, 4) if frames is None else (frames, 12, 4))
+        params = init_degat_params(4, rng=27)
+        _, cache = degat_forward(x, params, 3)
+        before = cache.graph.neighbors.copy()
+        cache.graph.neighbors.flags.writeable = False
+        degat_backward(cache, params, rng.standard_normal(x.shape))
+        assert cache.graph.neighbors.tobytes() == before.tobytes()
+
     def test_upstream_shape_check(self):
         rng = np.random.default_rng(11)
         params = init_degat_params(3, rng=11)

@@ -419,7 +419,25 @@ class TestRowBlocks:
             blocks, rows = graph._row_blocks(n, width)
             assert [i for b in blocks for i in range(n)[b]] == list(range(n))
             assert rows == max((len(range(n)[b]) for b in blocks), default=0)
-        assert graph._row_blocks(0, width) == ([], 0)
+        assert graph._row_blocks(0, width) == ((), 0)
+
+    def test_cached_rule_follows_block_entries(self, monkeypatch):
+        """The rule is cached, yet a patched ``_BLOCK_ENTRIES`` still sets the
+        blocks, of ``_row_blocks`` and of a build made after it."""
+        n = 40
+        one = ((slice(0, graph._BLOCK_ENTRIES // n),), n)
+        assert graph._row_blocks(n, n) == one  # now cached
+        calls = []
+        select = graph._select_top_k
+        monkeypatch.setattr(graph, "_select_top_k",
+                            lambda key, k: calls.append(len(key)) or select(key, k))
+        monkeypatch.setattr(graph, "_BLOCK_ENTRIES", 5 * n)
+        blocks, rows = graph._row_blocks(n, n)
+        assert (len(blocks), rows) == (8, 5)
+        build_knn_graph(np.random.default_rng(8).standard_normal((2, n, 3)), 3)
+        assert calls == [2 * 5] * 8  # each block's rows of both frames
+        monkeypatch.undo()
+        assert graph._row_blocks(n, n) == one
 
 
 class TestDumpNeighbors:

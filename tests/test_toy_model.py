@@ -492,6 +492,35 @@ class TestTape:
         assert not any(has_d_bias for _, has_d_bias in seen)
         assert list(grads) == list(params)
 
+    @pytest.mark.parametrize("bias", ["log_affinity", "bucket"])
+    def test_stop_gradient_bias_gets_no_kernel_gradient(self, monkeypatch, bias):
+        """The log-affinity blocks' attention backward forms no d_bias, while
+        the bucket blocks' does, and every gradient has the bytes of a pass
+        whose kernel forms d_bias on every biased call."""
+        cfg = small_cfg(degat_placement="pre", attention_bias=bias, n_blocks=2)
+        rng = np.random.default_rng(17)
+        params = init_model_params(cfg)
+        frames, gt = make_frames(rng, cfg, 2), make_gt(rng, cfg, 2)
+        kernel = cond.biased_attention_backward
+        d_biases = []
+
+        def spy(cache, d_out, bias_grad=True):
+            grads = kernel(cache, d_out, bias_grad)
+            if cache[3] is not None:  # a biased call
+                d_biases.append(grads[3])
+            return grads
+
+        monkeypatch.setattr(cond, "biased_attention_backward", spy)
+        _, grads = loss_and_grads(params, cfg, frames, *gt)
+        monkeypatch.setattr(cond, "biased_attention_backward",
+                            lambda cache, d_out, bias_grad=True: kernel(cache, d_out))
+        _, always = loss_and_grads(params, cfg, frames, *gt)
+        assert len(d_biases) == 2
+        assert all((d is None) == (bias == "log_affinity") for d in d_biases)
+        assert list(grads) == list(always)
+        for name, g in grads.items():
+            assert g.tobytes() == always[name].tobytes(), name
+
     @pytest.mark.parametrize("placement,conditioning,bias", VARIANTS)
     def test_tapeless_passes_bit_identical(self, placement, conditioning, bias):
         """``loss`` gives the breakdown of ``loss_and_grads``, and ``forward``
